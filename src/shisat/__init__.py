@@ -6,7 +6,7 @@ a bounded brute-force oracle for differential testing, and a small CLI.
 """
 
 from .cli import check_concept_consistency, check_instance, export_dot, run_cli
-from .engine import TableauEngine, Verdict, build_tableau, decide_sat
+from .engine import TableauEngine, Verdict, decide_sat
 from .kbparse import ParseError, format_kb, parse_concept_text, parse_kb
 from .models import (
     Interpretation,
@@ -48,7 +48,6 @@ __all__ = [
     "bounded_model_search",
     "build_kb",
     "build_ext",
-    "build_tableau",
     "build_witness",
     "check_concept_consistency",
     "check_instance",

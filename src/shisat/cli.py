@@ -6,7 +6,7 @@
     shisat consistent FILE CONCEPT
 
 Exit codes: 0 for SAT/true, 1 for UNSAT/false, 2 for usage, parse, or
-input errors.
+input errors and for internal errors.
 """
 from __future__ import annotations
 
@@ -182,6 +182,9 @@ def run_cli(argv=None) -> int:
         return args.run(args)
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # never let a crash read as a verdict
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

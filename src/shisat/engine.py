@@ -6,6 +6,12 @@ off by static rules (conjunction/disjunction decomposition, subrole
 narrowing, role-assertion propagation), then frozen into states, which the
 transitional rule expands into one successor per existential obligation.
 
+Simple labels hold concepts, complex labels assertions about named
+individuals. A primed rule is the plain rule applied to the concept C of
+an assertion a:C: `_body` reads C and `_lift` puts a conclusion back in
+a:C form, so one rule schema serves both label forms, and only the tag,
+primed on complex nodes, tells them apart.
+
 Inverse roles make a successor able to push constraints *back* onto the
 state that spawned it. Two repair modes exist: while a state is being
 expanded, required formulas collect in `fmls_rc` and the state reports
@@ -104,10 +110,12 @@ def t_unsat(store: FormulaStore, label) -> bool:
     return False
 
 
-def _is_existential(f, stype) -> bool:
-    if stype == SIMPLE:
-        return f.kind == sx.SOME
-    return f.kind == sx.INST and f.concept.kind == sx.SOME
+def _body(f):
+    """The concept a label member speaks of: `f` itself for a concept, C
+    for an assertion ind:C, None for a role assertion."""
+    if f.kind == sx.INST:
+        return f.concept
+    return None if f.kind == sx.REL else f
 
 
 class TableauEngine:
@@ -135,6 +143,26 @@ class TableauEngine:
     def _t_sat(self, v) -> bool:
         return self.graph.node(v).status == UNEXPANDED and self.applicable_rule(v) is None
 
+    def _lift(self, f, c):
+        """`c` in the label form of `f`: as is, or asserted of `f`'s individual."""
+        return self.store.inst(f.ind, c) if f.kind == sx.INST else c
+
+    def _forward(self, ex, label):
+        """What `label`, holding the existential `ex`, forces on the simple
+        successor that realizes `ex`."""
+        role = _body(ex).role
+        if ex.kind == sx.INST:
+            return transfer_assertions_from(self.idx, label, ex.ind, role)
+        return transfer_concepts(self.idx, label, role)
+
+    def _backward(self, ex, label):
+        """What the simple `label` of `ex`'s successor forces back across
+        the edge, in the label form of `ex`."""
+        role = _body(ex).role.inverse
+        if ex.kind == sx.INST:
+            return transfer_concepts_to(self.idx, self.store, label, role, ex.ind)
+        return transfer_concepts(self.idx, label, role)
+
     # -- rule selection -------------------------------------------------
 
     def applicable_rule(self, v) -> RuleInstance | None:
@@ -143,77 +171,59 @@ class TableauEngine:
         rule kind, then smallest principal in the fixed formula order,
         then smallest auxiliary role."""
         node = self.graph.node(v)
-        store = self.store
+        prime = "" if node.stype == SIMPLE else "'"
+        view = [(f, _body(f)) for f in ordered(node.label)]
         if node.node_type == STATE:
-            ex = tuple(f for f in ordered(node.label) if _is_existential(f, node.stype))
-            if not ex:
-                return None
-            tag = R_EXISTS if node.stype == SIMPLE else R_EXISTS_A
-            return RuleInstance(tag, principals=ex)
+            ex = tuple(f for f, c in view if c is not None and c.kind == sx.SOME)
+            return RuleInstance(R_EXISTS + prime, principals=ex) if ex else None
 
-        simple = node.stype == SIMPLE
-        label = ordered(node.label)
+        store = self.store
         af = node.aformulas
 
-        for f in label:
-            is_conj = f.kind == sx.AND if simple else (f.kind == sx.INST and f.concept.kind == sx.AND)
-            if is_conj and f not in node.rformulas:
-                return RuleInstance(R_AND if simple else R_AND_A, principal=f)
+        for f, c in view:
+            if c is not None and c.kind == sx.AND and f not in node.rformulas:
+                return RuleInstance(R_AND + prime, principal=f)
 
-        for f in label:
-            if simple:
-                target = f if f.kind == sx.ALL else None
-            else:
-                target = f.concept if f.kind == sx.INST and f.concept.kind == sx.ALL else None
-            if target is None:
+        for f, c in view:
+            if c is None or c.kind != sx.ALL:
                 continue
-            for r in self.idx.subroles_of(target.role):
-                narrowed = store.univ(r, target.child)
-                added = narrowed if simple else store.inst(f.ind, narrowed)
+            for r in self.idx.subroles_of(c.role):
+                added = self._lift(f, store.univ(r, c.child))
                 if added not in af:
-                    return RuleInstance(R_HIER if simple else R_HIER_A, principal=f, added=frozenset({added}))
+                    return RuleInstance(R_HIER + prime, principal=f, added=frozenset({added}))
 
-        if not simple:
-            for f in label:
-                if f.kind != sx.REL:
-                    continue
-                added = (
-                    transfer_assertions(self.idx, store, node.label, f.a, f.role, f.b)
-                    | transfer_assertions(self.idx, store, node.label, f.b, f.role.inverse, f.a)
-                ) - af
-                if added:
-                    return RuleInstance(R_UNIV_A, principal=f, added=frozenset(added))
+        for f, c in view:
+            if c is not None:  # univ' reads role assertions, found in complex labels only
+                continue
+            added = (
+                transfer_assertions(self.idx, store, node.label, f.a, f.role, f.b)
+                | transfer_assertions(self.idx, store, node.label, f.b, f.role.inverse, f.a)
+            ) - af
+            if added:
+                return RuleInstance(R_UNIV_A, principal=f, added=frozenset(added))
 
-        for f in label:
-            is_disj = f.kind == sx.OR if simple else (f.kind == sx.INST and f.concept.kind == sx.OR)
-            if is_disj and f not in node.rformulas:
-                return RuleInstance(R_OR if simple else R_OR_A, principal=f)
+        for f, c in view:
+            if c is not None and c.kind == sx.OR and f not in node.rformulas:
+                return RuleInstance(R_OR + prime, principal=f)
 
-        if any(_is_existential(f, node.stype) for f in label):
+        if any(c is not None and c.kind == sx.SOME for _, c in view):
             return RuleInstance(R_FORM)
         return None
 
     # -- rule application -------------------------------------------------
 
     def _static_conclusions(self, rule: RuleInstance, node) -> list:
-        store = self.store
+        """Successor labels of a static rule: and/or split the principal's
+        concept into its parts, hier/univ' add `rule.added`."""
+        if rule.added:
+            return [node.label | rule.added]
         f = rule.principal
-        if rule.tag in (R_AND, R_AND_A):
-            if rule.tag == R_AND:
-                parts = {f.left, f.right}
-            else:
-                c = f.concept
-                parts = {store.inst(f.ind, c.left), store.inst(f.ind, c.right)}
-            return [(node.label - {f}) | parts]
-        if rule.tag in (R_OR, R_OR_A):
-            if rule.tag == R_OR:
-                first, second = f.left, f.right
-            else:
-                first = store.inst(f.ind, f.concept.left)
-                second = store.inst(f.ind, f.concept.right)
-            base = node.label - {f}
-            return [base | {first}, base | {second}]
-        return [node.label | rule.added]
+        c = _body(f)
+        left, right = self._lift(f, c.left), self._lift(f, c.right)
+        base = node.label - {f}
+        if c.kind == sx.AND:
+            return [base | {left, right}]
+        return [base | {left}, base | {right}]
 
     def apply_rule(self, rule: RuleInstance, v) -> None:
         g = self.graph
@@ -231,16 +241,14 @@ class TableauEngine:
             g.con_to_succ(v, STATE, node.stype, None, node.label, node.rformulas, node.dformulas)
         elif rule.tag == R_CONV:
             self.apply_conv_rule(v)
-        elif rule.tag in (R_EXISTS, R_EXISTS_A):
+        elif rule.principals:  # exists, exists'
             self.apply_trans_rule(rule, v)
             if node.status in DETERMINED:
                 self.propagate_status(v)
                 return
         else:
-            if rule.tag in (R_HIER, R_HIER_A, R_UNIV_A):
-                rfmls = node.rformulas
-            else:
-                rfmls = node.rformulas | {rule.principal}
+            # and/or consume their principal; hier/univ' keep it
+            rfmls = node.rformulas if rule.added else node.rformulas | {rule.principal}
             for x in self._static_conclusions(rule, node):
                 g.con_to_succ(v, NONSTATE, node.stype, None, x, rfmls, node.dformulas)
 
@@ -257,14 +265,7 @@ class TableauEngine:
                     continue
                 v0 = g.node(wn.state_pred)
                 v1 = g.node(wn.after_trans_pred)
-                ce = v1.ce_label
-                if v0.stype == SIMPLE:
-                    x = transfer_concepts(self.idx, wn.label, ce.role.inverse) - v0.aformulas
-                else:
-                    x = (
-                        transfer_concepts_to(self.idx, self.store, wn.label, ce.concept.role.inverse, ce.ind)
-                        - v0.aformulas
-                    )
+                x = self._backward(v1.ce_label, wn.label) - v0.aformulas
                 if x:
                     if v0.conv_method == 0:
                         v0.fmls_rc |= x
@@ -291,22 +292,9 @@ class TableauEngine:
         assert un.node_type == STATE
 
         for f in rule.principals:
-            if rule.tag == R_EXISTS:
-                role = f.role
-                label = frozenset({f.child}) | transfer_concepts(self.idx, un.label, role) | self.tbox_set
-                g.new_succ(u, NONSTATE, SIMPLE, f, label, EMPTY, EMPTY)
-                back = transfer_concepts(self.idx, label, role.inverse)
-            else:
-                some = f.concept
-                role = some.role
-                label = (
-                    frozenset({some.child})
-                    | transfer_assertions_from(self.idx, un.label, f.ind, role)
-                    | self.tbox_set
-                )
-                g.new_succ(u, NONSTATE, SIMPLE, f, label, EMPTY, EMPTY)
-                back = transfer_concepts_to(self.idx, self.store, label, role.inverse, f.ind)
-            un.fmls_rc |= back - un.aformulas
+            label = frozenset({_body(f).child}) | self._forward(f, un.label) | self.tbox_set
+            g.new_succ(u, NONSTATE, SIMPLE, f, label, EMPTY, EMPTY)
+            un.fmls_rc |= self._backward(f, label) - un.aformulas
 
         if un.fmls_rc & un.dformulas:
             self._set_status(un, UNSAT)
@@ -439,11 +427,6 @@ class TableauEngine:
             "states": sum(1 for n in self.graph.nodes if n.node_type == STATE),
             "rule_applications": dict(self.rule_counts),
         }
-
-
-def build_tableau(kb: KnowledgeBase, strategy: str = "dfs") -> TableauGraph:
-    engine = TableauEngine(kb, strategy=strategy)
-    return engine.run()
 
 
 def decide_sat(kb: KnowledgeBase, strategy: str = "dfs") -> Verdict:

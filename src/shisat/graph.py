@@ -3,13 +3,12 @@
 Nodes are immutable in their logical content (label, reduced formulas,
 disallowed formulas) once created; only status and the converse-repair
 bookkeeping fields change afterwards. States are and-nodes, everything
-else is an or-node. Two caches keep the graph from blowing up:
-
-  * a global cache over states -- two states never share the triple
-    (label, rformulas, dformulas);
-  * per local graph, the same uniqueness for or-nodes. A local graph is
-    everything reachable from a node without crossing a state; every
-    member shares one `after_trans_pred`, which scopes the cache.
+else is an or-node. One cache keeps the graph from blowing up: no two
+nodes of one scope share the triple (label, rformulas, dformulas). States
+share the global scope None; an or-node's scope is its local graph --
+everything reachable from a node without crossing a state -- named by
+the `after_trans_pred` all its members share. Labels are frozensets of
+interned formulas, so the triple itself is the key.
 
 Edges form a set. The only deletion ever performed removes the edge into
 a state that demanded a converse repair; the state itself stays and can
@@ -79,24 +78,10 @@ class TableauNode:
         return self.label | self.rformulas
 
     def triple_key(self) -> tuple:
-        return (
-            self.stype,
-            tuple(sorted(f.uid for f in self.label)),
-            tuple(sorted(f.uid for f in self.rformulas)),
-            tuple(sorted(f.uid for f in self.dformulas)),
-        )
+        return (self.stype, self.label, self.rformulas, self.dformulas)
 
     def __repr__(self) -> str:
         return f"<node {self.id} {self.node_type}/{self.stype} {self.status} {ordered(self.label)}>"
-
-
-def _key(stype, label, rformulas, dformulas) -> tuple:
-    return (
-        stype,
-        tuple(sorted(f.uid for f in label)),
-        tuple(sorted(f.uid for f in rformulas)),
-        tuple(sorted(f.uid for f in dformulas)),
-    )
 
 
 class TableauGraph:
@@ -108,8 +93,7 @@ class TableauGraph:
         self.succs: list = []
         self.preds: list = []
         self.root: int | None = None
-        self._state_cache: dict = {}
-        self._local_caches: dict = {}  # after_trans_pred id -> {key: node id}
+        self._cache: dict = {}  # (scope, triple key) -> node id
         self._queue: deque = deque()
         self.state_members: dict = {}  # state id -> ids of its local graph's or-nodes
 
@@ -123,9 +107,6 @@ class TableauGraph:
 
     def predecessors(self, node_id: int) -> list:
         return self.preds[node_id]
-
-    def state_ids(self) -> list:
-        return [n.id for n in self.nodes if n.node_type == STATE]
 
     def add_edge(self, v: int, w: int) -> None:
         if w not in self.succs[v]:
@@ -161,15 +142,11 @@ class TableauGraph:
                 node.ce_label = ce_label
             if node.state_pred is not None:
                 self.state_members.setdefault(node.state_pred, []).append(node_id)
-            key = _key(stype, label, rformulas, dformulas)
-            scope = self._local_caches.setdefault(node.after_trans_pred, {})
-            assert key not in scope, "duplicate triple in a local graph"
-            scope[key] = node_id
         else:
             assert v is None or self.nodes[v].node_type == NONSTATE
-            key = _key(stype, label, rformulas, dformulas)
-            assert key not in self._state_cache, "duplicate state triple"
-            self._state_cache[key] = node_id
+        key = (node.after_trans_pred, node.triple_key())  # None for a state
+        assert key not in self._cache, "duplicate triple in a cache scope"
+        self._cache[key] = node_id
 
         self._queue.append(node_id)
         return node_id
@@ -180,10 +157,8 @@ class TableauGraph:
         States are looked up globally; or-nodes only within the local
         graph rooted at `v1`.
         """
-        key = _key(stype, label, rformulas, dformulas)
-        if node_type == STATE:
-            return self._state_cache.get(key)
-        return self._local_caches.get(v1, {}).get(key)
+        scope = None if node_type == STATE else v1
+        return self._cache.get((scope, (stype, label, rformulas, dformulas)))
 
     def con_to_succ(self, v, node_type, stype, ce_label, label, rformulas, dformulas) -> int:
         """Connect `v` to a node with the given content, creating it only

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import syntax as sx
 from .graph import INCOMPLETE, STATE, UNSAT
 from .rbox import RBoxIndex
-from .syntax import KnowledgeBase, Role, ordered
+from .syntax import KnowledgeBase, Role, concepts_of, ordered
 
 
 @dataclass
@@ -85,9 +85,7 @@ def extract_model_graph(graph, kb: KnowledgeBase, idx: RBoxIndex) -> ModelGraph:
     domain = list(named)
     concepts: dict = {}
     for a in named:
-        concepts[a] = frozenset(
-            f.concept for f in vk_node.aformulas if f.kind == sx.INST and f.ind == a
-        )
+        concepts[a] = concepts_of(vk_node.aformulas, a)
     edges: dict = {}
     for f in kb.abox:
         if f.kind == sx.REL:

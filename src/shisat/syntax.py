@@ -348,6 +348,11 @@ def closure(kb: KnowledgeBase, idx=None) -> frozenset:
     return frozenset(out)
 
 
+def concepts_of(assertions: Iterable[Formula], ind: str) -> frozenset:
+    """{C | ind:C in assertions}: an individual's assertions as a concept label."""
+    return frozenset(f.concept for f in assertions if f.kind == INST and f.ind == ind)
+
+
 def ordered(formulas: Iterable[Formula]) -> list:
     """Formulas sorted by their fixed creation order."""
     return sorted(formulas, key=lambda f: f.uid)

@@ -121,6 +121,20 @@ def test_consistent_command(kbfile, capsys):
     capsys.readouterr()
 
 
+def test_internal_error_is_not_a_verdict(kbfile, capsys):
+    # 1200 nested negations overflow the recursive parser. The crash must
+    # exit 2 with a one-line message, never 1 (UNSAT); once parsing is
+    # stack-safe the input is plainly SAT.
+    code = run_cli(["sat", kbfile("inst a " + "(not " * 1200 + "A" + ")" * 1200 + "\n")])
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.strip() == "SAT"
+    else:
+        assert code == 2
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 def test_usage_error_exit_code(capsys):
     assert run_cli([]) == 2
     assert run_cli(["sat"]) == 2

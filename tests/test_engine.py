@@ -476,8 +476,6 @@ def test_disallowed_formula_refutes_or_branch():
 
 
 def test_build_tableau_returns_finished_graph():
-    from shisat import build_tableau
-
-    graph = build_tableau(parse_kb("inst a A\n"))
+    graph = decide_sat(parse_kb("inst a A\n")).graph
     assert graph.node(graph.root).status == SAT
     assert graph.to_expand() is None

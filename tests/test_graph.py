@@ -78,6 +78,26 @@ def test_find_proxy_state_lookup():
     assert g.find_proxy(STATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY) is None
 
 
+def test_one_cache_keeps_scopes_apart():
+    store, a, b = _store()
+    g = TableauGraph()
+    label = frozenset({a})
+    root = g.new_succ(None, NONSTATE, SIMPLE, None, label, EMPTY, EMPTY)
+    # forming a state copies the or-node's triple; both stay cached
+    u = g.new_succ(root, STATE, SIMPLE, None, label, EMPTY, EMPTY)
+    assert g.node(u).triple_key() == g.node(root).triple_key()
+    assert g.find_proxy(STATE, SIMPLE, None, label, EMPTY, EMPTY) == u
+    assert g.find_proxy(NONSTATE, SIMPLE, root, label, EMPTY, EMPTY) == root
+    # one triple in two local scopes is two distinct nodes
+    ce = store.exist(Role("r"), b)
+    w1 = g.new_succ(u, NONSTATE, SIMPLE, ce, frozenset({b}), EMPTY, EMPTY)
+    w2 = g.new_succ(u, NONSTATE, SIMPLE, ce, frozenset({a, b}), EMPTY, EMPTY)
+    x1 = g.new_succ(w1, NONSTATE, SIMPLE, None, frozenset({a, b}), EMPTY, EMPTY)
+    assert x1 != w2
+    assert g.find_proxy(NONSTATE, SIMPLE, w1, frozenset({a, b}), EMPTY, EMPTY) == x1
+    assert g.find_proxy(NONSTATE, SIMPLE, w2, frozenset({a, b}), EMPTY, EMPTY) == w2
+
+
 def test_con_to_succ_reuses_and_deduplicates_edges():
     store, a, b = _store()
     g = TableauGraph()

@@ -136,12 +136,18 @@ def test_monotone(ex2):
 
 def test_tagging_homomorphism(ex2):
     # Transferring to a named individual is exactly the plain transfer with
-    # every member asserted of that individual.
+    # every member asserted of that individual; transferring from one reads
+    # only that individual's assertions as a concept label.
     store, idx, _, x = ex2
+    label = {store.inst("a", c) for c in x}
+    label |= {store.inst("b", store.univ(R, store.atom("B"))), store.rel(R, "a", "b")}
     for role in (R, RI, S):
         plain = transfer_concepts(idx, x, role)
         tagged = transfer_concepts_to(idx, store, x, role, "a")
         assert tagged == {store.inst("a", c) for c in plain}
+        assert transfer_assertions_from(idx, label, "a", role) == plain
+        between = transfer_assertions(idx, store, label, "a", role, "b")
+        assert between == {store.inst("b", c) for c in plain}
 
 
 def test_results_are_fresh_sets(ex2):
