@@ -67,7 +67,7 @@ def export_dot(graph: TableauGraph) -> str:
     for node in graph.nodes:
         parts = [f"({node.id}) {node.rule or '-'}", node.status]
         parts.extend(formula_text(f) for f in ordered(node.label))
-        label = _dot_escape("\\n".join(parts))
+        label = "\\n".join(_dot_escape(p) for p in parts)  # escape, then join with DOT's line break
         extra = ", peripheries=2" if node.node_type == STATE else ""
         lines.append(f'  n{node.id} [label="{label}"{extra}];')
     for v in range(len(graph.nodes)):

@@ -140,9 +140,6 @@ class TableauEngine:
     def _before_forming_state(self, v) -> bool:
         return any(self.graph.node(w).node_type == STATE for w in self.graph.successors(v))
 
-    def _t_sat(self, v) -> bool:
-        return self.graph.node(v).status == UNEXPANDED and self.applicable_rule(v) is None
-
     def _lift(self, f, c):
         """`c` in the label form of `f`: as is, or asserted of `f`'s individual."""
         return self.store.inst(f.ind, c) if f.kind == sx.INST else c
@@ -260,9 +257,7 @@ class TableauEngine:
                 continue
             if t_unsat(self.store, wn.label):
                 self._set_status(wn, UNSAT)
-            elif wn.node_type == NONSTATE:
-                if wn.state_pred is None:
-                    continue
+            elif wn.node_type == NONSTATE and wn.state_pred is not None:
                 v0 = g.node(wn.state_pred)
                 v1 = g.node(wn.after_trans_pred)
                 x = self._backward(v1.ce_label, wn.label) - v0.aformulas
@@ -277,8 +272,6 @@ class TableauEngine:
                     else:
                         v1.alt_fml_sets_scp.add(frozenset(x))
                         self._set_status(wn, INCOMPLETE)
-            elif self._t_sat(w):
-                self._set_status(wn, SAT)
 
         self.update_status(v)
         if node.status in DETERMINED:
@@ -299,18 +292,17 @@ class TableauEngine:
         if un.fmls_rc & un.dformulas:
             self._set_status(un, UNSAT)
 
-        while un.status != UNSAT:
-            picked = None
-            for w in g.state_members.get(u, []):
-                if g.node(w).status != UNEXPANDED:
-                    continue
-                inst = self.applicable_rule(w)
-                if inst is not None and PRIORITY[inst.tag] == 5:
-                    picked = (inst, w)
-                    break
-            if picked is None:
+        # One pass suffices: node content is fixed and no status returns to
+        # UNEXPANDED, so a member skipped once stays skipped. The list grows
+        # as rules add members, and the pass reaches those too.
+        for w in g.state_members[u]:
+            if un.status == UNSAT:
                 break
-            self.apply_rule(picked[0], picked[1])
+            if g.node(w).status != UNEXPANDED:
+                continue
+            inst = self.applicable_rule(w)
+            if inst is not None and PRIORITY[inst.tag] == 5:
+                self.apply_rule(inst, w)
 
         if un.status != UNSAT:
             if un.fmls_rc:
@@ -398,19 +390,11 @@ class TableauEngine:
     def run(self) -> TableauGraph:
         kb = self.kb
         g = self.graph
-        root_label = list(kb.abox)
-        for a in kb.individuals:
-            for c in kb.tbox:
-                f = self.store.inst(a, c)
-                if f not in root_label:
-                    root_label.append(f)
-        root = g.new_succ(None, NONSTATE, COMPLEX, None, frozenset(root_label), EMPTY, EMPTY)
-        g.root = root
-        rn = g.node(root)
+        tbox_asserted = {self.store.inst(a, c) for a in kb.individuals for c in kb.tbox}
+        g.root = g.new_succ(None, NONSTATE, COMPLEX, None, frozenset(kb.abox) | tbox_asserted, EMPTY, EMPTY)
+        rn = g.node(g.root)
         if t_unsat(self.store, rn.label):
             self._set_status(rn, UNSAT)
-        elif self.applicable_rule(root) is None:
-            self._set_status(rn, SAT)
 
         while (v := g.to_expand()) is not None:
             inst = self.applicable_rule(v)

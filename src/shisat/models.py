@@ -5,13 +5,16 @@ graph*: a finite set of elements, each carrying the concept set of a
 fully saturated node, plus raw role edges. ABox individuals take their
 concepts from the endpoint of the root's saturation path; every
 existential obligation is then realized by following the successor the
-engine created for it, walking to a saturated endpoint, and reusing an
-element with the same concept set when one exists.
+engine created for it, walking to a saturated endpoint, and reusing the
+element created for the same concept set when there is one.
 
-The model graph induces an interpretation once the raw edges are closed
-under converses, role inclusion, and transitivity. `eval_concept` and
-`check_model` implement the plain set semantics and are shared by the
-differential oracle.
+The model graph induces an interpretation through the standard SHI
+construction: a role holds the raw edges of its subroles, the reversed
+raw edges of the subroles of its inverse, and the transitive closure of
+those of each transitive subrole. The role box is closed already, so
+this is read off directly, with no fixpoint over edges. `eval_concept`
+and `check_model` implement the plain set semantics independently and
+are shared by the differential oracle.
 """
 from __future__ import annotations
 
@@ -74,103 +77,85 @@ def _fresh_name(taken) -> str:
 
 def extract_model_graph(graph, kb: KnowledgeBase, idx: RBoxIndex) -> ModelGraph:
     """Build a model graph from a finished, unrefuted tableau."""
-    root = graph.node(graph.root)
-    assert root.status != UNSAT
-
-    path = saturation_path(graph, graph.root)
-    vk = path[-1]
-    vk_node = graph.node(vk)
+    vk = saturation_path(graph, graph.root)[-1]  # asserts the root is unrefuted
 
     named = list(kb.individuals)
     domain = list(named)
-    concepts: dict = {}
-    for a in named:
-        concepts[a] = concepts_of(vk_node.aformulas, a)
+    concepts = {a: concepts_of(graph.node(vk).aformulas, a) for a in named}  # keys: the domain
     edges: dict = {}
     for f in kb.abox:
         if f.kind == sx.REL:
             edges.setdefault(f.role, set()).add((f.a, f.b))
 
     anchor: dict = {}  # created element -> its state in the graph
-    unresolved = list(named)
-    taken = set(domain)
+    by_concepts: dict = {}  # concept set -> the created element carrying it
 
-    while unresolved:
-        x = unresolved.pop(0)
+    for x in domain:  # grows as elements are created
         for c in ordered(concepts[x]):
             if c.kind != sx.SOME:
                 continue
-            if x in named:
-                u = vk
-                want = kb.store.inst(x, c)
-            else:
+            if x in anchor:
                 u = anchor[x]
                 want = c
+            else:
+                u = vk
+                want = kb.store.inst(x, c)
             w0 = next(
                 (w for w in graph.successors(u) if graph.node(w).ce_label is want),
                 None,
             )
             assert w0 is not None, "missing realization for an existential obligation"
             wpath = saturation_path(graph, w0)
-            wh = graph.node(wpath[-1])
-            target = frozenset(wh.aformulas)
-            y = next(
-                (e for e in domain if e not in named and concepts[e] == target),
-                None,
-            )
+            target = frozenset(graph.node(wpath[-1]).aformulas)
+            y = by_concepts.get(target)
             if y is None:
-                y = _fresh_name(taken)
-                taken.add(y)
+                y = _fresh_name(concepts)
                 domain.append(y)
                 concepts[y] = target
                 anchor[y] = wpath[-1]
-                unresolved.append(y)
+                by_concepts[target] = y
             edges.setdefault(c.role, set()).add((x, y))
 
     return ModelGraph(domain=domain, concepts=concepts, edges=edges, named=named)
 
 
-def close_role_relations(edges: dict, idx: RBoxIndex) -> dict:
-    """Least extension of the raw edges that is converse-coherent,
-    monotone under role inclusion, and transitive where required."""
-    closed: dict = {r: set() for r in idx.roles}
-    for role, pairs in edges.items():
-        closed.setdefault(role, set()).update(pairs)
+def _transitive_closure(pairs: set) -> set:
+    """Every (a, c) joined by a path of `pairs`."""
+    succ: dict = {}
+    for (a, b) in pairs:
+        succ.setdefault(a, set()).add(b)
+    out = set()
+    for a in succ:
+        reached: set = set()
+        stack = list(succ[a])
+        while stack:
+            b = stack.pop()
+            if b not in reached:
+                reached.add(b)
+                stack.extend(succ.get(b, ()))
+        out.update((a, b) for b in reached)
+    return out
 
-    changed = True
-    while changed:
-        changed = False
-        for role in list(closed):
-            inv = closed.setdefault(role.inverse, set())
-            for (a, b) in list(closed[role]):
-                if (b, a) not in inv:
-                    inv.add((b, a))
-                    changed = True
-        for (r, s) in idx.subrole_pairs:
-            if r == s:
-                continue
-            src = closed.get(r)
-            if not src:
-                continue
-            dst = closed.setdefault(s, set())
-            before = len(dst)
-            dst.update(src)
-            if len(dst) != before:
-                changed = True
-        for role in idx.transitive:
-            pairs = closed.get(role)
-            if not pairs:
-                continue
-            extra = {
-                (a, d)
-                for (a, b) in pairs
-                for (c, d) in pairs
-                if b == c and (a, d) not in pairs
-            }
-            if extra:
-                pairs.update(extra)
-                changed = True
-    return closed
+
+def close_role_relations(edges: dict, idx: RBoxIndex) -> dict:
+    """The least role relations over the raw edges that are converse-
+    coherent, monotone under role inclusion, and transitive where required.
+
+    `idx` is already closed at the role level, so no fixpoint over edges
+    is needed: R holds base(R), the raw edges of every S <= R plus the
+    reversed raw edges of every S <= R-, together with the transitive
+    closure of base(T) for every transitive T <= R (R itself included).
+    The result has one entry for every role of `idx`, inverses included.
+    """
+    base = {}
+    for r in idx.roles:
+        pairs = set()
+        for s in idx.subroles_of(r):  # s <= r, and so s- <= r-
+            pairs.update(edges.get(s, ()))
+            pairs.update((b, a) for (a, b) in edges.get(s.inverse, ()))
+        base[r] = pairs
+    chains = {t: _transitive_closure(base[t]) for t in idx.transitive}
+    return {r: base[r].union(*(chains[t] for t in idx.subroles_of(r) if t in chains)) for r in idx.roles}
 
 
 def complete_relations(mg: ModelGraph, idx: RBoxIndex, concept_names=()) -> Interpretation:
@@ -181,17 +166,10 @@ def complete_relations(mg: ModelGraph, idx: RBoxIndex, concept_names=()) -> Inte
         for c in cs:
             if c.kind == sx.ATOM:
                 atoms.setdefault(c.name, set()).add(x)
-    roles: dict = {}
-    for role, pairs in closed.items():
-        if not role.inverted:
-            roles[role.name] = set(pairs)
-    for r in idx.roles:
-        if not r.inverted:
-            roles.setdefault(r.name, set())
     return Interpretation(
         domain=list(mg.domain),
         atoms=atoms,
-        roles=roles,
+        roles={r.name: pairs for r, pairs in closed.items() if not r.inverted},
         individuals={a: a for a in mg.named},
     )
 

@@ -234,22 +234,6 @@ class KnowledgeBase:
     individuals: list
 
 
-def _scan_concept(concept: Concept, role_names: list, concept_names: list) -> None:
-    k = concept.kind
-    if k == ATOM:
-        if concept.name not in concept_names:
-            concept_names.append(concept.name)
-    elif k == NOT:
-        _scan_concept(concept.child, role_names, concept_names)
-    elif k in (AND, OR):
-        _scan_concept(concept.left, role_names, concept_names)
-        _scan_concept(concept.right, role_names, concept_names)
-    elif k in (ALL, SOME):
-        if concept.role.name not in role_names:
-            role_names.append(concept.role.name)
-        _scan_concept(concept.child, role_names, concept_names)
-
-
 def build_kb(store, subsumptions, transitive, tbox_axioms, abox) -> KnowledgeBase:
     """Assemble and normalize a knowledge base from parsed parts."""
     abox = list(abox)
@@ -258,32 +242,39 @@ def build_kb(store, subsumptions, transitive, tbox_axioms, abox) -> KnowledgeBas
 
     tbox = internalize_tbox(store, tbox_axioms)
 
+    # Names in order of first occurrence; the oracle's symmetry constraints
+    # depend on this order.
     role_names: list = []
     concept_names: list = []
     individuals: list = []
+
+    def note(names: list, *new) -> None:
+        for n in new:
+            if n not in names:
+                names.append(n)
+
+    def scan(concept: Concept) -> None:
+        for c in subconcepts(concept):
+            if c.kind == ATOM:
+                note(concept_names, c.name)
+            elif c.kind in (ALL, SOME):
+                note(role_names, c.role.name)
+
     for r, s in subsumptions:
-        for role in (r, s):
-            if role.name not in role_names:
-                role_names.append(role.name)
-    for role in transitive:
-        if role.name not in role_names:
-            role_names.append(role.name)
+        note(role_names, r.name, s.name)
+    note(role_names, *(role.name for role in transitive))
     for _, left, right in tbox_axioms:
-        _scan_concept(left, role_names, concept_names)
-        _scan_concept(right, role_names, concept_names)
+        scan(left)
+        scan(right)
     for concept in tbox:
-        _scan_concept(concept, role_names, concept_names)
+        scan(concept)
     for f in abox:
         if f.kind == INST:
-            if f.ind not in individuals:
-                individuals.append(f.ind)
-            _scan_concept(f.concept, role_names, concept_names)
+            note(individuals, f.ind)
+            scan(f.concept)
         else:
-            if f.role.name not in role_names:
-                role_names.append(f.role.name)
-            for ind in (f.a, f.b):
-                if ind not in individuals:
-                    individuals.append(ind)
+            note(role_names, f.role.name)
+            note(individuals, f.a, f.b)
 
     return KnowledgeBase(
         store=store,
@@ -299,16 +290,18 @@ def build_kb(store, subsumptions, transitive, tbox_axioms, abox) -> KnowledgeBas
 
 
 def subconcepts(concept: Concept) -> Iterator[Concept]:
-    """All subconcepts of `concept`, including itself."""
-    yield concept
-    k = concept.kind
-    if k == NOT:
-        yield from subconcepts(concept.child)
-    elif k in (AND, OR):
-        yield from subconcepts(concept.left)
-        yield from subconcepts(concept.right)
-    elif k in (ALL, SOME):
-        yield from subconcepts(concept.child)
+    """All subconcepts of `concept`, including itself, in preorder
+    (left before right). Walks an explicit stack, so nesting depth is not
+    bounded by the recursion limit."""
+    stack = [concept]
+    while stack:
+        c = stack.pop()
+        yield c
+        if c.kind in (AND, OR):
+            stack.append(c.right)
+            stack.append(c.left)
+        elif c.kind in (NOT, ALL, SOME):
+            stack.append(c.child)
 
 
 def closure(kb: KnowledgeBase, idx=None) -> frozenset:

@@ -154,6 +154,13 @@ def test_export_dot_well_formed():
             assert len(quotes) == 2
 
 
+def test_dot_label_lines_are_graphviz_line_breaks():
+    # Graphviz reads \n in a label as a line break; an escaped \\n prints literally.
+    text = export_dot(decide_sat(parse_kb("inst a (and A B)\n")).graph)
+    assert "\\\\n" not in text
+    assert 'label="(0) and\'\\nsat\\na:(and A B)"' in text
+
+
 def test_dot_export_single_refuted_root():
     kb = parse_kb("inst a A\ninst a (not A)\n")
     verdict = decide_sat(kb)

@@ -17,9 +17,9 @@ from shisat.graph import (
     UNSAT,
 )
 from shisat.kbparse import parse_concept_text
-from shisat.syntax import Role
+from shisat.syntax import INST, SOME, Role
 
-from helpers import EX1_TEXT, EX2_TEXT, label_texts, run
+from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, label_texts, run
 
 
 # -- obvious refutation ----------------------------------------------------
@@ -400,6 +400,22 @@ def test_strategies_agree_on_random_corpus():
             decide_sat(parse_kb(text), strategy="dfs").sat
             == decide_sat(parse_kb(text), strategy="fifo").sat
         ), text
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+def test_every_state_holds_an_existential(strategy):
+    # A state is formed only from an or-node holding an existential, so the
+    # transitional rule applies to every state and none is saturated.
+    from kbgen import chain_kb_text, differential_suite
+
+    texts = differential_suite(500, 20240817)[:100]
+    texts += [chain_kb_text(d) for d in range(1, 11)] + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT]
+    for text in texts:
+        graph = decide_sat(parse_kb(text), strategy=strategy).graph
+        for node in graph.nodes:
+            if node.node_type == STATE:
+                bodies = [f.concept if f.kind == INST else f for f in node.label]
+                assert any(c.kind == SOME for c in bodies), (text, node)
 
 
 def test_monotone_growth_along_static_edges():

@@ -1,7 +1,9 @@
 """Model extraction, relation completion, semantics, model checking."""
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from shisat import (
     build_ext,
@@ -126,6 +128,21 @@ def test_completion_empty():
     assert all(not pairs for pairs in closed.values())
 
 
+@st.composite
+def _role_boxes(draw):
+    """Up to 3 role names, random inclusions and transitivity among all
+    roles (inverses included), and up to 8 raw edges over 5 elements."""
+    names = ["r", "s", "t"][: draw(st.integers(1, 3))]
+    role = st.sampled_from([Role(n, inv) for n in names for inv in (False, True)])
+    element = st.sampled_from("abcde")
+    subs = draw(st.lists(st.tuples(role, role), max_size=5))
+    trans = draw(st.lists(role, max_size=3))
+    edges: dict = {}
+    for r, a, b in draw(st.lists(st.tuples(role, element, element), max_size=8)):
+        edges.setdefault(r, set()).add((a, b))
+    return names, subs, trans, edges
+
+
 @pytest.mark.parametrize(
     "axioms,edges",
     [
@@ -137,9 +154,15 @@ def test_completion_empty():
 def test_completion_matches_reference_fixpoint(axioms, edges):
     subs, trans = axioms
     idx = build_ext(subs, trans, ["r", "s"])
-    fast = close_role_relations(edges, idx)
-    slow = naive_role_closure(edges, idx)
-    assert fast == slow
+    assert close_role_relations(edges, idx) == naive_role_closure(edges, idx)
+
+
+@settings(deadline=None)  # the reference fixpoint is deliberately naive
+@given(_role_boxes())
+def test_completion_matches_reference_fixpoint_on_random_role_boxes(box):
+    names, subs, trans, edges = box
+    idx = build_ext(subs, trans, names)
+    assert close_role_relations(edges, idx) == naive_role_closure(edges, idx)
 
 
 # -- semantics -------------------------------------------------------------------

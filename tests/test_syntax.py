@@ -179,6 +179,31 @@ def test_empty_abox_is_repaired():
     assert kb.individuals == [f.ind]
 
 
+def test_names_in_order_of_first_occurrence():
+    # first in `sub`, then `trans`, an axiom, and the ABox, each concept
+    # scanned in preorder with the left part first
+    kb = parse_kb(
+        "sub r s\ntrans t\nimpl A (some u B)\n"
+        "inst b (and (some v D) C)\nrel w b a\ninst c (all x A)\n"
+    )
+    assert kb.role_names == ["r", "s", "t", "u", "v", "w", "x"]
+    assert kb.concept_names == ["A", "B", "D", "C"]
+    assert kb.individuals == ["b", "a", "c"]
+
+
+def test_name_collection_and_closure_are_stack_safe():
+    store = FormulaStore()
+    a, r = store.atom("A"), Role("r")
+    concept = a
+    for _ in range(5000):
+        concept = store.conj(a, store.exist(r, concept))
+    kb = build_kb(store, [], [], [], [store.inst("a", concept)])
+    assert kb.concept_names == ["A"] and kb.role_names == ["r"]
+    universe = closure(kb)
+    assert store.inst("a", concept) in universe
+    assert len(universe) == 2 * (2 * 5000 + 1)
+
+
 def test_closure_trivial_kb():
     kb = parse_kb("inst a A\n")
     universe = closure(kb)

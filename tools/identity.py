@@ -1,0 +1,119 @@
+"""Compare two source trees run for run on a fixed corpus.
+
+A refactor that claims to keep behaviour is checked by dumping what each
+tree derives from the same inputs and counting the runs that differ:
+
+    PYTHONPATH=src:tests python3 tools/identity.py dump OUT.pkl
+    python3 tools/identity.py compare A.pkl B.pkl
+
+`dump` decides `differential_suite(500, 20240817)`, `chain_kb_text(1..40)`
+and the worked examples under both expansion strategies, and records per
+run the verdict and stats, the trace, each node's id, rule, status, label,
+successors, ce_label and expansion count, the witness of a SAT verdict,
+and the knowledge base's name lists. Formulas are recorded as text, since
+uids and the set of interned formulas may differ between two runs of one
+tree. `compare` prints, for each field, how many runs differ.
+
+The modules under test come from PYTHONPATH, so the same script dumps an
+older tree: run it from the root of a `git archive` copy of that tree.
+"""
+from __future__ import annotations
+
+import pickle
+import sys
+
+FIELDS = ("verdict", "stats", "trace", "nodes", "witness", "names")
+
+
+def _corpus() -> list:
+    from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT
+    from kbgen import chain_kb_text, differential_suite
+
+    cases = [(f"suite/{i}", t) for i, t in enumerate(differential_suite(500, 20240817))]
+    cases += [(f"chain/{d}", chain_kb_text(d)) for d in range(1, 41)]
+    cases += [("ex1_base", EX1_BASE_TEXT), ("ex1", EX1_TEXT), ("ex2", EX2_TEXT)]
+    return [(f"{name}/{strategy}", text, strategy) for strategy in ("dfs", "fifo") for name, text in cases]
+
+
+def _plain(x):
+    """`x` with formulas as text, so values compare across processes."""
+    from shisat.syntax import Assertion, Concept, formula_text
+
+    if isinstance(x, (Concept, Assertion)):
+        return formula_text(x)
+    if isinstance(x, (set, frozenset)):
+        return frozenset(_plain(y) for y in x)
+    if isinstance(x, (tuple, list)):
+        return tuple(_plain(y) for y in x)
+    if isinstance(x, dict):
+        return {_plain(k): _plain(v) for k, v in x.items()}
+    return x
+
+
+def _record(text: str, strategy: str) -> dict:
+    from shisat import build_witness, decide_sat, kb_index, parse_kb
+
+    kb = parse_kb(text)
+    verdict = decide_sat(kb, strategy=strategy)
+    g = verdict.graph
+    nodes = [
+        (n.id, n.rule, n.status, _plain(n.label), tuple(g.successors(n.id)), _plain(n.ce_label), n.expansions)
+        for n in g.nodes
+    ]
+    witness = None
+    if verdict.sat:
+        w = build_witness(g, kb, kb_index(kb))
+        witness = (tuple(w.domain), _plain(w.atoms), _plain(w.roles))
+    return {
+        "verdict": verdict.sat,
+        "stats": verdict.stats,
+        "trace": _plain(verdict.engine.trace),
+        "nodes": nodes,
+        "witness": witness,
+        "names": (tuple(kb.concept_names), tuple(kb.role_names), tuple(kb.individuals)),
+    }
+
+
+def dump(out: str) -> None:
+    runs = {}
+    for name, text, strategy in _corpus():
+        try:
+            runs[name] = _record(text, strategy)
+        except Exception as exc:  # a crash is recorded as the run's outcome
+            runs[name] = {field: f"error: {type(exc).__name__}: {exc}" for field in FIELDS}
+    with open(out, "wb") as fh:
+        pickle.dump(runs, fh)
+    print(f"{len(runs)} runs -> {out}")
+
+
+def compare(a: str, b: str) -> int:
+    # Both files are dumps written by this script.
+    with open(a, "rb") as fh:
+        left = pickle.load(fh)
+    with open(b, "rb") as fh:
+        right = pickle.load(fh)
+    if left.keys() != right.keys():
+        print(f"run sets differ: {len(left.keys() ^ right.keys())} runs in one dump only")
+        return 1
+    worst = 0
+    for field in FIELDS:
+        differ = [name for name in left if left[name][field] != right[name][field]]
+        worst = max(worst, len(differ))
+        example = f" (first: {differ[0]})" if differ else ""
+        print(f"{field}: {len(differ)} of {len(left)} runs differ{example}")
+    return 1 if worst else 0
+
+
+def main(argv: list) -> int:
+    if len(argv) == 2 and argv[0] == "dump":
+        dump(argv[1])
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
+    print(__doc__.strip().splitlines()[0], file=sys.stderr)
+    print("usage: identity.py dump OUT.pkl | compare A.pkl B.pkl", file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
