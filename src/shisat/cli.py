@@ -21,6 +21,11 @@ from .oracle import bounded_model_search
 from .syntax import KnowledgeBase, build_kb, formula_text, ordered
 
 
+def _query(kb: KnowledgeBase, abox) -> KnowledgeBase:
+    """The role box and terminology of `kb` over the ABox `abox`."""
+    return build_kb(kb.store, kb.role_subsumptions, kb.transitive_roles, kb.tbox_axioms, abox)
+
+
 def check_instance(kb: KnowledgeBase, ind: str, concept) -> bool:
     """Is `ind` an instance of `concept` in every model of `kb`?
 
@@ -29,14 +34,7 @@ def check_instance(kb: KnowledgeBase, ind: str, concept) -> bool:
     if ind not in kb.individuals:
         raise ValueError(f"unknown individual {ind!r}")
     extra = kb.store.inst(ind, kb.store.negate(concept))
-    query = build_kb(
-        kb.store,
-        kb.role_subsumptions,
-        kb.transitive_roles,
-        kb.tbox_axioms,
-        list(kb.abox) + [extra],
-    )
-    return not decide_sat(query).sat
+    return not decide_sat(_query(kb, list(kb.abox) + [extra])).sat
 
 
 def check_concept_consistency(kb: KnowledgeBase, concept) -> bool:
@@ -46,14 +44,7 @@ def check_concept_consistency(kb: KnowledgeBase, concept) -> bool:
     while fresh in kb.individuals:
         i += 1
         fresh = f"q{i}"
-    query = build_kb(
-        kb.store,
-        kb.role_subsumptions,
-        kb.transitive_roles,
-        kb.tbox_axioms,
-        [kb.store.inst(fresh, concept)],
-    )
-    return decide_sat(query).sat
+    return decide_sat(_query(kb, [kb.store.inst(fresh, concept)])).sat
 
 
 def _dot_escape(text: str) -> str:

@@ -43,7 +43,7 @@ from .graph import (
     UNSAT,
     TableauGraph,
 )
-from .rbox import RBoxIndex, kb_index
+from .rbox import kb_index
 from .syntax import FormulaStore, KnowledgeBase, complement, ordered
 from .transfer import (
     transfer_assertions,
@@ -119,10 +119,10 @@ def _body(f):
 
 
 class TableauEngine:
-    def __init__(self, kb: KnowledgeBase, idx: RBoxIndex | None = None, strategy: str = "dfs"):
+    def __init__(self, kb: KnowledgeBase, strategy: str = "dfs"):
         self.kb = kb
         self.store = kb.store
-        self.idx = idx if idx is not None else kb_index(kb)
+        self.idx = kb_index(kb)
         self.graph = TableauGraph(strategy)
         self.tbox_set = frozenset(kb.tbox)
         self.rule_counts: Counter = Counter()

@@ -19,26 +19,12 @@ arguments and are folded to the right into binary nodes.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
-from .syntax import (
-    ALL,
-    AND,
-    ATOM,
-    BOT,
-    FormulaStore,
-    INST,
-    KnowledgeBase,
-    NOT,
-    OR,
-    REL,
-    Role,
-    SOME,
-    TOP,
-    build_kb,
-    concept_text,
-)
+from .syntax import FormulaStore, INST, KnowledgeBase, Role, build_kb, concept_text
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 _KEYWORDS = ("sub", "trans", "impl", "equiv", "inst", "rel")
 
 
@@ -50,36 +36,19 @@ class ParseError(Exception):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("text", "line", "col")
-
-    def __init__(self, text, line, col):
-        self.text = text
-        self.line = line
-        self.col = col
+class _Token(NamedTuple):
+    text: str
+    line: int
+    col: int
 
 
 def _tokenize(text: str) -> list:
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        col = 0
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "()":
-                tokens.append(_Token(ch, lineno, i + 1))
-                i += 1
-                continue
-            j = i
-            while j < len(line) and not line[j].isspace() and line[j] not in "()":
-                j += 1
-            tokens.append(_Token(line[i:j], lineno, i + 1))
-            i = j
-    return tokens
+    """Parentheses and runs of other non-space characters, with line and column."""
+    return [
+        _Token(m.group(), lineno, m.start() + 1)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        for m in _TOKEN.finditer(line.split("#", 1)[0])
+    ]
 
 
 class _Parser:
@@ -128,13 +97,13 @@ class _Parser:
             op = self.take("a concept operator")
             if op.text == "not":
                 inner = self.concept()
-                self._close(tok)
+                self._close()
                 return self.store.negate(inner)
             if op.text in ("and", "or"):
                 parts = []
                 while not self.done() and self.tokens[self.pos].text != ")":
                     parts.append(self.concept())
-                self._close(tok)
+                self._close()
                 if len(parts) < 2:
                     self._fail(f"({op.text} ...) expects at least 2 arguments", op)
                 combine = self.store.conj if op.text == "and" else self.store.disj
@@ -145,7 +114,7 @@ class _Parser:
             if op.text in ("all", "some"):
                 role = self.role()
                 inner = self.concept()
-                self._close(tok)
+                self._close()
                 builder = self.store.univ if op.text == "all" else self.store.exist
                 return builder(role, inner)
             self._fail(f"unknown concept operator {op.text!r}", op)
@@ -159,7 +128,7 @@ class _Parser:
             self._fail(f"bad concept name {text!r}", tok)
         return self.store.atom(text)
 
-    def _close(self, opener) -> None:
+    def _close(self) -> None:
         tok = self.take("')'")
         if tok.text != ")":
             self._fail(f"expected ')', found {tok.text!r}", tok)

@@ -12,9 +12,10 @@ The model graph induces an interpretation through the standard SHI
 construction: a role holds the raw edges of its subroles, the reversed
 raw edges of the subroles of its inverse, and the transitive closure of
 those of each transitive subrole. The role box is closed already, so
-this is read off directly, with no fixpoint over edges. `eval_concept`
-and `check_model` implement the plain set semantics independently and
-are shared by the differential oracle.
+this is read off directly, with no fixpoint over edges; the chains come
+from `rbox.transitive_closure`, the routine that closes the role box
+itself. `eval_concept` and `check_model` implement the plain set
+semantics independently and are shared by the differential oracle.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from . import syntax as sx
 from .graph import INCOMPLETE, STATE, UNSAT
-from .rbox import RBoxIndex
+from .rbox import RBoxIndex, transitive_closure
 from .syntax import KnowledgeBase, Role, concepts_of, ordered
 
 
@@ -119,24 +120,6 @@ def extract_model_graph(graph, kb: KnowledgeBase, idx: RBoxIndex) -> ModelGraph:
     return ModelGraph(domain=domain, concepts=concepts, edges=edges, named=named)
 
 
-def _transitive_closure(pairs: set) -> set:
-    """Every (a, c) joined by a path of `pairs`."""
-    succ: dict = {}
-    for (a, b) in pairs:
-        succ.setdefault(a, set()).add(b)
-    out = set()
-    for a in succ:
-        reached: set = set()
-        stack = list(succ[a])
-        while stack:
-            b = stack.pop()
-            if b not in reached:
-                reached.add(b)
-                stack.extend(succ.get(b, ()))
-        out.update((a, b) for b in reached)
-    return out
-
-
 def close_role_relations(edges: dict, idx: RBoxIndex) -> dict:
     """The least role relations over the raw edges that are converse-
     coherent, monotone under role inclusion, and transitive where required.
@@ -154,7 +137,7 @@ def close_role_relations(edges: dict, idx: RBoxIndex) -> dict:
             pairs.update(edges.get(s, ()))
             pairs.update((b, a) for (a, b) in edges.get(s.inverse, ()))
         base[r] = pairs
-    chains = {t: _transitive_closure(base[t]) for t in idx.transitive}
+    chains = {t: transitive_closure(base[t]) for t in idx.transitive}
     return {r: base[r].union(*(chains[t] for t in idx.subroles_of(r) if t in chains)) for r in idx.roles}
 
 

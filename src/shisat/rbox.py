@@ -1,33 +1,53 @@
 """Role-box closure and queries.
 
 The role box of an SHI knowledge base contains axioms R <= S and
-trans(R). Reasoning needs the closure of these axioms under reflexivity,
-inverses, and chaining of inclusions, which is finite because the role
-universe is just the declared names and their inverses. The closure is
-computed once up front and served from sets.
+trans(R). Its closure <=* is the reflexive-transitive closure of the
+inclusions together with their inverses (R <= S gives R- <= S-), and the
+inverse of a transitive role is transitive too. The role universe is just
+the declared names and their inverses, so the closure is finite; it is
+computed once, in closed form, and the queries are served from tables.
+`transitive_closure` is the one closure routine of the package: the
+witness construction in `models` closes role edges with it too.
 """
 from __future__ import annotations
 
-from .syntax import Role, role_order
+from .syntax import Role
+
+
+def transitive_closure(pairs: set) -> set:
+    """Every (a, c) joined by a path of `pairs`."""
+    succ: dict = {}
+    for (a, b) in pairs:
+        succ.setdefault(a, set()).add(b)
+    out = set()
+    for a in succ:
+        reached: set = set()
+        stack = list(succ[a])
+        while stack:
+            b = stack.pop()
+            if b not in reached:
+                reached.add(b)
+                stack.extend(succ.get(b, ()))
+        out.update((a, b) for b in reached)
+    return out
 
 
 class RBoxIndex:
     """Immutable view of the closed role box."""
 
-    __slots__ = ("roles", "subrole_pairs", "transitive", "_role_set", "_subrole_lists")
+    __slots__ = ("roles", "subrole_pairs", "transitive", "_subrole_lists", "_srtr")
 
     def __init__(self, roles, subrole_pairs, transitive):
         self.roles = tuple(roles)
         self.subrole_pairs = frozenset(subrole_pairs)
         self.transitive = frozenset(transitive)
-        self._role_set = frozenset(roles)
-        self._subrole_lists = {}
-        for s in self.roles:
-            subs = sorted((r for (r, t) in self.subrole_pairs if t == s), key=role_order)
-            self._subrole_lists[s] = subs
+        self._subrole_lists = {
+            s: sorted(r for (r, t) in self.subrole_pairs if t == s) for s in self.roles
+        }
+        self._srtr = frozenset((r, s) for (r, s) in self.subrole_pairs if s in self.transitive)
 
     def _check(self, role: Role) -> None:
-        if role not in self._role_set:
+        if role not in self._subrole_lists:
             raise ValueError(f"role {role} is not declared in the knowledge base")
 
     def is_subrole(self, r: Role, s: Role) -> bool:
@@ -42,7 +62,9 @@ class RBoxIndex:
     def srtr(self, r: Role, s: Role) -> bool:
         """True when r <= s and s is transitive: exactly the situation in
         which a value restriction over s must follow an r edge unweakened."""
-        return self.is_subrole(r, s) and self.is_transitive(s)
+        self._check(r)
+        self._check(s)
+        return (r, s) in self._srtr
 
     def subroles_of(self, s: Role) -> list:
         self._check(s)
@@ -50,47 +72,27 @@ class RBoxIndex:
 
 
 def build_ext(subsumptions, transitive, role_names) -> RBoxIndex:
-    """Least closure of the role axioms over the given signature.
+    """The closed role box over the given signature.
 
-    Computed by iterating the closure conditions to a fixpoint; the role
-    universe has 2*len(role_names) members so this is immediate.
+    The subrole pairs are the transitive closure of the reflexive pairs,
+    the axioms, and the axioms with both roles inverted. That generator
+    set is closed under inverses, so its closure is too. The transitive
+    roles are the declared ones and their inverses.
     """
-    roles = []
-    for name in role_names:
-        roles.append(Role(name, False))
-        roles.append(Role(name, True))
+    roles = [Role(name, inverted) for name in role_names for inverted in (False, True)]
     role_set = set(roles)
-
-    pairs = {(r, r) for r in roles}
     for r, s in subsumptions:
         if r not in role_set or s not in role_set:
             raise ValueError(f"role axiom mentions undeclared role: {r} <= {s}")
-        pairs.add((r, s))
-    trans = set()
     for r in transitive:
         if r not in role_set:
             raise ValueError(f"transitivity axiom mentions undeclared role: {r}")
-        trans.add(r)
 
-    changed = True
-    while changed:
-        changed = False
-        for r, s in list(pairs):
-            inv = (r.inverse, s.inverse)
-            if inv not in pairs:
-                pairs.add(inv)
-                changed = True
-        for r in list(trans):
-            if r.inverse not in trans:
-                trans.add(r.inverse)
-                changed = True
-        for r, s in list(pairs):
-            for s2, t in list(pairs):
-                if s2 == s and (r, t) not in pairs:
-                    pairs.add((r, t))
-                    changed = True
-
-    return RBoxIndex(sorted(roles, key=role_order), pairs, trans)
+    generators = {(r, r) for r in roles}
+    generators.update((r, s) for r, s in subsumptions)
+    generators.update((r.inverse, s.inverse) for r, s in subsumptions)
+    trans = {r for t in transitive for r in (t, t.inverse)}
+    return RBoxIndex(sorted(roles), transitive_closure(generators), trans)
 
 
 def kb_index(kb) -> RBoxIndex:

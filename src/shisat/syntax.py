@@ -14,7 +14,7 @@ choice among formulas is needed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Union
 
 
@@ -30,10 +30,6 @@ class Role(NamedTuple):
 
     def __str__(self) -> str:
         return self.name + "-" if self.inverted else self.name
-
-
-def role_order(role: Role) -> tuple:
-    return (role.name, role.inverted)
 
 
 # Concept kinds.

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from shisat import format_kb, parse_kb
-from shisat.kbparse import ParseError, parse_concept_text
+from shisat.kbparse import ParseError, _tokenize, parse_concept_text
 from shisat.syntax import Role, formula_text
 
 from helpers import EX1_TEXT
@@ -115,3 +115,26 @@ def test_round_trip_random_cases():
         again = parse_kb(printed)
         assert _canonical(kb) == _canonical(again)
         assert format_kb(again) == printed
+
+
+def test_token_positions():
+    # Tabs, adjacent parentheses, an inverse role, a trailing comment, a
+    # CRLF line ending, and U+00A0 / U+3000 as separators.
+    text = "sub r-\ts\r\ninst a\u00a0(and\tA (some r- B))# trailing (comment\n\trel\u3000r- a b\n"
+    assert [(t.text, t.line, t.col) for t in _tokenize(text)] == [
+        ("sub", 1, 1), ("r-", 1, 5), ("s", 1, 8),
+        ("inst", 2, 1), ("a", 2, 6), ("(", 2, 8), ("and", 2, 9), ("A", 2, 13),
+        ("(", 2, 15), ("some", 2, 16), ("r-", 2, 21), ("B", 2, 24), (")", 2, 25), (")", 2, 26),
+        ("rel", 3, 2), ("r-", 3, 6), ("a", 3, 9), ("b", 3, 11),
+    ]
+    assert len(parse_kb(text).abox) == 2
+
+
+@pytest.mark.parametrize(
+    "text,line,col",
+    [("inst a (frob A)\n", 1, 9), ("inst a A\nsub r\ts--\n", 2, 7)],
+)
+def test_error_reports_column(text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_kb(text)
+    assert (err.value.line, err.value.col) == (line, col)

@@ -1,7 +1,9 @@
 """Role-box closure: fixpoint shape, queries, minimality."""
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from shisat import build_ext
 from shisat.syntax import Role
@@ -67,6 +69,12 @@ def test_unknown_role_rejected():
     with pytest.raises(ValueError):
         idx.is_transitive(Role("zz"))
     with pytest.raises(ValueError):
+        idx.srtr(R, Role("zz"))
+    with pytest.raises(ValueError):
+        idx.srtr(Role("zz"), R)
+    with pytest.raises(ValueError):
+        idx.subroles_of(Role("zz"))
+    with pytest.raises(ValueError):
         build_ext([(R, Role("zz"))], [], ["r"])
 
 
@@ -108,3 +116,56 @@ def test_output_is_a_fixpoint_and_bounded(subs, trans, names):
 def test_subroles_of_is_sorted_and_complete():
     idx = build_ext([(R, S), (RI, S)], [S], ["r", "s"])
     assert idx.subroles_of(S) == [R, RI, S]
+
+
+def _role_order(role):
+    return (role.name, role.inverted)
+
+
+def _reference_closure(subsumptions, transitive, role_names):
+    """The least fixpoint of the closure conditions, iterated naively."""
+    roles = [Role(name, inverted) for name in role_names for inverted in (False, True)]
+    pairs = {(r, r) for r in roles} | set(subsumptions)
+    trans = set(transitive)
+    changed = True
+    while changed:
+        changed = False
+        for r, s in list(pairs):
+            inv = (r.inverse, s.inverse)
+            if inv not in pairs:
+                pairs.add(inv)
+                changed = True
+        for r in list(trans):
+            if r.inverse not in trans:
+                trans.add(r.inverse)
+                changed = True
+        for r, s in list(pairs):
+            for s2, t in list(pairs):
+                if s2 == s and (r, t) not in pairs:
+                    pairs.add((r, t))
+                    changed = True
+    return sorted(roles, key=_role_order), pairs, trans
+
+
+@st.composite
+def _role_boxes(draw):
+    """Up to 3 role names, random inclusions and transitivity among all
+    roles (inverses included)."""
+    names = ["r", "s", "t"][: draw(st.integers(1, 3))]
+    role = st.sampled_from([Role(n, inv) for n in names for inv in (False, True)])
+    subs = draw(st.lists(st.tuples(role, role), max_size=6))
+    return subs, draw(st.lists(role, max_size=3)), names
+
+
+@given(_role_boxes())
+def test_closure_matches_reference_fixpoint(box):
+    subs, trans, names = box
+    idx = build_ext(subs, trans, names)
+    roles, pairs, transitive = _reference_closure(subs, trans, names)
+    assert list(idx.roles) == roles
+    assert idx.subrole_pairs == pairs
+    assert idx.transitive == transitive
+    for s in roles:
+        assert idx.subroles_of(s) == sorted((r for (r, t) in pairs if t == s), key=_role_order)
+        for r in roles:
+            assert idx.srtr(r, s) == ((r, s) in pairs and s in transitive)

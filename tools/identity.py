@@ -10,7 +10,8 @@ tree derives from the same inputs and counting the runs that differ:
 and the worked examples under both expansion strategies, and records per
 run the verdict and stats, the trace, each node's id, rule, status, label,
 successors, ce_label and expansion count, the witness of a SAT verdict,
-and the knowledge base's name lists. Formulas are recorded as text, since
+the knowledge base's name lists, and the closed role box (its subrole
+pairs and transitive roles, sorted). Formulas are recorded as text, since
 uids and the set of interned formulas may differ between two runs of one
 tree. `compare` prints, for each field, how many runs differ.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 import pickle
 import sys
 
-FIELDS = ("verdict", "stats", "trace", "nodes", "witness", "names")
+FIELDS = ("verdict", "stats", "trace", "nodes", "witness", "names", "rbox")
 
 
 def _corpus() -> list:
@@ -51,18 +52,19 @@ def _plain(x):
 
 
 def _record(text: str, strategy: str) -> dict:
-    from shisat import build_witness, decide_sat, kb_index, parse_kb
+    from shisat import build_witness, decide_sat, parse_kb
 
     kb = parse_kb(text)
     verdict = decide_sat(kb, strategy=strategy)
     g = verdict.graph
+    idx = verdict.engine.idx
     nodes = [
         (n.id, n.rule, n.status, _plain(n.label), tuple(g.successors(n.id)), _plain(n.ce_label), n.expansions)
         for n in g.nodes
     ]
     witness = None
     if verdict.sat:
-        w = build_witness(g, kb, kb_index(kb))
+        w = build_witness(g, kb, idx)
         witness = (tuple(w.domain), _plain(w.atoms), _plain(w.roles))
     return {
         "verdict": verdict.sat,
@@ -71,6 +73,10 @@ def _record(text: str, strategy: str) -> dict:
         "nodes": nodes,
         "witness": witness,
         "names": (tuple(kb.concept_names), tuple(kb.role_names), tuple(kb.individuals)),
+        "rbox": (
+            tuple(f"{r} <= {s}" for r, s in sorted(idx.subrole_pairs)),
+            tuple(str(r) for r in sorted(idx.transitive)),
+        ),
     }
 
 
