@@ -135,6 +135,13 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _domain_bound(text: str) -> int:
+    bound = int(text)
+    if bound < 1:
+        raise argparse.ArgumentTypeError(f"domain bound must be at least 1, got {bound}")
+    return bound
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shisat", description="SHI knowledge base satisfiability checker"
@@ -145,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sat.add_argument("file")
     sat.add_argument("--dot", metavar="PATH", help="write the search graph in DOT form")
     sat.add_argument("--model", action="store_true", help="print a witness model when SAT")
-    sat.add_argument("--oracle", type=int, metavar="K", help="cross-check with bounded search")
+    sat.add_argument("--oracle", type=_domain_bound, metavar="K",
+                     help="cross-check with bounded search up to K >= 1 elements")
     sat.add_argument("--stats", action="store_true", help="print node and rule statistics")
     sat.add_argument("--strategy", choices=("dfs", "fifo"), default="dfs")
     sat.set_defaults(run=_cmd_sat)

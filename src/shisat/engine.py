@@ -137,9 +137,6 @@ class TableauEngine:
         else:
             self.trace.append(("status", node.id, status))
 
-    def _before_forming_state(self, v) -> bool:
-        return any(self.graph.node(w).node_type == STATE for w in self.graph.successors(v))
-
     def _lift(self, f, c):
         """`c` in the label form of `f`: as is, or asserted of `f`'s individual."""
         return self.store.inst(f.ind, c) if f.kind == sx.INST else c
@@ -225,10 +222,7 @@ class TableauEngine:
     def apply_rule(self, rule: RuleInstance, v) -> None:
         g = self.graph
         node = g.node(v)
-        if rule.tag == R_CONV:
-            assert node.status == EXPANDED and self._before_forming_state(v)
-        else:
-            assert node.status == UNEXPANDED
+        assert node.status == (EXPANDED if rule.tag == R_CONV else UNEXPANDED)
         node.expansions += 1
         node.rule = rule.tag
         self.rule_counts[rule.tag] += 1

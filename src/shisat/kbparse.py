@@ -134,9 +134,9 @@ class _Parser:
             self._fail(f"expected ')', found {tok.text!r}", tok)
 
 
-def parse_kb(text: str, store: FormulaStore | None = None) -> KnowledgeBase:
+def parse_kb(text: str) -> KnowledgeBase:
     """Parse and normalize a knowledge base from its textual form."""
-    store = store if store is not None else FormulaStore()
+    store = FormulaStore()
     parser = _Parser(_tokenize(text), store)
     subs, trans, axioms, abox = [], [], [], []
     while not parser.done():

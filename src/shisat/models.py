@@ -141,7 +141,7 @@ def close_role_relations(edges: dict, idx: RBoxIndex) -> dict:
     return {r: base[r].union(*(chains[t] for t in idx.subroles_of(r) if t in chains)) for r in idx.roles}
 
 
-def complete_relations(mg: ModelGraph, idx: RBoxIndex, concept_names=()) -> Interpretation:
+def complete_relations(mg: ModelGraph, idx: RBoxIndex, concept_names) -> Interpretation:
     """The interpretation a model graph stands for."""
     closed = close_role_relations(mg.edges, idx)
     atoms: dict = {name: set() for name in concept_names}

@@ -5,9 +5,12 @@ trans(R). Its closure <=* is the reflexive-transitive closure of the
 inclusions together with their inverses (R <= S gives R- <= S-), and the
 inverse of a transitive role is transitive too. The role universe is just
 the declared names and their inverses, so the closure is finite; it is
-computed once, in closed form, and the queries are served from tables.
-`transitive_closure` is the one closure routine of the package: the
-witness construction in `models` closes role edges with it too.
+computed once, in closed form. `RBoxIndex` exposes it as two tables,
+`subrole_pairs` and `transitive`, and serves the two queries the search
+makes, `srtr` and `subroles_of`, from tables too; both reject a role the
+knowledge base does not declare. `transitive_closure` is the one closure
+routine of the package: the witness construction in `models` closes role
+edges with it too.
 """
 from __future__ import annotations
 
@@ -49,15 +52,6 @@ class RBoxIndex:
     def _check(self, role: Role) -> None:
         if role not in self._subrole_lists:
             raise ValueError(f"role {role} is not declared in the knowledge base")
-
-    def is_subrole(self, r: Role, s: Role) -> bool:
-        self._check(r)
-        self._check(s)
-        return (r, s) in self.subrole_pairs
-
-    def is_transitive(self, r: Role) -> bool:
-        self._check(r)
-        return r in self.transitive
 
     def srtr(self, r: Role, s: Role) -> bool:
         """True when r <= s and s is transitive: exactly the situation in

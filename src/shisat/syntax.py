@@ -4,7 +4,9 @@ Everything the reasoner manipulates is built here: roles (with inverses),
 concepts, ABox assertions, and knowledge bases. Concepts are kept in
 negation normal form at all times -- the only negation nodes ever
 constructed sit directly on concept names, so downstream code never has
-to normalize.
+to normalize. `FormulaStore.negate` is the one place complements are
+built, of concepts and of concept assertions alike; `complement` is the
+same function under the name the engine calls.
 
 Concepts and assertions are interned: structurally equal formulas are the
 same Python object. Identity doubles as equality, membership tests are
@@ -123,30 +125,30 @@ class FormulaStore:
     def exist(self, role: Role, child: Concept) -> Concept:
         return self._make((SOME, role, child.uid), Concept, SOME, role=role, child=child)
 
-    def negated_atom(self, name: str) -> Concept:
-        atom = self.atom(name)
-        return self._make((NOT, atom.uid), Concept, NOT, child=atom)
-
-    def negate(self, concept: Concept) -> Concept:
-        """NNF of the negation of `concept` (the usual dualities)."""
-        k = concept.kind
+    def negate(self, formula: Formula) -> Formula:
+        """The NNF complement of a concept, by the usual dualities, or of a
+        concept assertion: a:C gives a:(not C). Role assertions have no
+        complement in this language and are rejected."""
+        k = formula.kind
         if k == TOP:
             return self.bot
         if k == BOT:
             return self.top
         if k == ATOM:
-            return self.negated_atom(concept.name)
+            return self._make((NOT, formula.uid), Concept, NOT, child=formula)
         if k == NOT:
-            return concept.child
+            return formula.child
         if k == AND:
-            return self.disj(self.negate(concept.left), self.negate(concept.right))
+            return self.disj(self.negate(formula.left), self.negate(formula.right))
         if k == OR:
-            return self.conj(self.negate(concept.left), self.negate(concept.right))
+            return self.conj(self.negate(formula.left), self.negate(formula.right))
         if k == ALL:
-            return self.exist(concept.role, self.negate(concept.child))
+            return self.exist(formula.role, self.negate(formula.child))
         if k == SOME:
-            return self.univ(concept.role, self.negate(concept.child))
-        raise ValueError(f"unknown concept kind {k!r}")
+            return self.univ(formula.role, self.negate(formula.child))
+        if k == INST:
+            return self.inst(formula.ind, self.negate(formula.concept))
+        raise ValueError(f"a formula of kind {k!r} has no complement")
 
     def inst(self, ind: str, concept: Concept) -> Assertion:
         return self._make((INST, ind, concept.uid), Assertion, INST, ind=ind, concept=concept)
@@ -155,16 +157,8 @@ class FormulaStore:
         return self._make((REL, role, a, b), Assertion, REL, role=role, a=a, b=b)
 
 
-def complement(store: FormulaStore, formula: Formula) -> Formula:
-    """NNF complement of a concept or concept assertion.
-
-    Role assertions have no complement in this language and are rejected.
-    """
-    if isinstance(formula, Concept):
-        return store.negate(formula)
-    if formula.kind == INST:
-        return store.inst(formula.ind, store.negate(formula.concept))
-    raise ValueError("role assertions have no complement")
+# The complement as a function of the store: the name the engine calls.
+complement = FormulaStore.negate
 
 
 def _disj_flat(store: FormulaStore, left: Concept, right: Concept) -> Concept:
@@ -236,10 +230,9 @@ def build_kb(store, subsumptions, transitive, tbox_axioms, abox) -> KnowledgeBas
     if not abox:
         abox.append(store.inst("a0", store.top))
 
-    tbox = internalize_tbox(store, tbox_axioms)
-
     # Names in order of first occurrence; the oracle's symmetry constraints
-    # depend on this order.
+    # depend on this order. The internalized TBox is built from the axioms
+    # and holds no name they lack.
     role_names: list = []
     concept_names: list = []
     individuals: list = []
@@ -262,8 +255,6 @@ def build_kb(store, subsumptions, transitive, tbox_axioms, abox) -> KnowledgeBas
     for _, left, right in tbox_axioms:
         scan(left)
         scan(right)
-    for concept in tbox:
-        scan(concept)
     for f in abox:
         if f.kind == INST:
             note(individuals, f.ind)
@@ -277,7 +268,7 @@ def build_kb(store, subsumptions, transitive, tbox_axioms, abox) -> KnowledgeBas
         role_subsumptions=list(subsumptions),
         transitive_roles=list(transitive),
         tbox_axioms=list(tbox_axioms),
-        tbox=tbox,
+        tbox=internalize_tbox(store, tbox_axioms),
         abox=abox,
         role_names=role_names,
         concept_names=concept_names,
@@ -300,18 +291,15 @@ def subconcepts(concept: Concept) -> Iterator[Concept]:
             stack.append(c.child)
 
 
-def closure(kb: KnowledgeBase, idx=None) -> frozenset:
+def closure(kb: KnowledgeBase, idx) -> frozenset:
     """The finite formula universe every tableau label draws from.
 
     Contains: every concept occurring in the TBox or ABox (as a formula or
     subformula) plus its assertion forms for all ABox individuals; every
-    value restriction obtained by narrowing an occurring one to a subrole,
-    again with assertion forms; and the ABox role assertions themselves.
+    value restriction obtained by narrowing an occurring one to a subrole
+    in `idx`, the closed role box of `kb`, again with assertion forms; and
+    the ABox role assertions themselves.
     """
-    if idx is None:
-        from .rbox import kb_index
-
-        idx = kb_index(kb)
     store = kb.store
 
     occurring: set = set()
@@ -348,24 +336,30 @@ def ordered(formulas: Iterable[Formula]) -> list:
 
 
 def concept_text(concept: Concept) -> str:
-    k = concept.kind
-    if k == TOP:
-        return "top"
-    if k == BOT:
-        return "bot"
-    if k == ATOM:
-        return concept.name
-    if k == NOT:
-        return f"(not {concept_text(concept.child)})"
-    if k == AND:
-        return f"(and {concept_text(concept.left)} {concept_text(concept.right)})"
-    if k == OR:
-        return f"(or {concept_text(concept.left)} {concept_text(concept.right)})"
-    if k == ALL:
-        return f"(all {concept.role} {concept_text(concept.child)})"
-    if k == SOME:
-        return f"(some {concept.role} {concept_text(concept.child)})"
-    raise ValueError(f"unknown concept kind {k!r}")
+    """`concept` in the statement syntax. Walks an explicit stack, so
+    nesting depth is not bounded by the recursion limit; a kind's name is
+    its keyword."""
+    out = []
+    stack: list = [concept]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, str):
+            out.append(c)
+            continue
+        k = c.kind
+        if k == ATOM:
+            out.append(c.name)
+        elif k in (TOP, BOT):
+            out.append(k)
+        elif k == NOT:
+            stack += (")", c.child, "(not ")
+        elif k in (AND, OR):
+            stack += (")", c.right, " ", c.left, f"({k} ")
+        elif k in (ALL, SOME):
+            stack += (")", c.child, f"({k} {c.role} ")
+        else:
+            raise ValueError(f"unknown concept kind {k!r}")
+    return "".join(out)
 
 
 def formula_text(formula: Formula) -> str:

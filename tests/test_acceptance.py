@@ -130,7 +130,7 @@ def test_criterion_2_worked_example_two(ex2):
         (n for n in graph.nodes if n.node_type == STATE and label_texts(n) == target),
         None,
     )
-    not_a = store.negated_atom("A")
+    not_a = store.negate(store.atom("A"))
     required = {store.inst("a", not_a), store.inst("a", store.univ(Role("s"), not_a))}
     trace = ex2.verdict.engine.trace
     ok = state is not None and state.status == INCOMPLETE and state.conv_method == 0

@@ -68,6 +68,15 @@ def test_oracle_flag(kbfile, capsys):
     assert "oracle: found a model" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bound", ["0", "-1", "x"])
+def test_oracle_bound_below_one_is_a_usage_error(kbfile, capsys, bound):
+    # Rejected before the knowledge base is read: no verdict is printed.
+    assert run_cli(["sat", kbfile("inst a A\n"), "--oracle", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--oracle" in captured.err
+
+
 def test_dot_export_file(kbfile, tmp_path, capsys):
     dot_path = tmp_path / "graph.dot"
     assert run_cli(["sat", kbfile(EX2_TEXT), "--dot", str(dot_path)]) == 1

@@ -34,8 +34,8 @@ def test_t_unsat_complementary_concepts():
     store = kb.store
     label = {
         store.atom("A"),
-        store.univ(Role("s"), store.negated_atom("A")),
-        store.negated_atom("A"),
+        store.univ(Role("s"), store.negate(store.atom("A"))),
+        store.negate(store.atom("A")),
     }
     assert t_unsat(store, label)
 
@@ -101,7 +101,7 @@ def test_saturated_label_has_no_rule():
     kb = parse_kb(EX2_TEXT)
     engine = TableauEngine(kb)
     store = kb.store
-    not_a = store.negated_atom("A")
+    not_a = store.negate(store.atom("A"))
     label = frozenset(
         {
             store.atom("A"),
@@ -183,7 +183,7 @@ def test_example_two_state_goes_incomplete_with_required_formulas():
     )
     assert state.status == INCOMPLETE
     assert state.conv_method == 0
-    not_a = store.negated_atom("A")
+    not_a = store.negate(store.atom("A"))
     required = {
         store.inst("a", not_a),
         store.inst("a", store.univ(Role("s"), not_a)),

@@ -186,7 +186,7 @@ def test_eval_top_and_bottom():
 def test_eval_negation_is_complement():
     kb = parse_kb("inst a A\n")
     i = _interp()
-    assert eval_concept(i, kb.store.negated_atom("A")) == {"y"}
+    assert eval_concept(i, kb.store.negate(kb.store.atom("A"))) == {"y"}
 
 
 def test_eval_value_restriction():

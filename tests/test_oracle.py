@@ -77,7 +77,7 @@ def test_instance_refutation_has_a_countermodel():
     from shisat import build_kb
 
     kb = parse_kb("inst a A\n")
-    neg = kb.store.inst("a", kb.store.negated_atom("B"))
+    neg = kb.store.inst("a", kb.store.negate(kb.store.atom("B")))
     query = build_kb(kb.store, [], [], [], list(kb.abox) + [neg])
     found = bounded_model_search(query, 2)
     assert found is not None

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from shisat import format_kb, parse_kb
 from shisat.kbparse import ParseError, _tokenize, parse_concept_text
-from shisat.syntax import Role, formula_text
+from shisat.syntax import FormulaStore, Role, formula_text
 
 from helpers import EX1_TEXT
 from kbgen import random_kb_text
@@ -138,3 +140,27 @@ def test_error_reports_column(text, line, col):
     with pytest.raises(ParseError) as err:
         parse_kb(text)
     assert (err.value.line, err.value.col) == (line, col)
+
+
+# Bounded texts over the keywords, parentheses, the inverse mark, comments,
+# identifiers and whitespace: well-formed and malformed input alike.
+_FUZZ_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ["sub", "trans", "impl", "equiv", "inst", "rel",
+             "top", "bot", "not", "and", "or", "all", "some", "(", ")", "-", "#"]
+        ),
+        st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+        st.sampled_from([" ", "\t", "\n", "\r\n"]),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@given(_FUZZ_TEXT)
+def test_only_parse_errors_escape(text):
+    for parse in (parse_kb, lambda t: parse_concept_text(t, FormulaStore())):
+        try:
+            parse(text)
+        except ParseError:
+            pass

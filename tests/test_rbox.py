@@ -41,17 +41,17 @@ def test_ext_empty_rbox():
 
 def test_subrole_queries():
     idx = build_ext([(L, P)], [P], ["L", "P"])
-    assert idx.is_subrole(L, P)
-    assert not idx.is_subrole(P, L)
-    assert idx.is_subrole(L, L)  # reflexivity
-    assert idx.is_subrole(P, P)
+    assert (L, P) in idx.subrole_pairs
+    assert (P, L) not in idx.subrole_pairs
+    assert (L, L) in idx.subrole_pairs  # reflexivity
+    assert (P, P) in idx.subrole_pairs
 
 
 def test_transitivity_queries():
     idx = build_ext([(L, P)], [P], ["L", "P"])
-    assert idx.is_transitive(P)
-    assert idx.is_transitive(PI)
-    assert not idx.is_transitive(L)
+    assert P in idx.transitive
+    assert PI in idx.transitive
+    assert L not in idx.transitive
 
 
 def test_srtr_queries():
@@ -64,10 +64,6 @@ def test_srtr_queries():
 
 def test_unknown_role_rejected():
     idx = build_ext([], [], ["r"])
-    with pytest.raises(ValueError):
-        idx.is_subrole(R, Role("zz"))
-    with pytest.raises(ValueError):
-        idx.is_transitive(Role("zz"))
     with pytest.raises(ValueError):
         idx.srtr(R, Role("zz"))
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given
 
-from shisat import closure, kb_index, parse_kb
+from shisat import closure, format_kb, kb_index, parse_kb
 from shisat.syntax import (
     ALL,
     AND,
@@ -16,6 +16,7 @@ from shisat.syntax import (
     Role,
     build_kb,
     complement,
+    concept_text,
     internalize_tbox,
     subconcepts,
 )
@@ -95,7 +96,7 @@ def test_complement_of_assertion():
     store = FormulaStore()
     f = store.inst("a", store.atom("F"))
     comp = complement(store, f)
-    assert comp is store.inst("a", store.negated_atom("F"))
+    assert comp is store.inst("a", store.negate(store.atom("F")))
     assert complement(store, comp) is f
 
 
@@ -137,7 +138,7 @@ def _build(store, recipe):
     if tag == "atom":
         return store.atom(recipe[1])
     if tag == "negatom":
-        return store.negated_atom(recipe[1])
+        return store.negate(store.atom(recipe[1]))
     if tag in ("and", "or"):
         combine = store.conj if tag == "and" else store.disj
         return combine(_build(store, recipe[1]), _build(store, recipe[2]))
@@ -151,6 +152,10 @@ def test_negate_involution(recipe):
     store = FormulaStore()
     c = _build(store, recipe)
     assert store.negate(store.negate(c)) is c
+    # an assertion's complement is the assertion of the concept's complement
+    f = store.inst("a", c)
+    assert complement(store, f) is store.inst("a", store.negate(c))
+    assert complement(store, complement(store, f)) is f
 
 
 @given(_RECIPE)
@@ -199,14 +204,18 @@ def test_name_collection_and_closure_are_stack_safe():
         concept = store.conj(a, store.exist(r, concept))
     kb = build_kb(store, [], [], [], [store.inst("a", concept)])
     assert kb.concept_names == ["A"] and kb.role_names == ["r"]
-    universe = closure(kb)
+    universe = closure(kb, kb_index(kb))
     assert store.inst("a", concept) in universe
     assert len(universe) == 2 * (2 * 5000 + 1)
+    text = "(and A (some r " * 5000 + "A" + "))" * 5000
+    assert concept_text(concept) == text
+    assert repr(store.inst("a", concept)) == "a:" + text
+    assert format_kb(kb) == f"inst a {text}\n"
 
 
 def test_closure_trivial_kb():
     kb = parse_kb("inst a A\n")
-    universe = closure(kb)
+    universe = closure(kb, kb_index(kb))
     texts = {repr(f) for f in universe}
     assert texts == {"A", "a:A"}
 
@@ -215,7 +224,7 @@ def test_closure_narrows_transitive_restrictions():
     # Hand-applied rule: L <= P with P transitive and (all P F) occurring
     # puts (all L F) and its assertion forms into the closure.
     kb = parse_kb(EX1_TEXT)
-    universe = closure(kb)
+    universe = closure(kb, kb_index(kb))
     store = kb.store
     all_l_f = store.univ(Role("L"), store.atom("F"))
     assert all_l_f in universe
@@ -227,16 +236,16 @@ def test_closure_covers_both_subroles():
     # Hand-applied rule: r <= s and r- <= s with s transitive and
     # (all s (not A)) occurring yields both narrowed restrictions.
     kb = parse_kb(EX2_TEXT)
-    universe = closure(kb)
+    universe = closure(kb, kb_index(kb))
     store = kb.store
-    not_a = store.negated_atom("A")
+    not_a = store.negate(store.atom("A"))
     assert store.univ(Role("r"), not_a) in universe
     assert store.univ(Role("r", True), not_a) in universe
 
 
 def test_closure_contains_abox_role_assertions():
     kb = parse_kb(EX1_TEXT)
-    universe = closure(kb)
+    universe = closure(kb, kb_index(kb))
     assert kb.store.rel(Role("L"), "a", "b") in universe
 
 
