@@ -99,8 +99,9 @@ class Verdict:
 
 def t_unsat(store: FormulaStore, label) -> bool:
     """Obvious refutation: bottom, an individual in bottom, or a
-    complementary pair."""
-    for f in label:
+    complementary pair. Members are tried in uid order, so the complements
+    interned on the way do not depend on set iteration order."""
+    for f in ordered(label):
         if f.kind == sx.BOT:
             return True
         if f.kind == sx.INST and f.concept.kind == sx.BOT:

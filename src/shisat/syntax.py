@@ -6,7 +6,9 @@ negation normal form at all times -- the only negation nodes ever
 constructed sit directly on concept names, so downstream code never has
 to normalize. `FormulaStore.negate` is the one place complements are
 built, of concepts and of concept assertions alike; `complement` is the
-same function under the name the engine calls.
+same function under the name the engine calls. Each store memoises the
+complements it has built, so a complement is computed once and then
+looked up, and the build uses an explicit stack rather than recursion.
 
 Concepts and assertions are interned: structurally equal formulas are the
 same Python object. Identity doubles as equality, membership tests are
@@ -98,6 +100,7 @@ class FormulaStore:
 
     def __init__(self) -> None:
         self._table: dict = {}
+        self._neg: dict = {}  # formula -> its complement, both ways round
         self._next = 0
         self.top = self._make((TOP,), Concept, TOP)
         self.bot = self._make((BOT,), Concept, BOT)
@@ -128,27 +131,60 @@ class FormulaStore:
     def negate(self, formula: Formula) -> Formula:
         """The NNF complement of a concept, by the usual dualities, or of a
         concept assertion: a:C gives a:(not C). Role assertions have no
-        complement in this language and are rejected."""
-        k = formula.kind
-        if k == TOP:
-            return self.bot
-        if k == BOT:
-            return self.top
-        if k == ATOM:
-            return self._make((NOT, formula.uid), Concept, NOT, child=formula)
-        if k == NOT:
-            return formula.child
-        if k == AND:
-            return self.disj(self.negate(formula.left), self.negate(formula.right))
-        if k == OR:
-            return self.conj(self.negate(formula.left), self.negate(formula.right))
-        if k == ALL:
-            return self.exist(formula.role, self.negate(formula.child))
-        if k == SOME:
-            return self.univ(formula.role, self.negate(formula.child))
-        if k == INST:
-            return self.inst(formula.ind, self.negate(formula.concept))
-        raise ValueError(f"a formula of kind {k!r} has no complement")
+        complement in this language and are rejected.
+
+        Complements are memoised per store in both directions (negation is
+        an involution on interned formulas), so each is built once. The
+        build walks an explicit stack in postorder, left part first, and so
+        interns the same formulas in the same order as the plain recursion
+        would, at any nesting depth."""
+        neg = self._neg
+        done = neg.get(formula)
+        if done is not None:
+            return done
+        stack = [formula]
+        while stack:
+            f = stack[-1]
+            if f in neg:  # a part shared with one built earlier
+                stack.pop()
+                continue
+            k = f.kind
+            if k in (AND, OR):
+                parts = (f.right, f.left)
+            elif k in (ALL, SOME):
+                parts = (f.child,)
+            elif k == INST:
+                parts = (f.concept,)
+            else:
+                parts = ()
+            todo = [p for p in parts if p not in neg]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            if k == TOP:
+                g = self.bot
+            elif k == BOT:
+                g = self.top
+            elif k == ATOM:
+                g = self._make((NOT, f.uid), Concept, NOT, child=f)
+            elif k == NOT:
+                g = f.child
+            elif k == AND:
+                g = self.disj(neg[f.left], neg[f.right])
+            elif k == OR:
+                g = self.conj(neg[f.left], neg[f.right])
+            elif k == ALL:
+                g = self.exist(f.role, neg[f.child])
+            elif k == SOME:
+                g = self.univ(f.role, neg[f.child])
+            elif k == INST:
+                g = self.inst(f.ind, neg[f.concept])
+            else:
+                raise ValueError(f"a formula of kind {k!r} has no complement")
+            neg[f] = g
+            neg[g] = f
+        return neg[formula]
 
     def inst(self, ind: str, concept: Concept) -> Assertion:
         return self._make((INST, ind, concept.uid), Assertion, INST, ind=ind, concept=concept)
@@ -310,13 +346,13 @@ def closure(kb: KnowledgeBase, idx) -> frozenset:
             occurring.update(subconcepts(f.concept))
 
     universe: set = set(occurring)
-    for concept in list(occurring):
+    for concept in ordered(occurring):
         if concept.kind == ALL:
             for role in idx.subroles_of(concept.role):
                 universe.add(store.univ(role, concept.child))
 
     out: set = set(universe)
-    for concept in universe:
+    for concept in ordered(universe):
         for ind in kb.individuals:
             out.add(store.inst(ind, concept))
     for f in kb.abox:

@@ -12,7 +12,7 @@ All four are pure: they read their arguments and return fresh sets.
 from __future__ import annotations
 
 from .rbox import RBoxIndex
-from .syntax import ALL, FormulaStore, Role, concepts_of
+from .syntax import ALL, FormulaStore, Role, concepts_of, ordered
 
 
 def transfer_concepts(idx: RBoxIndex, concepts, role: Role) -> set:
@@ -28,8 +28,10 @@ def transfer_concepts(idx: RBoxIndex, concepts, role: Role) -> set:
 
 
 def transfer_concepts_to(idx: RBoxIndex, store: FormulaStore, concepts, role: Role, ind: str) -> set:
-    """Like transfer_concepts, but lands on the named individual `ind`."""
-    return {store.inst(ind, c) for c in transfer_concepts(idx, concepts, role)}
+    """Like transfer_concepts, but lands on the named individual `ind`. The
+    assertions are interned in uid order of their concepts, not in set
+    order."""
+    return {store.inst(ind, c) for c in ordered(transfer_concepts(idx, concepts, role))}
 
 
 def transfer_assertions_from(idx: RBoxIndex, assertions, ind: str, role: Role) -> set:

@@ -44,6 +44,13 @@ def label_texts(node) -> frozenset:
     return frozenset(formula_text(f) for f in node.label)
 
 
+def interned_texts(store) -> list:
+    """The text of every formula `store` has interned, in uid order."""
+    from shisat.syntax import formula_text, ordered
+
+    return [formula_text(f) for f in ordered(store._table.values())]
+
+
 def all_label_sets(graph) -> list:
     return [label_texts(n) for n in graph.nodes]
 

@@ -19,7 +19,7 @@ from shisat.graph import (
 from shisat.kbparse import parse_concept_text
 from shisat.syntax import INST, SOME, Role
 
-from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, label_texts, run
+from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, interned_texts, label_texts, run
 
 
 # -- obvious refutation ----------------------------------------------------
@@ -379,6 +379,21 @@ def test_determinism_reparsed_kb():
     first = decide_sat(parse_kb(EX2_TEXT))
     second = decide_sat(parse_kb(EX2_TEXT))
     assert first.stats == second.stats
+
+
+def test_reparsed_runs_intern_in_one_order():
+    # The clash test and the transfer to a named individual intern new
+    # formulas; both go in uid order, so two runs of one text intern the
+    # same formulas in the same order, whatever the address order of sets.
+    from kbgen import chain_kb_text, differential_suite
+
+    texts = differential_suite(500, 20240817)[:100]
+    texts += [chain_kb_text(d) for d in range(1, 11)] + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT]
+    for text in texts:
+        first, second = parse_kb(text), parse_kb(text)
+        decide_sat(first)
+        decide_sat(second)
+        assert interned_texts(first.store) == interned_texts(second.store), text
 
 
 @pytest.mark.parametrize("text", [EX1_TEXT, EX2_TEXT, "inst a A\n", "inst a (some r (all r- C))\n"])

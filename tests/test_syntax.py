@@ -9,9 +9,13 @@ from shisat.syntax import (
     ALL,
     AND,
     ATOM,
+    BOT,
+    INST,
     NOT,
     OR,
     SOME,
+    TOP,
+    Concept,
     FormulaStore,
     Role,
     build_kb,
@@ -21,7 +25,7 @@ from shisat.syntax import (
     subconcepts,
 )
 
-from helpers import EX1_TEXT, EX2_TEXT
+from helpers import EX1_TEXT, EX2_TEXT, interned_texts
 
 
 def test_interning_gives_identity():
@@ -158,6 +162,51 @@ def test_negate_involution(recipe):
     assert complement(store, complement(store, f)) is f
 
 
+def _reference_negate(store, f):
+    """The plain recursive complement with no memo: `negate` must intern
+    what this interns, in the same order."""
+    k = f.kind
+    if k == TOP:
+        return store.bot
+    if k == BOT:
+        return store.top
+    if k == ATOM:
+        return store._make((NOT, f.uid), Concept, NOT, child=f)
+    if k == NOT:
+        return f.child
+    if k == AND:
+        return store.disj(_reference_negate(store, f.left), _reference_negate(store, f.right))
+    if k == OR:
+        return store.conj(_reference_negate(store, f.left), _reference_negate(store, f.right))
+    if k == ALL:
+        return store.exist(f.role, _reference_negate(store, f.child))
+    if k == SOME:
+        return store.univ(f.role, _reference_negate(store, f.child))
+    assert k == INST
+    return store.inst(f.ind, _reference_negate(store, f.concept))
+
+
+@given(_RECIPE, _RECIPE, st.data())
+def test_memoised_negate_interns_like_the_recursion(recipe, other, data):
+    memo, plain = FormulaStore(), FormulaStore()
+    c, d = _build(memo, recipe), _build(plain, recipe)
+    e, e_ref = _build(memo, other), _build(plain, other)
+
+    def check(mine, ref):
+        got, want = memo.negate(mine), _reference_negate(plain, ref)
+        assert repr(got) == repr(want)
+        assert memo.negate(got) is mine
+        assert interned_texts(memo) == interned_texts(plain)
+        return got, want
+
+    parts = list(subconcepts(c))
+    at = data.draw(st.integers(0, len(parts) - 1))
+    check(parts[at], list(subconcepts(d))[at])  # a part first
+    got, want = check(c, d)  # then the whole
+    check(got, want)  # a complement, memoised from the other side
+    check(memo.inst("a", e), plain.inst("a", e_ref))  # an assertion
+
+
 @given(_RECIPE)
 def test_negation_only_on_atoms(recipe):
     store = FormulaStore()
@@ -211,6 +260,19 @@ def test_name_collection_and_closure_are_stack_safe():
     assert concept_text(concept) == text
     assert repr(store.inst("a", concept)) == "a:" + text
     assert format_kb(kb) == f"inst a {text}\n"
+    assert store.negate(store.negate(concept)) is concept
+
+
+def test_closure_interns_in_one_order():
+    # closure interns narrowed restrictions and assertion forms; two
+    # closures of one text in fresh stores intern them in the same order
+    from kbgen import differential_suite
+
+    for text in [EX1_TEXT, EX2_TEXT] + differential_suite(500, 20240817)[:100]:
+        first, second = parse_kb(text), parse_kb(text)
+        closure(first, kb_index(first))
+        closure(second, kb_index(second))
+        assert interned_texts(first.store) == interned_texts(second.store), text
 
 
 def test_closure_trivial_kb():

@@ -10,10 +10,12 @@ tree derives from the same inputs and counting the runs that differ:
 and the worked examples under both expansion strategies, and records per
 run the verdict and stats, the trace, each node's id, rule, status, label,
 successors, ce_label and expansion count, the witness of a SAT verdict,
-the knowledge base's name lists, and the closed role box (its subrole
-pairs and transitive roles, sorted). Formulas are recorded as text, since
-uids and the set of interned formulas may differ between two runs of one
-tree. `compare` prints, for each field, how many runs differ.
+the knowledge base's name lists, the closed role box (its subrole pairs
+and transitive roles, sorted), and the store's interned formulas in uid
+order once the run and the witness are done. Formulas are recorded as
+text, so values compare across processes; the `interned` field shows
+whether two runs of one text intern the same formulas in the same order.
+`compare` prints, for each field, how many runs differ.
 
 The modules under test come from PYTHONPATH, so the same script dumps an
 older tree: run it from the root of a `git archive` copy of that tree.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import pickle
 import sys
 
-FIELDS = ("verdict", "stats", "trace", "nodes", "witness", "names", "rbox")
+FIELDS = ("verdict", "stats", "trace", "nodes", "witness", "names", "rbox", "interned")
 
 
 def _corpus() -> list:
@@ -53,6 +55,7 @@ def _plain(x):
 
 def _record(text: str, strategy: str) -> dict:
     from shisat import build_witness, decide_sat, parse_kb
+    from shisat.syntax import ordered
 
     kb = parse_kb(text)
     verdict = decide_sat(kb, strategy=strategy)
@@ -77,6 +80,7 @@ def _record(text: str, strategy: str) -> dict:
             tuple(f"{r} <= {s}" for r, s in sorted(idx.subrole_pairs)),
             tuple(str(r) for r in sorted(idx.transitive)),
         ),
+        "interned": _plain(ordered(kb.store._table.values())),
     }
 
 
