@@ -18,8 +18,10 @@ expanded, required formulas collect in `fmls_rc` and the state reports
 Incomplete (mode 0); once a state survived expansion cleanly, later
 disjunctive descendants record alternative requirement sets instead
 (mode 1). Either way the edge into the incomplete state is dropped and
-the predecessor is re-expanded once by the converse rule with the repair
-applied, now with `dformulas` pruning already-refuted alternatives.
+the predecessor is re-expanded once by the converse rule, in one loop
+over requirement sets: mode 0 has the single set `fmls_rc`, mode 1 its
+alternatives, and each repaired successor adds its set to the label and
+disallows the singleton sets tried before it.
 
 Statuses flow upward: any satisfiable branch settles an or-node, any
 refuted successor kills an and-node.
@@ -97,26 +99,23 @@ class Verdict:
     engine: "TableauEngine"
 
 
-def t_unsat(store: FormulaStore, label) -> bool:
-    """Obvious refutation: bottom, an individual in bottom, or a
-    complementary pair. Members are tried in uid order, so the complements
-    interned on the way do not depend on set iteration order."""
-    for f in ordered(label):
-        if f.kind == sx.BOT:
-            return True
-        if f.kind == sx.INST and f.concept.kind == sx.BOT:
-            return True
-        if f.kind != sx.REL and complement(store, f) in label:
-            return True
-    return False
-
-
 def _body(f):
     """The concept a label member speaks of: `f` itself for a concept, C
     for an assertion ind:C, None for a role assertion."""
     if f.kind == sx.INST:
         return f.concept
     return None if f.kind == sx.REL else f
+
+
+def t_unsat(store: FormulaStore, label) -> bool:
+    """Obvious refutation: bottom in either label form, or a complementary
+    pair. Members are tried in uid order, so the complements interned on
+    the way do not depend on set iteration order."""
+    for f in ordered(label):
+        c = _body(f)
+        if c is not None and (c.kind == sx.BOT or complement(store, f) in label):
+            return True
+    return False
 
 
 class TableauEngine:
@@ -279,6 +278,7 @@ class TableauEngine:
         un = g.node(u)
         assert un.node_type == STATE
 
+        w = len(g.nodes)
         for f in rule.principals:
             label = frozenset({_body(f).child}) | self._forward(f, un.label) | self.tbox_set
             g.new_succ(u, NONSTATE, SIMPLE, f, label, EMPTY, EMPTY)
@@ -287,17 +287,19 @@ class TableauEngine:
         if un.fmls_rc & un.dformulas:
             self._set_status(un, UNSAT)
 
-        # One pass suffices: node content is fixed and no status returns to
-        # UNEXPANDED, so a member skipped once stays skipped. The list grows
-        # as rules add members, and the pass reaches those too.
-        for w in g.state_members[u]:
-            if un.status == UNSAT:
-                break
-            if g.node(w).status != UNEXPANDED:
-                continue
-            inst = self.applicable_rule(w)
-            if inst is not None and PRIORITY[inst.tag] == 5:
-                self.apply_rule(inst, w)
+        # The local graph is new: its members are exactly the nodes created
+        # from the first successor on, since priority-5 rules only add or-nodes
+        # under the member they expand. One pass over them, reaching the ones
+        # the pass itself creates, suffices: node content is fixed and no
+        # status returns to UNEXPANDED, so a member skipped once stays skipped.
+        while w < len(g.nodes) and un.status != UNSAT:
+            wn = g.node(w)
+            assert wn.state_pred == u
+            if wn.status == UNEXPANDED:
+                inst = self.applicable_rule(w)
+                if inst is not None and PRIORITY[inst.tag] == 5:
+                    self.apply_rule(inst, w)
+            w += 1
 
         if un.status != UNSAT:
             if un.fmls_rc:
@@ -307,7 +309,10 @@ class TableauEngine:
 
     def apply_conv_rule(self, v) -> None:
         """Re-expand `v` after its state demanded more formulas: drop the
-        edge and connect `v` to the repaired alternative(s)."""
+        edge and connect `v` to one successor per requirement set. Mode 0
+        has the single set `fmls_rc`; mode 1 has its alternative sets,
+        singletons first in uid order, then the larger ones by sorted uids.
+        Each successor disallows the singletons tried before it."""
         g = self.graph
         node = g.node(v)
         succs = g.successors(v)
@@ -318,25 +323,14 @@ class TableauEngine:
         g.remove_edge(v, w)
 
         if wn.conv_method == 0:
-            new_label = node.label | frozenset(wn.fmls_rc)
-            g.con_to_succ(v, NONSTATE, node.stype, None, new_label, node.rformulas, node.dformulas)
+            sets = [frozenset(wn.fmls_rc)]
         else:
-            sets = list(wn.alt_fml_sets_sc)
-            singles = sorted((s for s in sets if len(s) == 1), key=lambda s: next(iter(s)).uid)
-            rest = sorted(
-                (s for s in sets if len(s) > 1),
-                key=lambda s: tuple(sorted(f.uid for f in s)),
-            )
-            chosen = [next(iter(s)) for s in singles]
-            for i, phi in enumerate(chosen):
-                new_label = node.label | {phi}
-                new_dfmls = node.dformulas | frozenset(chosen[:i])
-                g.con_to_succ(v, NONSTATE, node.stype, None, new_label, node.rformulas, new_dfmls)
-            blocked = frozenset(chosen)
-            for x in rest:
-                g.con_to_succ(
-                    v, NONSTATE, node.stype, None, node.label | x, node.rformulas, node.dformulas | blocked
-                )
+            sets = sorted(wn.alt_fml_sets_sc, key=lambda s: (len(s) > 1, sorted(f.uid for f in s)))
+        tried = EMPTY
+        for x in sets:
+            g.con_to_succ(v, NONSTATE, node.stype, None, node.label | x, node.rformulas, node.dformulas | tried)
+            if len(x) == 1:
+                tried |= x
 
     # -- status flow ------------------------------------------------------
 

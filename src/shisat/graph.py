@@ -95,7 +95,6 @@ class TableauGraph:
         self.root: int | None = None
         self._cache: dict = {}  # (scope, triple key) -> node id
         self._queue: deque = deque()
-        self.state_members: dict = {}  # state id -> ids of its local graph's or-nodes
 
     # -- basic access ------------------------------------------------
 
@@ -140,8 +139,6 @@ class TableauGraph:
                 node.after_trans_pred = parent.after_trans_pred
             if parent is not None and parent.node_type == STATE:
                 node.ce_label = ce_label
-            if node.state_pred is not None:
-                self.state_members.setdefault(node.state_pred, []).append(node_id)
         else:
             assert v is None or self.nodes[v].node_type == NONSTATE
         key = (node.after_trans_pred, node.triple_key())  # None for a state

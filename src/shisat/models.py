@@ -168,32 +168,37 @@ def role_pairs(interp: Interpretation, role: Role) -> set:
 
 def eval_concept(interp: Interpretation, concept) -> set:
     """The denotation of `concept` in `interp` under the standard set
-    semantics."""
-    k = concept.kind
+    semantics. Subconcepts are evaluated bottom-up, each distinct one once,
+    so nesting depth is not bounded by the recursion limit."""
     domain = set(interp.domain)
-    if k == sx.TOP:
-        return domain
-    if k == sx.BOT:
-        return set()
-    if k == sx.ATOM:
-        if concept.name not in interp.atoms:
-            raise ValueError(f"unknown concept name {concept.name!r}")
-        return set(interp.atoms[concept.name])
-    if k == sx.NOT:
-        return domain - eval_concept(interp, concept.child)
-    if k == sx.AND:
-        return eval_concept(interp, concept.left) & eval_concept(interp, concept.right)
-    if k == sx.OR:
-        return eval_concept(interp, concept.left) | eval_concept(interp, concept.right)
-    if k == sx.ALL:
-        pairs = role_pairs(interp, concept.role)
-        inner = eval_concept(interp, concept.child)
-        return {x for x in domain if all(y in inner for (a, y) in pairs if a == x)}
-    if k == sx.SOME:
-        pairs = role_pairs(interp, concept.role)
-        inner = eval_concept(interp, concept.child)
-        return {x for x in domain if any(y in inner for (a, y) in pairs if a == x)}
-    raise ValueError(f"unknown concept kind {k!r}")
+    value: dict = {}
+    for c in reversed(list(sx.subconcepts(concept))):
+        if c in value:
+            continue
+        k = c.kind
+        if k == sx.TOP:
+            out = domain
+        elif k == sx.BOT:
+            out = set()
+        elif k == sx.ATOM:
+            if c.name not in interp.atoms:
+                raise ValueError(f"unknown concept name {c.name!r}")
+            out = set(interp.atoms[c.name])
+        elif k == sx.NOT:
+            out = domain - value[c.child]
+        elif k == sx.AND:
+            out = value[c.left] & value[c.right]
+        elif k == sx.OR:
+            out = value[c.left] | value[c.right]
+        elif k in (sx.ALL, sx.SOME):
+            pairs = role_pairs(interp, c.role)
+            inner = value[c.child]
+            test = all if k == sx.ALL else any
+            out = {x for x in domain if test(y in inner for (a, y) in pairs if a == x)}
+        else:
+            raise ValueError(f"unknown concept kind {k!r}")
+        value[c] = out
+    return value[concept]
 
 
 def check_model(interp: Interpretation, kb: KnowledgeBase) -> bool:

@@ -2,10 +2,12 @@
 status flow, and the worked examples end to end."""
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from shisat import TableauEngine, decide_sat, parse_kb
-from shisat.engine import EMPTY, R_CONV, RuleInstance, t_unsat
+from shisat.engine import EMPTY, PRIORITY, R_CONV, RuleInstance, t_unsat
 from shisat.graph import (
     COMPLEX,
     EXPANDED,
@@ -14,10 +16,11 @@ from shisat.graph import (
     SAT,
     SIMPLE,
     STATE,
+    UNEXPANDED,
     UNSAT,
 )
 from shisat.kbparse import parse_concept_text
-from shisat.syntax import INST, SOME, Role
+from shisat.syntax import INST, SOME, Role, formula_text
 
 from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, interned_texts, label_texts, run
 
@@ -235,6 +238,87 @@ def test_converse_repair_with_alternative_sets():
     ]
 
 
+def _reference_conv_successors(engine, v) -> None:
+    """The converse rule in two branches, one for mode 0's `fmls_rc` and
+    one for mode 1's alternative sets: the reference `apply_conv_rule`'s
+    single loop is compared with."""
+    g = engine.graph
+    node = g.node(v)
+    w = g.successors(v)[0]
+    wn = g.node(w)
+    g.remove_edge(v, w)
+    if wn.conv_method == 0:
+        new_label = node.label | frozenset(wn.fmls_rc)
+        g.con_to_succ(v, NONSTATE, node.stype, None, new_label, node.rformulas, node.dformulas)
+        return
+    sets = list(wn.alt_fml_sets_sc)
+    singles = sorted((s for s in sets if len(s) == 1), key=lambda s: next(iter(s)).uid)
+    rest = sorted((s for s in sets if len(s) > 1), key=lambda s: tuple(sorted(f.uid for f in s)))
+    chosen = [next(iter(s)) for s in singles]
+    for i, phi in enumerate(chosen):
+        new_dfmls = node.dformulas | frozenset(chosen[:i])
+        g.con_to_succ(v, NONSTATE, node.stype, None, node.label | {phi}, node.rformulas, new_dfmls)
+    blocked = frozenset(chosen)
+    for x in rest:
+        g.con_to_succ(v, NONSTATE, node.stype, None, node.label | x, node.rformulas, node.dformulas | blocked)
+
+
+def _conv_setup(mode, sets, rfmls, dfmls):
+    """A fresh engine with an or-node over an incomplete state whose repair
+    record is `sets` of atom names: the single set `fmls_rc` in mode 0,
+    alternative sets in mode 1."""
+    kb = parse_kb("inst a A\n")
+    engine = TableauEngine(kb)
+    store = kb.store
+    g = engine.graph
+    for i in range(6):  # intern the atoms in one order, whatever is drawn
+        store.atom(f"F{i}")
+
+    def atoms(names):
+        return frozenset(store.atom(n) for n in names)
+
+    v = g.new_succ(None, NONSTATE, SIMPLE, None, atoms({"L0"}), atoms(rfmls), atoms(dfmls))
+    w = g.new_succ(v, STATE, SIMPLE, None, atoms({"L0"}), EMPTY, EMPTY)
+    g.node(v).status = EXPANDED
+    wn = g.node(w)
+    wn.status = INCOMPLETE
+    wn.conv_method = mode
+    if mode == 0:
+        wn.fmls_rc = set(atoms(sets[0]))
+    else:
+        wn.alt_fml_sets_sc = {atoms(x) for x in sets}
+    return engine, v
+
+
+def _texts(fmls) -> frozenset:
+    return frozenset(formula_text(f) for f in fmls)
+
+
+_ATOM_NAMES = st.sampled_from([f"F{i}" for i in range(6)])
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just(0), st.lists(st.frozensets(_ATOM_NAMES, min_size=1), min_size=1, max_size=1)),
+        st.tuples(st.just(1), st.lists(st.frozensets(_ATOM_NAMES, min_size=1, max_size=3), max_size=5)),
+    ),
+    st.frozensets(st.sampled_from(["R0", "R1"])),
+    st.frozensets(st.sampled_from(["D0", "D1"])),
+)
+def test_converse_successors_match_the_two_branch_rule(repair, rfmls, dfmls):
+    mode, sets = repair
+    engine, v = _conv_setup(mode, sets, rfmls, dfmls)
+    reference, v_ref = _conv_setup(mode, sets, rfmls, dfmls)
+    engine.apply_conv_rule(v)
+    _reference_conv_successors(reference, v_ref)
+
+    def successors(e, x):
+        kids = [e.graph.node(w) for w in e.graph.successors(x)]
+        return [(_texts(k.label), _texts(k.rformulas), _texts(k.dformulas)) for k in kids]
+
+    assert successors(engine, v) == successors(reference, v_ref)
+
+
 def test_converse_repair_with_no_alternatives_refutes():
     kb = parse_kb("inst a A\n")
     engine = TableauEngine(kb)
@@ -250,6 +334,27 @@ def test_converse_repair_with_no_alternatives_refutes():
     engine.apply_rule(RuleInstance(R_CONV), v)
     assert g.successors(v) == []
     assert g.node(v).status == UNSAT
+
+
+def test_local_pass_saturates_the_nodes_it_creates():
+    # the successor of the state needs and, and, then hier (r <= s narrows
+    # (all s D) to (all r D)); the pass must reach the nodes those steps add
+    kb = parse_kb("sub r s\ninst a A\n")
+    engine = TableauEngine(kb)
+    g = engine.graph
+    ex = parse_concept_text("(some r (and B (and C (all s D))))", kb.store)
+    u = g.new_succ(None, STATE, SIMPLE, None, frozenset({ex}), EMPTY, EMPTY)
+    first = len(g.nodes)
+    engine.apply_rule(engine.applicable_rule(u), u)
+    assert engine.rule_counts["and"] == 2 and engine.rule_counts["hier"] == 1
+    created = g.nodes[first:]
+    assert len(created) == 4
+    assert "(all r D)" in label_texts(created[-1])
+    for node in created:
+        assert node.state_pred == u
+        if node.status == UNEXPANDED:
+            inst = engine.applicable_rule(node.id)
+            assert inst is None or PRIORITY[inst.tag] < 5
 
 
 # -- status flow ---------------------------------------------------------------

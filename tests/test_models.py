@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from shisat import (
+    FormulaStore,
     build_ext,
+    build_kb,
     build_witness,
     check_model,
     closure,
@@ -234,6 +236,21 @@ def test_check_model_rejects_bottom_assertion():
 
 def test_witness_for_converse_repair_instance():
     kb = parse_kb("inst a (some r (all r- C))\n")
+    verdict = decide_sat(kb)
+    assert verdict.sat
+    witness = build_witness(verdict.graph, kb, kb_index(kb))
+    assert check_model(witness, kb)
+
+
+def test_check_model_is_stack_safe():
+    # a 1200-deep conjunction chain is decided and extracted without
+    # recursion, so checking its witness must not recurse either
+    store = FormulaStore()
+    chain = store.atom("A0")
+    for i in range(1, 1200):
+        chain = store.conj(store.atom(f"A{i}"), chain)
+    concept = store.conj(chain, store.exist(R, store.univ(R, store.atom("B"))))
+    kb = build_kb(store, [], [], [], [store.inst("a", concept)])
     verdict = decide_sat(kb)
     assert verdict.sat
     witness = build_witness(verdict.graph, kb, kb_index(kb))

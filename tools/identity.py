@@ -9,7 +9,9 @@ tree derives from the same inputs and counting the runs that differ:
 `dump` decides `differential_suite(500, 20240817)`, `chain_kb_text(1..40)`
 and the worked examples under both expansion strategies, and records per
 run the verdict and stats, the trace, each node's id, rule, status, label,
-successors, ce_label and expansion count, the witness of a SAT verdict,
+successors, ce_label and expansion count, each node's converse-repair
+record (rformulas, dformulas, conv_method, fmls_rc, alt_fml_sets_sc and
+alt_fml_sets_scp), the witness of a SAT verdict,
 the knowledge base's name lists, the closed role box (its subrole pairs
 and transitive roles, sorted), and the store's interned formulas in uid
 order once the run and the witness are done. Formulas are recorded as
@@ -25,7 +27,7 @@ from __future__ import annotations
 import pickle
 import sys
 
-FIELDS = ("verdict", "stats", "trace", "nodes", "witness", "names", "rbox", "interned")
+FIELDS = ("verdict", "stats", "trace", "nodes", "repair", "witness", "names", "rbox", "interned")
 
 
 def _corpus() -> list:
@@ -65,6 +67,10 @@ def _record(text: str, strategy: str) -> dict:
         (n.id, n.rule, n.status, _plain(n.label), tuple(g.successors(n.id)), _plain(n.ce_label), n.expansions)
         for n in g.nodes
     ]
+    repair = [
+        _plain((n.rformulas, n.dformulas, n.conv_method, n.fmls_rc, n.alt_fml_sets_sc, n.alt_fml_sets_scp))
+        for n in g.nodes
+    ]
     witness = None
     if verdict.sat:
         w = build_witness(g, kb, idx)
@@ -74,6 +80,7 @@ def _record(text: str, strategy: str) -> dict:
         "stats": verdict.stats,
         "trace": _plain(verdict.engine.trace),
         "nodes": nodes,
+        "repair": repair,
         "witness": witness,
         "names": (tuple(kb.concept_names), tuple(kb.role_names), tuple(kb.individuals)),
         "rbox": (
