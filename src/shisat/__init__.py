@@ -2,7 +2,7 @@
 
 A tableau-based decision procedure over rooted and-or graphs with global
 state caching, plus witness-model extraction, a semantic model checker,
-a bounded brute-force oracle for differential testing, and a small CLI.
+a bounded model-search oracle for differential testing, and a small CLI.
 """
 
 from .cli import check_concept_consistency, check_instance, export_dot, run_cli

@@ -17,7 +17,7 @@ from .engine import Verdict, decide_sat
 from .graph import STATE, TableauGraph
 from .kbparse import ParseError, parse_concept_text, parse_kb
 from .models import Interpretation, build_witness
-from .oracle import bounded_model_search
+from .oracle import SearchBudgetExceeded, bounded_model_search
 from .syntax import KnowledgeBase, build_kb, formula_text, ordered
 
 
@@ -104,7 +104,11 @@ def _cmd_sat(args) -> int:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(export_dot(verdict.graph))
     if args.oracle is not None:
-        found = bounded_model_search(kb, args.oracle)
+        try:
+            found = bounded_model_search(kb, args.oracle)
+        except SearchBudgetExceeded:
+            print("oracle: no answer within the search budget")
+            return 0 if verdict.sat else 1
         if found is None:
             print(f"oracle: no model with at most {args.oracle} elements")
         else:

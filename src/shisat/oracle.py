@@ -1,261 +1,280 @@
-"""Bounded brute-force satisfiability search, independent of the engine.
+"""Bounded model search by clause-level satisfiability, independent of the engine.
 
-For each domain size up to the bound, the knowledge base is grounded over
-the finite domain: one boolean per atomic-concept membership and one per
-role-name pair (inverse roles read the pair backwards). TBox concepts are
-required at every element, assertions at the mapped individuals, role
-axioms at every ground instance. The grounded constraints are searched by
-plain backtracking with three-valued evaluation, which enumerates exactly
-the interpretations the naive nested loops would, just skipping branches
-already refuted by a partial assignment.
+For each domain size n up to the bound, the knowledge base is ground once
+into clauses over integer variables: one per atom and element, one per
+role name and pair (an inverse role reads the pair backwards), a constant
+for `top`, and one definition variable per compound subconcept and
+element. Concepts are in NNF and only ever asserted true, so definitions
+hold one way (Plaisted & Greenbaum). Each individual map of that size adds
+the ABox as units and the symmetry order below.
 
-Two symmetry reductions keep this quick and lose no models: individual
-maps are enumerated in restricted-growth form, and the elements no
-individual is mapped to must carry lexicographically non-increasing
-atom vectors.
+The clauses are searched by DPLL (Davis, Logemann & Loveland) with unit
+propagation, through implication lists for binary clauses and two watched
+literals for longer ones (Een & Sorensson), a trail, a decision stack and
+chronological backtracking, without recursion. A longer clause whose first
+literal is negative is guarded by that literal's variable and joins the
+agenda once the variable is true; the search branches on the first literal
+not yet false of the first agenda clause with no true literal. Every other
+clause holds once propagation settles, reading the variables left
+unassigned as false.
 
-The result is trusted only positively. A returned interpretation is
-validated with `check_model` before it leaves this module; `None` means
-nothing more than "no model of size <= k".
+Two symmetry reductions lose no models: individual maps are enumerated in
+restricted-growth form, and the elements no individual is mapped to carry
+lexicographically non-increasing atom vectors. A returned interpretation
+is validated with `check_model`; `None` means nothing more than "no model
+of size <= k".
 """
 from __future__ import annotations
 
 from itertools import product
 
-from . import syntax as sx
 from .models import Interpretation, check_model
-from .syntax import KnowledgeBase, Role
+from .syntax import ALL, AND, ATOM, BOT, INST, NOT, OR, TOP, KnowledgeBase, Role
 
-TRUE = ("const", True)
-FALSE = ("const", False)
+# Literal 2v is variable v, 2v + 1 its negation. Variable 0 is the constant true.
+TRUE, FALSE = 0, 1
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The configured enumeration budget ran out before an answer."""
+    """The configured search budget ran out before an answer."""
 
 
-def _var(key):
-    return ("var", key)
+class _Grounding:
+    """The clauses of `kb` over the elements 0..n-1 that every individual map shares."""
 
+    def __init__(self, kb: KnowledgeBase, n: int) -> None:
+        self.n = n
+        self.nvars = 1
+        self.atoms = {name: self._fresh(n) for name in kb.concept_names}
+        self.roles = {name: self._fresh(n * n) for name in kb.role_names}  # (i, j) at i * n + j
+        # Each subconcept's literal at every element, the compound ones in preorder.
+        self.at = at = {}
+        compound = []
+        stack = [f.concept for f in reversed(kb.abox) if f.kind == INST] + kb.tbox[::-1]
+        while stack:
+            c = stack.pop()
+            if c in at:
+                continue
+            k = c.kind
+            if k == ATOM:
+                at[c] = self.atoms[c.name]
+            elif k == NOT:
+                xs = self.atoms[c.child.name]
+                at[c] = range(xs.start + 1, xs.stop + 1, 2)
+            elif k == TOP or k == BOT:
+                at[c] = (TRUE if k == TOP else FALSE,) * n
+            else:
+                at[c] = self._fresh(n)
+                compound.append(c)
+                stack += (c.right, c.left) if k == AND or k == OR else (c.child,)
+        self.units = [TRUE] + [lit for c in kb.tbox for lit in at[c]]
+        pairs, self.long = [], []  # binary clauses, and the longer ones
+        for c in compound:
+            k = c.kind
+            if k == AND:
+                for d, lit1, lit2 in zip(at[c], at[c.left], at[c.right]):
+                    pairs += ((d ^ 1, lit1), (d ^ 1, lit2))
+                continue
+            if k == OR:
+                self.long += [(d ^ 1, lit1, lit2) for d, lit1, lit2 in zip(at[c], at[c.left], at[c.right])]
+                continue
+            child = at[c.child]
+            for e, d in enumerate(at[c]):
+                if k == ALL:
+                    self.long += [(d ^ 1, r ^ 1, dj) for r, dj in zip(self.edges(c.role, e), child)]
+                else:  # some: a helper per j (d itself if n = 1) implies r(e, j) and the child at j
+                    xs = self._fresh(n) if n > 1 else (d,)
+                    for x, r, dj in zip(xs, self.edges(c.role, e), child):
+                        pairs += ((x ^ 1, r), (x ^ 1, dj))
+                    if n > 1:
+                        self.long.append((d ^ 1, *xs))
+        # Role clauses lead with their positive literal, so nothing guards
+        # them: each is Horn and holds with its unassigned variables false.
+        elements = range(n)
+        for r, s in kb.role_subsumptions:
+            for e in elements:
+                pairs += [(ls, lr ^ 1) for ls, lr in zip(self.edges(s, e), self.edges(r, e))]
+        for r in kb.transitive_roles:
+            rows = [self.edges(r, e) for e in elements]
+            self.long += [
+                (rows[i][l], rows[i][j] ^ 1, rows[j][l] ^ 1)
+                for i, j, l in product(elements, repeat=3) if i != j and j != l  # the rest are tautologies
+            ]
+        # lex[e]: the atom vector of e is lexicographically >= that of e + 1.
+        # g reads "e's vector is greater on the atoms before this one".
+        self.lex = []
+        for e in range(n - 1):
+            block, g = [], FALSE
+            for xs, nxt in zip(self.atoms.values(), self._fresh(len(self.atoms))):
+                x, y = xs[e], xs[e + 1]
+                block += [(y ^ 1, x, g), (nxt ^ 1, g, x), (nxt ^ 1, g, y ^ 1)]
+                g = nxt
+            self.lex.append(block)
+        # Binary clauses propagate through lists of implied literals, which
+        # no search changes.
+        self.implied: dict = {}
+        for lit1, lit2 in pairs:
+            self.implied.setdefault(lit1 ^ 1, []).append(lit2)
+            self.implied.setdefault(lit2 ^ 1, []).append(lit1)
 
-def _neg(tree):
-    if tree[0] == "const":
-        return ("const", not tree[1])
-    return ("not", tree)
+    def _fresh(self, size: int) -> range:
+        """`size` fresh variables, as positive literals."""
+        self.nvars += size
+        return range(2 * (self.nvars - size), 2 * self.nvars, 2)
 
+    def edges(self, role: Role, e: int) -> range:
+        """The literal of role(e, j) for each element j."""
+        n = self.n
+        rows = self.roles[role.name]
+        return rows[e::n] if role.inverted else rows[e * n:(e + 1) * n]
 
-def _conj(parts):
-    parts = [p for p in parts if p != TRUE]
-    if any(p == FALSE for p in parts):
-        return FALSE
-    if not parts:
-        return TRUE
-    if len(parts) == 1:
-        return parts[0]
-    return ("and", tuple(parts))
-
-
-def _disj(parts):
-    parts = [p for p in parts if p != FALSE]
-    if any(p == TRUE for p in parts):
-        return TRUE
-    if not parts:
-        return FALSE
-    if len(parts) == 1:
-        return parts[0]
-    return ("or", tuple(parts))
-
-
-def _role_lit(role: Role, i: int, j: int):
-    if role.inverted:
-        return _var(("role", role.name, j, i))
-    return _var(("role", role.name, i, j))
-
-
-def _ground_concept(concept, e: int, n: int):
-    k = concept.kind
-    if k == sx.TOP:
-        return TRUE
-    if k == sx.BOT:
-        return FALSE
-    if k == sx.ATOM:
-        return _var(("atom", concept.name, e))
-    if k == sx.NOT:
-        return _neg(_ground_concept(concept.child, e, n))
-    if k == sx.AND:
-        return _conj([_ground_concept(concept.left, e, n), _ground_concept(concept.right, e, n)])
-    if k == sx.OR:
-        return _disj([_ground_concept(concept.left, e, n), _ground_concept(concept.right, e, n)])
-    if k == sx.ALL:
-        return _conj(
-            [_disj([_neg(_role_lit(concept.role, e, j)), _ground_concept(concept.child, j, n)]) for j in range(n)]
-        )
-    if k == sx.SOME:
-        return _disj(
-            [_conj([_role_lit(concept.role, e, j), _ground_concept(concept.child, j, n)]) for j in range(n)]
-        )
-    raise ValueError(f"unknown concept kind {k!r}")
-
-
-def _atom_vector(kb: KnowledgeBase, e: int):
-    return [_var(("atom", name, e)) for name in kb.concept_names]
-
-
-def _lex_ge(xs, ys):
-    # xs >=lex ys over boolean vectors of equal length.
-    if not xs:
-        return TRUE
-    x, y = xs[0], ys[0]
-    gt = _conj([x, _neg(y)])
-    eq = _disj([_conj([x, y]), _conj([_neg(x), _neg(y)])])
-    return _disj([gt, _conj([eq, _lex_ge(xs[1:], ys[1:])])])
-
-
-def _ground_constraints(kb: KnowledgeBase, n: int, iota: dict) -> list:
-    out = []
-    for concept in kb.tbox:
-        for e in range(n):
-            out.append(_ground_concept(concept, e, n))
-    for f in kb.abox:
-        if f.kind == sx.INST:
-            out.append(_ground_concept(f.concept, iota[f.ind], n))
-        else:
-            out.append(_role_lit(f.role, iota[f.a], iota[f.b]))
-    for (r, s) in kb.role_subsumptions:
-        for i in range(n):
-            for j in range(n):
-                out.append(_disj([_neg(_role_lit(r, i, j)), _role_lit(s, i, j)]))
-    for r in kb.transitive_roles:
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    out.append(
-                        _disj([_neg(_role_lit(r, i, j)), _neg(_role_lit(r, j, l)), _role_lit(r, i, l)])
-                    )
-    anonymous = [e for e in range(n) if e not in set(iota.values())]
-    for a, b in zip(anonymous, anonymous[1:]):
-        out.append(_lex_ge(_atom_vector(kb, a), _atom_vector(kb, b)))
-    return [c for c in out if c != TRUE]
-
-
-def _eval3(tree, asgn):
-    op = tree[0]
-    if op == "const":
-        return tree[1]
-    if op == "var":
-        return asgn.get(tree[1])
-    if op == "not":
-        v = _eval3(tree[1], asgn)
-        return None if v is None else not v
-    if op == "and":
-        unknown = False
-        for sub in tree[1]:
-            v = _eval3(sub, asgn)
-            if v is False:
-                return False
-            if v is None:
-                unknown = True
-        return None if unknown else True
-    # or
-    unknown = False
-    for sub in tree[1]:
-        v = _eval3(sub, asgn)
-        if v is True:
-            return True
-        if v is None:
-            unknown = True
-    return None if unknown else False
-
-
-def _vars_of(tree, acc):
-    op = tree[0]
-    if op == "var":
-        if tree[1] not in acc:
-            acc.append(tree[1])
-    elif op == "not":
-        _vars_of(tree[1], acc)
-    elif op in ("and", "or"):
-        for sub in tree[1]:
-            _vars_of(sub, acc)
+    def map_clauses(self, kb: KnowledgeBase, iota: dict) -> tuple:
+        """The ABox under `iota` as units, and the order of the elements no
+        individual is mapped to as clauses. In restricted-growth form the
+        individuals hit a prefix of the domain, so those elements are the rest."""
+        units = [
+            self.at[f.concept][iota[f.ind]] if f.kind == INST else self.edges(f.role, iota[f.a])[iota[f.b]]
+            for f in kb.abox
+        ]
+        return units, [c for block in self.lex[len(set(iota.values())):] for c in block]
 
 
 def _restricted_growth_maps(inds, n):
     """Individual maps canonical up to renaming of the hit elements."""
-    if not inds:
-        yield {}
-        return
     for tup in product(range(n), repeat=len(inds)):
-        top = -1
-        ok = True
-        for v in tup:
-            if v > top + 1:
-                ok = False
-                break
-            top = max(top, v)
-        if ok:
+        if all(v <= max(tup[:i], default=-1) + 1 for i, v in enumerate(tup)):
             yield dict(zip(inds, tup))
 
 
-def _solve(constraints, budget) -> dict | None:
-    var_lists = []
-    for c in constraints:
-        acc: list = []
-        _vars_of(c, acc)
-        var_lists.append(acc)
-    asgn: dict = {}
-
-    def bt() -> bool:
-        budget[0] -= 1
+def _solve(g: _Grounding, units: list, clauses: list, budget: list):
+    """A bytearray `val` with val[l] set for each true literal l of an
+    assignment that satisfies the binary clauses of `g`, the literals
+    `units` and `clauses` (each of three literals or more) once the
+    unassigned variables read false, or None. `budget[0]` is decreased by
+    every literal assigned."""
+    val = bytearray(2 * g.nvars)
+    implied = g.implied
+    work = [list(c) for c in clauses]  # watched literals first
+    watches: dict = {}
+    guarded: dict = {}
+    for ci, c in enumerate(clauses):
+        watches.setdefault(c[0], []).append(ci)
+        watches.setdefault(c[1], []).append(ci)
+        if c[0] & 1:
+            guarded.setdefault(c[0] >> 1, []).append(ci)
+    trail: list = []
+    agenda: list = []  # guarded clauses in the order their guards became true
+    for lit in units:
+        if val[lit ^ 1]:
+            return None
+        if not val[lit]:
+            val[lit] = 1
+            trail.append(lit)
+    levels = []  # (trail length, agenda length, agenda position, decided literal)
+    pos = head = start = 0
+    while True:
+        conflict = False
+        while head < len(trail) and not conflict:  # unit propagation
+            p = trail[head]
+            head += 1
+            for q in implied.get(p, ()):
+                if not val[q]:
+                    if val[q ^ 1]:
+                        conflict = True
+                        break
+                    val[q] = 1
+                    trail.append(q)
+            if conflict:
+                break
+            if not p & 1 and p >> 1 in guarded:
+                agenda += guarded[p >> 1]
+            f = p ^ 1
+            ws = watches.get(f)
+            if not ws:
+                continue
+            watches[f] = keep = []
+            for i, ci in enumerate(ws):
+                c = work[ci]
+                if c[0] == f:
+                    c[0], c[1] = c[1], f
+                first = c[0]
+                if val[first]:
+                    keep.append(ci)
+                    continue
+                for k in range(2, len(c)):
+                    lit = c[k]
+                    if not val[lit ^ 1]:
+                        c[1], c[k] = lit, f
+                        watches.setdefault(lit, []).append(ci)
+                        break
+                else:
+                    keep.append(ci)
+                    if val[first ^ 1]:
+                        keep += ws[i + 1:]
+                        conflict = True
+                        break
+                    val[first] = 1
+                    trail.append(first)
+        budget[0] -= len(trail) - start
         if budget[0] < 0:
             raise SearchBudgetExceeded("bounded model search budget exhausted")
-        pending = None
-        for c, cvars in zip(constraints, var_lists):
-            v = _eval3(c, asgn)
-            if v is False:
-                return False
-            if v is None and pending is None:
-                pending = cvars
-        if pending is None:
-            return True
-        x = next(v for v in pending if v not in asgn)
-        for val in (True, False):
-            asgn[x] = val
-            if bt():
-                return True
-            del asgn[x]
-        return False
-
-    return dict(asgn) if bt() else None
-
-
-def _to_interpretation(kb: KnowledgeBase, n: int, iota: dict, asgn: dict) -> Interpretation:
-    atoms = {name: set() for name in kb.concept_names}
-    roles = {name: set() for name in kb.role_names}
-    for key, val in asgn.items():
-        if not val:
-            continue
-        if key[0] == "atom":
-            atoms[key[1]].add(key[2])
+        if not conflict:
+            while pos < len(agenda) and any(map(val.__getitem__, clauses[agenda[pos]])):
+                pos += 1
+            if pos == len(agenda):
+                return val
+            for lit in clauses[agenda[pos]]:
+                if not val[lit ^ 1]:
+                    break
+            start = len(trail)
+            levels.append((start, len(agenda), pos, lit))
         else:
-            roles[key[1]].add((key[2], key[3]))
+            if not levels:
+                return None
+            start, alen, pos, lit = levels.pop()
+            for p in trail[start:]:
+                val[p] = 0
+            del trail[start:], agenda[alen:]
+            lit ^= 1
+        val[lit] = 1
+        trail.append(lit)
+        head = start
+
+
+def _to_interpretation(g: _Grounding, iota: dict, val) -> Interpretation:
+    n = g.n
+    atoms = {name: set() for name in g.atoms}
+    roles = {name: set() for name in g.roles}
+    for name, xs in g.atoms.items():
+        for e, lit in enumerate(xs):
+            if val[lit]:
+                atoms[name].add(e)
+    for name, rs in g.roles.items():
+        for p, lit in enumerate(rs):
+            if val[lit]:
+                roles[name].add(divmod(p, n))
     return Interpretation(domain=list(range(n)), atoms=atoms, roles=roles, individuals=dict(iota))
 
 
 def bounded_model_search(kb: KnowledgeBase, k: int, budget: int = 2_000_000):
     """First model of `kb` with at most `k` elements, or None.
 
-    None only rules out models up to the bound; it is never a proof of
-    unsatisfiability.
+    Sizes are tried in increasing order, so a model found is a smallest
+    one. `budget` bounds the literals assigned over the whole call, by
+    decision or by propagation; `SearchBudgetExceeded` is raised when it
+    runs out. None only rules out models up to the bound; it is never a
+    proof of unsatisfiability.
     """
     if k < 1:
         raise ValueError("domain bound must be positive")
     remaining = [budget]
     for n in range(1, k + 1):
+        g = _Grounding(kb, n)
         for iota in _restricted_growth_maps(kb.individuals, n):
-            constraints = _ground_constraints(kb, n, iota)
-            asgn = _solve(constraints, remaining)
-            if asgn is not None:
-                interp = _to_interpretation(kb, n, iota, asgn)
+            units, lex = g.map_clauses(kb, iota)
+            val = _solve(g, g.units + units, g.long + lex, remaining)
+            if val is not None:
+                interp = _to_interpretation(g, iota, val)
                 assert check_model(interp, kb), "search produced a non-model"
                 return interp
     return None

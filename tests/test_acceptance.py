@@ -223,6 +223,15 @@ def test_criterion_4_differential_suite(suite):
     assert elapsed < 300
 
 
+def test_unsat_verdicts_have_no_model_of_size_four(suite):
+    # Criterion 4's differential check one domain element further, on every
+    # UNSAT verdict and within the oracle's default budget.
+    unsat = [i for i, run in enumerate(suite) if not run.verdict.sat]
+    found = [i for i in unsat if bounded_model_search(suite[i].kb, 4) is not None]
+    assert len(unsat) >= 100
+    assert not found, found[:5]
+
+
 # ---------------------------------------------------------------------------
 # criterion 5: structural invariants on every run
 

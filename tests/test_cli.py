@@ -68,6 +68,17 @@ def test_oracle_flag(kbfile, capsys):
     assert "oracle: found a model" in capsys.readouterr().out
 
 
+def test_oracle_budget_exhaustion_keeps_the_verdict(kbfile, capsys, monkeypatch):
+    from shisat import cli
+    from shisat.oracle import bounded_model_search
+
+    monkeypatch.setattr(cli, "bounded_model_search", lambda kb, k: bounded_model_search(kb, k, budget=5))
+    assert run_cli(["sat", kbfile(EX2_TEXT), "--oracle", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "UNSAT\noracle: no answer within the search budget\n"
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("bound", ["0", "-1", "x"])
 def test_oracle_bound_below_one_is_a_usage_error(kbfile, capsys, bound):
     # Rejected before the knowledge base is read: no verdict is printed.

@@ -13,10 +13,13 @@ successors, ce_label and expansion count, each node's converse-repair
 record (rformulas, dformulas, conv_method, fmls_rc, alt_fml_sets_sc and
 alt_fml_sets_scp), the witness of a SAT verdict,
 the knowledge base's name lists, the closed role box (its subrole pairs
-and transitive roles, sorted), and the store's interned formulas in uid
-order once the run and the witness are done. Formulas are recorded as
-text, so values compare across processes; the `interned` field shows
-whether two runs of one text intern the same formulas in the same order.
+and transitive roles, sorted), the store's interned formulas in uid
+order once the run and the witness are done, and the domain size of the
+model `bounded_model_search(kb, 3)` finds (or None), computed once per
+text on its own parse and recorded under both strategies' runs. Formulas
+are recorded as text, so values compare across processes; the `interned`
+field shows whether two runs of one text intern the same formulas in the
+same order.
 `compare` prints, for each field, how many runs differ.
 
 The modules under test come from PYTHONPATH, so the same script dumps an
@@ -27,7 +30,7 @@ from __future__ import annotations
 import pickle
 import sys
 
-FIELDS = ("verdict", "stats", "trace", "nodes", "repair", "witness", "names", "rbox", "interned")
+FIELDS = ("verdict", "stats", "trace", "nodes", "repair", "witness", "names", "rbox", "interned", "oracle")
 
 
 def _corpus() -> list:
@@ -91,11 +94,21 @@ def _record(text: str, strategy: str) -> dict:
     }
 
 
+def _oracle_size(text: str):
+    from shisat import bounded_model_search, parse_kb
+
+    found = bounded_model_search(parse_kb(text), 3)
+    return None if found is None else len(found.domain)
+
+
 def dump(out: str) -> None:
     runs = {}
+    oracle: dict = {}  # text -> the oracle's model size
     for name, text, strategy in _corpus():
         try:
-            runs[name] = _record(text, strategy)
+            if text not in oracle:
+                oracle[text] = _oracle_size(text)
+            runs[name] = {**_record(text, strategy), "oracle": oracle[text]}
         except Exception as exc:  # a crash is recorded as the run's outcome
             runs[name] = {field: f"error: {type(exc).__name__}: {exc}" for field in FIELDS}
     with open(out, "wb") as fh:
