@@ -16,10 +16,17 @@ this is read off directly, with no fixpoint over edges; the chains come
 from `rbox.transitive_closure`, the routine that closes the role box
 itself. `eval_concept` and `check_model` implement the plain set
 semantics independently and are shared by the differential oracle.
+
+Both read a role through its successor map (element -> successors),
+built once per role and call. An `all` or `some` subconcept then costs
+O(|domain| + |pairs|) rather than O(|domain| * |pairs|), and the
+transitivity test compares successor sets along each pair instead of
+joining every pair with every other.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from . import syntax as sx
 from .graph import INCOMPLETE, STATE, UNSAT
@@ -69,11 +76,13 @@ def saturation_path(graph, v) -> list:
     return path
 
 
-def _fresh_name(taken) -> str:
-    i = 1
-    while f"x{i}" in taken:
-        i += 1
-    return f"x{i}"
+def _fresh_names(taken):
+    """x1, x2, ... in order, skipping names in `taken`. Names are only
+    ever added to `taken`, so each draw is the smallest free name and the
+    scan never restarts: drawing n names costs O(n) in all."""
+    for i in count(1):
+        if f"x{i}" not in taken:
+            yield f"x{i}"
 
 
 def extract_model_graph(graph, kb: KnowledgeBase, idx: RBoxIndex) -> ModelGraph:
@@ -90,6 +99,7 @@ def extract_model_graph(graph, kb: KnowledgeBase, idx: RBoxIndex) -> ModelGraph:
 
     anchor: dict = {}  # created element -> its state in the graph
     by_concepts: dict = {}  # concept set -> the created element carrying it
+    fresh = _fresh_names(concepts)
 
     for x in domain:  # grows as elements are created
         for c in ordered(concepts[x]):
@@ -110,7 +120,7 @@ def extract_model_graph(graph, kb: KnowledgeBase, idx: RBoxIndex) -> ModelGraph:
             target = frozenset(graph.node(wpath[-1]).aformulas)
             y = by_concepts.get(target)
             if y is None:
-                y = _fresh_name(concepts)
+                y = next(fresh)
                 domain.append(y)
                 concepts[y] = target
                 anchor[y] = wpath[-1]
@@ -166,12 +176,29 @@ def role_pairs(interp: Interpretation, role: Role) -> set:
     return pairs
 
 
+_NONE = frozenset()  # the successors of an element that is no pair's source
+
+
+def _successor_map(pairs) -> dict:
+    """Each source element of `pairs` -> the set of its successors."""
+    succ: dict = {}
+    for (a, b) in pairs:
+        succ.setdefault(a, set()).add(b)
+    return succ
+
+
 def eval_concept(interp: Interpretation, concept) -> set:
     """The denotation of `concept` in `interp` under the standard set
     semantics. Subconcepts are evaluated bottom-up, each distinct one once,
-    so nesting depth is not bounded by the recursion limit."""
+    so nesting depth is not bounded by the recursion limit.
+
+    The first `all` or `some` over a role builds that role's successor
+    map; the rest of the call reuses it. `all R.C` is then the elements
+    whose successors all lie in C, and `some R.C` those with a successor
+    in C, so each subconcept costs O(|domain| + |pairs of its role|)."""
     domain = set(interp.domain)
     value: dict = {}
+    succ: dict = {}  # role -> its successor map, built on first use
     for c in reversed(list(sx.subconcepts(concept))):
         if c in value:
             continue
@@ -191,10 +218,14 @@ def eval_concept(interp: Interpretation, concept) -> set:
         elif k == sx.OR:
             out = value[c.left] | value[c.right]
         elif k in (sx.ALL, sx.SOME):
-            pairs = role_pairs(interp, c.role)
+            if c.role not in succ:
+                succ[c.role] = _successor_map(role_pairs(interp, c.role))
+            role_succ = succ[c.role]
             inner = value[c.child]
-            test = all if k == sx.ALL else any
-            out = {x for x in domain if test(y in inner for (a, y) in pairs if a == x)}
+            if k == sx.ALL:
+                out = {x for x in domain if role_succ.get(x, _NONE) <= inner}
+            else:
+                out = {x for x in domain if not role_succ.get(x, _NONE).isdisjoint(inner)}
         else:
             raise ValueError(f"unknown concept kind {k!r}")
         value[c] = out
@@ -202,16 +233,19 @@ def eval_concept(interp: Interpretation, concept) -> set:
 
 
 def check_model(interp: Interpretation, kb: KnowledgeBase) -> bool:
-    """Does `interp` satisfy every axiom and assertion of `kb`?"""
+    """Does `interp` satisfy every axiom and assertion of `kb`?
+
+    A transitive role passes when the successors of each successor b of
+    an element a are successors of a; over the role's successor map this
+    costs the sum of |succ(b)| over its pairs (a, b), not |pairs|^2."""
     for (r, s) in kb.role_subsumptions:
         if not role_pairs(interp, r) <= role_pairs(interp, s):
             return False
     for r in kb.transitive_roles:
-        pairs = role_pairs(interp, r)
-        for (a, b) in pairs:
-            for (c, d) in pairs:
-                if b == c and (a, d) not in pairs:
-                    return False
+        succ = _successor_map(role_pairs(interp, r))
+        for bs in succ.values():
+            if not all(succ.get(b, _NONE) <= bs for b in bs):
+                return False
     domain = set(interp.domain)
     for concept in kb.tbox:
         if eval_concept(interp, concept) != domain:

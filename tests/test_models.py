@@ -21,7 +21,9 @@ from shisat import (
     saturation_path,
 )
 from shisat.graph import STATE
-from shisat.models import Interpretation, close_role_relations
+from shisat import syntax as sx
+from shisat.models import Interpretation, close_role_relations, role_pairs
+from shisat.rbox import transitive_closure
 from shisat.syntax import Role
 
 from helpers import EX1_BASE_TEXT, check_consistent, check_saturation, naive_role_closure
@@ -242,6 +244,32 @@ def test_witness_for_converse_repair_instance():
     assert check_model(witness, kb)
 
 
+def test_check_model_rejects_a_transitive_role_missing_one_shortcut():
+    # a -> b -> c -> d with every shortcut but (a, d)
+    kb = parse_kb("trans r\nrel r a b\n")
+    pairs = {("a", "b"), ("b", "c"), ("c", "d"), ("a", "c"), ("b", "d")}
+    interp = Interpretation(
+        domain=["a", "b", "c", "d"], atoms={}, roles={"r": pairs}, individuals={"a": "a", "b": "b"}
+    )
+    assert not check_model(interp, kb)
+    interp.roles["r"] = pairs | {("a", "d")}
+    assert check_model(interp, kb)
+
+
+@pytest.mark.parametrize("c_holds_at,accepted", [({"c"}, False), ({"a"}, True)])
+def test_check_model_follows_inverse_successors(c_holds_at, accepted):
+    # b's only r- successor is a and its only r successor is c, so
+    # (all r- C) at b holds exactly when C holds at a
+    kb = parse_kb("inst b (all r- C)\n")
+    interp = Interpretation(
+        domain=["a", "b", "c"],
+        atoms={"C": c_holds_at},
+        roles={"r": {("a", "b"), ("b", "c")}},
+        individuals={"b": "b"},
+    )
+    assert check_model(interp, kb) is accepted
+
+
 def test_check_model_is_stack_safe():
     # a 1200-deep conjunction chain is decided and extracted without
     # recursion, so checking its witness must not recurse either
@@ -278,3 +306,160 @@ def test_created_elements_have_distinct_concept_sets():
         assert len(mg.domain) <= bound
         checked += 1
     assert checked > 10
+
+
+# -- successor maps against the pairwise definitions -------------------------------
+
+def _reference_eval(interp, concept) -> set:
+    """`eval_concept` as first written: each `all`/`some` scans every role
+    pair once per element."""
+    domain = set(interp.domain)
+    value: dict = {}
+    for c in reversed(list(sx.subconcepts(concept))):
+        if c in value:
+            continue
+        k = c.kind
+        if k == sx.TOP:
+            out = domain
+        elif k == sx.BOT:
+            out = set()
+        elif k == sx.ATOM:
+            if c.name not in interp.atoms:
+                raise ValueError(f"unknown concept name {c.name!r}")
+            out = set(interp.atoms[c.name])
+        elif k == sx.NOT:
+            out = domain - value[c.child]
+        elif k == sx.AND:
+            out = value[c.left] & value[c.right]
+        elif k == sx.OR:
+            out = value[c.left] | value[c.right]
+        elif k in (sx.ALL, sx.SOME):
+            pairs = role_pairs(interp, c.role)
+            inner = value[c.child]
+            test = all if k == sx.ALL else any
+            out = {x for x in domain if test(y in inner for (a, y) in pairs if a == x)}
+        else:
+            raise ValueError(f"unknown concept kind {k!r}")
+        value[c] = out
+    return value[concept]
+
+
+def _reference_check(interp, kb) -> bool:
+    """`check_model` as first written: transitivity over all pairs of pairs."""
+    for (r, s) in kb.role_subsumptions:
+        if not role_pairs(interp, r) <= role_pairs(interp, s):
+            return False
+    for r in kb.transitive_roles:
+        pairs = role_pairs(interp, r)
+        for (a, b) in pairs:
+            for (c, d) in pairs:
+                if b == c and (a, d) not in pairs:
+                    return False
+    domain = set(interp.domain)
+    for concept in kb.tbox:
+        if _reference_eval(interp, concept) != domain:
+            return False
+    for f in kb.abox:
+        if f.kind == sx.INST:
+            if interp.individuals[f.ind] not in _reference_eval(interp, f.concept):
+                return False
+        else:
+            pair = (interp.individuals[f.a], interp.individuals[f.b])
+            if pair not in role_pairs(interp, f.role):
+                return False
+    return True
+
+
+def _outcome(fn, *args):
+    """`fn(*args)`, or the type and text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+ELEMENTS = "abcdef"  # a domain is a prefix of at most five, so "f" never belongs
+ROLES = [Role(n, inv) for n in ("r", "s") for inv in (False, True)]
+
+
+@st.composite
+def _interpretations(draw):
+    """A domain of 1-5 elements, atoms A and B, and roles r or r and s
+    with random pairs, some of them leaving elements outside the domain.
+    A relation is kept as drawn, transitively closed, or closed and then
+    short of one pair, so that transitivity fails at a single place."""
+    domain = list(ELEMENTS[: draw(st.integers(1, 5))])
+    element = st.sampled_from(ELEMENTS)
+    atoms = {name: draw(st.sets(element, max_size=4)) for name in ("A", "B")}
+    roles = {}
+    for name in ["r", "s"][: draw(st.integers(1, 2))]:
+        pairs = draw(st.sets(st.tuples(element, element), max_size=10))
+        shape = draw(st.sampled_from(["drawn", "closed", "closed less one"]))
+        if shape != "drawn":
+            pairs = transitive_closure(pairs)
+        if shape == "closed less one" and pairs:
+            pairs.discard(draw(st.sampled_from(sorted(pairs))))
+        roles[name] = pairs
+    return Interpretation(domain=domain, atoms=atoms, roles=roles, individuals={x: x for x in domain})
+
+
+@st.composite
+def _nnf_concepts(draw, store, role_names, depth=3):
+    """An NNF concept over A, B and `role_names` and their inverses, nested
+    at most `depth` deep."""
+    leaves = [store.top, store.bot]
+    for name in ("A", "B"):
+        leaves += [store.atom(name), store.negate(store.atom(name))]
+    kind = draw(st.sampled_from(["leaf", "and", "or", "all", "some"] if depth else ["leaf"]))
+    if kind == "leaf":
+        return draw(st.sampled_from(leaves))
+    if kind in ("and", "or"):
+        left = draw(_nnf_concepts(store, role_names, depth - 1))
+        right = draw(_nnf_concepts(store, role_names, depth - 1))
+        return store.conj(left, right) if kind == "and" else store.disj(left, right)
+    role = Role(draw(st.sampled_from(role_names)), draw(st.booleans()))
+    child = draw(_nnf_concepts(store, role_names, depth - 1))
+    return store.univ(role, child) if kind == "all" else store.exist(role, child)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eval_concept_matches_the_pairwise_definition(data):
+    interp = data.draw(_interpretations())
+    concept = data.draw(_nnf_concepts(FormulaStore(), sorted(interp.roles)))
+    assert eval_concept(interp, concept) == _reference_eval(interp, concept)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_check_model_matches_the_pairwise_definition(data):
+    # The KB may name role s where the interpretation has only r, which
+    # both checkers must reject with the same ValueError.
+    interp = data.draw(_interpretations())
+    store = FormulaStore()
+    role = st.sampled_from(ROLES)
+    concept = _nnf_concepts(store, ["r", "s"], 2)
+    individual = st.sampled_from(interp.domain)
+    subs = data.draw(st.lists(st.tuples(role, role), max_size=2))
+    trans = data.draw(st.lists(role, max_size=2))
+    tbox = [("impl", data.draw(concept), data.draw(concept)) for _ in range(data.draw(st.integers(0, 1)))]
+    abox = data.draw(
+        st.lists(
+            st.one_of(
+                st.builds(store.inst, individual, concept),
+                st.builds(store.rel, role, individual, individual),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    kb = build_kb(store, subs, trans, tbox, abox)
+    assert _outcome(check_model, interp, kb) == _outcome(_reference_check, interp, kb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_interpretations(), st.sampled_from(ROLES))
+def test_transitivity_check_matches_the_pairwise_definition(interp, role):
+    store = FormulaStore()
+    kb = build_kb(store, [], [role], [], [store.inst(interp.domain[0], store.top)])
+    assert _outcome(check_model, interp, kb) == _outcome(_reference_check, interp, kb)

@@ -6,20 +6,22 @@ tree derives from the same inputs and counting the runs that differ:
     PYTHONPATH=src:tests python3 tools/identity.py dump OUT.pkl
     python3 tools/identity.py compare A.pkl B.pkl
 
-`dump` decides `differential_suite(500, 20240817)`, `chain_kb_text(1..40)`
-and the worked examples under both expansion strategies, and records per
-run the verdict and stats, the trace, each node's id, rule, status, label,
+`dump` decides `differential_suite(500, 20240817)`, `chain_kb_text(1..40)`,
+`(some r ...)` nests of depth 50 and 200 and, under `trans r`, of depth 10
+and 45 (witnesses of up to 201 elements), and the worked examples, each
+under both expansion strategies: 1,094 runs. It records per run the
+verdict and stats, the trace, each node's id, rule, status, label,
 successors, ce_label and expansion count, each node's converse-repair
 record (rformulas, dformulas, conv_method, fmls_rc, alt_fml_sets_sc and
-alt_fml_sets_scp), the witness of a SAT verdict,
-the knowledge base's name lists, the closed role box (its subrole pairs
-and transitive roles, sorted), the store's interned formulas in uid
-order once the run and the witness are done, and the domain size of the
-model `bounded_model_search(kb, 3)` finds (or None), computed once per
-text on its own parse and recorded under both strategies' runs. Formulas
-are recorded as text, so values compare across processes; the `interned`
-field shows whether two runs of one text intern the same formulas in the
-same order.
+alt_fml_sets_scp), the witness of a SAT verdict (its domain, atoms and
+role pairs), the knowledge base's name lists, the closed role box (its
+subrole pairs and transitive roles, sorted), the store's interned
+formulas in uid order once the run and the witness are done, and the
+domain size of the model `bounded_model_search(kb, 3)` finds (or None),
+computed once per text on its own parse and recorded under both
+strategies' runs. Formulas are recorded as text, so values compare
+across processes; the `interned` field shows whether two runs of one
+text intern the same formulas in the same order.
 `compare` prints, for each field, how many runs differ.
 
 The modules under test come from PYTHONPATH, so the same script dumps an
@@ -33,12 +35,23 @@ import sys
 FIELDS = ("verdict", "stats", "trace", "nodes", "repair", "witness", "names", "rbox", "interned", "oracle")
 
 
+def _some_nest(depth: int, transitive: bool) -> str:
+    """`a` in (all r B) and a chain of `depth` r-successors ending in A."""
+    concept = "A"
+    for _ in range(depth):
+        concept = f"(some r {concept})"
+    axioms = "trans r\n" if transitive else ""
+    return f"{axioms}inst a (and (all r B) {concept})\n"
+
+
 def _corpus() -> list:
     from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT
     from kbgen import chain_kb_text, differential_suite
 
     cases = [(f"suite/{i}", t) for i, t in enumerate(differential_suite(500, 20240817))]
     cases += [(f"chain/{d}", chain_kb_text(d)) for d in range(1, 41)]
+    cases += [(f"some/{d}", _some_nest(d, False)) for d in (50, 200)]
+    cases += [(f"some.trans/{d}", _some_nest(d, True)) for d in (10, 45)]
     cases += [("ex1_base", EX1_BASE_TEXT), ("ex1", EX1_TEXT), ("ex2", EX2_TEXT)]
     return [(f"{name}/{strategy}", text, strategy) for strategy in ("dfs", "fifo") for name, text in cases]
 
