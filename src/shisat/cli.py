@@ -6,7 +6,11 @@
     shisat consistent FILE CONCEPT
 
 Exit codes: 0 for SAT/true, 1 for UNSAT/false, 2 for usage, parse, or
-input errors and for internal errors.
+input errors, for internal errors, and for a verdict its own cross-check
+contradicts: a witness that fails `check_model`, or an `--oracle` model of
+a knowledge base the engine called UNSAT.
+
+    python -m shisat ...    # the same command, without the entry point
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import sys
 from .engine import Verdict, decide_sat
 from .graph import STATE, TableauGraph
 from .kbparse import ParseError, parse_concept_text, parse_kb
-from .models import Interpretation, build_witness
+from .models import Interpretation, build_witness, check_model
 from .oracle import SearchBudgetExceeded, bounded_model_search
 from .syntax import KnowledgeBase, build_kb, formula_text, ordered
 
@@ -99,6 +103,9 @@ def _cmd_sat(args) -> int:
         _print_stats(verdict)
     if args.model and verdict.sat:
         witness = build_witness(verdict.graph, kb, verdict.engine.idx)
+        if not check_model(witness, kb):
+            print("error: the extracted witness is not a model of the knowledge base", file=sys.stderr)
+            return 2
         print(format_witness(witness), end="")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -114,7 +121,8 @@ def _cmd_sat(args) -> int:
         else:
             print(f"oracle: found a model of size {len(found.domain)}")
         if not verdict.sat and found is not None:
-            print("oracle disagrees with the UNSAT verdict", file=sys.stderr)
+            print("error: oracle disagrees with the UNSAT verdict", file=sys.stderr)
+            return 2
     return 0 if verdict.sat else 1
 
 

@@ -25,11 +25,23 @@ disallows the singleton sets tried before it.
 
 Statuses flow upward: any satisfiable branch settles an or-node, any
 refuted successor kills an and-node.
+
+Labels are interned frozensets that never change, and many nodes share
+one: the engine does each piece of per-label work once per run and looks
+it up afterwards. Three dicts keyed by the label (a frozenset caches its
+hash) hold the label's members split by kind in uid order
+(`LabelView`), its `t_unsat` result, and, keyed by (existential, label),
+the `_backward` transfer. They live on the engine, not on the nodes,
+and are dropped when the run ends. None of them changes the uid order:
+a hit replays a call whose formulas were interned on its miss, and the
+subrole narrowings, which intern new formulas, are still built lazily
+during the rule scan, in the same order as before.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import syntax as sx
 from .graph import (
@@ -99,6 +111,18 @@ class Verdict:
     engine: "TableauEngine"
 
 
+class LabelView(NamedTuple):
+    """A label's members by the kind of their concept, each in uid order:
+    (member, concept) pairs for value restrictions, which the scan reads
+    the concept of, and bare members for the other kinds."""
+
+    conj: tuple
+    univ: tuple
+    rel: tuple
+    disj: tuple
+    some: tuple
+
+
 def _body(f):
     """The concept a label member speaks of: `f` itself for a concept, C
     for an assertion ind:C, None for a role assertion."""
@@ -110,7 +134,9 @@ def _body(f):
 def t_unsat(store: FormulaStore, label) -> bool:
     """Obvious refutation: bottom in either label form, or a complementary
     pair. Members are tried in uid order, so the complements interned on
-    the way do not depend on set iteration order."""
+    the way do not depend on set iteration order. The engine memoises the
+    result per label (`TableauEngine._clashes`): a second call on a label
+    would intern nothing, as each complement is interned once."""
     for f in ordered(label):
         c = _body(f)
         if c is not None and (c.kind == sx.BOT or complement(store, f) in label):
@@ -127,6 +153,9 @@ class TableauEngine:
         self.tbox_set = frozenset(kb.tbox)
         self.rule_counts: Counter = Counter()
         self.trace: list = []
+        self._views: dict = {}  # label -> LabelView
+        self._clash: dict = {}  # label -> t_unsat(store, label)
+        self._back: dict = {}  # (existential, label) -> frozenset
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -149,13 +178,41 @@ class TableauEngine:
             return transfer_assertions_from(self.idx, label, ex.ind, role)
         return transfer_concepts(self.idx, label, role)
 
-    def _backward(self, ex, label):
+    def _backward(self, ex, label) -> frozenset:
         """What the simple `label` of `ex`'s successor forces back across
-        the edge, in the label form of `ex`."""
-        role = _body(ex).role.inverse
-        if ex.kind == sx.INST:
-            return transfer_concepts_to(self.idx, self.store, label, role, ex.ind)
-        return transfer_concepts(self.idx, label, role)
+        the edge, in the label form of `ex`. Memoised per run: the
+        assertions of the first call are interned by the time of a hit."""
+        key = (ex, label)
+        out = self._back.get(key)
+        if out is None:
+            role = _body(ex).role.inverse
+            if ex.kind == sx.INST:
+                out = transfer_concepts_to(self.idx, self.store, label, role, ex.ind)
+            else:
+                out = transfer_concepts(self.idx, label, role)
+            out = self._back[key] = frozenset(out)
+        return out
+
+    def _clashes(self, label) -> bool:
+        """`t_unsat` of `label`, computed once per run."""
+        out = self._clash.get(label)
+        if out is None:
+            out = self._clash[label] = t_unsat(self.store, label)
+        return out
+
+    def _view(self, label) -> LabelView:
+        """`label`'s members by kind, from one sort per run."""
+        view = self._views.get(label)
+        if view is None:
+            parts = {sx.AND: [], sx.ALL: [], None: [], sx.OR: [], sx.SOME: []}  # LabelView's order
+            for f in ordered(label):
+                c = _body(f)
+                kind = None if c is None else c.kind
+                part = parts.get(kind)
+                if part is not None:
+                    part.append((f, c) if kind == sx.ALL else f)
+            view = self._views[label] = LabelView(*map(tuple, parts.values()))
+        return view
 
     # -- rule selection -------------------------------------------------
 
@@ -163,46 +220,47 @@ class TableauEngine:
         """Best applicable rule instance for `v`, or None when `v` is
         saturated. Choice is deterministic: highest priority first, then
         rule kind, then smallest principal in the fixed formula order,
-        then smallest auxiliary role."""
+        then smallest auxiliary role.
+
+        The scan reads the label's memoised `LabelView`, one kind at a
+        time. What it tests against the node's rformulas and aformulas,
+        and the narrowings it interns, are computed per call, in the same
+        order as a scan of the sorted label would."""
         node = self.graph.node(v)
         prime = "" if node.stype == SIMPLE else "'"
-        view = [(f, _body(f)) for f in ordered(node.label)]
+        view = self._view(node.label)
         if node.node_type == STATE:
-            ex = tuple(f for f, c in view if c is not None and c.kind == sx.SOME)
-            return RuleInstance(R_EXISTS + prime, principals=ex) if ex else None
+            return RuleInstance(R_EXISTS + prime, principals=view.some) if view.some else None
 
-        store = self.store
-        af = node.aformulas
-
-        for f, c in view:
-            if c is not None and c.kind == sx.AND and f not in node.rformulas:
+        rf = node.rformulas
+        for f in view.conj:
+            if f not in rf:
                 return RuleInstance(R_AND + prime, principal=f)
 
-        for f, c in view:
-            if c is None or c.kind != sx.ALL:
-                continue
-            for r in self.idx.subroles_of(c.role):
-                added = self._lift(f, store.univ(r, c.child))
-                if added not in af:
-                    return RuleInstance(R_HIER + prime, principal=f, added=frozenset({added}))
+        if view.univ:  # narrowing and univ' both act on a value restriction
+            store = self.store
+            af = node.aformulas
+            for f, c in view.univ:
+                for r in self.idx.subroles_of(c.role):
+                    if r == c.role:  # narrows to f itself
+                        continue
+                    added = self._lift(f, store.univ(r, c.child))
+                    if added not in af:
+                        return RuleInstance(R_HIER + prime, principal=f, added=frozenset({added}))
 
-        for f, c in view:
-            if c is not None:  # univ' reads role assertions, found in complex labels only
-                continue
-            added = (
-                transfer_assertions(self.idx, store, node.label, f.a, f.role, f.b)
-                | transfer_assertions(self.idx, store, node.label, f.b, f.role.inverse, f.a)
-            ) - af
-            if added:
-                return RuleInstance(R_UNIV_A, principal=f, added=frozenset(added))
+            for f in view.rel:  # univ' reads role assertions, found in complex labels only
+                added = (
+                    transfer_assertions(self.idx, store, node.label, f.a, f.role, f.b)
+                    | transfer_assertions(self.idx, store, node.label, f.b, f.role.inverse, f.a)
+                ) - af
+                if added:
+                    return RuleInstance(R_UNIV_A, principal=f, added=frozenset(added))
 
-        for f, c in view:
-            if c is not None and c.kind == sx.OR and f not in node.rformulas:
+        for f in view.disj:
+            if f not in rf:
                 return RuleInstance(R_OR + prime, principal=f)
 
-        if any(c is not None and c.kind == sx.SOME for _, c in view):
-            return RuleInstance(R_FORM)
-        return None
+        return RuleInstance(R_FORM) if view.some else None
 
     # -- rule application -------------------------------------------------
 
@@ -249,7 +307,7 @@ class TableauEngine:
             wn = g.node(w)
             if wn.status in DETERMINED:
                 continue
-            if t_unsat(self.store, wn.label):
+            if self._clashes(wn.label):
                 self._set_status(wn, UNSAT)
             elif wn.node_type == NONSTATE and wn.state_pred is not None:
                 v0 = g.node(wn.state_pred)
@@ -335,32 +393,56 @@ class TableauEngine:
     # -- status flow ------------------------------------------------------
 
     def update_status(self, v) -> None:
+        """Settle the expanded `v` from its successors' statuses, in one
+        pass over them. An or-node is SAT if a successor is, else UNSAT if
+        all are; if all are INCOMPLETE or UNSAT it is repaired by the
+        converse rule when its successor is a state, else INCOMPLETE. A
+        state is SAT if all successors are, else UNSAT if one is, else
+        INCOMPLETE with the alternative sets of its first INCOMPLETE one."""
         g = self.graph
         node = g.node(v)
         if node.status != EXPANDED:
             return
-        succ_nodes = [g.node(w) for w in g.successors(v)]
+        nodes, succs = g.nodes, g.successors(v)
         if node.node_type == NONSTATE:
-            if any(w.status == SAT for w in succ_nodes):
-                self._set_status(node, SAT)
-            elif all(w.status == UNSAT for w in succ_nodes):
+            unsat = incomplete = 0
+            state = False
+            for w in succs:
+                wn = nodes[w]
+                status = wn.status
+                if status == SAT:
+                    self._set_status(node, SAT)
+                    return
+                if status == UNSAT:
+                    unsat += 1
+                elif status == INCOMPLETE:
+                    incomplete += 1
+                state = state or wn.node_type == STATE
+            if unsat == len(succs):
                 self._set_status(node, UNSAT)
-            elif all(w.status in (INCOMPLETE, UNSAT) for w in succ_nodes):
-                if any(w.node_type == STATE for w in succ_nodes):
+            elif unsat + incomplete == len(succs):
+                if state:
                     # the state is the only successor
                     self.apply_rule(RuleInstance(R_CONV), v)
                 else:
                     self._set_status(node, INCOMPLETE)
         else:
-            if all(w.status == SAT for w in succ_nodes):
+            all_sat, first = True, None
+            for w in succs:
+                wn = nodes[w]
+                status = wn.status
+                if status == UNSAT:
+                    self._set_status(node, UNSAT)
+                    return
+                if status != SAT:
+                    all_sat = False
+                    if first is None and status == INCOMPLETE:
+                        first = wn
+            if all_sat:
                 self._set_status(node, SAT)
-            elif any(w.status == UNSAT for w in succ_nodes):
-                self._set_status(node, UNSAT)
-            else:
-                w = next((w for w in succ_nodes if w.status == INCOMPLETE), None)
-                if w is not None:
-                    node.alt_fml_sets_sc = set(w.alt_fml_sets_scp)
-                    self._set_status(node, INCOMPLETE)
+            elif first is not None:
+                node.alt_fml_sets_sc = set(first.alt_fml_sets_scp)
+                self._set_status(node, INCOMPLETE)
 
     def propagate_status(self, v) -> None:
         work = [v]
@@ -382,7 +464,7 @@ class TableauEngine:
         tbox_asserted = {self.store.inst(a, c) for a in kb.individuals for c in kb.tbox}
         g.root = g.new_succ(None, NONSTATE, COMPLEX, None, frozenset(kb.abox) | tbox_asserted, EMPTY, EMPTY)
         rn = g.node(g.root)
-        if t_unsat(self.store, rn.label):
+        if self._clashes(rn.label):
             self._set_status(rn, UNSAT)
 
         while (v := g.to_expand()) is not None:
@@ -392,6 +474,9 @@ class TableauEngine:
                 self.propagate_status(v)
                 continue
             self.apply_rule(inst, v)
+        self._views.clear()
+        self._clash.clear()
+        self._back.clear()
         return g
 
     def stats(self) -> dict:

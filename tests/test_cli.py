@@ -1,6 +1,11 @@
 """Command-line behaviour: verdict lines, exit codes, exports."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from shisat import run_cli
@@ -77,6 +82,55 @@ def test_oracle_budget_exhaustion_keeps_the_verdict(kbfile, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert captured.out == "UNSAT\noracle: no answer within the search budget\n"
     assert captured.err == ""
+
+
+# A satisfiable knowledge base (a one-element model has a0 s-related to
+# itself, in A and B, and C empty) that the engine has refuted under both
+# strategies: a contradicted verdict must not exit as UNSAT.
+WRONG_UNSAT_TEXT = (
+    "impl top (some s (all s- B))\n"
+    "impl (some s- top) A\n"
+    "impl (and C B) (all s- C)\n"
+)
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+def test_oracle_model_of_an_unsat_verdict_never_exits_as_unsat(kbfile, capsys, strategy):
+    code = run_cli(["sat", kbfile(WRONG_UNSAT_TEXT), "--oracle", "2", "--strategy", strategy])
+    captured = capsys.readouterr()
+    assert code != 1
+    assert "oracle: found a model of size 1" in captured.out
+    if code == 2:
+        assert captured.out.startswith("UNSAT\n")
+        assert captured.err == "error: oracle disagrees with the UNSAT verdict\n"
+    else:
+        assert code == 0 and captured.out.startswith("SAT\n")
+
+
+def test_witness_that_fails_its_check_is_not_printed(kbfile, capsys, monkeypatch):
+    from shisat import cli
+    from shisat.models import Interpretation
+
+    # a:A is asserted, but this interpretation leaves A empty
+    bogus = Interpretation(domain=["a"], atoms={"A": set()}, roles={}, individuals={"a": "a"})
+    monkeypatch.setattr(cli, "build_witness", lambda graph, kb, idx: bogus)
+    assert run_cli(["sat", kbfile("inst a A\n"), "--model"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "SAT\n"
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_command(kbfile):
+    import shisat
+
+    env = dict(os.environ, PYTHONPATH=str(Path(shisat.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shisat", "sat", kbfile(EX1_TEXT)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == "UNSAT\n"
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("bound", ["0", "-1", "x"])

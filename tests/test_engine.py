@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from shisat import TableauEngine, decide_sat, parse_kb
+from shisat import engine as engine_module
 from shisat.engine import EMPTY, PRIORITY, R_CONV, RuleInstance, t_unsat
 from shisat.graph import (
     COMPLEX,
@@ -20,7 +21,8 @@ from shisat.graph import (
     UNSAT,
 )
 from shisat.kbparse import parse_concept_text
-from shisat.syntax import INST, SOME, Role, formula_text
+from shisat.syntax import ALL, AND, INST, OR, SOME, Role, formula_text, ordered
+from shisat.transfer import transfer_concepts_to
 
 from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, interned_texts, label_texts, run
 
@@ -51,6 +53,41 @@ def test_t_unsat_negative():
 def test_t_unsat_bottom_assertion():
     kb = parse_kb("inst a bot\n")
     assert t_unsat(kb.store, frozenset(kb.abox))
+
+
+def test_repeated_clash_test_interns_nothing():
+    # A memo hit skips the call, so the call it skips must intern nothing:
+    # the complements are interned on the first test of the label.
+    kb = parse_kb("inst a A\n")
+    store = kb.store
+    engine = TableauEngine(kb)
+    r = Role("r")
+    label = frozenset(
+        {store.atom("A"), store.univ(r, store.atom("B")), store.exist(r, store.conj(store.atom("B"), store.atom("C")))}
+    )
+    before = store._next
+    assert not engine._clashes(label)
+    after = store._next
+    assert after > before
+    assert not engine._clashes(label)
+    assert not t_unsat(store, label)
+    assert store._next == after
+
+
+def test_repeated_backward_transfer_interns_nothing():
+    kb = parse_kb("inst a (some r- A)\n")
+    store = kb.store
+    engine = TableauEngine(kb)
+    ex = kb.abox[0]
+    label = frozenset({store.atom("A"), store.univ(Role("r"), store.atom("B")), store.univ(Role("r"), store.atom("C"))})
+    before = store._next
+    out = engine._backward(ex, label)
+    after = store._next
+    assert after > before
+    assert _texts(out) == {"a:B", "a:C"}
+    assert engine._backward(ex, label) is out
+    assert transfer_concepts_to(engine.idx, store, label, Role("r"), "a") == out
+    assert store._next == after
 
 
 # -- rule choice -------------------------------------------------------------
@@ -134,6 +171,116 @@ def test_form_state_requires_an_existential():
 
 
 # -- application effects ------------------------------------------------------
+
+def _reference_rule(engine, v):
+    """The rule scan as it was before labels were memoised: it sorts the
+    label and scans it once per rule kind."""
+    body = engine_module._body
+    node = engine.graph.node(v)
+    prime = "" if node.stype == SIMPLE else "'"
+    view = [(f, body(f)) for f in ordered(node.label)]
+    if node.node_type == STATE:
+        ex = tuple(f for f, c in view if c is not None and c.kind == SOME)
+        return RuleInstance(engine_module.R_EXISTS + prime, principals=ex) if ex else None
+    store = engine.store
+    af = node.aformulas
+    for f, c in view:
+        if c is not None and c.kind == AND and f not in node.rformulas:
+            return RuleInstance(engine_module.R_AND + prime, principal=f)
+    for f, c in view:
+        if c is None or c.kind != ALL:
+            continue
+        for r in engine.idx.subroles_of(c.role):
+            added = engine._lift(f, store.univ(r, c.child))
+            if added not in af:
+                return RuleInstance(engine_module.R_HIER + prime, principal=f, added=frozenset({added}))
+    for f, c in view:
+        if c is not None:
+            continue
+        added = (
+            engine_module.transfer_assertions(engine.idx, store, node.label, f.a, f.role, f.b)
+            | engine_module.transfer_assertions(engine.idx, store, node.label, f.b, f.role.inverse, f.a)
+        ) - af
+        if added:
+            return RuleInstance(engine_module.R_UNIV_A, principal=f, added=frozenset(added))
+    for f, c in view:
+        if c is not None and c.kind == OR and f not in node.rformulas:
+            return RuleInstance(engine_module.R_OR + prime, principal=f)
+    if any(c is not None and c.kind == SOME for _, c in view):
+        return RuleInstance(engine_module.R_FORM)
+    return None
+
+
+_RULE_KB = "sub r s\ntrans s\nsub t s-\nrel r a b\ninst a A\ninst b B\n"
+_RULE_ROLES = [Role(n, inv) for n in "rst" for inv in (False, True)]
+_CONCEPTS = st.recursive(
+    st.sampled_from(["A", "B", "C", "-A", "-B", "top", "bot"]),
+    lambda inner: st.tuples(st.sampled_from(["and", "or"]), inner, inner)
+    | st.tuples(st.sampled_from(["all", "some"]), st.integers(0, 5), inner),
+    max_leaves=4,
+)
+_SIMPLE_MEMBERS = _CONCEPTS | st.tuples(st.just("all"), st.integers(0, 5), _CONCEPTS)
+_COMPLEX_MEMBERS = st.tuples(st.just("inst"), st.sampled_from("ab"), _SIMPLE_MEMBERS) | st.tuples(
+    st.just("rel"), st.integers(0, 5), st.sampled_from("ab"), st.sampled_from("ab")
+)
+_SOMETIMES = st.integers(0, 3).map(lambda k: k == 0)
+
+
+def _build(store, recipe):
+    if isinstance(recipe, str):
+        if recipe in ("top", "bot"):
+            return getattr(store, recipe)
+        if recipe.startswith("-"):
+            return store.negate(store.atom(recipe[1:]))
+        return store.atom(recipe)
+    op = recipe[0]
+    if op == "inst":
+        return store.inst(recipe[1], _build(store, recipe[2]))
+    if op == "rel":
+        return store.rel(_RULE_ROLES[recipe[1]], recipe[2], recipe[3])
+    if op in ("and", "or"):
+        make = store.conj if op == "and" else store.disj
+        return make(_build(store, recipe[1]), _build(store, recipe[2]))
+    make = store.univ if op == "all" else store.exist
+    return make(_RULE_ROLES[recipe[1]], _build(store, recipe[2]))
+
+
+@st.composite
+def _rule_cases(draw):
+    complex_label = draw(st.booleans())
+    members = _COMPLEX_MEMBERS if complex_label else _SIMPLE_MEMBERS
+    label = draw(st.lists(st.tuples(members, _SOMETIMES), min_size=1, max_size=8))
+    extra = draw(st.lists(members, max_size=3))  # rformulas outside the label
+    state = draw(_SOMETIMES)
+    return complex_label, label, extra, state
+
+
+def _rule_text(rule):
+    if rule is None:
+        return None
+    principal = None if rule.principal is None else formula_text(rule.principal)
+    return (rule.tag, principal, tuple(map(formula_text, rule.principals)), _texts(rule.added))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_rule_cases())
+def test_applicable_rule_matches_the_label_scan(case):
+    complex_label, label, extra, state = case
+    runs = []
+    for select in (TableauEngine.applicable_rule, _reference_rule):
+        kb = parse_kb(_RULE_KB)
+        engine = TableauEngine(kb)
+        members = [(_build(kb.store, m), in_rf) for m, in_rf in label]
+        rfmls = {f for f, in_rf in members if in_rf} | {_build(kb.store, m) for m in extra}
+        v = engine.graph.new_succ(
+            None, STATE if state else NONSTATE, COMPLEX if complex_label else SIMPLE, None,
+            frozenset(f for f, _ in members), rfmls, EMPTY,
+        )
+        rule = select(engine, v)
+        assert select is _reference_rule or select(engine, v) == rule  # a memo hit agrees
+        runs.append((_rule_text(rule), interned_texts(kb.store)))
+    assert runs[0] == runs[1]
+
 
 def test_disjunction_split_at_root():
     kb, verdict, by_label = _ex1_nodes()
@@ -406,6 +553,76 @@ def test_update_status_state_copies_alternative_sets():
     un = g.node(u)
     assert un.status == INCOMPLETE
     assert un.alt_fml_sets_sc == {frozenset({store.atom("Y2")})}
+
+
+def _reference_update_status(engine, v):
+    """Status update as it was before it became one pass: up to four
+    scans of the successors."""
+    g = engine.graph
+    node = g.node(v)
+    if node.status != EXPANDED:
+        return
+    succ_nodes = [g.node(w) for w in g.successors(v)]
+    if node.node_type == NONSTATE:
+        if any(w.status == SAT for w in succ_nodes):
+            engine._set_status(node, SAT)
+        elif all(w.status == UNSAT for w in succ_nodes):
+            engine._set_status(node, UNSAT)
+        elif all(w.status in (INCOMPLETE, UNSAT) for w in succ_nodes):
+            if any(w.node_type == STATE for w in succ_nodes):
+                engine.apply_rule(RuleInstance(R_CONV), v)
+            else:
+                engine._set_status(node, INCOMPLETE)
+    else:
+        if all(w.status == SAT for w in succ_nodes):
+            engine._set_status(node, SAT)
+        elif any(w.status == UNSAT for w in succ_nodes):
+            engine._set_status(node, UNSAT)
+        else:
+            w = next((w for w in succ_nodes if w.status == INCOMPLETE), None)
+            if w is not None:
+                node.alt_fml_sets_sc = set(w.alt_fml_sets_scp)
+                engine._set_status(node, INCOMPLETE)
+
+
+_STATUSES = (UNEXPANDED, EXPANDED, INCOMPLETE, UNSAT, SAT)
+
+
+def _status_outcome(update, node_type, succs):
+    kb = parse_kb("inst a A\n")
+    engine = TableauEngine(kb)
+    store = engine.store
+    g = engine.graph
+    repairs = []
+    engine.apply_rule = lambda rule, x: repairs.append((rule.tag, x))
+    root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
+    v = root if node_type == NONSTATE else g.new_succ(root, STATE, SIMPLE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
+    g.node(v).status = EXPANDED
+    for i, (status, succ_type) in enumerate(succs):
+        w = g.new_succ(v, succ_type, SIMPLE, None, frozenset({store.atom(f"X{i + 1}")}), EMPTY, EMPTY)
+        g.node(w).status = status
+        g.node(w).alt_fml_sets_scp = {frozenset({store.atom(f"Y{i + 1}")})}
+    update(engine, v)
+    node = g.node(v)
+    return node.status, repairs, _texts(f for s in node.alt_fml_sets_sc for f in s), engine.trace
+
+
+def test_update_status_matches_the_scans_on_every_successor_list():
+    import itertools
+
+    cases = 0
+    for node_type in (NONSTATE, STATE):
+        # a state's successors are or-nodes; an or-node may also lead to a state
+        succ_kinds = [(s, NONSTATE) for s in _STATUSES]
+        if node_type == NONSTATE:
+            succ_kinds += [(s, STATE) for s in _STATUSES]
+        for n in range(4):
+            for succs in itertools.product(succ_kinds, repeat=n):
+                new = _status_outcome(TableauEngine.update_status, node_type, succs)
+                old = _status_outcome(_reference_update_status, node_type, succs)
+                assert new == old, (node_type, succs)
+                cases += 1
+    assert cases == (1 + 10 + 100 + 1000) + (1 + 5 + 25 + 125)
 
 
 def test_propagate_skips_unexpanded_predecessors():
