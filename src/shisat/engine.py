@@ -47,6 +47,7 @@ from . import syntax as sx
 from .graph import (
     COMPLEX,
     DETERMINED,
+    EMPTY,
     EXPANDED,
     INCOMPLETE,
     NONSTATE,
@@ -65,8 +66,6 @@ from .transfer import (
     transfer_concepts,
     transfer_concepts_to,
 )
-
-EMPTY = frozenset()
 
 R_AND = "and"
 R_OR = "or"
@@ -162,7 +161,7 @@ class TableauEngine:
     def _set_status(self, node, status) -> None:
         node.status = status
         if status == INCOMPLETE and node.node_type == STATE:
-            self.trace.append(("status", node.id, status, node.conv_method, frozenset(node.fmls_rc)))
+            self.trace.append(("status", node.id, status, node.conv_method, node.fmls_rc))
         else:
             self.trace.append(("status", node.id, status))
 
@@ -287,7 +286,7 @@ class TableauEngine:
         self.trace.append(("rule", rule.tag, v))
 
         if rule.tag == R_FORM:
-            g.con_to_succ(v, STATE, node.stype, None, node.label, node.rformulas, node.dformulas)
+            g.con_to_succ(v, STATE, node.label, node.rformulas, node.dformulas)
         elif rule.tag == R_CONV:
             self.apply_conv_rule(v)
         elif rule.principals:  # exists, exists'
@@ -299,19 +298,21 @@ class TableauEngine:
             # and/or consume their principal; hier/univ' keep it
             rfmls = node.rformulas if rule.added else node.rformulas | {rule.principal}
             for x in self._static_conclusions(rule, node):
-                g.con_to_succ(v, NONSTATE, node.stype, None, x, rfmls, node.dformulas)
+                g.con_to_succ(v, NONSTATE, x, rfmls, node.dformulas)
 
         self._set_status(node, EXPANDED)
 
+        # Only an or-node under a state has a state_pred. A state gets here
+        # only with fmls_rc empty: its successors' demands are all met.
+        if node.state_pred is not None:
+            v0, v1 = g.node(node.state_pred), g.node(node.after_trans_pred)
         for w in list(g.successors(v)):
             wn = g.node(w)
             if wn.status in DETERMINED:
                 continue
             if self._clashes(wn.label):
                 self._set_status(wn, UNSAT)
-            elif wn.node_type == NONSTATE and wn.state_pred is not None:
-                v0 = g.node(wn.state_pred)
-                v1 = g.node(wn.after_trans_pred)
+            elif node.state_pred is not None and wn.node_type == NONSTATE:
                 x = self._backward(v1.ce_label, wn.label) - v0.aformulas
                 if x:
                     if v0.conv_method == 0:
@@ -322,7 +323,7 @@ class TableauEngine:
                     elif x & v0.dformulas:
                         self._set_status(wn, UNSAT)
                     else:
-                        v1.alt_fml_sets_scp.add(frozenset(x))
+                        v1.alt_fml_sets_scp |= {x}
                         self._set_status(wn, INCOMPLETE)
 
         self.update_status(v)
@@ -381,12 +382,12 @@ class TableauEngine:
         g.remove_edge(v, w)
 
         if wn.conv_method == 0:
-            sets = [frozenset(wn.fmls_rc)]
+            sets = [wn.fmls_rc]
         else:
             sets = sorted(wn.alt_fml_sets_sc, key=lambda s: (len(s) > 1, sorted(f.uid for f in s)))
         tried = EMPTY
         for x in sets:
-            g.con_to_succ(v, NONSTATE, node.stype, None, node.label | x, node.rformulas, node.dformulas | tried)
+            g.con_to_succ(v, NONSTATE, node.label | x, node.rformulas, node.dformulas | tried)
             if len(x) == 1:
                 tried |= x
 
@@ -441,7 +442,7 @@ class TableauEngine:
             if all_sat:
                 self._set_status(node, SAT)
             elif first is not None:
-                node.alt_fml_sets_sc = set(first.alt_fml_sets_scp)
+                node.alt_fml_sets_sc = first.alt_fml_sets_scp
                 self._set_status(node, INCOMPLETE)
 
     def propagate_status(self, v) -> None:

@@ -1,14 +1,17 @@
 """The rooted and-or graph the satisfiability search is built on.
 
-Nodes are immutable in their logical content (label, reduced formulas,
-disallowed formulas) once created; only status and the converse-repair
-bookkeeping fields change afterwards. States are and-nodes, everything
-else is an or-node. One cache keeps the graph from blowing up: no two
-nodes of one scope share the triple (label, rformulas, dformulas). States
-share the global scope None; an or-node's scope is its local graph --
-everything reachable from a node without crossing a state -- named by
-the `after_trans_pred` all its members share. Labels are frozensets of
-interned formulas, so the triple itself is the key.
+Nodes are immutable in their content (label, reduced formulas,
+disallowed formulas) and provenance once created; only the status and
+the converse-repair record change afterwards. The record's fields start
+as the shared `EMPTY` and are only ever rebound to larger frozensets,
+never mutated, so a reader keeps a value without copying it. States are
+and-nodes, everything else is an or-node. One cache keeps the graph from
+blowing up: no two nodes of one scope share the triple (label,
+rformulas, dformulas). States share the global scope None; an or-node's
+scope is its local graph -- everything reachable from a node without
+crossing a state -- named by the `after_trans_pred` all its members
+share. Labels are frozensets of interned formulas, so the triple itself
+is the key.
 
 Edges form a set. The only deletion ever performed removes the edge into
 a state that demanded a converse repair; the state itself stays and can
@@ -33,6 +36,8 @@ UNSAT = "unsat"
 SAT = "sat"
 
 DETERMINED = (INCOMPLETE, UNSAT, SAT)
+
+EMPTY = frozenset()
 
 
 class TableauNode:
@@ -67,9 +72,7 @@ class TableauNode:
         self.after_trans_pred = None
         self.ce_label = None
         self.conv_method = 0
-        self.fmls_rc = set()
-        self.alt_fml_sets_sc = set()
-        self.alt_fml_sets_scp = set()
+        self.fmls_rc = self.alt_fml_sets_sc = self.alt_fml_sets_scp = EMPTY
         self.rule = None
         self.expansions = 0
 
@@ -129,18 +132,13 @@ class TableauGraph:
         if v is not None:
             self.add_edge(v, node_id)
 
-        if node_type == NONSTATE:
-            parent = self.nodes[v] if v is not None else None
-            if parent is None or parent.node_type == STATE:
-                node.state_pred = v
-                node.after_trans_pred = node_id
-            else:
-                node.state_pred = parent.state_pred
-                node.after_trans_pred = parent.after_trans_pred
-            if parent is not None and parent.node_type == STATE:
-                node.ce_label = ce_label
+        parent = self.nodes[v] if v is not None else None
+        if node_type == STATE:
+            assert parent is None or parent.node_type == NONSTATE
+        elif parent is None or parent.node_type == STATE:  # starts a local graph
+            node.state_pred, node.after_trans_pred, node.ce_label = v, node_id, ce_label
         else:
-            assert v is None or self.nodes[v].node_type == NONSTATE
+            node.state_pred, node.after_trans_pred = parent.state_pred, parent.after_trans_pred
         key = (node.after_trans_pred, node.triple_key())  # None for a state
         assert key not in self._cache, "duplicate triple in a cache scope"
         self._cache[key] = node_id
@@ -157,15 +155,15 @@ class TableauGraph:
         scope = None if node_type == STATE else v1
         return self._cache.get((scope, (stype, label, rformulas, dformulas)))
 
-    def con_to_succ(self, v, node_type, stype, ce_label, label, rformulas, dformulas) -> int:
-        """Connect `v` to a node with the given content, creating it only
-        when no cached one exists."""
-        v1 = None if node_type == STATE else self.nodes[v].after_trans_pred
-        w = self.find_proxy(node_type, stype, v1, label, rformulas, dformulas)
-        if w is not None:
-            self.add_edge(v, w)
-            return w
-        return self.new_succ(v, node_type, stype, ce_label, label, rformulas, dformulas)
+    def con_to_succ(self, v, node_type, label, rformulas, dformulas) -> int:
+        """Connect the or-node `v` to a node of its form with the given
+        content, creating it only when no cached one exists."""
+        parent = self.nodes[v]
+        w = self.find_proxy(node_type, parent.stype, parent.after_trans_pred, label, rformulas, dformulas)
+        if w is None:
+            return self.new_succ(v, node_type, parent.stype, None, label, rformulas, dformulas)
+        self.add_edge(v, w)
+        return w
 
     # -- expansion queue ----------------------------------------------
 

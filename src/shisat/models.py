@@ -30,7 +30,7 @@ from itertools import count
 
 from . import syntax as sx
 from .graph import INCOMPLETE, STATE, UNSAT
-from .rbox import RBoxIndex, transitive_closure
+from .rbox import RBoxIndex, successor_map, transitive_closure
 from .syntax import KnowledgeBase, Role, concepts_of, ordered
 
 
@@ -85,7 +85,7 @@ def _fresh_names(taken):
             yield f"x{i}"
 
 
-def extract_model_graph(graph, kb: KnowledgeBase, idx: RBoxIndex) -> ModelGraph:
+def extract_model_graph(graph, kb: KnowledgeBase) -> ModelGraph:
     """Build a model graph from a finished, unrefuted tableau."""
     vk = saturation_path(graph, graph.root)[-1]  # asserts the root is unrefuted
 
@@ -179,14 +179,6 @@ def role_pairs(interp: Interpretation, role: Role) -> set:
 _NONE = frozenset()  # the successors of an element that is no pair's source
 
 
-def _successor_map(pairs) -> dict:
-    """Each source element of `pairs` -> the set of its successors."""
-    succ: dict = {}
-    for (a, b) in pairs:
-        succ.setdefault(a, set()).add(b)
-    return succ
-
-
 def eval_concept(interp: Interpretation, concept) -> set:
     """The denotation of `concept` in `interp` under the standard set
     semantics. Subconcepts are evaluated bottom-up, each distinct one once,
@@ -219,7 +211,7 @@ def eval_concept(interp: Interpretation, concept) -> set:
             out = value[c.left] | value[c.right]
         elif k in (sx.ALL, sx.SOME):
             if c.role not in succ:
-                succ[c.role] = _successor_map(role_pairs(interp, c.role))
+                succ[c.role] = successor_map(role_pairs(interp, c.role))
             role_succ = succ[c.role]
             inner = value[c.child]
             if k == sx.ALL:
@@ -242,7 +234,7 @@ def check_model(interp: Interpretation, kb: KnowledgeBase) -> bool:
         if not role_pairs(interp, r) <= role_pairs(interp, s):
             return False
     for r in kb.transitive_roles:
-        succ = _successor_map(role_pairs(interp, r))
+        succ = successor_map(role_pairs(interp, r))
         for bs in succ.values():
             if not all(succ.get(b, _NONE) <= bs for b in bs):
                 return False
@@ -263,5 +255,5 @@ def check_model(interp: Interpretation, kb: KnowledgeBase) -> bool:
 
 def build_witness(graph, kb: KnowledgeBase, idx: RBoxIndex) -> Interpretation:
     """Extraction pipeline: model graph, then relation completion."""
-    mg = extract_model_graph(graph, kb, idx)
+    mg = extract_model_graph(graph, kb)
     return complete_relations(mg, idx, kb.concept_names)

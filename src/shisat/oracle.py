@@ -26,7 +26,7 @@ of size <= k".
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 
 from .models import Interpretation, check_model
 from .syntax import ALL, AND, ATOM, BOT, INST, NOT, OR, TOP, KnowledgeBase, Role
@@ -140,10 +140,28 @@ class _Grounding:
 
 
 def _restricted_growth_maps(inds, n):
-    """Individual maps canonical up to renaming of the hit elements."""
-    for tup in product(range(n), repeat=len(inds)):
-        if all(v <= max(tup[:i], default=-1) + 1 for i, v in enumerate(tup)):
-            yield dict(zip(inds, tup))
+    """Individual maps canonical up to renaming of the hit elements: the
+    strings over range(n) in which each value is at most one more than
+    the largest before it, in lexicographic order. Each step grows the
+    rightmost position that may grow and clears the ones after it."""
+    a = [0] * len(inds)
+    while True:
+        yield dict(zip(inds, a))
+        high = list(accumulate(a, max))
+        for i in reversed(range(1, len(a))):
+            if a[i] < min(high[i - 1] + 1, n - 1):
+                a[i] += 1
+                a[i + 1:] = [0] * (len(a) - i - 1)
+                break
+        else:
+            return
+
+
+def _charge(budget: list, literals: int) -> None:
+    """Take `literals` assigned literals from `budget[0]`; raise once it runs out."""
+    budget[0] -= literals
+    if budget[0] < 0:
+        raise SearchBudgetExceeded("bounded model search budget exhausted")
 
 
 def _solve(g: _Grounding, units: list, clauses: list, budget: list):
@@ -166,6 +184,7 @@ def _solve(g: _Grounding, units: list, clauses: list, budget: list):
     agenda: list = []  # guarded clauses in the order their guards became true
     for lit in units:
         if val[lit ^ 1]:
+            _charge(budget, len(trail))
             return None
         if not val[lit]:
             val[lit] = 1
@@ -215,9 +234,7 @@ def _solve(g: _Grounding, units: list, clauses: list, budget: list):
                         break
                     val[first] = 1
                     trail.append(first)
-        budget[0] -= len(trail) - start
-        if budget[0] < 0:
-            raise SearchBudgetExceeded("bounded model search budget exhausted")
+        _charge(budget, len(trail) - start)
         if not conflict:
             while pos < len(agenda) and any(map(val.__getitem__, clauses[agenda[pos]])):
                 pos += 1

@@ -10,18 +10,25 @@ computed once, in closed form. `RBoxIndex` exposes it as two tables,
 makes, `srtr` and `subroles_of`, from tables too; both reject a role the
 knowledge base does not declare. `transitive_closure` is the one closure
 routine of the package: the witness construction in `models` closes role
-edges with it too.
+edges with it too, and reads roles through `successor_map`, the map it
+walks.
 """
 from __future__ import annotations
 
 from .syntax import Role
 
 
-def transitive_closure(pairs: set) -> set:
-    """Every (a, c) joined by a path of `pairs`."""
+def successor_map(pairs) -> dict:
+    """Each source element of `pairs` -> the set of its successors."""
     succ: dict = {}
     for (a, b) in pairs:
         succ.setdefault(a, set()).add(b)
+    return succ
+
+
+def transitive_closure(pairs: set) -> set:
+    """Every (a, c) joined by a path of `pairs`."""
+    succ = successor_map(pairs)
     out = set()
     for a in succ:
         reached: set = set()

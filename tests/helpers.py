@@ -1,8 +1,7 @@
 """Shared fixtures and verification machinery for the test suite."""
 from __future__ import annotations
 
-from shisat import closure, decide_sat, kb_index, parse_kb
-from shisat.graph import INCOMPLETE, NONSTATE, STATE
+from shisat import decide_sat, parse_kb
 from shisat.models import ModelGraph
 from shisat.syntax import ALL, AND, ATOM, BOT, NOT, OR, SOME
 from shisat.transfer import transfer_concepts
@@ -49,73 +48,6 @@ def interned_texts(store) -> list:
     from shisat.syntax import formula_text, ordered
 
     return [formula_text(f) for f in ordered(store._table.values())]
-
-
-def all_label_sets(graph) -> list:
-    return [label_texts(n) for n in graph.nodes]
-
-
-def check_graph_invariants(verdict, kb, idx=None) -> None:
-    """The structural invariants every finished run must satisfy."""
-    graph = verdict.graph
-    idx = idx if idx is not None else kb_index(kb)
-    universe = closure(kb, idx)
-
-    # (a) every node's formula sets stay inside the closure
-    for node in graph.nodes:
-        for bucket in (node.label, node.rformulas, node.dformulas):
-            assert bucket <= universe, (
-                f"node {node.id} escapes the closure: "
-                f"{[str(f) for f in bucket - universe]}"
-            )
-
-    # (b) no two states share (label, rformulas, dformulas); same within
-    # each local cache scope
-    seen_states = {}
-    seen_local = {}
-    for node in graph.nodes:
-        key = node.triple_key()
-        if node.node_type == STATE:
-            assert key not in seen_states, f"states {seen_states[key]} and {node.id} collide"
-            seen_states[key] = node.id
-        else:
-            scoped = (node.after_trans_pred, key)
-            assert scoped not in seen_local, f"or-nodes {seen_local[scoped]} and {node.id} collide"
-            seen_local[scoped] = node.id
-
-    # (c) local graphs are acyclic (following edges that stay below a state)
-    color = {}
-
-    def visit(v):
-        color[v] = 1
-        for w in graph.successors(v):
-            if graph.node(w).node_type == STATE:
-                continue
-            c = color.get(w)
-            assert c != 1, f"cycle through node {w} in a local graph"
-            if c is None:
-                visit(w)
-        color[v] = 2
-
-    for node in graph.nodes:
-        if node.node_type == NONSTATE and color.get(node.id) is None:
-            visit(node.id)
-
-    # (d) nothing Incomplete stays reachable from the root
-    reachable = set()
-    work = [graph.root]
-    while work:
-        v = work.pop()
-        if v in reachable:
-            continue
-        reachable.add(v)
-        work.extend(graph.successors(v))
-    for v in reachable:
-        assert graph.node(v).status != INCOMPLETE, f"incomplete node {v} reachable from root"
-
-    # (e) each node is expanded at most twice (once plus one converse repair)
-    for node in graph.nodes:
-        assert node.expansions <= 2, f"node {node.id} expanded {node.expansions} times"
 
 
 def check_consistent(mg: ModelGraph) -> None:

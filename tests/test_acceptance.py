@@ -204,7 +204,7 @@ def test_criterion_4_differential_suite(suite):
         if run.verdict.sat:
             sat_n += 1
             witness = complete_relations(
-                extract_model_graph(run.verdict.graph, run.kb, run.idx),
+                extract_model_graph(run.verdict.graph, run.kb),
                 run.idx,
                 run.kb.concept_names,
             )
@@ -314,6 +314,14 @@ def test_criterion_5_invariants(ex1, ex2, ex1_instance_query, suite):
     )
 
 
+def test_repair_records_are_frozen(ex1, ex2, ex1_instance_query, suite):
+    # Rebinding, never mutating: whoever holds a record holds a value.
+    for run in _all_runs(ex1, ex2, ex1_instance_query, suite):
+        for node in run.verdict.graph.nodes:
+            for record in (node.fmls_rc, node.alt_fml_sets_sc, node.alt_fml_sets_scp):
+                assert type(record) is frozenset, (run.text, node.id)
+
+
 # ---------------------------------------------------------------------------
 # criterion 6: model-graph properties on every satisfiable suite run
 
@@ -325,7 +333,7 @@ def test_criterion_6_model_builder_properties(suite):
         if not run.verdict.sat:
             continue
         checked += 1
-        mg = extract_model_graph(run.verdict.graph, run.kb, run.idx)
+        mg = extract_model_graph(run.verdict.graph, run.kb)
         try:
             check_consistent(mg)
             check_saturation(mg, run.idx, run.kb.store)

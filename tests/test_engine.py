@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from shisat import TableauEngine, decide_sat, parse_kb
+from shisat import TableauEngine, bounded_model_search, check_model, decide_sat, parse_kb
 from shisat import engine as engine_module
 from shisat.engine import EMPTY, PRIORITY, R_CONV, RuleInstance, t_unsat
 from shisat.graph import (
@@ -356,6 +356,15 @@ def test_example_two_state_goes_incomplete_with_required_formulas():
     assert repaired[0].label == root.label | required
 
 
+def test_incomplete_event_holds_the_state_repair_record():
+    # fmls_rc is a frozen value that is rebound, never mutated, so the
+    # trace records the state's own object rather than a copy of it
+    kb, verdict = run(EX2_TEXT)
+    events = [ev for ev in verdict.engine.trace if ev[0] == "status" and ev[2] == INCOMPLETE]
+    assert len(events) == 1 and len(events[0]) == 5
+    assert events[0][4] is verdict.graph.node(events[0][1]).fmls_rc
+
+
 def test_converse_repair_with_alternative_sets():
     kb = parse_kb("inst a A\n")
     engine = TableauEngine(kb)
@@ -370,7 +379,7 @@ def test_converse_repair_with_alternative_sets():
     vn.status = EXPANDED
     wn.status = INCOMPLETE
     wn.conv_method = 1
-    wn.alt_fml_sets_sc = {frozenset({phi1}), frozenset({phi2}), frozenset({psi1, psi2})}
+    wn.alt_fml_sets_sc = frozenset({frozenset({phi1}), frozenset({phi2}), frozenset({psi1, psi2})})
     engine.apply_conv_rule(v)
     kids = [g.node(x) for x in g.successors(v)]
     assert [k.label for k in kids] == [
@@ -395,8 +404,7 @@ def _reference_conv_successors(engine, v) -> None:
     wn = g.node(w)
     g.remove_edge(v, w)
     if wn.conv_method == 0:
-        new_label = node.label | frozenset(wn.fmls_rc)
-        g.con_to_succ(v, NONSTATE, node.stype, None, new_label, node.rformulas, node.dformulas)
+        g.con_to_succ(v, NONSTATE, node.label | wn.fmls_rc, node.rformulas, node.dformulas)
         return
     sets = list(wn.alt_fml_sets_sc)
     singles = sorted((s for s in sets if len(s) == 1), key=lambda s: next(iter(s)).uid)
@@ -404,10 +412,10 @@ def _reference_conv_successors(engine, v) -> None:
     chosen = [next(iter(s)) for s in singles]
     for i, phi in enumerate(chosen):
         new_dfmls = node.dformulas | frozenset(chosen[:i])
-        g.con_to_succ(v, NONSTATE, node.stype, None, node.label | {phi}, node.rformulas, new_dfmls)
+        g.con_to_succ(v, NONSTATE, node.label | {phi}, node.rformulas, new_dfmls)
     blocked = frozenset(chosen)
     for x in rest:
-        g.con_to_succ(v, NONSTATE, node.stype, None, node.label | x, node.rformulas, node.dformulas | blocked)
+        g.con_to_succ(v, NONSTATE, node.label | x, node.rformulas, node.dformulas | blocked)
 
 
 def _conv_setup(mode, sets, rfmls, dfmls):
@@ -431,9 +439,9 @@ def _conv_setup(mode, sets, rfmls, dfmls):
     wn.status = INCOMPLETE
     wn.conv_method = mode
     if mode == 0:
-        wn.fmls_rc = set(atoms(sets[0]))
+        wn.fmls_rc = atoms(sets[0])
     else:
-        wn.alt_fml_sets_sc = {atoms(x) for x in sets}
+        wn.alt_fml_sets_sc = frozenset(atoms(x) for x in sets)
     return engine, v
 
 
@@ -548,11 +556,11 @@ def test_update_status_state_copies_alternative_sets():
     g.node(u).status = EXPANDED
     wn = g.node(w)
     wn.status = INCOMPLETE
-    wn.alt_fml_sets_scp = {frozenset({store.atom("Y2")})}
+    wn.alt_fml_sets_scp = frozenset({frozenset({store.atom("Y2")})})
     engine.update_status(u)
     un = g.node(u)
     assert un.status == INCOMPLETE
-    assert un.alt_fml_sets_sc == {frozenset({store.atom("Y2")})}
+    assert un.alt_fml_sets_sc is wn.alt_fml_sets_scp
 
 
 def _reference_update_status(engine, v):
@@ -581,7 +589,7 @@ def _reference_update_status(engine, v):
         else:
             w = next((w for w in succ_nodes if w.status == INCOMPLETE), None)
             if w is not None:
-                node.alt_fml_sets_sc = set(w.alt_fml_sets_scp)
+                node.alt_fml_sets_sc = w.alt_fml_sets_scp
                 engine._set_status(node, INCOMPLETE)
 
 
@@ -601,7 +609,7 @@ def _status_outcome(update, node_type, succs):
     for i, (status, succ_type) in enumerate(succs):
         w = g.new_succ(v, succ_type, SIMPLE, None, frozenset({store.atom(f"X{i + 1}")}), EMPTY, EMPTY)
         g.node(w).status = status
-        g.node(w).alt_fml_sets_scp = {frozenset({store.atom(f"Y{i + 1}")})}
+        g.node(w).alt_fml_sets_scp = frozenset({frozenset({store.atom(f"Y{i + 1}")})})
     update(engine, v)
     node = g.node(v)
     return node.status, repairs, _texts(f for s in node.alt_fml_sets_sc for f in s), engine.trace
@@ -826,6 +834,44 @@ def test_disallowed_formula_refutes_or_branch():
     ]
     statuses = sorted(k.status for k in grandkids)
     assert statuses == [SAT, UNSAT]
+
+
+# ROADMAP item 1: a mode-0 repair mixes the demands of exclusive branches,
+# so the engine refutes these satisfiable inputs. The first is the second
+# shrunk by delta debugging; fifo happens to get the second right.
+WRONG_UNSAT_SHRUNK = (
+    "impl top (some s (all s- B))\n"
+    "impl (some s- top) A\n"
+    "impl (and C B) (all s- C)\n"
+)
+WRONG_UNSAT = (
+    "impl (or (and B top) (all s D)) (some s (all s- B))\n"
+    "impl (some s- (and C C)) (all s (all s D))\n"
+    "impl (and C B) (all s- (and top C))\n"
+    "inst a (some r (and C (and A C)))\n"
+)
+_WRONG = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: wrong UNSAT from a mixed mode-0 repair")
+
+
+@pytest.mark.parametrize(
+    "text, strategy",
+    [
+        pytest.param(WRONG_UNSAT_SHRUNK, "dfs", marks=_WRONG, id="shrunk-dfs"),
+        pytest.param(WRONG_UNSAT_SHRUNK, "fifo", marks=_WRONG, id="shrunk-fifo"),
+        pytest.param(WRONG_UNSAT, "dfs", marks=_WRONG, id="unshrunk-dfs"),
+        pytest.param(WRONG_UNSAT, "fifo", id="unshrunk-fifo"),
+    ],
+)
+def test_satisfiable_under_exclusive_converse_demands(text, strategy):
+    assert run(text, strategy)[1].sat
+
+
+@pytest.mark.parametrize("text", [WRONG_UNSAT_SHRUNK, WRONG_UNSAT], ids=["shrunk", "unshrunk"])
+def test_exclusive_converse_demands_have_a_one_element_model(text):
+    kb = parse_kb(text)
+    found = bounded_model_search(kb, 2)
+    assert found is not None and len(found.domain) == 1
+    assert check_model(found, kb)
 
 
 def test_build_tableau_returns_finished_graph():

@@ -4,6 +4,7 @@ from __future__ import annotations
 from shisat import decide_sat, parse_kb
 from shisat.graph import (
     COMPLEX,
+    EMPTY,
     NONSTATE,
     SIMPLE,
     STATE,
@@ -11,8 +12,6 @@ from shisat.graph import (
     TableauGraph,
 )
 from shisat.syntax import FormulaStore, Role
-
-EMPTY = frozenset()
 
 
 def _store():
@@ -44,7 +43,7 @@ def test_state_successor_records_coming_edge_label():
     assert node.ce_label is ce
     assert node.state_pred == u
     assert node.after_trans_pred == w
-    assert node.alt_fml_sets_scp == set()
+    assert node.alt_fml_sets_scp is EMPTY
 
 
 def test_nonstate_child_inherits_scope():
@@ -64,8 +63,8 @@ def test_state_fields_initialized():
     u = g.new_succ(root, STATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
     node = g.node(u)
     assert node.conv_method == 0
-    assert node.fmls_rc == set()
-    assert node.alt_fml_sets_sc == set()
+    assert node.fmls_rc is EMPTY
+    assert node.alt_fml_sets_sc is EMPTY
 
 
 def test_find_proxy_state_lookup():
@@ -102,8 +101,8 @@ def test_con_to_succ_reuses_and_deduplicates_edges():
     store, a, b = _store()
     g = TableauGraph()
     root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
-    first = g.con_to_succ(root, NONSTATE, SIMPLE, None, frozenset({a, b}), EMPTY, EMPTY)
-    second = g.con_to_succ(root, NONSTATE, SIMPLE, None, frozenset({a, b}), EMPTY, EMPTY)
+    first = g.con_to_succ(root, NONSTATE, frozenset({a, b}), EMPTY, EMPTY)
+    second = g.con_to_succ(root, NONSTATE, frozenset({a, b}), EMPTY, EMPTY)
     assert first == second
     assert g.successors(root) == [first]
     assert len(g.nodes) == 2

@@ -72,7 +72,7 @@ def test_saturation_path_deterministic_first_choice():
 
 def test_extract_single_element_model():
     kb, verdict = _finished("inst a A\n")
-    mg = extract_model_graph(verdict.graph, kb, kb_index(kb))
+    mg = extract_model_graph(verdict.graph, kb)
     assert mg.domain == ["a"]
     assert mg.concepts["a"] == frozenset({kb.store.atom("A")})
     assert all(not pairs for pairs in mg.edges.values())
@@ -80,7 +80,7 @@ def test_extract_single_element_model():
 
 def test_extract_realizes_existential():
     kb, verdict = _finished("inst a (some r A)\n")
-    mg = extract_model_graph(verdict.graph, kb, kb_index(kb))
+    mg = extract_model_graph(verdict.graph, kb)
     assert len(mg.domain) == 2
     created = next(e for e in mg.domain if e != "a")
     assert mg.edges[R] == {("a", created)}
@@ -90,7 +90,7 @@ def test_extract_realizes_existential():
 def test_extract_satisfiable_variant_of_worked_example():
     kb, verdict = _finished(EX1_SAT_TEXT)
     idx = kb_index(kb)
-    mg = extract_model_graph(verdict.graph, kb, idx)
+    mg = extract_model_graph(verdict.graph, kb)
     store = kb.store
     link = Role("L")
     succs = [y for (x, y) in mg.edges.get(link, set()) if x == "b"]
@@ -105,7 +105,7 @@ def test_extract_reuses_elements_with_equal_concept_sets():
     # A cyclic obligation: the created element carries the same concept
     # set at every depth, so the chain closes on itself.
     kb, verdict = _finished("impl A (some r A)\ninst a A\n")
-    mg = extract_model_graph(verdict.graph, kb, kb_index(kb))
+    mg = extract_model_graph(verdict.graph, kb)
     created = [e for e in mg.domain if e not in mg.named]
     assert len(created) <= 2
     check_saturation(mg, kb_index(kb), kb.store)
@@ -298,7 +298,7 @@ def test_created_elements_have_distinct_concept_sets():
         if not verdict.sat:
             continue
         idx = kb_index(kb)
-        mg = extract_model_graph(verdict.graph, kb, idx)
+        mg = extract_model_graph(verdict.graph, kb)
         created = [e for e in mg.domain if e not in mg.named]
         sets = [mg.concepts[e] for e in created]
         assert len(sets) == len(set(sets))

@@ -292,6 +292,26 @@ def test_budget_guard():
         bounded_model_search(kb, 3, budget=5)
 
 
+def test_budget_covers_maps_whose_abox_clashes():
+    # Every individual map clashes on a1's units before any search, and
+    # k = 4 has tens of thousands of maps: they must draw on the budget.
+    text = "".join(f"inst a{i} A\n" for i in range(1, 10)) + "inst a1 (not A)\n"
+    with pytest.raises(SearchBudgetExceeded):
+        bounded_model_search(parse_kb(text), 4, budget=1000)
+
+
+def test_restricted_growth_maps_match_the_filtered_product():
+    def filtered(inds, n):
+        for tup in product(range(n), repeat=len(inds)):
+            if all(v <= max(tup[:i], default=-1) + 1 for i, v in enumerate(tup)):
+                yield dict(zip(inds, tup))
+
+    for m in range(7):
+        inds = [f"a{i}" for i in range(m)]
+        for n in range(1, 6):
+            assert list(_restricted_growth_maps(inds, n)) == list(filtered(inds, n)), (m, n)
+
+
 def test_rejects_non_positive_bound():
     kb = parse_kb("inst a A\n")
     with pytest.raises(ValueError):
