@@ -65,9 +65,9 @@ def export_dot(graph: TableauGraph) -> str:
         label = "\\n".join(_dot_escape(p) for p in parts)  # escape, then join with DOT's line break
         extra = ", peripheries=2" if node.node_type == STATE else ""
         lines.append(f'  n{node.id} [label="{label}"{extra}];')
-    for v in range(len(graph.nodes)):
-        for w in graph.successors(v):
-            lines.append(f"  n{v} -> n{w};")
+    for node in graph.nodes:
+        for w in node.succs:
+            lines.append(f"  n{node.id} -> n{w};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -225,7 +225,7 @@ class TableauEngine:
         time. What it tests against the node's rformulas and aformulas,
         and the narrowings it interns, are computed per call, in the same
         order as a scan of the sorted label would."""
-        node = self.graph.node(v)
+        node = self.graph.nodes[v]
         prime = "" if node.stype == SIMPLE else "'"
         view = self._view(node.label)
         if node.node_type == STATE:
@@ -278,7 +278,7 @@ class TableauEngine:
 
     def apply_rule(self, rule: RuleInstance, v) -> None:
         g = self.graph
-        node = g.node(v)
+        node = g.nodes[v]
         assert node.status == (EXPANDED if rule.tag == R_CONV else UNEXPANDED)
         node.expansions += 1
         node.rule = rule.tag
@@ -305,9 +305,9 @@ class TableauEngine:
         # Only an or-node under a state has a state_pred. A state gets here
         # only with fmls_rc empty: its successors' demands are all met.
         if node.state_pred is not None:
-            v0, v1 = g.node(node.state_pred), g.node(node.after_trans_pred)
-        for w in list(g.successors(v)):
-            wn = g.node(w)
+            v0, v1 = g.nodes[node.state_pred], g.nodes[node.after_trans_pred]
+        for w in node.succs:
+            wn = g.nodes[w]
             if wn.status in DETERMINED:
                 continue
             if self._clashes(wn.label):
@@ -334,7 +334,7 @@ class TableauEngine:
         """Expand a state: one fresh successor per existential obligation,
         then saturate the new local graph with the unary static rules."""
         g = self.graph
-        un = g.node(u)
+        un = g.nodes[u]
         assert un.node_type == STATE
 
         w = len(g.nodes)
@@ -352,7 +352,7 @@ class TableauEngine:
         # the pass itself creates, suffices: node content is fixed and no
         # status returns to UNEXPANDED, so a member skipped once stays skipped.
         while w < len(g.nodes) and un.status != UNSAT:
-            wn = g.node(w)
+            wn = g.nodes[w]
             assert wn.state_pred == u
             if wn.status == UNEXPANDED:
                 inst = self.applicable_rule(w)
@@ -373,11 +373,10 @@ class TableauEngine:
         singletons first in uid order, then the larger ones by sorted uids.
         Each successor disallows the singletons tried before it."""
         g = self.graph
-        node = g.node(v)
-        succs = g.successors(v)
-        assert len(succs) == 1
-        w = succs[0]
-        wn = g.node(w)
+        node = g.nodes[v]
+        assert len(node.succs) == 1
+        w = node.succs[0]
+        wn = g.nodes[w]
         assert wn.node_type == STATE
         g.remove_edge(v, w)
 
@@ -400,11 +399,11 @@ class TableauEngine:
         converse rule when its successor is a state, else INCOMPLETE. A
         state is SAT if all successors are, else UNSAT if one is, else
         INCOMPLETE with the alternative sets of its first INCOMPLETE one."""
-        g = self.graph
-        node = g.node(v)
+        nodes = self.graph.nodes
+        node = nodes[v]
         if node.status != EXPANDED:
             return
-        nodes, succs = g.nodes, g.successors(v)
+        succs = node.succs
         if node.node_type == NONSTATE:
             unsat = incomplete = 0
             state = False
@@ -446,11 +445,13 @@ class TableauEngine:
                 self._set_status(node, INCOMPLETE)
 
     def propagate_status(self, v) -> None:
+        nodes = self.graph.nodes
         work = [v]
         while work:
             x = work.pop()
-            for u in list(self.graph.predecessors(x)):
-                un = self.graph.node(u)
+            # a copy: update_status may apply the converse rule, which drops the edge into x
+            for u in list(nodes[x].preds):
+                un = nodes[u]
                 if un.status != EXPANDED:
                     continue
                 self.update_status(u)
@@ -464,14 +465,14 @@ class TableauEngine:
         g = self.graph
         tbox_asserted = {self.store.inst(a, c) for a in kb.individuals for c in kb.tbox}
         g.root = g.new_succ(None, NONSTATE, COMPLEX, None, frozenset(kb.abox) | tbox_asserted, EMPTY, EMPTY)
-        rn = g.node(g.root)
+        rn = g.nodes[g.root]
         if self._clashes(rn.label):
             self._set_status(rn, UNSAT)
 
         while (v := g.to_expand()) is not None:
             inst = self.applicable_rule(v)
             if inst is None:
-                self._set_status(g.node(v), SAT)
+                self._set_status(g.nodes[v], SAT)
                 self.propagate_status(v)
                 continue
             self.apply_rule(inst, v)
@@ -493,5 +494,5 @@ def decide_sat(kb: KnowledgeBase, strategy: str = "dfs") -> Verdict:
     refuted."""
     engine = TableauEngine(kb, strategy=strategy)
     engine.run()
-    sat = engine.graph.node(engine.graph.root).status != UNSAT
+    sat = engine.graph.nodes[engine.graph.root].status != UNSAT
     return Verdict(sat=sat, graph=engine.graph, stats=engine.stats(), engine=engine)

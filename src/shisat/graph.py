@@ -13,9 +13,11 @@ crossing a state -- named by the `after_trans_pred` all its members
 share. Labels are frozensets of interned formulas, so the triple itself
 is the key.
 
-Edges form a set. The only deletion ever performed removes the edge into
-a state that demanded a converse repair; the state itself stays and can
-be reached again through the cache.
+Nodes carry their edges: `succs` and `preds` list node ids in the order
+the edges were added, and form a set. The graph is the node list, indexed
+by id, plus the cache and the expansion queue. The only edge ever deleted
+is the one into a state that demanded a converse repair; the state stays
+and can be reached again through the cache.
 """
 from __future__ import annotations
 
@@ -58,6 +60,8 @@ class TableauNode:
         "alt_fml_sets_scp",
         "rule",
         "expansions",
+        "succs",
+        "preds",
     )
 
     def __init__(self, node_id, node_type, stype, label, rformulas, dformulas):
@@ -75,6 +79,8 @@ class TableauNode:
         self.fmls_rc = self.alt_fml_sets_sc = self.alt_fml_sets_scp = EMPTY
         self.rule = None
         self.expansions = 0
+        self.succs: list = []
+        self.preds: list = []
 
     @property
     def aformulas(self) -> frozenset:
@@ -91,33 +97,21 @@ class TableauGraph:
     def __init__(self, strategy: str = "dfs"):
         if strategy not in ("dfs", "fifo"):
             raise ValueError(f"unknown expansion strategy {strategy!r}")
-        self.strategy = strategy
-        self.nodes: list = []
-        self.succs: list = []
-        self.preds: list = []
+        self.nodes: list = []  # node id -> TableauNode
         self.root: int | None = None
         self._cache: dict = {}  # (scope, triple key) -> node id
         self._queue: deque = deque()
-
-    # -- basic access ------------------------------------------------
-
-    def node(self, node_id: int) -> TableauNode:
-        return self.nodes[node_id]
-
-    def successors(self, node_id: int) -> list:
-        return self.succs[node_id]
-
-    def predecessors(self, node_id: int) -> list:
-        return self.preds[node_id]
+        self._next = self._queue.pop if strategy == "dfs" else self._queue.popleft
 
     def add_edge(self, v: int, w: int) -> None:
-        if w not in self.succs[v]:
-            self.succs[v].append(w)
-            self.preds[w].append(v)
+        succs = self.nodes[v].succs
+        if w not in succs:
+            succs.append(w)
+            self.nodes[w].preds.append(v)
 
     def remove_edge(self, v: int, w: int) -> None:
-        self.succs[v].remove(w)
-        self.preds[w].remove(v)
+        self.nodes[v].succs.remove(w)
+        self.nodes[w].preds.remove(v)
 
     # -- node creation and caching ------------------------------------
 
@@ -127,8 +121,6 @@ class TableauGraph:
         node_id = len(self.nodes)
         node = TableauNode(node_id, node_type, stype, label, rformulas, dformulas)
         self.nodes.append(node)
-        self.succs.append([])
-        self.preds.append([])
         if v is not None:
             self.add_edge(v, node_id)
 
@@ -170,7 +162,7 @@ class TableauGraph:
     def to_expand(self):
         """Next unexpanded node per the configured strategy, or None."""
         while self._queue:
-            node_id = self._queue.pop() if self.strategy == "dfs" else self._queue.popleft()
+            node_id = self._next()
             if self.nodes[node_id].status == UNEXPANDED:
                 return node_id
         return None

@@ -58,14 +58,14 @@ def saturation_path(graph, v) -> list:
     order. Only meaningful on nodes that are neither refuted nor pending
     a converse repair.
     """
-    node = graph.node(v)
-    assert node.status not in (UNSAT, INCOMPLETE)
+    nodes = graph.nodes
+    assert nodes[v].status not in (UNSAT, INCOMPLETE)
     path = [v]
     seen = {v}
-    while graph.node(v).node_type != STATE:
+    while nodes[v].node_type != STATE:
         candidates = [
-            w for w in sorted(graph.successors(v))
-            if graph.node(w).status not in (UNSAT, INCOMPLETE)
+            w for w in sorted(nodes[v].succs)
+            if nodes[w].status not in (UNSAT, INCOMPLETE)
         ]
         if not candidates:
             break
@@ -91,7 +91,7 @@ def extract_model_graph(graph, kb: KnowledgeBase) -> ModelGraph:
 
     named = list(kb.individuals)
     domain = list(named)
-    concepts = {a: concepts_of(graph.node(vk).aformulas, a) for a in named}  # keys: the domain
+    concepts = {a: concepts_of(graph.nodes[vk].aformulas, a) for a in named}  # keys: the domain
     edges: dict = {}
     for f in kb.abox:
         if f.kind == sx.REL:
@@ -112,12 +112,12 @@ def extract_model_graph(graph, kb: KnowledgeBase) -> ModelGraph:
                 u = vk
                 want = kb.store.inst(x, c)
             w0 = next(
-                (w for w in graph.successors(u) if graph.node(w).ce_label is want),
+                (w for w in graph.nodes[u].succs if graph.nodes[w].ce_label is want),
                 None,
             )
             assert w0 is not None, "missing realization for an existential obligation"
             wpath = saturation_path(graph, w0)
-            target = frozenset(graph.node(wpath[-1]).aformulas)
+            target = frozenset(graph.nodes[wpath[-1]].aformulas)
             y = by_concepts.get(target)
             if y is None:
                 y = next(fresh)

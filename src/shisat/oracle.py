@@ -100,16 +100,18 @@ class _Grounding:
                 (rows[i][l], rows[i][j] ^ 1, rows[j][l] ^ 1)
                 for i, j, l in product(elements, repeat=3) if i != j and j != l  # the rest are tautologies
             ]
-        # lex[e]: the atom vector of e is lexicographically >= that of e + 1.
+        # blocks[e]: the atom vector of e is lexicographically >= that of e + 1.
         # g reads "e's vector is greater on the atoms before this one".
-        self.lex = []
+        blocks = []
         for e in range(n - 1):
             block, g = [], FALSE
             for xs, nxt in zip(self.atoms.values(), self._fresh(len(self.atoms))):
                 x, y = xs[e], xs[e + 1]
                 block += [(y ^ 1, x, g), (nxt ^ 1, g, x), (nxt ^ 1, g, y ^ 1)]
                 g = nxt
-            self.lex.append(block)
+            blocks.append(block)
+        # lex[h] orders the elements h..n-1, which a map hitting h elements leaves free.
+        self.lex = [[c for block in blocks[h:] for c in block] for h in range(n + 1)]
         # Binary clauses propagate through lists of implied literals, which
         # no search changes.
         self.implied: dict = {}
@@ -136,7 +138,7 @@ class _Grounding:
             self.at[f.concept][iota[f.ind]] if f.kind == INST else self.edges(f.role, iota[f.a])[iota[f.b]]
             for f in kb.abox
         ]
-        return units, [c for block in self.lex[len(set(iota.values())):] for c in block]
+        return units, self.lex[len(set(iota.values()))]
 
 
 def _restricted_growth_maps(inds, n):
@@ -171,6 +173,14 @@ def _solve(g: _Grounding, units: list, clauses: list, budget: list):
     unassigned variables read false, or None. `budget[0]` is decreased by
     every literal assigned."""
     val = bytearray(2 * g.nvars)
+    trail: list = []
+    for lit in units:  # a clash here needs no clause
+        if val[lit ^ 1]:
+            _charge(budget, len(trail))
+            return None
+        if not val[lit]:
+            val[lit] = 1
+            trail.append(lit)
     implied = g.implied
     work = [list(c) for c in clauses]  # watched literals first
     watches: dict = {}
@@ -180,15 +190,7 @@ def _solve(g: _Grounding, units: list, clauses: list, budget: list):
         watches.setdefault(c[1], []).append(ci)
         if c[0] & 1:
             guarded.setdefault(c[0] >> 1, []).append(ci)
-    trail: list = []
     agenda: list = []  # guarded clauses in the order their guards became true
-    for lit in units:
-        if val[lit ^ 1]:
-            _charge(budget, len(trail))
-            return None
-        if not val[lit]:
-            val[lit] = 1
-            trail.append(lit)
     levels = []  # (trail length, agenda length, agenda position, decided literal)
     pos = head = start = 0
     while True:

@@ -263,8 +263,8 @@ def _invariant_violations(run):
 
     def visit(v):
         color[v] = 1
-        for w in graph.successors(v):
-            if graph.node(w).node_type == STATE:
+        for w in graph.nodes[v].succs:
+            if graph.nodes[w].node_type == STATE:
                 continue
             c = color.get(w)
             if c == 1:
@@ -284,10 +284,10 @@ def _invariant_violations(run):
         if x in reachable:
             continue
         reachable.add(x)
-        work.extend(graph.successors(x))
+        work.extend(graph.nodes[x].succs)
     for x in sorted(reachable):
-        if graph.node(x).status == INCOMPLETE:
-            kind = graph.node(x).node_type
+        if graph.nodes[x].status == INCOMPLETE:
+            kind = graph.nodes[x].node_type
             out.append(f"(d) incomplete {kind} node {x} reachable from the root")
 
     for node in graph.nodes:

@@ -176,7 +176,7 @@ def _reference_rule(engine, v):
     """The rule scan as it was before labels were memoised: it sorts the
     label and scans it once per rule kind."""
     body = engine_module._body
-    node = engine.graph.node(v)
+    node = engine.graph.nodes[v]
     prime = "" if node.stype == SIMPLE else "'"
     view = [(f, body(f)) for f in ordered(node.label)]
     if node.node_type == STATE:
@@ -285,9 +285,9 @@ def test_applicable_rule_matches_the_label_scan(case):
 def test_disjunction_split_at_root():
     kb, verdict, by_label = _ex1_nodes()
     graph = verdict.graph
-    root = graph.node(graph.root)
+    root = graph.nodes[graph.root]
     assert root.rule == "or'"
-    kids = [graph.node(w) for w in graph.successors(graph.root)]
+    kids = [graph.nodes[w] for w in graph.nodes[graph.root].succs]
     assert len(kids) == 2
     principal = kb.store.inst("a", kb.tbox[0])
     for kid in kids:
@@ -312,7 +312,7 @@ def test_transitional_expansion_of_the_state():
         n for n in graph.nodes
         if n.node_type == STATE and label_texts(n) == TRACE_LABELS[11]
     )
-    succs = [graph.node(w) for w in graph.successors(state.id)]
+    succs = [graph.nodes[w] for w in graph.nodes[state.id].succs]
     assert len(succs) == 1
     child = succs[0]
     assert label_texts(child) == TRACE_LABELS[12]
@@ -350,8 +350,8 @@ def test_example_two_state_goes_incomplete_with_required_formulas():
     )
     assert inc_at < conv_at
     # mode-0 repair: the re-expanded root gains exactly the required set
-    root = graph.node(graph.root)
-    repaired = [graph.node(w) for w in graph.successors(graph.root)]
+    root = graph.nodes[graph.root]
+    repaired = [graph.nodes[w] for w in graph.nodes[graph.root].succs]
     assert len(repaired) == 1
     assert repaired[0].label == root.label | required
 
@@ -362,7 +362,7 @@ def test_incomplete_event_holds_the_state_repair_record():
     kb, verdict = run(EX2_TEXT)
     events = [ev for ev in verdict.engine.trace if ev[0] == "status" and ev[2] == INCOMPLETE]
     assert len(events) == 1 and len(events[0]) == 5
-    assert events[0][4] is verdict.graph.node(events[0][1]).fmls_rc
+    assert events[0][4] is verdict.graph.nodes[events[0][1]].fmls_rc
 
 
 def test_converse_repair_with_alternative_sets():
@@ -375,13 +375,13 @@ def test_converse_repair_with_alternative_sets():
     w = g.new_succ(v, STATE, SIMPLE, None, frozenset({base}), EMPTY, EMPTY)
     phi1, phi2 = store.atom("F1"), store.atom("F2")
     psi1, psi2 = store.atom("G1"), store.atom("G2")
-    vn, wn = g.node(v), g.node(w)
+    vn, wn = g.nodes[v], g.nodes[w]
     vn.status = EXPANDED
     wn.status = INCOMPLETE
     wn.conv_method = 1
     wn.alt_fml_sets_sc = frozenset({frozenset({phi1}), frozenset({phi2}), frozenset({psi1, psi2})})
     engine.apply_conv_rule(v)
-    kids = [g.node(x) for x in g.successors(v)]
+    kids = [g.nodes[x] for x in g.nodes[v].succs]
     assert [k.label for k in kids] == [
         frozenset({base, phi1}),
         frozenset({base, phi2}),
@@ -399,9 +399,9 @@ def _reference_conv_successors(engine, v) -> None:
     one for mode 1's alternative sets: the reference `apply_conv_rule`'s
     single loop is compared with."""
     g = engine.graph
-    node = g.node(v)
-    w = g.successors(v)[0]
-    wn = g.node(w)
+    node = g.nodes[v]
+    w = node.succs[0]
+    wn = g.nodes[w]
     g.remove_edge(v, w)
     if wn.conv_method == 0:
         g.con_to_succ(v, NONSTATE, node.label | wn.fmls_rc, node.rformulas, node.dformulas)
@@ -434,8 +434,8 @@ def _conv_setup(mode, sets, rfmls, dfmls):
 
     v = g.new_succ(None, NONSTATE, SIMPLE, None, atoms({"L0"}), atoms(rfmls), atoms(dfmls))
     w = g.new_succ(v, STATE, SIMPLE, None, atoms({"L0"}), EMPTY, EMPTY)
-    g.node(v).status = EXPANDED
-    wn = g.node(w)
+    g.nodes[v].status = EXPANDED
+    wn = g.nodes[w]
     wn.status = INCOMPLETE
     wn.conv_method = mode
     if mode == 0:
@@ -468,7 +468,7 @@ def test_converse_successors_match_the_two_branch_rule(repair, rfmls, dfmls):
     _reference_conv_successors(reference, v_ref)
 
     def successors(e, x):
-        kids = [e.graph.node(w) for w in e.graph.successors(x)]
+        kids = [e.graph.nodes[w] for w in e.graph.nodes[x].succs]
         return [(_texts(k.label), _texts(k.rformulas), _texts(k.dformulas)) for k in kids]
 
     assert successors(engine, v) == successors(reference, v_ref)
@@ -482,13 +482,13 @@ def test_converse_repair_with_no_alternatives_refutes():
     base = store.atom("L0")
     v = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({base}), EMPTY, EMPTY)
     w = g.new_succ(v, STATE, SIMPLE, None, frozenset({base}), EMPTY, EMPTY)
-    g.node(v).status = EXPANDED
-    wn = g.node(w)
+    g.nodes[v].status = EXPANDED
+    wn = g.nodes[w]
     wn.status = INCOMPLETE
     wn.conv_method = 1
     engine.apply_rule(RuleInstance(R_CONV), v)
-    assert g.successors(v) == []
-    assert g.node(v).status == UNSAT
+    assert g.nodes[v].succs == []
+    assert g.nodes[v].status == UNSAT
 
 
 def test_local_pass_saturates_the_nodes_it_creates():
@@ -520,29 +520,29 @@ def _two_children(statuses):
     store = kb.store
     g = engine.graph
     v = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
-    g.node(v).status = EXPANDED
+    g.nodes[v].status = EXPANDED
     for i, status in enumerate(statuses):
         w = g.new_succ(v, NONSTATE, SIMPLE, None, frozenset({store.atom(f"X{i + 1}")}), EMPTY, EMPTY)
-        g.node(w).status = status
+        g.nodes[w].status = status
     return engine, g, v
 
 
 def test_update_status_or_node_undetermined():
     engine, g, v = _two_children([UNSAT, EXPANDED])
     engine.update_status(v)
-    assert g.node(v).status == EXPANDED
+    assert g.nodes[v].status == EXPANDED
 
 
 def test_update_status_or_node_all_refuted():
     engine, g, v = _two_children([UNSAT, UNSAT])
     engine.update_status(v)
-    assert g.node(v).status == UNSAT
+    assert g.nodes[v].status == UNSAT
 
 
 def test_update_status_or_node_any_sat():
     engine, g, v = _two_children([UNSAT, SAT])
     engine.update_status(v)
-    assert g.node(v).status == SAT
+    assert g.nodes[v].status == SAT
 
 
 def test_update_status_state_copies_alternative_sets():
@@ -553,12 +553,12 @@ def test_update_status_state_copies_alternative_sets():
     pre = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({store.atom("Y0")}), EMPTY, EMPTY)
     u = g.new_succ(pre, STATE, SIMPLE, None, frozenset({store.atom("Y0")}), EMPTY, EMPTY)
     w = g.new_succ(u, NONSTATE, SIMPLE, None, frozenset({store.atom("Y1")}), EMPTY, EMPTY)
-    g.node(u).status = EXPANDED
-    wn = g.node(w)
+    g.nodes[u].status = EXPANDED
+    wn = g.nodes[w]
     wn.status = INCOMPLETE
     wn.alt_fml_sets_scp = frozenset({frozenset({store.atom("Y2")})})
     engine.update_status(u)
-    un = g.node(u)
+    un = g.nodes[u]
     assert un.status == INCOMPLETE
     assert un.alt_fml_sets_sc is wn.alt_fml_sets_scp
 
@@ -567,10 +567,10 @@ def _reference_update_status(engine, v):
     """Status update as it was before it became one pass: up to four
     scans of the successors."""
     g = engine.graph
-    node = g.node(v)
+    node = g.nodes[v]
     if node.status != EXPANDED:
         return
-    succ_nodes = [g.node(w) for w in g.successors(v)]
+    succ_nodes = [g.nodes[w] for w in g.nodes[v].succs]
     if node.node_type == NONSTATE:
         if any(w.status == SAT for w in succ_nodes):
             engine._set_status(node, SAT)
@@ -605,13 +605,13 @@ def _status_outcome(update, node_type, succs):
     engine.apply_rule = lambda rule, x: repairs.append((rule.tag, x))
     root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
     v = root if node_type == NONSTATE else g.new_succ(root, STATE, SIMPLE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
-    g.node(v).status = EXPANDED
+    g.nodes[v].status = EXPANDED
     for i, (status, succ_type) in enumerate(succs):
         w = g.new_succ(v, succ_type, SIMPLE, None, frozenset({store.atom(f"X{i + 1}")}), EMPTY, EMPTY)
-        g.node(w).status = status
-        g.node(w).alt_fml_sets_scp = frozenset({frozenset({store.atom(f"Y{i + 1}")})})
+        g.nodes[w].status = status
+        g.nodes[w].alt_fml_sets_scp = frozenset({frozenset({store.atom(f"Y{i + 1}")})})
     update(engine, v)
-    node = g.node(v)
+    node = g.nodes[v]
     return node.status, repairs, _texts(f for s in node.alt_fml_sets_sc for f in s), engine.trace
 
 
@@ -641,7 +641,7 @@ def test_propagate_skips_unexpanded_predecessors():
     g.add_edge(parent, v)
     engine.update_status(v)
     engine.propagate_status(v)
-    assert g.node(parent).status == "unexpanded"
+    assert g.nodes[parent].status == "unexpanded"
 
 
 def test_clashing_transitional_successor_refutes_the_state():
@@ -685,7 +685,7 @@ def test_converse_repair_reaches_satisfiable_verdict():
     incomplete = [n for n in graph.nodes if n.status == INCOMPLETE]
     assert incomplete and all(n.node_type == STATE for n in incomplete)
     for n in incomplete:
-        assert graph.predecessors(n.id) == []
+        assert n.preds == []
     reachable = set()
     work = [graph.root]
     while work:
@@ -693,8 +693,8 @@ def test_converse_repair_reaches_satisfiable_verdict():
         if x in reachable:
             continue
         reachable.add(x)
-        work.extend(graph.successors(x))
-    assert all(graph.node(x).status != INCOMPLETE for x in reachable)
+        work.extend(graph.nodes[x].succs)
+    assert all(graph.nodes[x].status != INCOMPLETE for x in reachable)
 
 
 def test_determinism_same_kb_object():
@@ -778,8 +778,8 @@ def test_monotone_growth_along_static_edges():
         for v, node in enumerate(graph.nodes):
             if node.node_type == STATE:
                 continue
-            for w in graph.successors(v):
-                wn = graph.node(w)
+            for w in node.succs:
+                wn = graph.nodes[w]
                 if wn.node_type == STATE:
                     assert wn.label == node.label
                     assert wn.rformulas == node.rformulas
@@ -826,11 +826,11 @@ def test_disallowed_formula_refutes_or_branch():
         if n.node_type == STATE and blocked in n.dformulas
     )
     assert state.status == SAT
-    branches = [verdict.graph.node(w) for w in verdict.graph.successors(state.id)]
+    branches = [verdict.graph.nodes[w] for w in verdict.graph.nodes[state.id].succs]
     grandkids = [
-        verdict.graph.node(w)
+        verdict.graph.nodes[w]
         for b in branches
-        for w in verdict.graph.successors(b.id)
+        for w in verdict.graph.nodes[b.id].succs
     ]
     statuses = sorted(k.status for k in grandkids)
     assert statuses == [SAT, UNSAT]
@@ -876,5 +876,5 @@ def test_exclusive_converse_demands_have_a_one_element_model(text):
 
 def test_build_tableau_returns_finished_graph():
     graph = decide_sat(parse_kb("inst a A\n")).graph
-    assert graph.node(graph.root).status == SAT
+    assert graph.nodes[graph.root].status == SAT
     assert graph.to_expand() is None

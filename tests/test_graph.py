@@ -1,7 +1,10 @@
 """Graph layer: node creation, attribute wiring, proxy caching."""
 from __future__ import annotations
 
+import pytest
+
 from shisat import decide_sat, parse_kb
+from shisat.engine import R_CONV
 from shisat.graph import (
     COMPLEX,
     EMPTY,
@@ -24,12 +27,12 @@ def test_root_creation_attributes():
     g = TableauGraph()
     label = frozenset({store.inst("a", a), store.rel(Role("r"), "a", "b")})
     root = g.new_succ(None, NONSTATE, COMPLEX, None, label, EMPTY, EMPTY)
-    node = g.node(root)
+    node = g.nodes[root]
     assert node.status == UNEXPANDED
     assert node.state_pred is None
     assert node.after_trans_pred == root
     assert node.ce_label is None
-    assert g.successors(root) == [] and g.predecessors(root) == []
+    assert node.succs == [] and node.preds == []
 
 
 def test_state_successor_records_coming_edge_label():
@@ -39,7 +42,7 @@ def test_state_successor_records_coming_edge_label():
     u = g.new_succ(root, STATE, COMPLEX, None, frozenset({store.inst("a", a)}), EMPTY, EMPTY)
     ce = store.inst("a", store.exist(Role("r"), a))
     w = g.new_succ(u, NONSTATE, SIMPLE, ce, frozenset({a}), EMPTY, EMPTY)
-    node = g.node(w)
+    node = g.nodes[w]
     assert node.ce_label is ce
     assert node.state_pred == u
     assert node.after_trans_pred == w
@@ -51,7 +54,7 @@ def test_nonstate_child_inherits_scope():
     g = TableauGraph()
     root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
     child = g.new_succ(root, NONSTATE, SIMPLE, None, frozenset({a, b}), EMPTY, EMPTY)
-    node = g.node(child)
+    node = g.nodes[child]
     assert node.state_pred is None
     assert node.after_trans_pred == root
 
@@ -61,7 +64,7 @@ def test_state_fields_initialized():
     g = TableauGraph()
     root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
     u = g.new_succ(root, STATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
-    node = g.node(u)
+    node = g.nodes[u]
     assert node.conv_method == 0
     assert node.fmls_rc is EMPTY
     assert node.alt_fml_sets_sc is EMPTY
@@ -84,7 +87,7 @@ def test_one_cache_keeps_scopes_apart():
     root = g.new_succ(None, NONSTATE, SIMPLE, None, label, EMPTY, EMPTY)
     # forming a state copies the or-node's triple; both stay cached
     u = g.new_succ(root, STATE, SIMPLE, None, label, EMPTY, EMPTY)
-    assert g.node(u).triple_key() == g.node(root).triple_key()
+    assert g.nodes[u].triple_key() == g.nodes[root].triple_key()
     assert g.find_proxy(STATE, SIMPLE, None, label, EMPTY, EMPTY) == u
     assert g.find_proxy(NONSTATE, SIMPLE, root, label, EMPTY, EMPTY) == root
     # one triple in two local scopes is two distinct nodes
@@ -104,7 +107,7 @@ def test_con_to_succ_reuses_and_deduplicates_edges():
     first = g.con_to_succ(root, NONSTATE, frozenset({a, b}), EMPTY, EMPTY)
     second = g.con_to_succ(root, NONSTATE, frozenset({a, b}), EMPTY, EMPTY)
     assert first == second
-    assert g.successors(root) == [first]
+    assert g.nodes[root].succs == [first]
     assert len(g.nodes) == 2
 
 
@@ -113,7 +116,7 @@ def test_or_branches_with_equal_conclusions_merge():
     verdict = decide_sat(kb)
     root = verdict.graph.root
     assert verdict.sat
-    assert len(verdict.graph.successors(root)) == 1
+    assert len(verdict.graph.nodes[root].succs) == 1
 
 
 def test_states_shared_across_branches():
@@ -125,7 +128,7 @@ def test_states_shared_across_branches():
     assert verdict.sat
     assert len(states) == 2
     simple_state = next(n for n in states if n.stype == SIMPLE)
-    assert len(verdict.graph.predecessors(simple_state.id)) == 2
+    assert len(verdict.graph.nodes[simple_state.id].preds) == 2
 
 
 def test_remove_edge_keeps_node():
@@ -134,8 +137,8 @@ def test_remove_edge_keeps_node():
     root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
     child = g.new_succ(root, NONSTATE, SIMPLE, None, frozenset({a, b}), EMPTY, EMPTY)
     g.remove_edge(root, child)
-    assert g.successors(root) == []
-    assert g.node(child) is not None
+    assert g.nodes[root].succs == []
+    assert g.nodes[child] is not None
     assert g.find_proxy(NONSTATE, SIMPLE, root, frozenset({a, b}), EMPTY, EMPTY) == child
 
 
@@ -144,7 +147,7 @@ def test_queue_strategies():
     for strategy, expected in (("dfs", [2, 1]), ("fifo", [1, 2])):
         g = TableauGraph(strategy)
         root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
-        g.node(root).status = "expanded"
+        g.nodes[root].status = "expanded"
         one = g.new_succ(root, NONSTATE, SIMPLE, None, frozenset({a, b}), EMPTY, EMPTY)
         two = g.new_succ(root, NONSTATE, SIMPLE, None, frozenset({b}), EMPTY, EMPTY)
         order = [g.to_expand(), g.to_expand()]
@@ -171,8 +174,34 @@ def test_paths_from_state_funnel_through_scope_root():
                 if x == node.after_trans_pred or x in seen:
                     continue
                 seen.add(x)
-                for w in graph.successors(x):
+                for w in graph.nodes[x].succs:
                     if w == node.id:
                         reached = True
                     work.append(w)
             assert not reached, f"node {node.id} reachable around its scope root"
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+def test_edge_lists_mirror_each_other(strategy):
+    # Each node holds both ends of its edges: every edge is listed once in
+    # its source's succs and once in its target's preds, and the edge into
+    # the state a converse repair dropped is in neither list.
+    from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT
+    from kbgen import differential_suite
+
+    repaired = 0
+    for text in differential_suite(500, 20240817) + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT]:
+        verdict = decide_sat(parse_kb(text), strategy=strategy)
+        g = verdict.graph
+        out = [(v.id, w) for v in g.nodes for w in v.succs]
+        into = [(u, w.id) for w in g.nodes for u in w.preds]
+        assert len(set(out)) == len(out) and len(set(into)) == len(into), text
+        assert sorted(out) == sorted(into), text
+        conv = [v for v in g.nodes if v.rule == R_CONV]
+        assert len(conv) == sum(1 for e in verdict.engine.trace if e[:2] == ("rule", R_CONV)), text
+        for v in conv:
+            # the state the form-state rule made from v, found through the cache
+            w = g.find_proxy(STATE, v.stype, None, v.label, v.rformulas, v.dformulas)
+            assert w is not None and w not in v.succs and v.id not in g.nodes[w].preds, text
+        repaired += len(conv)
+    assert repaired

@@ -48,7 +48,7 @@ def test_saturation_path_reaches_adjacent_state():
     pre = next(n for n in graph.nodes if n.rule == "form-state")
     path = saturation_path(graph, pre.id)
     assert len(path) == 2
-    assert graph.node(path[-1]).node_type == STATE
+    assert graph.nodes[path[-1]].node_type == STATE
 
 
 def test_saturation_path_everything_unrefuted():
@@ -56,15 +56,15 @@ def test_saturation_path_everything_unrefuted():
     graph = verdict.graph
     path = saturation_path(graph, graph.root)
     for v in path:
-        assert graph.node(v).status not in ("unsat", "incomplete")
-    assert graph.node(path[-1]).node_type == STATE
+        assert graph.nodes[v].status not in ("unsat", "incomplete")
+    assert graph.nodes[path[-1]].node_type == STATE
 
 
 def test_saturation_path_deterministic_first_choice():
     kb, verdict = _finished("inst a (or A B)\n")
     graph = verdict.graph
     path = saturation_path(graph, graph.root)
-    kids = sorted(graph.successors(graph.root))
+    kids = sorted(graph.nodes[graph.root].succs)
     assert path[1] == kids[0]
 
 

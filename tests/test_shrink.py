@@ -1,0 +1,53 @@
+"""tools/shrink.py: delta debugging over statements and subterms."""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from shisat import decide_sat, parse_kb
+
+_spec = importlib.util.spec_from_file_location("shrink", Path(__file__).parents[1] / "tools" / "shrink.py")
+shrink_tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(shrink_tool)
+
+# a:A forces an r-successor in B, and B is empty; the rest is padding.
+PADDED_UNSAT = """\
+sub r s
+trans s
+impl D (or E (all s- F))
+inst b (and E (some s D))
+inst a A
+rel s b a
+impl A (some r (and B G))
+impl F (all r E)
+impl B (and C (not C))
+inst a (or G (not D))
+"""
+
+
+def _unsat(text: str) -> bool:
+    return not decide_sat(parse_kb(text)).sat
+
+
+def _unsat_without_constants(text: str) -> bool:
+    # Without top and bot the core cannot collapse to one statement.
+    return "top" not in text and "bot" not in text and _unsat(text)
+
+
+@pytest.mark.parametrize("still_fails", [_unsat, _unsat_without_constants])
+def test_shrunk_unsat_kb_is_one_minimal(still_fails):
+    assert still_fails(PADDED_UNSAT)
+    shrunk = shrink_tool.shrink(PADDED_UNSAT, still_fails)
+    statements = shrunk.splitlines()
+    assert _unsat(shrunk)
+    assert 0 < len(statements) < len(PADDED_UNSAT.splitlines())
+    for i in range(len(statements)):
+        rest = statements[:i] + statements[i + 1:]
+        assert not _unsat("".join(s + "\n" for s in rest)), (shrunk, i)
+
+
+def test_input_must_show_the_fault():
+    with pytest.raises(ValueError):
+        shrink_tool.shrink("inst a A\n", _unsat)

@@ -24,8 +24,10 @@ across processes; the `interned` field shows whether two runs of one
 text intern the same formulas in the same order.
 `compare` prints, for each field, how many runs differ.
 
-The modules under test come from PYTHONPATH, so the same script dumps an
-older tree: run it from the root of a `git archive` copy of that tree.
+Dump each tree with its own copy of this script, run from that tree's
+root (for an older commit, a `git archive` copy): the modules under test
+come from PYTHONPATH, and how a tree's graph is read changes with the tree
+while the record format stays the same.
 """
 from __future__ import annotations
 
@@ -80,7 +82,7 @@ def _record(text: str, strategy: str) -> dict:
     g = verdict.graph
     idx = verdict.engine.idx
     nodes = [
-        (n.id, n.rule, n.status, _plain(n.label), tuple(g.successors(n.id)), _plain(n.ce_label), n.expansions)
+        (n.id, n.rule, n.status, _plain(n.label), tuple(n.succs), _plain(n.ce_label), n.expansions)
         for n in g.nodes
     ]
     repair = [
