@@ -31,11 +31,26 @@ one: the engine does each piece of per-label work once per run and looks
 it up afterwards. Three dicts keyed by the label (a frozenset caches its
 hash) hold the label's members split by kind in uid order
 (`LabelView`), its `t_unsat` result, and, keyed by (existential, label),
-the `_backward` transfer. They live on the engine, not on the nodes,
-and are dropped when the run ends. None of them changes the uid order:
-a hit replays a call whose formulas were interned on its miss, and the
-subrole narrowings, which intern new formulas, are still built lazily
-during the rule scan, in the same order as before.
+the `_backward` transfer. A fourth, keyed by role, holds the role's
+proper subroles for the narrowing scan. They live on the engine, not on
+the nodes, and are dropped when the run ends. None of them changes the
+uid order: a hit replays a call whose formulas were interned on its
+miss, and the subrole narrowings, which intern new formulas, are still
+built lazily during the rule scan, in the same order as before.
+
+Only some edges can carry a constraint back. Across an R edge the
+successor's label forces something on the state only through a value
+restriction (all R-.D), or (all Q.D) with R- <= Q and Q transitive. Every
+value restriction a label can hold is a subconcept of the knowledge base
+or a narrowing of one to a subrole, and both cases need R- to be a
+subrole of an occurring restriction's role. `pulling_roles` lists the R
+for which that holds, from the concepts and the role box alone, and the
+engine calls `_backward` only for existentials over those roles: the
+table is exact in that every other call would return the empty set. It
+is built at the first state, so a run without existentials pays
+nothing. On the hot path the engine asks whether a formula is in the
+label or in rformulas instead of building their union, `aformulas`,
+which stays a node property for the witness builder.
 """
 from __future__ import annotations
 
@@ -143,6 +158,32 @@ def t_unsat(store: FormulaStore, label) -> bool:
     return False
 
 
+def pulling_roles(kb: KnowledgeBase, idx) -> frozenset:
+    """The roles R across which a successor can force something back: the
+    inverses of the subroles of every value restriction's role in the TBox
+    and ABox concepts. `_backward` over an R edge reads (all R-.D), and
+    (all Q.D) with R- <= Q and Q transitive; a label's value restrictions
+    are subconcepts of the knowledge base or their narrowings to subroles,
+    and in both cases R- is a subrole of an occurring restriction's role.
+    Walks the concepts with an explicit stack and interns nothing."""
+    stack = list(kb.tbox)
+    stack += [f.concept for f in kb.abox if f.kind == sx.INST]
+    seen: set = set()
+    univ_roles: set = set()
+    while stack:
+        c = stack.pop()
+        if c in seen:
+            continue
+        seen.add(c)
+        if c.kind in (sx.AND, sx.OR):
+            stack += (c.left, c.right)
+        elif c.child is not None:
+            stack.append(c.child)
+            if c.kind == sx.ALL:
+                univ_roles.add(c.role)
+    return frozenset(r.inverse for q in univ_roles for r in idx.subroles_of(q))
+
+
 class TableauEngine:
     def __init__(self, kb: KnowledgeBase, strategy: str = "dfs"):
         self.kb = kb
@@ -155,6 +196,8 @@ class TableauEngine:
         self._views: dict = {}  # label -> LabelView
         self._clash: dict = {}  # label -> t_unsat(store, label)
         self._back: dict = {}  # (existential, label) -> frozenset
+        self._proper: dict = {}  # role -> its proper subroles, in uid order
+        self._pulling = None  # pulling_roles, built at the first state
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -192,6 +235,13 @@ class TableauEngine:
             out = self._back[key] = frozenset(out)
         return out
 
+    def _pulls(self, ex) -> bool:
+        """Whether the successor of `ex` can force anything back across
+        its edge, i.e. whether `_backward(ex, ...)` can be non-empty."""
+        if self._pulling is None:
+            self._pulling = pulling_roles(self.kb, self.idx)
+        return _body(ex).role in self._pulling
+
     def _clashes(self, label) -> bool:
         """`t_unsat` of `label`, computed once per run."""
         out = self._clash.get(label)
@@ -222,8 +272,8 @@ class TableauEngine:
         then smallest auxiliary role.
 
         The scan reads the label's memoised `LabelView`, one kind at a
-        time. What it tests against the node's rformulas and aformulas,
-        and the narrowings it interns, are computed per call, in the same
+        time. What it tests against the node's label and rformulas, and
+        the narrowings it interns, are computed per call, in the same
         order as a scan of the sorted label would."""
         node = self.graph.nodes[v]
         prime = "" if node.stype == SIMPLE else "'"
@@ -231,27 +281,28 @@ class TableauEngine:
         if node.node_type == STATE:
             return RuleInstance(R_EXISTS + prime, principals=view.some) if view.some else None
 
-        rf = node.rformulas
+        label, rf = node.label, node.rformulas
         for f in view.conj:
             if f not in rf:
                 return RuleInstance(R_AND + prime, principal=f)
 
         if view.univ:  # narrowing and univ' both act on a value restriction
             store = self.store
-            af = node.aformulas
+            proper = self._proper
             for f, c in view.univ:
-                for r in self.idx.subroles_of(c.role):
-                    if r == c.role:  # narrows to f itself
-                        continue
+                subs = proper.get(c.role)
+                if subs is None:  # a narrowing to c's own role is f itself
+                    subs = proper[c.role] = tuple(r for r in self.idx.subroles_of(c.role) if r != c.role)
+                for r in subs:
                     added = self._lift(f, store.univ(r, c.child))
-                    if added not in af:
+                    if added not in label and added not in rf:
                         return RuleInstance(R_HIER + prime, principal=f, added=frozenset({added}))
 
             for f in view.rel:  # univ' reads role assertions, found in complex labels only
                 added = (
-                    transfer_assertions(self.idx, store, node.label, f.a, f.role, f.b)
-                    | transfer_assertions(self.idx, store, node.label, f.b, f.role.inverse, f.a)
-                ) - af
+                    transfer_assertions(self.idx, store, label, f.a, f.role, f.b)
+                    | transfer_assertions(self.idx, store, label, f.b, f.role.inverse, f.a)
+                ) - label - rf
                 if added:
                     return RuleInstance(R_UNIV_A, principal=f, added=frozenset(added))
 
@@ -302,18 +353,22 @@ class TableauEngine:
 
         self._set_status(node, EXPANDED)
 
-        # Only an or-node under a state has a state_pred. A state gets here
-        # only with fmls_rc empty: its successors' demands are all met.
+        # Only an or-node under a state has a state_pred, and its successors
+        # are checked for demands on the state only when the local graph's
+        # existential can pull. A state gets here only with fmls_rc empty:
+        # its successors' demands are all met.
+        pulls = False
         if node.state_pred is not None:
             v0, v1 = g.nodes[node.state_pred], g.nodes[node.after_trans_pred]
+            pulls = self._pulls(v1.ce_label)
         for w in node.succs:
             wn = g.nodes[w]
             if wn.status in DETERMINED:
                 continue
             if self._clashes(wn.label):
                 self._set_status(wn, UNSAT)
-            elif node.state_pred is not None and wn.node_type == NONSTATE:
-                x = self._backward(v1.ce_label, wn.label) - v0.aformulas
+            elif pulls and wn.node_type == NONSTATE:
+                x = self._backward(v1.ce_label, wn.label) - v0.label - v0.rformulas
                 if x:
                     if v0.conv_method == 0:
                         v0.fmls_rc |= x
@@ -341,7 +396,8 @@ class TableauEngine:
         for f in rule.principals:
             label = frozenset({_body(f).child}) | self._forward(f, un.label) | self.tbox_set
             g.new_succ(u, NONSTATE, SIMPLE, f, label, EMPTY, EMPTY)
-            un.fmls_rc |= self._backward(f, label) - un.aformulas
+            if self._pulls(f):
+                un.fmls_rc |= self._backward(f, label) - un.label - un.rformulas
 
         if un.fmls_rc & un.dformulas:
             self._set_status(un, UNSAT)
@@ -479,6 +535,7 @@ class TableauEngine:
         self._views.clear()
         self._clash.clear()
         self._back.clear()
+        self._proper.clear()
         return g
 
     def stats(self) -> dict:

@@ -69,9 +69,10 @@ class TableauNode:
         self.node_type = node_type
         self.stype = stype
         self.status = UNEXPANDED
-        self.label = frozenset(label)
-        self.rformulas = frozenset(rformulas)
-        self.dformulas = frozenset(dformulas)
+        # the engine passes frozensets, which are kept as they are
+        self.label = label if type(label) is frozenset else frozenset(label)
+        self.rformulas = rformulas if type(rformulas) is frozenset else frozenset(rformulas)
+        self.dformulas = dformulas if type(dformulas) is frozenset else frozenset(dformulas)
         self.state_pred = None
         self.after_trans_pred = None
         self.ce_label = None
@@ -121,10 +122,12 @@ class TableauGraph:
         node_id = len(self.nodes)
         node = TableauNode(node_id, node_type, stype, label, rformulas, dformulas)
         self.nodes.append(node)
-        if v is not None:
-            self.add_edge(v, node_id)
+        parent = None
+        if v is not None:  # a fresh node is no one's successor yet: no add_edge scan
+            parent = self.nodes[v]
+            parent.succs.append(node_id)
+            node.preds.append(v)
 
-        parent = self.nodes[v] if v is not None else None
         if node_type == STATE:
             assert parent is None or parent.node_type == NONSTATE
         elif parent is None or parent.node_type == STATE:  # starts a local graph

@@ -1,0 +1,78 @@
+"""tools/ab.py: the per-metric summary of paired benchmark runs."""
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location("ab", Path(__file__).parents[1] / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+BETTER = {"verdict_ms.p50": "lower", "throughput_kb_s": "higher"}
+
+
+def _record(verdict, throughput, correct=True, failed=0):
+    return {
+        "correct": correct,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {
+            "verdict_ms.p50": {"value": verdict, "unit": "ms"},
+            "throughput_kb_s": {"value": throughput, "unit": "kb/s"},
+        },
+    }
+
+
+def test_summary_counts_wins_in_each_metrics_direction():
+    parent = [_record(v, t) for v, t in [(10, 5), (11, 5), (12, 6), (13, 6), (14, 7)]]
+    change = [_record(v, t) for v, t in [(8, 5), (9, 4), (9, 7), (10, 6), (11, 8)]]
+    rows = {r["metric"]: r for r in ab.summarize(parent, change, BETTER)}
+    verdict, throughput = rows["verdict_ms.p50"], rows["throughput_kb_s"]
+
+    assert verdict["parent"] == (11, 12, 13) and verdict["change"] == (9, 9, 10)
+    assert (verdict["wins"], verdict["pairs"]) == (5, 5)
+    assert verdict["gain"]  # 5 of 5 pairs, medians 3 apart against a parent IQR of 2
+    assert verdict["unit"] == "ms"
+
+    assert throughput["wins"] == 2  # higher is better; the ties count for neither side
+    assert not throughput["gain"]
+
+
+def test_gain_needs_the_median_gap_to_exceed_the_parent_spread():
+    parent = [_record(v, 1) for v in (10, 12, 14, 16, 18)]
+    change = [_record(v - 1, 1) for v in (10, 12, 14, 16, 18)]
+    row = ab.summarize(parent, change, BETTER)[0]
+    assert row["wins"] == 5 and not row["gain"]  # gap 1, parent IQR 4
+
+
+def test_gain_needs_nine_tenths_of_the_pairs():
+    parent = [_record(20, 1) for _ in range(10)]
+    change = [_record(10, 1) for _ in range(8)] + [_record(30, 1) for _ in range(2)]
+    row = ab.summarize(parent, change, BETTER)[0]
+    assert row["wins"] == 8 and not row["gain"]
+
+
+def test_one_pair_has_degenerate_quartiles():
+    row = ab.summarize([_record(2, 1)], [_record(1, 1)], BETTER)[0]
+    assert row["parent"] == (2, 2, 2) and row["gain"]
+
+
+def test_flags_incorrect_runs_and_extra_failures():
+    parent = [_record(1, 1), _record(1, 1, failed=2), _record(1, 1)]
+    change = [_record(1, 1, correct=False), _record(1, 1, failed=2), _record(1, 1, failed=1)]
+    assert ab.flags(parent, change) == [
+        "pair 0: change run not correct",
+        "pair 2: change failed 1 inputs, parent 0",
+    ]
+
+
+def test_the_record_is_the_last_json_line():
+    out = "verdict_ms.p50  1 ms\n" + json.dumps({"correct": True}) + "\n" + json.dumps({"correct": False}) + "\n\n"
+    assert ab.last_record(out) == {"correct": False}
+    assert ab.last_record("no summary\n") is None
+
+
+def test_directions_come_from_the_benchmark_declaration():
+    better = ab.directions(Path(__file__).parents[1] / "BENCHMARK.json")
+    assert better["verdict_ms.p50"] == "lower" and better["throughput_kb_s"] == "higher"

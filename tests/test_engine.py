@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from shisat import TableauEngine, bounded_model_search, check_model, decide_sat, parse_kb
 from shisat import engine as engine_module
-from shisat.engine import EMPTY, PRIORITY, R_CONV, RuleInstance, t_unsat
+from shisat.engine import EMPTY, PRIORITY, R_CONV, RuleInstance, pulling_roles, t_unsat
 from shisat.graph import (
     COMPLEX,
     EXPANDED,
@@ -25,6 +25,7 @@ from shisat.syntax import ALL, AND, INST, OR, SOME, Role, formula_text, ordered
 from shisat.transfer import transfer_concepts_to
 
 from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, interned_texts, label_texts, run
+from kbgen import chain_kb_text, differential_suite
 
 
 # -- obvious refutation ----------------------------------------------------
@@ -88,6 +89,69 @@ def test_repeated_backward_transfer_interns_nothing():
     assert engine._backward(ex, label) is out
     assert transfer_concepts_to(engine.idx, store, label, Role("r"), "a") == out
     assert store._next == after
+
+
+# -- roles a successor can pull back across --------------------------------
+
+def _some_nest(depth: int, transitive: bool) -> str:
+    """`a` in (all r B) and a chain of `depth` r-successors ending in A."""
+    concept = "A"
+    for _ in range(depth):
+        concept = f"(some r {concept})"
+    return ("trans r\n" if transitive else "") + f"inst a (and (all r B) {concept})\n"
+
+
+def _pulling_corpus() -> list:
+    texts = differential_suite(500, 20240817) + [chain_kb_text(d) for d in range(1, 21)]
+    texts += [_some_nest(d, False) for d in (10, 50)] + [_some_nest(d, True) for d in (3, 10)]
+    return texts + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT]
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+def test_no_backward_transfer_across_a_role_off_the_pulling_table(strategy):
+    """The engine skips `_backward` where the existential's role is not in
+    `pulling_roles`; every or-node of such a local graph indeed pulls
+    nothing back."""
+    off_table = 0
+    for text in _pulling_corpus():
+        kb, verdict = run(text, strategy)
+        engine, nodes = verdict.engine, verdict.graph.nodes
+        table = pulling_roles(kb, engine.idx)
+        assert engine._pulling in (None, table)
+        for node in nodes:
+            if node.state_pred is None or node.node_type != NONSTATE:
+                continue
+            ex = nodes[node.after_trans_pred].ce_label
+            if engine_module._body(ex).role not in table:
+                off_table += 1
+                assert engine._backward(ex, node.label) == EMPTY, text
+    assert off_table > 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "inst a (some r (all r- B))\n",
+        "sub r- s\ntrans s\nimpl top (all s B)\ninst a (some r A)\n",  # (all s B) narrows to (all r- B)
+    ],
+    ids=["inverse", "subrole-of-transitive"],
+)
+def test_pulling_table_holds_a_role_whose_successor_pulls(text):
+    kb, verdict = run(text)
+    assert Role("r") in pulling_roles(kb, verdict.engine.idx)
+    assert verdict.stats["rule_applications"].get(R_CONV, 0) > 0 or any(
+        n.fmls_rc for n in verdict.graph.nodes if n.node_type == STATE
+    )
+
+
+def test_pulling_table_of_the_chain_leaves_its_existentials_out():
+    kb = parse_kb(chain_kb_text(5))
+    engine = TableauEngine(kb)
+    assert pulling_roles(kb, engine.idx) == {Role("r", True), Role("s", True)}
+    assert engine._pulling is None  # built at the first state, not before
+    engine.run()
+    assert engine._pulling == {Role("r", True), Role("s", True)}
+    assert engine.rule_counts[R_CONV] == 0
 
 
 # -- rule choice -------------------------------------------------------------
