@@ -29,14 +29,21 @@ refuted successor kills an and-node.
 Labels are interned frozensets that never change, and many nodes share
 one: the engine does each piece of per-label work once per run and looks
 it up afterwards. Three dicts keyed by the label (a frozenset caches its
-hash) hold the label's members split by kind in uid order
-(`LabelView`), its `t_unsat` result, and, keyed by (existential, label),
-the `_backward` transfer. A fourth, keyed by role, holds the role's
-proper subroles for the narrowing scan. They live on the engine, not on
-the nodes, and are dropped when the run ends. None of them changes the
-uid order: a hit replays a call whose formulas were interned on its
-miss, and the subrole narrowings, which intern new formulas, are still
-built lazily during the rule scan, in the same order as before.
+hash) hold the label's members in uid order, also split by kind
+(`LabelView`; the clash test walks the same sorted tuple), its
+`t_unsat` result, and, keyed by (existential, label), the `_backward`
+transfer. A fourth, keyed by role, holds the role's proper subroles for
+the narrowing scan. A fifth, `_steps`, is keyed by a node's content
+(node type, form, label, rformulas), which comes back across local
+graphs and across dformulas. It holds the rule instance
+`applicable_rule` chose for that content and, once a static rule has
+been applied to it, the successor labels and rformulas. The memo is
+exact: the scan and the conclusions read those four fields and nothing
+else. The dicts live on the engine, not on the nodes, and are dropped
+when the run ends. None of them changes the uid order: a hit replays a
+call whose formulas were interned on its miss, and the subrole
+narrowings, which intern new formulas, are still built lazily during
+the rule scan, in the same order as before.
 
 Only some edges can carry a constraint back. Across an R edge the
 successor's label forces something on the state only through a value
@@ -128,13 +135,15 @@ class Verdict:
 class LabelView(NamedTuple):
     """A label's members by the kind of their concept, each in uid order:
     (member, concept) pairs for value restrictions, which the scan reads
-    the concept of, and bare members for the other kinds."""
+    the concept of, and bare members for the other kinds; `members` holds
+    them all, for the clash test."""
 
     conj: tuple
     univ: tuple
     rel: tuple
     disj: tuple
     some: tuple
+    members: tuple
 
 
 def _body(f):
@@ -145,13 +154,14 @@ def _body(f):
     return None if f.kind == sx.REL else f
 
 
-def t_unsat(store: FormulaStore, label) -> bool:
+def t_unsat(store: FormulaStore, label, members=None) -> bool:
     """Obvious refutation: bottom in either label form, or a complementary
-    pair. Members are tried in uid order, so the complements interned on
-    the way do not depend on set iteration order. The engine memoises the
-    result per label (`TableauEngine._clashes`): a second call on a label
-    would intern nothing, as each complement is interned once."""
-    for f in ordered(label):
+    pair. Members are tried in uid order (`members`, when the caller has
+    sorted `label` already), so the complements interned on the way do not
+    depend on set iteration order. The engine memoises the result per
+    label (`TableauEngine._clashes`): a second call on a label would
+    intern nothing, as each complement is interned once."""
+    for f in ordered(label) if members is None else members:
         c = _body(f)
         if c is not None and (c.kind == sx.BOT or complement(store, f) in label):
             return True
@@ -197,6 +207,7 @@ class TableauEngine:
         self._clash: dict = {}  # label -> t_unsat(store, label)
         self._back: dict = {}  # (existential, label) -> frozenset
         self._proper: dict = {}  # role -> its proper subroles, in uid order
+        self._steps: dict = {}  # (node_type, stype, label, rformulas) -> [rule, (labels, rformulas) or None]
         self._pulling = None  # pulling_roles, built at the first state
 
     # -- bookkeeping ---------------------------------------------------
@@ -246,7 +257,7 @@ class TableauEngine:
         """`t_unsat` of `label`, computed once per run."""
         out = self._clash.get(label)
         if out is None:
-            out = self._clash[label] = t_unsat(self.store, label)
+            out = self._clash[label] = t_unsat(self.store, label, self._view(label).members)
         return out
 
     def _view(self, label) -> LabelView:
@@ -254,13 +265,14 @@ class TableauEngine:
         view = self._views.get(label)
         if view is None:
             parts = {sx.AND: [], sx.ALL: [], None: [], sx.OR: [], sx.SOME: []}  # LabelView's order
-            for f in ordered(label):
+            members = tuple(ordered(label))
+            for f in members:
                 c = _body(f)
                 kind = None if c is None else c.kind
                 part = parts.get(kind)
                 if part is not None:
                     part.append((f, c) if kind == sx.ALL else f)
-            view = self._views[label] = LabelView(*map(tuple, parts.values()))
+            view = self._views[label] = LabelView(*map(tuple, parts.values()), members)
         return view
 
     # -- rule selection -------------------------------------------------
@@ -271,11 +283,21 @@ class TableauEngine:
         rule kind, then smallest principal in the fixed formula order,
         then smallest auxiliary role.
 
-        The scan reads the label's memoised `LabelView`, one kind at a
-        time. What it tests against the node's label and rformulas, and
-        the narrowings it interns, are computed per call, in the same
-        order as a scan of the sorted label would."""
+        The choice reads only `v`'s node type, form, label and rformulas,
+        so it is made once per run for each such content (`_steps`) and
+        a later node of the same content gets the same instance."""
         node = self.graph.nodes[v]
+        key = (node.node_type, node.stype, node.label, node.rformulas)
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = [self._scan(node), None]
+        return step[0]
+
+    def _scan(self, node) -> RuleInstance | None:
+        """`applicable_rule`'s choice, from the label's `LabelView`, one
+        kind at a time. What it tests against the node's label and
+        rformulas, and the narrowings it interns, are computed per call,
+        in the same order as a scan of the sorted label would."""
         prime = "" if node.stype == SIMPLE else "'"
         view = self._view(node.label)
         if node.node_type == STATE:
@@ -314,18 +336,28 @@ class TableauEngine:
 
     # -- rule application -------------------------------------------------
 
-    def _static_conclusions(self, rule: RuleInstance, node) -> list:
-        """Successor labels of a static rule: and/or split the principal's
-        concept into its parts, hier/univ' add `rule.added`."""
+    def _static_conclusions(self, rule: RuleInstance, node) -> tuple:
+        """Successor labels and their rformulas for a static rule: and/or
+        split the principal's concept into its parts and consume the
+        principal, hier/univ' add `rule.added` and keep it. Built on the
+        first application of a step and kept in `_steps` with the rule:
+        they read nothing but the step's key."""
+        step = self._steps.get((node.node_type, node.stype, node.label, node.rformulas))
+        if step is None or step[0] is not rule:  # a rule the engine did not choose is not kept
+            step = [rule, None]
+        elif step[1] is not None:
+            return step[1]
         if rule.added:
-            return [node.label | rule.added]
-        f = rule.principal
-        c = _body(f)
-        left, right = self._lift(f, c.left), self._lift(f, c.right)
-        base = node.label - {f}
-        if c.kind == sx.AND:
-            return [base | {left, right}]
-        return [base | {left}, base | {right}]
+            out = ((node.label | rule.added,), node.rformulas)
+        else:
+            f = rule.principal
+            c = _body(f)
+            left, right = self._lift(f, c.left), self._lift(f, c.right)
+            base = node.label - {f}
+            labels = (base | {left, right},) if c.kind == sx.AND else (base | {left}, base | {right})
+            out = (labels, node.rformulas | {f})
+        step[1] = out
+        return out
 
     def apply_rule(self, rule: RuleInstance, v) -> None:
         g = self.graph
@@ -346,9 +378,8 @@ class TableauEngine:
                 self.propagate_status(v)
                 return
         else:
-            # and/or consume their principal; hier/univ' keep it
-            rfmls = node.rformulas if rule.added else node.rformulas | {rule.principal}
-            for x in self._static_conclusions(rule, node):
+            labels, rfmls = self._static_conclusions(rule, node)
+            for x in labels:
                 g.con_to_succ(v, NONSTATE, x, rfmls, node.dformulas)
 
         self._set_status(node, EXPANDED)
@@ -536,6 +567,7 @@ class TableauEngine:
         self._clash.clear()
         self._back.clear()
         self._proper.clear()
+        self._steps.clear()
         return g
 
     def stats(self) -> dict:

@@ -18,6 +18,7 @@ choice among formulas is needed.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -366,9 +367,12 @@ def concepts_of(assertions: Iterable[Formula], ind: str) -> frozenset:
     return frozenset(f.concept for f in assertions if f.kind == INST and f.ind == ind)
 
 
+_uid = operator.attrgetter("uid")
+
+
 def ordered(formulas: Iterable[Formula]) -> list:
     """Formulas sorted by their fixed creation order."""
-    return sorted(formulas, key=lambda f: f.uid)
+    return sorted(formulas, key=_uid)
 
 
 def concept_text(concept: Concept) -> str:

@@ -76,3 +76,25 @@ def test_the_record_is_the_last_json_line():
 def test_directions_come_from_the_benchmark_declaration():
     better = ab.directions(Path(__file__).parents[1] / "BENCHMARK.json")
     assert better["verdict_ms.p50"] == "lower" and better["throughput_kb_s"] == "higher"
+
+
+def test_json_holds_the_rows_and_every_run(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace):
+        calls.append((tree == ab.ROOT, seed))
+        return _record(9 if tree == ab.ROOT else 10, 1)
+
+    monkeypatch.setattr(ab, "run_bench", fake_run)
+    out = tmp_path / "ab.json"
+    assert ab.main([str(tmp_path), "--workload", "suite", "--pairs", "2", "--seed", "5", "--json", str(out)]) == 0
+    assert calls == [(False, 5), (True, 5), (True, 6), (False, 6)]  # the first side alternates
+
+    saved = json.loads(out.read_text())
+    assert (saved["workload"], saved["pairs"], saved["seconds"], saved["trace"]) == ("suite", 2, 20, 0)
+    assert saved["flags"] == []
+    row = next(r for r in saved["rows"] if r["metric"] == "verdict_ms.p50")
+    assert row == {"metric": "verdict_ms.p50", "unit": "ms", "parent": [10, 10, 10], "change": [9, 9, 9],
+                   "wins": 2, "pairs": 2, "gain": True}
+    assert [(r["pair"], r["seed"]) for r in saved["runs"]] == [(0, 5), (1, 6)]
+    assert saved["runs"][1]["parent"] == _record(10, 1) and saved["runs"][1]["change"] == _record(9, 1)

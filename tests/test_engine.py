@@ -346,6 +346,62 @@ def test_applicable_rule_matches_the_label_scan(case):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+def test_nodes_of_one_content_take_one_step(strategy):
+    """What the step memo rests on, read off the finished graph: two nodes
+    of one run with equal (node type, form, label, rformulas), each
+    stepped once (expanded once, or found saturated), carry the same rule
+    tag and successor contents, whatever their dformulas. A converse
+    re-expansion adds what a state demanded, so it is left out."""
+    texts = differential_suite(500, 20240817) + [chain_kb_text(d) for d in range(1, 21)]
+    repeats = 0
+    for text in texts:
+        nodes = run(text, strategy)[1].graph.nodes
+        steps: dict = {}
+        for node in nodes:
+            if node.expansions == 1 or (node.expansions == 0 and node.status == SAT):
+                step = (node.rule, frozenset((nodes[w].label, nodes[w].rformulas) for w in node.succs))
+                key = (node.node_type, node.stype, node.label, node.rformulas)
+                first = steps.setdefault(key, step)
+                assert first == step, (text, node)
+                repeats += first is not step
+    assert repeats > 1000
+
+
+def test_run_drops_its_per_run_memos():
+    for text in (EX2_TEXT, chain_kb_text(3)):
+        engine = decide_sat(parse_kb(text)).engine
+        assert engine.rule_counts  # the run stepped, so the memos were filled
+        for memo in (engine._views, engine._clash, engine._back, engine._proper, engine._steps):
+            assert memo == {}
+
+
+def test_each_label_is_sorted_once_per_run(monkeypatch):
+    """The rule scan and the clash test share one uid-ordered walk of a label."""
+    sorted_labels = []
+
+    def ordered_spy(formulas):
+        sorted_labels.append(formulas)
+        return ordered(formulas)
+
+    monkeypatch.setattr(engine_module, "ordered", ordered_spy)
+    for text in (EX1_TEXT, EX2_TEXT, chain_kb_text(4)):
+        sorted_labels.clear()
+        decide_sat(parse_kb(text))
+        assert sorted_labels and len(sorted_labels) == len(set(sorted_labels)), text
+
+
+def test_t_unsat_walks_the_members_it_is_given():
+    # the complements it interns come in the order of `members`
+    interned = []
+    for walk in (ordered, lambda label: ordered(label)[::-1]):
+        kb = parse_kb("inst a (and B C)\ninst b (or D E)\n")
+        label = frozenset(kb.abox)
+        assert not t_unsat(kb.store, label, tuple(walk(label)))
+        interned.append(interned_texts(kb.store))
+    assert interned[0] != interned[1] and sorted(interned[0]) == sorted(interned[1])
+
+
 def test_disjunction_split_at_root():
     kb, verdict, by_label = _ex1_nodes()
     graph = verdict.graph

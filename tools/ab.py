@@ -1,6 +1,6 @@
 """Compare the benchmark between a parent tree and this tree, run for run.
 
-    python3 tools/ab.py PARENT_TREE --workload chain --pairs 10 [--seconds 20] [--seed 101] [--trace 0]
+    python3 tools/ab.py PARENT_TREE --workload chain --pairs 10 [--seconds 20] [--seed 101] [--trace 0] [--json OUT.json]
 
 Runs `python3 bench/run.py` from the root of each tree, in pairs: pair i
 runs both trees on seed SEED + i, and the side that runs first alternates
@@ -13,7 +13,9 @@ tie counts for neither. `gain` marks a metric on which this tree won at
 least nine tenths of the pairs and the medians differ by more than the
 parent's interquartile range. A run that is not `correct`, or that fails
 more inputs than the parent's run of its pair, is flagged; the exit code
-is 1 when any run is flagged. Stdlib only.
+is 1 when any run is flagged. `--json` also writes the comparison to a
+file: the settings, the summary rows (with both sides' quartiles), the
+flags and every run's record, by pair. Stdlib only.
 """
 from __future__ import annotations
 
@@ -113,6 +115,13 @@ def table(rows: list) -> str:
     return "\n".join(lines)
 
 
+def report(settings: dict, seeds: list, parent: list, change: list, rows: list, problems: list) -> dict:
+    """The comparison as one JSON-ready object: `settings`, the summary
+    `rows`, the `flags` and, per pair, its seed and both sides' records."""
+    runs = [{"pair": i, "seed": s, "parent": p, "change": c} for i, (s, p, c) in enumerate(zip(seeds, parent, change))]
+    return {**settings, "rows": rows, "flags": problems, "runs": runs}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="root of the parent commit's tree")
@@ -121,23 +130,28 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--seed", type=int, default=101, help="seed of the first pair; pair i uses SEED + i")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--json", type=Path, help="also write the rows and every run's record to this file")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
     parent, change = [], []
-    for i in range(args.pairs):
-        seed = args.seed + i
+    seeds = [args.seed + i for i in range(args.pairs)]
+    for i, seed in enumerate(seeds):
         order = ((parent, args.parent), (change, ROOT))
         for records, tree in order if i % 2 == 0 else order[::-1]:
             records.append(run_bench(tree, args.workload, seed, args.seconds, args.trace))
         print(f"pair {i + 1}/{args.pairs} done (seed {seed})", file=sys.stderr)
 
-    print(f"workload {args.workload}, {args.pairs} pairs, --seconds {args.seconds:g}, seeds {args.seed}..{seed}")
-    print(table(summarize(parent, change, directions(ROOT / "BENCHMARK.json"))))
+    print(f"workload {args.workload}, {args.pairs} pairs, --seconds {args.seconds:g}, seeds {seeds[0]}..{seeds[-1]}")
+    rows = summarize(parent, change, directions(ROOT / "BENCHMARK.json"))
+    print(table(rows))
     problems = flags(parent, change)
     for problem in problems:
         print("FLAG:", problem)
+    if args.json is not None:
+        settings = {"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds, "trace": args.trace}
+        args.json.write_text(json.dumps(report(settings, seeds, parent, change, rows, problems), indent=1) + "\n")
     return 1 if problems else 0
 
 
