@@ -28,22 +28,22 @@ refuted successor kills an and-node.
 
 Labels are interned frozensets that never change, and many nodes share
 one: the engine does each piece of per-label work once per run and looks
-it up afterwards. Three dicts keyed by the label (a frozenset caches its
-hash) hold the label's members in uid order, also split by kind
-(`LabelView`; the clash test walks the same sorted tuple), its
-`t_unsat` result, and, keyed by (existential, label), the `_backward`
-transfer. A fourth, keyed by role, holds the role's proper subroles for
-the narrowing scan. A fifth, `_steps`, is keyed by a node's content
-(node type, form, label, rformulas), which comes back across local
-graphs and across dformulas. It holds the rule instance
-`applicable_rule` chose for that content and, once a static rule has
-been applied to it, the successor labels and rformulas. The memo is
-exact: the scan and the conclusions read those four fields and nothing
-else. The dicts live on the engine, not on the nodes, and are dropped
-when the run ends. None of them changes the uid order: a hit replays a
-call whose formulas were interned on its miss, and the subrole
-narrowings, which intern new formulas, are still built lazily during
-the rule scan, in the same order as before.
+it up afterwards. Four dicts keyed by the label (a frozenset caches its
+hash) hold the label's members in uid order, which the clash test walks,
+the same members split by kind (`LabelView`), built only for a label the
+rule scan reads, its `t_unsat` result, and, keyed by (existential,
+label), the `_backward` transfer. A fifth, keyed by role, holds the
+role's proper subroles for the narrowing scan. A sixth, `_steps`, is
+keyed by a node's content (node type, form, label, rformulas), which
+comes back across local graphs and across dformulas. It holds the rule
+instance `applicable_rule` chose for that content and, once a static
+rule has been applied to it, the successor labels and rformulas. The
+memo is exact: the scan and the conclusions read those four fields and
+nothing else. The dicts live on the engine, not on the nodes, and are
+dropped when the run ends. None of them changes the uid order: a hit
+replays a call whose formulas were interned on its miss, and the
+subrole narrowings, which intern new formulas, are still built lazily
+during the rule scan, in the same order as before.
 
 Only some edges can carry a constraint back. Across an R edge the
 successor's label forces something on the state only through a value
@@ -135,15 +135,13 @@ class Verdict:
 class LabelView(NamedTuple):
     """A label's members by the kind of their concept, each in uid order:
     (member, concept) pairs for value restrictions, which the scan reads
-    the concept of, and bare members for the other kinds; `members` holds
-    them all, for the clash test."""
+    the concept of, and bare members for the other kinds."""
 
     conj: tuple
     univ: tuple
     rel: tuple
     disj: tuple
     some: tuple
-    members: tuple
 
 
 def _body(f):
@@ -203,6 +201,7 @@ class TableauEngine:
         self.tbox_set = frozenset(kb.tbox)
         self.rule_counts: Counter = Counter()
         self.trace: list = []
+        self._sorted: dict = {}  # label -> its members in uid order
         self._views: dict = {}  # label -> LabelView
         self._clash: dict = {}  # label -> t_unsat(store, label)
         self._back: dict = {}  # (existential, label) -> frozenset
@@ -257,22 +256,28 @@ class TableauEngine:
         """`t_unsat` of `label`, computed once per run."""
         out = self._clash.get(label)
         if out is None:
-            out = self._clash[label] = t_unsat(self.store, label, self._view(label).members)
+            out = self._clash[label] = t_unsat(self.store, label, self._members(label))
         return out
 
+    def _members(self, label) -> tuple:
+        """`label`'s members in uid order, from one sort per run."""
+        members = self._sorted.get(label)
+        if members is None:
+            members = self._sorted[label] = tuple(ordered(label))
+        return members
+
     def _view(self, label) -> LabelView:
-        """`label`'s members by kind, from one sort per run."""
+        """`label`'s members by kind, split at the label's first scan."""
         view = self._views.get(label)
         if view is None:
             parts = {sx.AND: [], sx.ALL: [], None: [], sx.OR: [], sx.SOME: []}  # LabelView's order
-            members = tuple(ordered(label))
-            for f in members:
+            for f in self._members(label):
                 c = _body(f)
                 kind = None if c is None else c.kind
                 part = parts.get(kind)
                 if part is not None:
                     part.append((f, c) if kind == sx.ALL else f)
-            view = self._views[label] = LabelView(*map(tuple, parts.values()), members)
+            view = self._views[label] = LabelView(*map(tuple, parts.values()))
         return view
 
     # -- rule selection -------------------------------------------------
@@ -563,6 +568,7 @@ class TableauEngine:
                 self.propagate_status(v)
                 continue
             self.apply_rule(inst, v)
+        self._sorted.clear()
         self._views.clear()
         self._clash.clear()
         self._back.clear()

@@ -15,6 +15,11 @@ One statement per construct, prefix s-expressions for concepts:
 
 Comments run from '#' to end of line. `and`/`or` take two or more
 arguments and are folded to the right into binary nodes.
+
+The parser reads token texts alone, from one regex scan of the text with
+its comments removed. Token positions are computed only for an error
+message: `_tokenize`, the one definition of a token's line and column,
+runs when a `ParseError` is raised, and places the token by its index.
 """
 from __future__ import annotations
 
@@ -25,6 +30,8 @@ from .syntax import FormulaStore, INST, KnowledgeBase, Role, build_kb, concept_t
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN = re.compile(r"[()]|[^\s()]+")
+# A comment runs to the next line boundary of `str.splitlines`.
+_COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 _KEYWORDS = ("sub", "trans", "impl", "equiv", "inst", "rel")
 
 
@@ -51,102 +58,111 @@ def _tokenize(text: str) -> list:
     ]
 
 
+def _token_texts(text: str) -> list:
+    """The texts of `_tokenize(text)`, from one scan of the text with its
+    comments removed. Every line boundary is a space to `_TOKEN`, so no
+    token spans one and the lists agree."""
+    return _TOKEN.findall(_COMMENT.sub("", text) if "#" in text else text)
+
+
 class _Parser:
-    def __init__(self, tokens, store: FormulaStore):
-        self.tokens = tokens
+    """Recursive descent over the token texts, one frame per nesting
+    level. Positions are computed only for an error message: `_fail`
+    places the token it names with `_tokenize`, the one definition of a
+    token's line and column."""
+
+    def __init__(self, text: str, store: FormulaStore):
+        self.text = text
+        self.tokens = _token_texts(text)
         self.pos = 0
         self.store = store
 
-    def _fail(self, message, token=None):
-        if token is None:
-            token = self.tokens[self.pos - 1] if self.tokens else _Token("", 1, 1)
+    def _fail(self, message: str, at: int):
+        """Raise `message` at the token with index `at`."""
+        tokens = _tokenize(self.text)
+        token = tokens[at] if tokens else _Token("", 1, 1)
         raise ParseError(message, token.line, token.col)
 
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
 
-    def take(self, what: str) -> _Token:
-        if self.done():
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-            raise ParseError(f"unexpected end of input, expected {what}", last.line, last.col)
-        tok = self.tokens[self.pos]
+    def take(self, what: str) -> str:
+        try:
+            text = self.tokens[self.pos]
+        except IndexError:
+            self._fail(f"unexpected end of input, expected {what}", -1)
         self.pos += 1
-        return tok
+        return text
 
     def role(self) -> Role:
-        tok = self.take("a role")
-        text = tok.text
-        inverted = False
-        if text.endswith("-"):
-            inverted = True
-            text = text[:-1]
-        if not _IDENT.match(text):
-            self._fail(f"bad role {tok.text!r} (expected IDENT or IDENT-)", tok)
-        return Role(text, inverted)
+        text = self.take("a role")
+        inverted = text.endswith("-")
+        name = text[:-1] if inverted else text
+        if not _IDENT.match(name):
+            self._fail(f"bad role {text!r} (expected IDENT or IDENT-)", self.pos - 1)
+        return Role(name, inverted)
 
     def individual(self) -> str:
-        tok = self.take("an individual")
-        if not _IDENT.match(tok.text):
-            self._fail(f"bad individual name {tok.text!r}", tok)
-        return tok.text
+        text = self.take("an individual")
+        if not _IDENT.match(text):
+            self._fail(f"bad individual name {text!r}", self.pos - 1)
+        return text
 
     def concept(self):
-        tok = self.take("a concept")
-        text = tok.text
+        text = self.take("a concept")
         if text == "(":
             op = self.take("a concept operator")
-            if op.text == "not":
+            if op == "not":
                 inner = self.concept()
                 self._close()
                 return self.store.negate(inner)
-            if op.text in ("and", "or"):
-                parts = []
-                while not self.done() and self.tokens[self.pos].text != ")":
+            if op == "and" or op == "or":
+                at, parts = self.pos - 1, []
+                while not self.done() and self.tokens[self.pos] != ")":
                     parts.append(self.concept())
                 self._close()
                 if len(parts) < 2:
-                    self._fail(f"({op.text} ...) expects at least 2 arguments", op)
-                combine = self.store.conj if op.text == "and" else self.store.disj
+                    self._fail(f"({op} ...) expects at least 2 arguments", at)
+                combine = self.store.conj if op == "and" else self.store.disj
                 result = parts[-1]
                 for part in reversed(parts[:-1]):
                     result = combine(part, result)
                 return result
-            if op.text in ("all", "some"):
+            if op == "all" or op == "some":
                 role = self.role()
                 inner = self.concept()
                 self._close()
-                builder = self.store.univ if op.text == "all" else self.store.exist
+                builder = self.store.univ if op == "all" else self.store.exist
                 return builder(role, inner)
-            self._fail(f"unknown concept operator {op.text!r}", op)
+            self._fail(f"unknown concept operator {op!r}", self.pos - 1)
         if text == ")":
-            self._fail("unexpected ')'", tok)
+            self._fail("unexpected ')'", self.pos - 1)
         if text == "top":
             return self.store.top
         if text == "bot":
             return self.store.bot
         if not _IDENT.match(text):
-            self._fail(f"bad concept name {text!r}", tok)
+            self._fail(f"bad concept name {text!r}", self.pos - 1)
         return self.store.atom(text)
 
     def _close(self) -> None:
-        tok = self.take("')'")
-        if tok.text != ")":
-            self._fail(f"expected ')', found {tok.text!r}", tok)
+        text = self.take("')'")
+        if text != ")":
+            self._fail(f"expected ')', found {text!r}", self.pos - 1)
 
 
 def parse_kb(text: str) -> KnowledgeBase:
     """Parse and normalize a knowledge base from its textual form."""
     store = FormulaStore()
-    parser = _Parser(_tokenize(text), store)
+    parser = _Parser(text, store)
     subs, trans, axioms, abox = [], [], [], []
     while not parser.done():
-        tok = parser.take("a statement")
-        kw = tok.text
+        kw = parser.take("a statement")
         if kw == "sub":
             subs.append((parser.role(), parser.role()))
         elif kw == "trans":
             trans.append(parser.role())
-        elif kw in ("impl", "equiv"):
+        elif kw == "impl" or kw == "equiv":
             axioms.append((kw, parser.concept(), parser.concept()))
         elif kw == "inst":
             ind = parser.individual()
@@ -155,17 +171,16 @@ def parse_kb(text: str) -> KnowledgeBase:
             role = parser.role()
             abox.append(store.rel(role, parser.individual(), parser.individual()))
         else:
-            parser._fail(f"unknown statement {kw!r} (expected one of {', '.join(_KEYWORDS)})", tok)
+            parser._fail(f"unknown statement {kw!r} (expected one of {', '.join(_KEYWORDS)})", parser.pos - 1)
     return build_kb(store, subs, trans, axioms, abox)
 
 
 def parse_concept_text(text: str, store: FormulaStore):
     """Parse a single concept, e.g. a CLI argument."""
-    parser = _Parser(_tokenize(text), store)
+    parser = _Parser(text, store)
     concept = parser.concept()
     if not parser.done():
-        parser._fail(f"trailing input after concept: {parser.tokens[parser.pos].text!r}",
-                     parser.tokens[parser.pos])
+        parser._fail(f"trailing input after concept: {parser.tokens[parser.pos]!r}", parser.pos)
     return concept
 
 

@@ -5,7 +5,8 @@ trans(R). Its closure <=* is the reflexive-transitive closure of the
 inclusions together with their inverses (R <= S gives R- <= S-), and the
 inverse of a transitive role is transitive too. The role universe is just
 the declared names and their inverses, so the closure is finite; it is
-computed once, in closed form. `RBoxIndex` exposes it as two tables,
+computed once per knowledge base, in closed form, and `kb_index` returns
+that one closure to every caller. `RBoxIndex` exposes it as two tables,
 `subrole_pairs` and `transitive`, and serves the two queries the search
 makes, `srtr` and `subroles_of`, from tables too; both reject a role the
 knowledge base does not declare. `transitive_closure` is the one closure
@@ -97,4 +98,7 @@ def build_ext(subsumptions, transitive, role_names) -> RBoxIndex:
 
 
 def kb_index(kb) -> RBoxIndex:
-    return build_ext(kb.role_subsumptions, kb.transitive_roles, kb.role_names)
+    """The closed role box of `kb`. It is built once per knowledge base,
+    on the first call, and kept on it (`KnowledgeBase.role_box`), so the
+    caller's index and the engine's are the same object."""
+    return kb.role_box

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Union
 
 
@@ -248,6 +249,8 @@ class KnowledgeBase:
     `tbox` holds the internalized global concepts; `tbox_axioms` keeps the
     axioms as written so the textual form can be reproduced. The ABox is
     never empty: normalization inserts a fresh `ind:top` when needed.
+    Nothing changes a knowledge base once `build_kb` has made it, so its
+    closed role box, `role_box`, is built on first use and kept.
     """
 
     store: FormulaStore
@@ -259,6 +262,13 @@ class KnowledgeBase:
     role_names: list
     concept_names: list
     individuals: list
+
+    @cached_property
+    def role_box(self):
+        """The closed role box (`rbox.kb_index`), one closure per knowledge base."""
+        from . import rbox  # rbox imports this module
+
+        return rbox.build_ext(self.role_subsumptions, self.transitive_roles, self.role_names)
 
 
 def build_kb(store, subsumptions, transitive, tbox_axioms, abox) -> KnowledgeBase:

@@ -372,7 +372,7 @@ def test_run_drops_its_per_run_memos():
     for text in (EX2_TEXT, chain_kb_text(3)):
         engine = decide_sat(parse_kb(text)).engine
         assert engine.rule_counts  # the run stepped, so the memos were filled
-        for memo in (engine._views, engine._clash, engine._back, engine._proper, engine._steps):
+        for memo in (engine._sorted, engine._views, engine._clash, engine._back, engine._proper, engine._steps):
             assert memo == {}
 
 
@@ -389,6 +389,19 @@ def test_each_label_is_sorted_once_per_run(monkeypatch):
         sorted_labels.clear()
         decide_sat(parse_kb(text))
         assert sorted_labels and len(sorted_labels) == len(set(sorted_labels)), text
+
+
+def test_clash_test_splits_no_label_by_kind():
+    """Only the rule scan reads a label's `LabelView`; the clash test walks
+    the sorted members alone, and the scan reuses that sort."""
+    kb = parse_kb("inst a (and A (or B C))\n")
+    engine = TableauEngine(kb)
+    label = frozenset(kb.abox)
+    assert not engine._clashes(label)
+    assert label in engine._sorted and label not in engine._views
+    members = engine._sorted[label]
+    assert engine._view(label).conj == members  # the one member is a conjunction
+    assert engine._sorted[label] is members
 
 
 def test_t_unsat_walks_the_members_it_is_given():

@@ -5,7 +5,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from shisat import build_ext
+from shisat import build_ext, build_witness, decide_sat, kb_index, parse_kb
+from shisat import rbox as rbox_module
 from shisat.syntax import Role
 
 R, RI = Role("r"), Role("r", True)
@@ -165,3 +166,24 @@ def test_closure_matches_reference_fixpoint(box):
         assert idx.subroles_of(s) == sorted((r for (r, t) in pairs if t == s), key=_role_order)
         for r in roles:
             assert idx.srtr(r, s) == ((r, s) in pairs and s in transitive)
+
+
+def test_each_knowledge_base_closes_its_role_box_once(monkeypatch):
+    closures = []
+
+    def build_ext_spy(*args):
+        closures.append(args)
+        return build_ext(*args)
+
+    monkeypatch.setattr(rbox_module, "build_ext", build_ext_spy)
+    kb = parse_kb("sub r s\ntrans s\ninst a (and (some r A) (all s B))\n")
+    idx = kb_index(kb)
+    verdict = decide_sat(kb)
+    assert verdict.sat
+    build_witness(verdict.graph, kb, kb_index(kb))
+    assert len(closures) == 1
+    assert verdict.engine.idx is idx is kb_index(kb)
+    assert decide_sat(kb).engine.idx is kb_index(kb)
+    assert len(closures) == 1
+    assert kb_index(parse_kb("sub r s\n")) is not idx  # a new knowledge base closes its own
+    assert len(closures) == 2

@@ -19,9 +19,12 @@ subrole pairs and transitive roles, sorted), the store's interned
 formulas in uid order once the run and the witness are done, and the
 domain size of the model `bounded_model_search(kb, 3)` finds (or None),
 computed once per text on its own parse and recorded under both
-strategies' runs. Formulas are recorded as text, so values compare
-across processes; the `interned` field shows whether two runs of one
-text intern the same formulas in the same order.
+strategies' runs, and, in the same way, how `parse_kb` ends on the text
+and on fixed malformed variants of it (`_malformed`): None when it
+parses, the `ParseError`'s (message, line, col), or the type of any other
+exception. Formulas are recorded as text, so values compare across
+processes; the `interned` field shows whether two runs of one text
+intern the same formulas in the same order.
 `compare` prints, for each field, how many runs differ.
 
 Dump each tree with its own copy of this script, run from that tree's
@@ -34,7 +37,7 @@ from __future__ import annotations
 import pickle
 import sys
 
-FIELDS = ("verdict", "stats", "trace", "nodes", "repair", "witness", "names", "rbox", "interned", "oracle")
+FIELDS = ("verdict", "stats", "trace", "nodes", "repair", "witness", "names", "rbox", "interned", "oracle", "parse")
 
 
 def _some_nest(depth: int, transitive: bool) -> str:
@@ -116,14 +119,44 @@ def _oracle_size(text: str):
     return None if found is None else len(found.domain)
 
 
+def _malformed(text: str) -> list:
+    """`text` cut at a quarter, a half and three quarters of its length,
+    with a stray ')', with a bad concept name, and with an error on the
+    line after a comment and after a form-feed line break."""
+    cuts = [text[: len(text) * k // 4] for k in (1, 2, 3)]
+    return cuts + [
+        text + "inst a A )\n",
+        text + "inst a (and A 9b)\n",
+        text + "# a comment (\ninst a (frob A)\n",
+        text + "inst a A\x0cinst b (or A)\n",
+    ]
+
+
+def _parse_outcome(text: str):
+    """None if `text` parses, else its `ParseError`'s (message, line, col)
+    or the type name of the exception it raised."""
+    from shisat import parse_kb
+    from shisat.kbparse import ParseError
+
+    try:
+        parse_kb(text)
+    except ParseError as exc:
+        return (exc.message, exc.line, exc.col)
+    except Exception as exc:  # any other end is recorded by its type
+        return type(exc).__name__
+    return None
+
+
 def dump(out: str) -> None:
     runs = {}
     oracle: dict = {}  # text -> the oracle's model size
+    parse: dict = {}  # text -> how parse_kb ends on it and its variants
     for name, text, strategy in _corpus():
         try:
             if text not in oracle:
                 oracle[text] = _oracle_size(text)
-            runs[name] = {**_record(text, strategy), "oracle": oracle[text]}
+                parse[text] = tuple(_parse_outcome(t) for t in [text, *_malformed(text)])
+            runs[name] = {**_record(text, strategy), "oracle": oracle[text], "parse": parse[text]}
         except Exception as exc:  # a crash is recorded as the run's outcome
             runs[name] = {field: f"error: {type(exc).__name__}: {exc}" for field in FIELDS}
     with open(out, "wb") as fh:
