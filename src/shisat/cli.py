@@ -22,7 +22,6 @@ from .graph import STATE, TableauGraph
 from .kbparse import ParseError, parse_concept_text, parse_kb
 from .models import Interpretation, build_witness, check_model
 from .oracle import SearchBudgetExceeded, bounded_model_search
-from .rbox import kb_index
 from .syntax import KnowledgeBase, build_kb, formula_text, ordered
 
 
@@ -103,7 +102,7 @@ def _cmd_sat(args) -> int:
     if args.stats:
         _print_stats(verdict)
     if args.model and verdict.sat:
-        witness = build_witness(verdict.graph, kb, kb_index(kb))
+        witness = build_witness(verdict.graph, kb, verdict.engine.idx)
         if not check_model(witness, kb):
             print("error: the extracted witness is not a model of the knowledge base", file=sys.stderr)
             return 2

@@ -16,10 +16,12 @@ One statement per construct, prefix s-expressions for concepts:
 Comments run from '#' to end of line. `and`/`or` take two or more
 arguments and are folded to the right into binary nodes.
 
-The parser reads token texts alone, from one regex scan of the text with
-its comments removed. Token positions are computed only for an error
-message: `_tokenize`, the one definition of a token's line and column,
-runs when a `ParseError` is raised, and places the token by its index.
+The parser reads token texts alone; for a text with no '#' in it they
+come from one regex scan of the whole text. `_tokenize` is the one
+definition of comments and of a token's line and column. It runs on a
+text with a comment, and when a `ParseError` is raised, to place the
+failing token by its index: positions are computed only for an error
+message.
 """
 from __future__ import annotations
 
@@ -30,8 +32,6 @@ from .syntax import FormulaStore, INST, KnowledgeBase, Role, build_kb, concept_t
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN = re.compile(r"[()]|[^\s()]+")
-# A comment runs to the next line boundary of `str.splitlines`.
-_COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 _KEYWORDS = ("sub", "trans", "impl", "equiv", "inst", "rel")
 
 
@@ -59,10 +59,12 @@ def _tokenize(text: str) -> list:
 
 
 def _token_texts(text: str) -> list:
-    """The texts of `_tokenize(text)`, from one scan of the text with its
-    comments removed. Every line boundary is a space to `_TOKEN`, so no
-    token spans one and the lists agree."""
-    return _TOKEN.findall(_COMMENT.sub("", text) if "#" in text else text)
+    """The texts of `_tokenize(text)`. Without a comment they come from one
+    scan of the whole text: every line boundary is a space to `_TOKEN`, so
+    no token spans one and the lists agree."""
+    if "#" in text:
+        return [t.text for t in _tokenize(text)]
+    return _TOKEN.findall(text)
 
 
 class _Parser:

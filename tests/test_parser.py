@@ -202,13 +202,6 @@ def test_token_texts_match_the_positioned_tokens(text):
     assert _token_texts(text) == [t.text for t in _tokenize(text)]
 
 
-@pytest.mark.parametrize("boundary", _BOUNDARIES)
-def test_a_comment_ends_at_every_line_boundary(boundary):
-    text = f"inst a A # c ({boundary}inst b (not B)"
-    assert _token_texts(text) == [t.text for t in _tokenize(text)]
-    assert len(parse_kb(text).abox) == 2
-
-
 class _ReferenceParser:
     """The parser as it was before it read token texts alone: every token
     carries its position, and errors are placed from it."""
