@@ -29,21 +29,23 @@ refuted successor kills an and-node.
 Labels are interned frozensets that never change, and many nodes share
 one: the engine does each piece of per-label work once per run and looks
 it up afterwards. Four dicts keyed by the label (a frozenset caches its
-hash) hold the label's members in uid order, which the clash test walks,
-the same members split by kind (`LabelView`), built only for a label the
-rule scan reads, its `t_unsat` result, and, keyed by (existential,
-label), the `_backward` transfer. A fifth, keyed by role, holds the
-role's proper subroles for the narrowing scan. A sixth, `_steps`, is
-keyed by a node's content (node type, form, label, rformulas), which
-comes back across local graphs and across dformulas. It holds the rule
-instance `applicable_rule` chose for that content and, once a static
-rule has been applied to it, the successor labels and rformulas. The
-memo is exact: the scan and the conclusions read those four fields and
-nothing else. The dicts live on the engine, not on the nodes, and are
-dropped when the run ends. None of them changes the uid order: a hit
-replays a call whose formulas were interned on its miss, and the
-subrole narrowings, which intern new formulas, are still built lazily
-during the rule scan, in the same order as before.
+hash) hold the label's members in uid order and split by kind
+(`LabelView`, built at the label's first rule scan; the clash test
+walks its sorted tuple), the sorted tuple of a label clash-tested
+before any scan, which that scan takes over, the label's `t_unsat`
+result, and, keyed by (existential, label), the `_backward` transfer.
+A fifth, keyed by role, holds the role's proper subroles for the
+narrowing scan. A sixth, `_steps`, is keyed by a node's content (node
+type, form, label, rformulas), which comes back across local graphs and
+across dformulas. It holds the rule instance `applicable_rule` chose
+for that content and, once a static rule has been applied to it, the
+successor labels and rformulas. The memo is exact: the scan and the
+conclusions read those four fields and nothing else. The dicts live on
+the engine, not on the nodes, and are dropped when the run ends. None
+of them changes the uid order: a hit replays a call whose formulas were
+interned on its miss, and the subrole narrowings, which intern new
+formulas, are still built lazily during the rule scan, in the same
+order as before.
 
 Only some edges can carry a constraint back. Across an R edge the
 successor's label forces something on the state only through a value
@@ -135,13 +137,15 @@ class Verdict:
 class LabelView(NamedTuple):
     """A label's members by the kind of their concept, each in uid order:
     (member, concept) pairs for value restrictions, which the scan reads
-    the concept of, and bare members for the other kinds."""
+    the concept of, and bare members for the other kinds; `members` holds
+    them all, for the clash test."""
 
     conj: tuple
     univ: tuple
     rel: tuple
     disj: tuple
     some: tuple
+    members: tuple
 
 
 def _body(f):
@@ -201,7 +205,7 @@ class TableauEngine:
         self.tbox_set = frozenset(kb.tbox)
         self.rule_counts: Counter = Counter()
         self.trace: list = []
-        self._sorted: dict = {}  # label -> its members in uid order
+        self._sorted: dict = {}  # label -> its members in uid order, until its first scan
         self._views: dict = {}  # label -> LabelView
         self._clash: dict = {}  # label -> t_unsat(store, label)
         self._back: dict = {}  # (existential, label) -> frozenset
@@ -260,24 +264,30 @@ class TableauEngine:
         return out
 
     def _members(self, label) -> tuple:
-        """`label`'s members in uid order, from one sort per run."""
-        members = self._sorted.get(label)
-        if members is None:
-            members = self._sorted[label] = tuple(ordered(label))
+        """`label`'s members in uid order, for its clash test: the scanned
+        label's view holds them, and an unscanned label's sort is kept in
+        `_sorted` until its first scan takes it over."""
+        view = self._views.get(label)
+        if view is not None:
+            return view.members
+        members = self._sorted[label] = tuple(ordered(label))
         return members
 
     def _view(self, label) -> LabelView:
         """`label`'s members by kind, split at the label's first scan."""
         view = self._views.get(label)
         if view is None:
+            members = self._sorted.pop(label, None)
+            if members is None:
+                members = tuple(ordered(label))
             parts = {sx.AND: [], sx.ALL: [], None: [], sx.OR: [], sx.SOME: []}  # LabelView's order
-            for f in self._members(label):
+            for f in members:
                 c = _body(f)
                 kind = None if c is None else c.kind
                 part = parts.get(kind)
                 if part is not None:
                     part.append((f, c) if kind == sx.ALL else f)
-            view = self._views[label] = LabelView(*map(tuple, parts.values()))
+            view = self._views[label] = LabelView(*map(tuple, parts.values()), members)
         return view
 
     # -- rule selection -------------------------------------------------

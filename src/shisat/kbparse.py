@@ -16,12 +16,12 @@ One statement per construct, prefix s-expressions for concepts:
 Comments run from '#' to end of line. `and`/`or` take two or more
 arguments and are folded to the right into binary nodes.
 
-The parser reads token texts alone; for a text with no '#' in it they
-come from one regex scan of the whole text. `_tokenize` is the one
-definition of comments and of a token's line and column. It runs on a
-text with a comment, and when a `ParseError` is raised, to place the
-failing token by its index: positions are computed only for an error
-message.
+The parser reads token texts alone. `_tokenize` is the one definition
+of comments and of a token's line and column. A text with no '#' in it
+needs neither: its token texts come from one regex scan of the whole
+text, and its positions are computed only for an error message, when a
+`ParseError` places the failing token by its index. A text with a
+comment takes its token texts from `_tokenize`.
 """
 from __future__ import annotations
 
@@ -69,9 +69,8 @@ def _token_texts(text: str) -> list:
 
 class _Parser:
     """Recursive descent over the token texts, one frame per nesting
-    level. Positions are computed only for an error message: `_fail`
-    places the token it names with `_tokenize`, the one definition of a
-    token's line and column."""
+    level. `_fail` places the token it names with `_tokenize`, the one
+    definition of a token's line and column."""
 
     def __init__(self, text: str, store: FormulaStore):
         self.text = text

@@ -393,15 +393,16 @@ def test_each_label_is_sorted_once_per_run(monkeypatch):
 
 def test_clash_test_splits_no_label_by_kind():
     """Only the rule scan reads a label's `LabelView`; the clash test walks
-    the sorted members alone, and the scan reuses that sort."""
+    the sorted members alone, and the scan takes that sort over."""
     kb = parse_kb("inst a (and A (or B C))\n")
     engine = TableauEngine(kb)
     label = frozenset(kb.abox)
     assert not engine._clashes(label)
     assert label in engine._sorted and label not in engine._views
     members = engine._sorted[label]
-    assert engine._view(label).conj == members  # the one member is a conjunction
-    assert engine._sorted[label] is members
+    view = engine._view(label)
+    assert view.members is members and view.conj == members  # the one member is a conjunction
+    assert label not in engine._sorted
 
 
 def test_t_unsat_walks_the_members_it_is_given():
