@@ -28,24 +28,20 @@ refuted successor kills an and-node.
 
 Labels are interned frozensets that never change, and many nodes share
 one: the engine does each piece of per-label work once per run and looks
-it up afterwards. Four dicts keyed by the label (a frozenset caches its
-hash) hold the label's members in uid order and split by kind
-(`LabelView`, built at the label's first rule scan; the clash test
-walks its sorted tuple), the sorted tuple of a label clash-tested
-before any scan, which that scan takes over, the label's `t_unsat`
-result, and, keyed by (existential, label), the `_backward` transfer.
-A fifth, keyed by role, holds the role's proper subroles for the
-narrowing scan. A sixth, `_steps`, is keyed by a node's content (node
-type, form, label, rformulas), which comes back across local graphs and
-across dformulas. It holds the rule instance `applicable_rule` chose
-for that content and, once a static rule has been applied to it, the
-successor labels and rformulas. The memo is exact: the scan and the
-conclusions read those four fields and nothing else. The dicts live on
-the engine, not on the nodes, and are dropped when the run ends. None
-of them changes the uid order: a hit replays a call whose formulas were
-interned on its miss, and the subrole narrowings, which intern new
-formulas, are still built lazily during the rule scan, in the same
-order as before.
+it up afterwards. Three dicts hold that work. `_sorted`, keyed by the
+label (a frozenset caches its hash), holds the label's members in uid
+order: the clash test walks them, and the rule scan splits them by kind.
+`_clash` holds the label's `t_unsat` result. `_steps` is keyed by a
+node's content (node type, form, label, rformulas), which comes back
+across local graphs and across dformulas. It holds the rule instance
+`applicable_rule` chose for that content and, once a static rule has
+been applied to it, the successor labels and rformulas. The memo is
+exact: the scan and the conclusions read those four fields and nothing
+else. The dicts live on the engine, not on the nodes, and are dropped
+when the run ends. None of them changes the uid order: a hit replays a
+call whose formulas were interned on its miss, and the subrole
+narrowings, which intern new formulas, are still built lazily during the
+rule scan, in the same order as before.
 
 Only some edges can carry a constraint back. Across an R edge the
 successor's label forces something on the state only through a value
@@ -65,7 +61,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import syntax as sx
 from .graph import (
@@ -134,20 +129,6 @@ class Verdict:
     engine: "TableauEngine"
 
 
-class LabelView(NamedTuple):
-    """A label's members by the kind of their concept, each in uid order:
-    (member, concept) pairs for value restrictions, which the scan reads
-    the concept of, and bare members for the other kinds; `members` holds
-    them all, for the clash test."""
-
-    conj: tuple
-    univ: tuple
-    rel: tuple
-    disj: tuple
-    some: tuple
-    members: tuple
-
-
 def _body(f):
     """The concept a label member speaks of: `f` itself for a concept, C
     for an assertion ind:C, None for a role assertion."""
@@ -205,11 +186,8 @@ class TableauEngine:
         self.tbox_set = frozenset(kb.tbox)
         self.rule_counts: Counter = Counter()
         self.trace: list = []
-        self._sorted: dict = {}  # label -> its members in uid order, until its first scan
-        self._views: dict = {}  # label -> LabelView
+        self._sorted: dict = {}  # label -> its members in uid order
         self._clash: dict = {}  # label -> t_unsat(store, label)
-        self._back: dict = {}  # (existential, label) -> frozenset
-        self._proper: dict = {}  # role -> its proper subroles, in uid order
         self._steps: dict = {}  # (node_type, stype, label, rformulas) -> [rule, (labels, rformulas) or None]
         self._pulling = None  # pulling_roles, built at the first state
 
@@ -236,18 +214,12 @@ class TableauEngine:
 
     def _backward(self, ex, label) -> frozenset:
         """What the simple `label` of `ex`'s successor forces back across
-        the edge, in the label form of `ex`. Memoised per run: the
-        assertions of the first call are interned by the time of a hit."""
-        key = (ex, label)
-        out = self._back.get(key)
-        if out is None:
-            role = _body(ex).role.inverse
-            if ex.kind == sx.INST:
-                out = transfer_concepts_to(self.idx, self.store, label, role, ex.ind)
-            else:
-                out = transfer_concepts(self.idx, label, role)
-            out = self._back[key] = frozenset(out)
-        return out
+        the edge, in the label form of `ex`. A repeated call interns
+        nothing: its assertions were interned by the first."""
+        role = _body(ex).role.inverse
+        if ex.kind == sx.INST:
+            return frozenset(transfer_concepts_to(self.idx, self.store, label, role, ex.ind))
+        return frozenset(transfer_concepts(self.idx, label, role))
 
     def _pulls(self, ex) -> bool:
         """Whether the successor of `ex` can force anything back across
@@ -264,31 +236,12 @@ class TableauEngine:
         return out
 
     def _members(self, label) -> tuple:
-        """`label`'s members in uid order, for its clash test: the scanned
-        label's view holds them, and an unscanned label's sort is kept in
-        `_sorted` until its first scan takes it over."""
-        view = self._views.get(label)
-        if view is not None:
-            return view.members
-        members = self._sorted[label] = tuple(ordered(label))
+        """`label`'s members in uid order, sorted once per run: its clash
+        test and its rule scans share the sort."""
+        members = self._sorted.get(label)
+        if members is None:
+            members = self._sorted[label] = tuple(ordered(label))
         return members
-
-    def _view(self, label) -> LabelView:
-        """`label`'s members by kind, split at the label's first scan."""
-        view = self._views.get(label)
-        if view is None:
-            members = self._sorted.pop(label, None)
-            if members is None:
-                members = tuple(ordered(label))
-            parts = {sx.AND: [], sx.ALL: [], None: [], sx.OR: [], sx.SOME: []}  # LabelView's order
-            for f in members:
-                c = _body(f)
-                kind = None if c is None else c.kind
-                part = parts.get(kind)
-                if part is not None:
-                    part.append((f, c) if kind == sx.ALL else f)
-            view = self._views[label] = LabelView(*map(tuple, parts.values()), members)
-        return view
 
     # -- rule selection -------------------------------------------------
 
@@ -309,33 +262,38 @@ class TableauEngine:
         return step[0]
 
     def _scan(self, node) -> RuleInstance | None:
-        """`applicable_rule`'s choice, from the label's `LabelView`, one
-        kind at a time. What it tests against the node's label and
-        rformulas, and the narrowings it interns, are computed per call,
+        """`applicable_rule`'s choice, from the label's sorted members split
+        by kind, one kind at a time. What it tests against the node's label
+        and rformulas, and the narrowings it interns, are computed per call,
         in the same order as a scan of the sorted label would."""
         prime = "" if node.stype == SIMPLE else "'"
-        view = self._view(node.label)
+        conj, univ, rel, disj, some = [], [], [], [], []
+        parts = {sx.AND: conj, sx.ALL: univ, None: rel, sx.OR: disj, sx.SOME: some}
+        for f in self._members(node.label):
+            c = _body(f)
+            part = parts.get(None if c is None else c.kind)
+            if part is not None:
+                part.append(f)
         if node.node_type == STATE:
-            return RuleInstance(R_EXISTS + prime, principals=view.some) if view.some else None
+            return RuleInstance(R_EXISTS + prime, principals=tuple(some)) if some else None
 
         label, rf = node.label, node.rformulas
-        for f in view.conj:
+        for f in conj:
             if f not in rf:
                 return RuleInstance(R_AND + prime, principal=f)
 
-        if view.univ:  # narrowing and univ' both act on a value restriction
+        if univ:  # narrowing and univ' both act on a value restriction
             store = self.store
-            proper = self._proper
-            for f, c in view.univ:
-                subs = proper.get(c.role)
-                if subs is None:  # a narrowing to c's own role is f itself
-                    subs = proper[c.role] = tuple(r for r in self.idx.subroles_of(c.role) if r != c.role)
-                for r in subs:
+            for f in univ:
+                c = _body(f)
+                for r in self.idx.subroles_of(c.role):
+                    if r == c.role:  # a narrowing to c's own role is f itself
+                        continue
                     added = self._lift(f, store.univ(r, c.child))
                     if added not in label and added not in rf:
                         return RuleInstance(R_HIER + prime, principal=f, added=frozenset({added}))
 
-            for f in view.rel:  # univ' reads role assertions, found in complex labels only
+            for f in rel:  # univ' reads role assertions, found in complex labels only
                 added = (
                     transfer_assertions(self.idx, store, label, f.a, f.role, f.b)
                     | transfer_assertions(self.idx, store, label, f.b, f.role.inverse, f.a)
@@ -343,11 +301,11 @@ class TableauEngine:
                 if added:
                     return RuleInstance(R_UNIV_A, principal=f, added=frozenset(added))
 
-        for f in view.disj:
+        for f in disj:
             if f not in rf:
                 return RuleInstance(R_OR + prime, principal=f)
 
-        return RuleInstance(R_FORM) if view.some else None
+        return RuleInstance(R_FORM) if some else None
 
     # -- rule application -------------------------------------------------
 
@@ -357,22 +315,19 @@ class TableauEngine:
         principal, hier/univ' add `rule.added` and keep it. Built on the
         first application of a step and kept in `_steps` with the rule:
         they read nothing but the step's key."""
-        step = self._steps.get((node.node_type, node.stype, node.label, node.rformulas))
-        if step is None or step[0] is not rule:  # a rule the engine did not choose is not kept
-            step = [rule, None]
-        elif step[1] is not None:
-            return step[1]
-        if rule.added:
-            out = ((node.label | rule.added,), node.rformulas)
-        else:
-            f = rule.principal
-            c = _body(f)
-            left, right = self._lift(f, c.left), self._lift(f, c.right)
-            base = node.label - {f}
-            labels = (base | {left, right},) if c.kind == sx.AND else (base | {left}, base | {right})
-            out = (labels, node.rformulas | {f})
-        step[1] = out
-        return out
+        step = self._steps[(node.node_type, node.stype, node.label, node.rformulas)]
+        assert step[0] is rule  # every static rule comes from applicable_rule
+        if step[1] is None:
+            if rule.added:
+                step[1] = ((node.label | rule.added,), node.rformulas)
+            else:
+                f = rule.principal
+                c = _body(f)
+                left, right = self._lift(f, c.left), self._lift(f, c.right)
+                base = node.label - {f}
+                labels = (base | {left, right},) if c.kind == sx.AND else (base | {left}, base | {right})
+                step[1] = (labels, node.rformulas | {f})
+        return step[1]
 
     def apply_rule(self, rule: RuleInstance, v) -> None:
         g = self.graph
@@ -579,10 +534,7 @@ class TableauEngine:
                 continue
             self.apply_rule(inst, v)
         self._sorted.clear()
-        self._views.clear()
         self._clash.clear()
-        self._back.clear()
-        self._proper.clear()
         self._steps.clear()
         return g
 

@@ -242,15 +242,16 @@ def internalize_tbox(store: FormulaStore, axioms: Iterable[tuple]) -> list:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeBase:
     """A normalized SHI knowledge base.
 
     `tbox` holds the internalized global concepts; `tbox_axioms` keeps the
     axioms as written so the textual form can be reproduced. The ABox is
     never empty: normalization inserts a fresh `ind:top` when needed.
-    Nothing changes a knowledge base once `build_kb` has made it, so its
-    closed role box, `role_box`, is built on first use and kept.
+    Nothing changes a knowledge base once `build_kb` has made it (its
+    fields cannot be reassigned), so its closed role box, `role_box`, is
+    built on first use and kept.
     """
 
     store: FormulaStore

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from shisat import TableauEngine, bounded_model_search, check_model, decide_sat, parse_kb
+from shisat import TableauEngine, bounded_model_search, check_model, closure, decide_sat, kb_index, parse_kb
 from shisat import engine as engine_module
 from shisat.engine import EMPTY, PRIORITY, R_CONV, RuleInstance, pulling_roles, t_unsat
 from shisat.graph import (
@@ -86,7 +86,7 @@ def test_repeated_backward_transfer_interns_nothing():
     after = store._next
     assert after > before
     assert _texts(out) == {"a:B", "a:C"}
-    assert engine._backward(ex, label) is out
+    assert engine._backward(ex, label) == out
     assert transfer_concepts_to(engine.idx, store, label, Role("r"), "a") == out
     assert store._next == after
 
@@ -152,6 +152,21 @@ def test_pulling_table_of_the_chain_leaves_its_existentials_out():
     engine.run()
     assert engine._pulling == {Role("r", True), Role("s", True)}
     assert engine.rule_counts[R_CONV] == 0
+
+
+# -- the finite closure ------------------------------------------------------
+
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+def test_every_node_stays_within_the_closure(strategy):
+    """The finiteness the complexity bound rests on: every formula a node
+    holds, demands or disallows is in `closure`, the universe the labels
+    draw from."""
+    texts = differential_suite(500, 20240817) + [chain_kb_text(d) for d in range(1, 11)]
+    for text in texts + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT]:
+        kb, verdict = run(text, strategy)
+        universe = closure(kb, kb_index(kb))
+        for node in verdict.graph.nodes:
+            assert node.label | node.rformulas | node.dformulas | node.fmls_rc <= universe, (text, node.id)
 
 
 # -- rule choice -------------------------------------------------------------
@@ -372,7 +387,7 @@ def test_run_drops_its_per_run_memos():
     for text in (EX2_TEXT, chain_kb_text(3)):
         engine = decide_sat(parse_kb(text)).engine
         assert engine.rule_counts  # the run stepped, so the memos were filled
-        for memo in (engine._sorted, engine._views, engine._clash, engine._back, engine._proper, engine._steps):
+        for memo in (engine._sorted, engine._clash, engine._steps):
             assert memo == {}
 
 
@@ -389,20 +404,6 @@ def test_each_label_is_sorted_once_per_run(monkeypatch):
         sorted_labels.clear()
         decide_sat(parse_kb(text))
         assert sorted_labels and len(sorted_labels) == len(set(sorted_labels)), text
-
-
-def test_clash_test_splits_no_label_by_kind():
-    """Only the rule scan reads a label's `LabelView`; the clash test walks
-    the sorted members alone, and the scan takes that sort over."""
-    kb = parse_kb("inst a (and A (or B C))\n")
-    engine = TableauEngine(kb)
-    label = frozenset(kb.abox)
-    assert not engine._clashes(label)
-    assert label in engine._sorted and label not in engine._views
-    members = engine._sorted[label]
-    view = engine._view(label)
-    assert view.members is members and view.conj == members  # the one member is a conjunction
-    assert label not in engine._sorted
 
 
 def test_t_unsat_walks_the_members_it_is_given():

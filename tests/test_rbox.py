@@ -1,6 +1,8 @@
 """Role-box closure: fixpoint shape, queries, minimality."""
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -187,3 +189,13 @@ def test_each_knowledge_base_closes_its_role_box_once(monkeypatch):
     assert len(closures) == 1
     assert kb_index(parse_kb("sub r s\n")) is not idx  # a new knowledge base closes its own
     assert len(closures) == 2
+
+
+def test_a_knowledge_base_cannot_be_reassigned():
+    """The kept role box rests on this: no field of a built knowledge base
+    can be rebound."""
+    kb = parse_kb("sub r s\ninst a (some r A)\n")
+    idx = kb_index(kb)
+    with pytest.raises(FrozenInstanceError):
+        kb.role_subsumptions = []
+    assert kb_index(kb) is idx
