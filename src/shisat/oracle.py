@@ -40,9 +40,11 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class _Grounding:
-    """The clauses of `kb` over the elements 0..n-1 that every individual map shares."""
+    """The clauses of `kb` over the elements 0..n-1 that every individual map
+    shares. Their number is charged to `budget`; the transitivity clauses,
+    about n**3 per transitive role, before they are built."""
 
-    def __init__(self, kb: KnowledgeBase, n: int) -> None:
+    def __init__(self, kb: KnowledgeBase, n: int, budget: list) -> None:
         self.n = n
         self.nvars = 1
         self.atoms = {name: self._fresh(n) for name in kb.concept_names}
@@ -94,12 +96,6 @@ class _Grounding:
         for r, s in kb.role_subsumptions:
             for e in elements:
                 pairs += [(ls, lr ^ 1) for ls, lr in zip(self.edges(s, e), self.edges(r, e))]
-        for r in kb.transitive_roles:
-            rows = [self.edges(r, e) for e in elements]
-            self.long += [
-                (rows[i][l], rows[i][j] ^ 1, rows[j][l] ^ 1)
-                for i, j, l in product(elements, repeat=3) if i != j and j != l  # the rest are tautologies
-            ]
         # blocks[e]: the atom vector of e is lexicographically >= that of e + 1.
         # g reads "e's vector is greater on the atoms before this one".
         blocks = []
@@ -112,6 +108,15 @@ class _Grounding:
             blocks.append(block)
         # lex[h] orders the elements h..n-1, which a map hitting h elements leaves free.
         self.lex = [[c for block in blocks[h:] for c in block] for h in range(n + 1)]
+        # The transitivity clauses, Horn like the role clauses above, grow as
+        # n**3, so they are charged with the rest before they are built.
+        _charge(budget, len(pairs) + len(self.long) + sum(map(len, self.lex)) + len(kb.transitive_roles) * n**3)
+        for r in kb.transitive_roles:
+            rows = [self.edges(r, e) for e in elements]
+            self.long += [
+                (rows[i][l], rows[i][j] ^ 1, rows[j][l] ^ 1)
+                for i, j, l in product(elements, repeat=3) if i != j and j != l  # the rest are tautologies
+            ]
         # Binary clauses propagate through lists of implied literals, which
         # no search changes.
         self.implied: dict = {}
@@ -279,16 +284,19 @@ def bounded_model_search(kb: KnowledgeBase, k: int, budget: int = 2_000_000):
     """First model of `kb` with at most `k` elements, or None.
 
     Sizes are tried in increasing order, so a model found is a smallest
-    one. `budget` bounds the literals assigned over the whole call, by
-    decision or by propagation; `SearchBudgetExceeded` is raised when it
-    runs out. None only rules out models up to the bound; it is never a
-    proof of unsatisfiability.
+    one. `budget` bounds the work of the whole call: the clauses each
+    size's grounding builds, and the literals assigned by decision or by
+    propagation. `SearchBudgetExceeded` is raised when it runs out, before
+    a grounding builds the transitivity clauses it cannot pay for, so a
+    large `k` ends in that error, not in a grounding that grows as k**4.
+    None only rules out models up to the bound; it is never a proof of
+    unsatisfiability.
     """
     if k < 1:
         raise ValueError("domain bound must be positive")
     remaining = [budget]
     for n in range(1, k + 1):
-        g = _Grounding(kb, n)
+        g = _Grounding(kb, n, remaining)
         for iota in _restricted_growth_maps(kb.individuals, n):
             units, lex = g.map_clauses(kb, iota)
             val = _solve(g, g.units + units, g.long + lex, remaining)

@@ -1,9 +1,10 @@
 """Shared fixtures and verification machinery for the test suite."""
 from __future__ import annotations
 
+from kbgen import chain_kb_text, differential_suite
 from shisat import decide_sat, parse_kb
 from shisat.models import ModelGraph
-from shisat.syntax import ALL, AND, ATOM, BOT, NOT, OR, SOME
+from shisat.syntax import ALL, AND, ATOM, BOT, NOT, OR, SOME, formula_text, ordered
 from shisat.transfer import transfer_concepts
 
 EX1_TEXT = """\
@@ -37,16 +38,25 @@ def run(text: str, strategy: str = "dfs"):
     return kb, decide_sat(kb, strategy=strategy)
 
 
-def label_texts(node) -> frozenset:
-    from shisat.syntax import formula_text
+def some_nest(depth: int, transitive: bool) -> str:
+    """`a` in (all r B) and a chain of `depth` r-successors ending in A."""
+    concept = "(some r " * depth + "A" + ")" * depth
+    return ("trans r\n" if transitive else "") + f"inst a (and (all r B) {concept})\n"
 
+
+def corpus() -> list:
+    """The texts every corpus-wide check reads, through the `decided` fixture."""
+    texts = differential_suite(500, 20240817) + [chain_kb_text(d) for d in range(1, 21)]
+    texts += [some_nest(d, False) for d in (10, 50)] + [some_nest(d, True) for d in (3, 10)]
+    return texts + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT]
+
+
+def label_texts(node) -> frozenset:
     return frozenset(formula_text(f) for f in node.label)
 
 
 def interned_texts(store) -> list:
     """The text of every formula `store` has interned, in uid order."""
-    from shisat.syntax import formula_text, ordered
-
     return [formula_text(f) for f in ordered(store._table.values())]
 
 

@@ -2,6 +2,9 @@
 status flow, and the worked examples end to end."""
 from __future__ import annotations
 
+import itertools
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,7 @@ from shisat.syntax import ALL, AND, INST, OR, SOME, Role, formula_text, ordered
 from shisat.transfer import transfer_concepts_to
 
 from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, interned_texts, label_texts, run
-from kbgen import chain_kb_text, differential_suite
+from kbgen import chain_kb_text, differential_suite, random_kb_text
 
 
 # -- obvious refutation ----------------------------------------------------
@@ -93,28 +96,12 @@ def test_repeated_backward_transfer_interns_nothing():
 
 # -- roles a successor can pull back across --------------------------------
 
-def _some_nest(depth: int, transitive: bool) -> str:
-    """`a` in (all r B) and a chain of `depth` r-successors ending in A."""
-    concept = "A"
-    for _ in range(depth):
-        concept = f"(some r {concept})"
-    return ("trans r\n" if transitive else "") + f"inst a (and (all r B) {concept})\n"
-
-
-def _pulling_corpus() -> list:
-    texts = differential_suite(500, 20240817) + [chain_kb_text(d) for d in range(1, 21)]
-    texts += [_some_nest(d, False) for d in (10, 50)] + [_some_nest(d, True) for d in (3, 10)]
-    return texts + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT]
-
-
-@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
-def test_no_backward_transfer_across_a_role_off_the_pulling_table(strategy):
+def test_no_backward_transfer_across_a_role_off_the_pulling_table(decided):
     """The engine skips `_backward` where the existential's role is not in
     `pulling_roles`; every or-node of such a local graph indeed pulls
     nothing back."""
     off_table = 0
-    for text in _pulling_corpus():
-        kb, verdict = run(text, strategy)
+    for text, kb, verdict in decided:
         engine, nodes = verdict.engine, verdict.graph.nodes
         table = pulling_roles(kb, engine.idx)
         assert engine._pulling in (None, table)
@@ -156,14 +143,11 @@ def test_pulling_table_of_the_chain_leaves_its_existentials_out():
 
 # -- the finite closure ------------------------------------------------------
 
-@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
-def test_every_node_stays_within_the_closure(strategy):
+def test_every_node_stays_within_the_closure(decided):
     """The finiteness the complexity bound rests on: every formula a node
     holds, demands or disallows is in `closure`, the universe the labels
     draw from."""
-    texts = differential_suite(500, 20240817) + [chain_kb_text(d) for d in range(1, 11)]
-    for text in texts + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT]:
-        kb, verdict = run(text, strategy)
+    for text, kb, verdict in decided:
         universe = closure(kb, kb_index(kb))
         for node in verdict.graph.nodes:
             assert node.label | node.rformulas | node.dformulas | node.fmls_rc <= universe, (text, node.id)
@@ -361,17 +345,15 @@ def test_applicable_rule_matches_the_label_scan(case):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
-def test_nodes_of_one_content_take_one_step(strategy):
+def test_nodes_of_one_content_take_one_step(decided):
     """What the step memo rests on, read off the finished graph: two nodes
     of one run with equal (node type, form, label, rformulas), each
     stepped once (expanded once, or found saturated), carry the same rule
     tag and successor contents, whatever their dformulas. A converse
     re-expansion adds what a state demanded, so it is left out."""
-    texts = differential_suite(500, 20240817) + [chain_kb_text(d) for d in range(1, 21)]
     repeats = 0
-    for text in texts:
-        nodes = run(text, strategy)[1].graph.nodes
+    for text, _, verdict in decided:
+        nodes = verdict.graph.nodes
         steps: dict = {}
         for node in nodes:
             if node.expansions == 1 or (node.expansions == 0 and node.status == SAT):
@@ -498,6 +480,14 @@ def test_incomplete_event_holds_the_state_repair_record():
     events = [ev for ev in verdict.engine.trace if ev[0] == "status" and ev[2] == INCOMPLETE]
     assert len(events) == 1 and len(events[0]) == 5
     assert events[0][4] is verdict.graph.nodes[events[0][1]].fmls_rc
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the mode-0 union rebinds fmls_rc after the state is INCOMPLETE")
+def test_incomplete_events_hold_the_final_repair_record(decided):
+    for text, _, verdict in decided:
+        nodes = verdict.graph.nodes
+        events = [ev for ev in verdict.engine.trace if ev[0] == "status" and ev[2] == INCOMPLETE]
+        assert all(ev[4] is nodes[ev[1]].fmls_rc for ev in events if nodes[ev[1]].node_type == STATE), text
 
 
 def test_converse_repair_with_alternative_sets():
@@ -751,8 +741,6 @@ def _status_outcome(update, node_type, succs):
 
 
 def test_update_status_matches_the_scans_on_every_successor_list():
-    import itertools
-
     cases = 0
     for node_type in (NONSTATE, STATE):
         # a state's successors are or-nodes; an or-node may also lead to a state
@@ -785,6 +773,15 @@ def test_clashing_transitional_successor_refutes_the_state():
     graph = verdict.graph
     state = next(n for n in graph.nodes if n.node_type == STATE)
     assert state.status == UNSAT
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the local pass expands clashing state successors; "
+                   "the mend moves node counts, so it waits for a benchmark change")
+def test_no_clashing_state_successor_is_expanded(decided):
+    for text, kb, verdict in decided:
+        nodes = verdict.graph.nodes
+        succs = [nodes[w] for v in nodes if v.node_type == STATE for w in v.succs]
+        assert not [w.id for w in succs if w.expansions and t_unsat(kb.store, w.label)], text
 
 
 # -- end to end -----------------------------------------------------------------
@@ -850,8 +847,6 @@ def test_reparsed_runs_intern_in_one_order():
     # The clash test and the transfer to a named individual intern new
     # formulas; both go in uid order, so two runs of one text intern the
     # same formulas in the same order, whatever the address order of sets.
-    from kbgen import chain_kb_text, differential_suite
-
     texts = differential_suite(500, 20240817)[:100]
     texts += [chain_kb_text(d) for d in range(1, 11)] + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT]
     for text in texts:
@@ -869,30 +864,17 @@ def test_strategies_agree(text):
 
 
 def test_strategies_agree_on_random_corpus():
-    import random
-
-    from kbgen import random_kb_text
-
     rng = random.Random(31)
     for _ in range(60):
         text = random_kb_text(rng)
-        assert (
-            decide_sat(parse_kb(text), strategy="dfs").sat
-            == decide_sat(parse_kb(text), strategy="fifo").sat
-        ), text
+        assert run(text, "dfs")[1].sat == run(text, "fifo")[1].sat, text
 
 
-@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
-def test_every_state_holds_an_existential(strategy):
+def test_every_state_holds_an_existential(decided):
     # A state is formed only from an or-node holding an existential, so the
     # transitional rule applies to every state and none is saturated.
-    from kbgen import chain_kb_text, differential_suite
-
-    texts = differential_suite(500, 20240817)[:100]
-    texts += [chain_kb_text(d) for d in range(1, 11)] + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT]
-    for text in texts:
-        graph = decide_sat(parse_kb(text), strategy=strategy).graph
-        for node in graph.nodes:
+    for text, _, verdict in decided:
+        for node in verdict.graph.nodes:
             if node.node_type == STATE:
                 bodies = [f.concept if f.kind == INST else f for f in node.label]
                 assert any(c.kind == SOME for c in bodies), (text, node)
@@ -902,10 +884,6 @@ def test_monotone_growth_along_static_edges():
     # Following any edge between or-nodes, reduced, available, and
     # disallowed formulas never shrink; the step grows reduced formulas
     # (decomposition) or available formulas (the other static rules).
-    import random
-
-    from kbgen import random_kb_text
-
     rng = random.Random(77)
     texts = [EX1_TEXT, EX2_TEXT] + [random_kb_text(rng) for _ in range(40)]
     for text in texts:

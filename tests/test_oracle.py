@@ -300,6 +300,12 @@ def test_budget_covers_maps_whose_abox_clashes():
         bounded_model_search(parse_kb(text), 4, budget=1000)
 
 
+def test_budget_covers_the_grounding():
+    # Every map clashes on its units, but the transitivity clauses grow as n**3.
+    with pytest.raises(SearchBudgetExceeded):
+        bounded_model_search(parse_kb("trans r\ninst a (and A (not A))\n"), 30, budget=10_000)
+
+
 def test_restricted_growth_maps_match_the_filtered_product():
     def filtered(inds, n):
         for tup in product(range(n), repeat=len(inds)):

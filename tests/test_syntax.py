@@ -26,6 +26,7 @@ from shisat.syntax import (
 )
 
 from helpers import EX1_TEXT, EX2_TEXT, interned_texts
+from kbgen import differential_suite
 
 
 def test_interning_gives_identity():
@@ -266,8 +267,6 @@ def test_name_collection_and_closure_are_stack_safe():
 def test_closure_interns_in_one_order():
     # closure interns narrowed restrictions and assertion forms; two
     # closures of one text in fresh stores intern them in the same order
-    from kbgen import differential_suite
-
     for text in [EX1_TEXT, EX2_TEXT] + differential_suite(500, 20240817)[:100]:
         first, second = parse_kb(text), parse_kb(text)
         closure(first, kb_index(first))

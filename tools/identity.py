@@ -40,23 +40,14 @@ import sys
 FIELDS = ("verdict", "stats", "trace", "nodes", "repair", "witness", "names", "rbox", "interned", "oracle", "parse")
 
 
-def _some_nest(depth: int, transitive: bool) -> str:
-    """`a` in (all r B) and a chain of `depth` r-successors ending in A."""
-    concept = "A"
-    for _ in range(depth):
-        concept = f"(some r {concept})"
-    axioms = "trans r\n" if transitive else ""
-    return f"{axioms}inst a (and (all r B) {concept})\n"
-
-
 def _corpus() -> list:
-    from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT
+    from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, some_nest
     from kbgen import chain_kb_text, differential_suite
 
     cases = [(f"suite/{i}", t) for i, t in enumerate(differential_suite(500, 20240817))]
     cases += [(f"chain/{d}", chain_kb_text(d)) for d in range(1, 41)]
-    cases += [(f"some/{d}", _some_nest(d, False)) for d in (50, 200)]
-    cases += [(f"some.trans/{d}", _some_nest(d, True)) for d in (10, 45)]
+    cases += [(f"some/{d}", some_nest(d, False)) for d in (50, 200)]
+    cases += [(f"some.trans/{d}", some_nest(d, True)) for d in (10, 45)]
     cases += [("ex1_base", EX1_BASE_TEXT), ("ex1", EX1_TEXT), ("ex2", EX2_TEXT)]
     return [(f"{name}/{strategy}", text, strategy) for strategy in ("dfs", "fifo") for name, text in cases]
 
