@@ -28,17 +28,33 @@ refuted successor kills an and-node.
 
 Labels are interned frozensets that never change, and many nodes share
 one: the engine does each piece of per-label work once per run and looks
-it up afterwards. Three dicts hold that work. `_sorted`, keyed by the
-label (a frozenset caches its hash), holds the label's members in uid
-order: the clash test walks them, and the rule scan splits them by kind.
-`_clash` holds the label's `t_unsat` result. `_steps` is keyed by a
-node's content (node type, form, label, rformulas), which comes back
-across local graphs and across dformulas. It holds the rule instance
-`applicable_rule` chose for that content and, once a static rule has
-been applied to it, the successor labels and rformulas. The memo is
-exact: the scan and the conclusions read those four fields and nothing
-else. The dicts live on the engine, not on the nodes, and are dropped
-when the run ends. None of them changes the uid order: a hit replays a
+it up afterwards. Three dicts hold that work. `_clash` holds each label's
+`t_unsat` result and `_split` its split: the members the rule scan reads,
+by kind (conjunctions, value restrictions, role assertions, disjunctions,
+existentials), each in uid order. `_steps` is keyed by a node's content
+(node type, form, label, rformulas), which comes back across local graphs
+and across dformulas. It holds the rule instance `applicable_rule` chose
+for that content and, once a static rule has been applied to it, the
+successor labels and rformulas. The memo is exact: the scan and the
+conclusions read those four fields and nothing else. The dicts live on
+the engine, not on the nodes, and are dropped when the run ends.
+
+Apart from the root's and a state's fresh successors', every label is
+made from an or-node's label by a rule: minus the consumed principal,
+plus the conclusions. Both per-label walks read only that delta, so the
+work per node does not grow with the label. The clash test of a label
+made from a label known clash-free is `t_unsat_delta`: the full walk
+found no clash in the parent and built the complement of each of its
+members, so only the added members can clash or intern anything, and the
+walk over them stops where the full walk would (at the first member whose
+complement is added), so it interns the same formulas in the same order.
+A split is derived from the split of the or-node a node was made from
+(`derive_split`): dropped members leave their part, added ones are put
+in place by uid, and parts that do not change are shared. A label is
+sorted at most once, and only when it needs the full clash test: a fresh
+label, or one made from a fresh successor before that successor's own
+test (a state's local graph is saturated first). Its split is then made
+from the sort and keeps the sorted members, which the test walks. None of this changes the uid order: a memo hit replays a
 call whose formulas were interned on its miss, and the subrole
 narrowings, which intern new formulas, are still built lazily during the
 rule scan, in the same order as before.
@@ -59,6 +75,8 @@ which stays a node property for the witness builder.
 """
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -141,14 +159,96 @@ def t_unsat(store: FormulaStore, label, members=None) -> bool:
     """Obvious refutation: bottom in either label form, or a complementary
     pair. Members are tried in uid order (`members`, when the caller has
     sorted `label` already), so the complements interned on the way do not
-    depend on set iteration order. The engine memoises the result per
-    label (`TableauEngine._clashes`): a second call on a label would
-    intern nothing, as each complement is interned once."""
+    depend on set iteration order, and the walk stops at the first clash.
+    When it returns False, it has built the complement of every member but
+    the role assertions, which have none; `t_unsat_delta` rests on that.
+    This is the reference clash test. The engine runs it on the root, on a
+    state's fresh successors and on a label made from a successor before
+    that successor's own test, and `t_unsat_delta` on every other label."""
     for f in ordered(label) if members is None else members:
         c = _body(f)
         if c is not None and (c.kind == sx.BOT or complement(store, f) in label):
             return True
     return False
+
+
+_uid = operator.attrgetter("uid")
+
+
+def t_unsat_delta(store: FormulaStore, label, parent) -> bool:
+    """`t_unsat(store, label)`, given that `t_unsat(store, parent)` has
+    returned False: it reads only the members `label` adds to `parent`,
+    and interns what the full walk would, in the same order.
+
+    A member of `parent` has its complement built, so the full walk
+    interns nothing at it, and it clashes there only if its complement is
+    one of the added members (`parent` holds no pair). The added members
+    are walked in uid order as the full walk would walk them, but only up
+    to the first member whose complement is added: the full walk stops
+    there, before it builds the complements of the added members after
+    it. That complement is built already, so the store's read-only
+    `complements` finds the stop without interning anything."""
+    new = label - parent
+    known = store.complements
+    stop = None  # the uid of the first member whose complement is added
+    for f in new:
+        c = known.get(f)
+        if c in label and (stop is None or c.uid < stop):
+            stop = c.uid
+    for f in sorted(new, key=_uid) if len(new) > 1 else new:
+        if stop is not None and f.uid > stop:
+            return True
+        k = f.kind
+        if k != sx.REL and ((f.concept.kind if k == sx.INST else k) == sx.BOT or complement(store, f) in label):
+            return True
+    return stop is not None
+
+
+# The part of a split that takes a member, by the kind of its body (a role
+# assertion is its own body here), in the order the rule scan reads them.
+_PART = {sx.AND: 0, sx.ALL: 1, sx.REL: 2, sx.OR: 3, sx.SOME: 4}
+
+
+def _part(f):
+    return _PART.get((f.concept if f.kind == sx.INST else f).kind)
+
+
+def split_label(members: tuple) -> tuple:
+    """The split of the label whose members are `members`, in uid order:
+    its conjunctions, value restrictions, role assertions, disjunctions
+    and existentials, in either label form, each a tuple in uid order,
+    then `members` itself."""
+    parts = ([], [], [], [], [])
+    for f in members:
+        i = _part(f)
+        if i is not None:
+            parts[i].append(f)
+    return (*map(tuple, parts), members)
+
+
+def derive_split(split: tuple, parent, label) -> tuple:
+    """The split of `label` from `split`, the split of `parent`: the
+    members `label` drops leave their part and those it adds are put in
+    theirs by uid, so nothing is sorted and only the parts that change are
+    copied. Its last slot is None: a derived split keeps no sorted copy of
+    the whole label."""
+    added = label - parent
+    parts = list(split)
+    parts[5] = None
+    if len(parent) + len(added) > len(label):  # `label` drops members of `parent`
+        for f in parent - label:
+            i = _part(f)
+            if i is not None:
+                part = parts[i]
+                j = part.index(f)
+                parts[i] = part[:j] + part[j + 1 :]
+    for f in added:
+        i = _part(f)
+        if i is not None:
+            part = parts[i]
+            j = bisect_left(part, f.uid, key=_uid)
+            parts[i] = part[:j] + (f,) + part[j:]
+    return tuple(parts)
 
 
 def pulling_roles(kb: KnowledgeBase, idx) -> frozenset:
@@ -186,7 +286,7 @@ class TableauEngine:
         self.tbox_set = frozenset(kb.tbox)
         self.rule_counts: Counter = Counter()
         self.trace: list = []
-        self._sorted: dict = {}  # label -> its members in uid order
+        self._split: dict = {}  # label -> its split by kind (`split_label`, `derive_split`)
         self._clash: dict = {}  # label -> t_unsat(store, label)
         self._steps: dict = {}  # (node_type, stype, label, rformulas) -> [rule, (labels, rformulas) or None]
         self._pulling = None  # pulling_roles, built at the first state
@@ -228,20 +328,29 @@ class TableauEngine:
             self._pulling = pulling_roles(self.kb, self.idx)
         return _body(ex).role in self._pulling
 
-    def _clashes(self, label) -> bool:
-        """`t_unsat` of `label`, computed once per run."""
+    def _clashes(self, label, parent=None) -> bool:
+        """`t_unsat` of `label`, computed once per run: by `t_unsat_delta`
+        when `parent`, the label of the or-node it was made from, is known
+        clash-free, else by the full walk over its sorted members."""
         out = self._clash.get(label)
         if out is None:
-            out = self._clash[label] = t_unsat(self.store, label, self._members(label))
+            if self._clash.get(parent) is False:
+                out = t_unsat_delta(self.store, label, parent)
+            else:
+                out = t_unsat(self.store, label, self._kinds(label)[5])
+            self._clash[label] = out
         return out
 
-    def _members(self, label) -> tuple:
-        """`label`'s members in uid order, sorted once per run: its clash
-        test and its rule scans share the sort."""
-        members = self._sorted.get(label)
-        if members is None:
-            members = self._sorted[label] = tuple(ordered(label))
-        return members
+    def _kinds(self, label, parent=None) -> tuple:
+        """`label`'s split, made once per run: derived from the split of
+        `parent` when that is known, else by sorting `label`, in which case
+        it keeps the sorted members for the label's full clash test."""
+        split = self._split.get(label)
+        if split is None:
+            base = self._split.get(parent)
+            split = split_label(tuple(ordered(label))) if base is None else derive_split(base, parent, label)
+            self._split[label] = split
+        return split
 
     # -- rule selection -------------------------------------------------
 
@@ -262,20 +371,19 @@ class TableauEngine:
         return step[0]
 
     def _scan(self, node) -> RuleInstance | None:
-        """`applicable_rule`'s choice, from the label's sorted members split
-        by kind, one kind at a time. What it tests against the node's label
-        and rformulas, and the narrowings it interns, are computed per call,
-        in the same order as a scan of the sorted label would."""
+        """`applicable_rule`'s choice, from the label's split, one kind at a
+        time. The split is derived from that of the or-node `node` was made
+        from, its first predecessor. What the scan tests against the node's
+        label and rformulas, and the narrowings it interns, are computed per
+        call, in the same order as a scan of the sorted label would."""
         prime = "" if node.stype == SIMPLE else "'"
-        conj, univ, rel, disj, some = [], [], [], [], []
-        parts = {sx.AND: conj, sx.ALL: univ, None: rel, sx.OR: disj, sx.SOME: some}
-        for f in self._members(node.label):
-            c = _body(f)
-            part = parts.get(None if c is None else c.kind)
-            if part is not None:
-                part.append(f)
+        parent = None
+        if node.preds:
+            pred = self.graph.nodes[node.preds[0]]
+            parent = pred.label if pred.node_type == NONSTATE else None
+        conj, univ, rel, disj, some, _ = self._kinds(node.label, parent)
         if node.node_type == STATE:
-            return RuleInstance(R_EXISTS + prime, principals=tuple(some)) if some else None
+            return RuleInstance(R_EXISTS + prime, principals=some) if some else None
 
         label, rf = node.label, node.rformulas
         for f in conj:
@@ -359,6 +467,7 @@ class TableauEngine:
         # existential can pull. A state gets here only with fmls_rc empty:
         # its successors' demands are all met.
         pulls = False
+        parent = node.label if node.node_type == NONSTATE else None
         if node.state_pred is not None:
             v0, v1 = g.nodes[node.state_pred], g.nodes[node.after_trans_pred]
             pulls = self._pulls(v1.ce_label)
@@ -366,7 +475,7 @@ class TableauEngine:
             wn = g.nodes[w]
             if wn.status in DETERMINED:
                 continue
-            if self._clashes(wn.label):
+            if self._clashes(wn.label, parent):
                 self._set_status(wn, UNSAT)
             elif pulls and wn.node_type == NONSTATE:
                 x = self._backward(v1.ce_label, wn.label) - v0.label - v0.rformulas
@@ -533,7 +642,7 @@ class TableauEngine:
                 self.propagate_status(v)
                 continue
             self.apply_rule(inst, v)
-        self._sorted.clear()
+        self._split.clear()
         self._clash.clear()
         self._steps.clear()
         return g

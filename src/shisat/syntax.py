@@ -9,6 +9,8 @@ built, of concepts and of concept assertions alike; `complement` is the
 same function under the name the engine calls. Each store memoises the
 complements it has built, so a complement is computed once and then
 looked up, and the build uses an explicit stack rather than recursion.
+`FormulaStore.complements` shows the memo read-only, for a caller that
+must know whether a complement exists without building it.
 
 Concepts and assertions are interned: structurally equal formulas are the
 same Python object. Identity doubles as equality, membership tests are
@@ -21,6 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Union
 
 
@@ -103,6 +106,8 @@ class FormulaStore:
     def __init__(self) -> None:
         self._table: dict = {}
         self._neg: dict = {}  # formula -> its complement, both ways round
+        # The complements built so far, read-only: a lookup that builds nothing.
+        self.complements = MappingProxyType(self._neg)
         self._next = 0
         self.top = self._make((TOP,), Concept, TOP)
         self.bot = self._make((BOT,), Concept, BOT)

@@ -44,6 +44,21 @@ def some_nest(depth: int, transitive: bool) -> str:
     return ("trans r\n" if transitive else "") + f"inst a (and (all r B) {concept})\n"
 
 
+def and_nest(depth: int) -> str:
+    """`a` in a right-nested conjunction of the atoms A1 .. A<depth>."""
+    concept = f"A{depth}"
+    for i in range(depth - 1, 0, -1):
+        concept = f"(and A{i} {concept})"
+    return f"inst a {concept}\n"
+
+
+def wide_tbox(width: int) -> str:
+    """`width` value restrictions on every element, which no rule splits,
+    and one r-successor of `a` that receives all of them."""
+    axioms = "".join(f"impl top (all r A{i})\n" for i in range(1, width + 1))
+    return axioms + "inst a (some r B)\n"
+
+
 def corpus() -> list:
     """The texts every corpus-wide check reads, through the `decided` fixture."""
     texts = differential_suite(500, 20240817) + [chain_kb_text(d) for d in range(1, 21)]

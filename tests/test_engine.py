@@ -7,11 +7,21 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from shisat import TableauEngine, bounded_model_search, check_model, closure, decide_sat, kb_index, parse_kb
 from shisat import engine as engine_module
-from shisat.engine import EMPTY, PRIORITY, R_CONV, RuleInstance, pulling_roles, t_unsat
+from shisat.engine import (
+    EMPTY,
+    PRIORITY,
+    R_CONV,
+    RuleInstance,
+    derive_split,
+    pulling_roles,
+    split_label,
+    t_unsat,
+    t_unsat_delta,
+)
 from shisat.graph import (
     COMPLEX,
     EXPANDED,
@@ -24,10 +34,10 @@ from shisat.graph import (
     UNSAT,
 )
 from shisat.kbparse import parse_concept_text
-from shisat.syntax import ALL, AND, INST, OR, SOME, Role, formula_text, ordered
+from shisat.syntax import ALL, AND, INST, OR, REL, SOME, FormulaStore, Role, formula_text, ordered
 from shisat.transfer import transfer_concepts_to
 
-from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, interned_texts, label_texts, run
+from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, and_nest, interned_texts, label_texts, run
 from kbgen import chain_kb_text, differential_suite, random_kb_text
 
 
@@ -369,23 +379,133 @@ def test_run_drops_its_per_run_memos():
     for text in (EX2_TEXT, chain_kb_text(3)):
         engine = decide_sat(parse_kb(text)).engine
         assert engine.rule_counts  # the run stepped, so the memos were filled
-        for memo in (engine._sorted, engine._clash, engine._steps):
+        for memo in (engine._split, engine._clash, engine._steps):
             assert memo == {}
 
 
+def _spy(monkeypatch, name, log):
+    """Log the last argument of each call the engine makes to its
+    module-level `name`."""
+    real = getattr(engine_module, name)
+
+    def spy(*args):
+        log.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(engine_module, name, spy)
+
+
 def test_each_label_is_sorted_once_per_run(monkeypatch):
-    """The rule scan and the clash test share one uid-ordered walk of a label."""
-    sorted_labels = []
-
-    def ordered_spy(formulas):
-        sorted_labels.append(formulas)
-        return ordered(formulas)
-
-    monkeypatch.setattr(engine_module, "ordered", ordered_spy)
+    """A label is sorted at most once, and only when it needs the full
+    clash test: the root's and a state's successors' labels, whose clash
+    test and rule scan share the sort, and a label made from a successor
+    before the successor's own test has run. Every other split is derived."""
+    sorted_labels: list = []
+    _spy(monkeypatch, "ordered", sorted_labels)
     for text in (EX1_TEXT, EX2_TEXT, chain_kb_text(4)):
         sorted_labels.clear()
-        decide_sat(parse_kb(text))
+        g = decide_sat(parse_kb(text)).graph
+        fresh = {g.nodes[g.root].label} | {g.nodes[w].label for n in g.nodes if n.node_type == STATE for w in n.succs}
+        made_from_fresh = {n.label for n in g.nodes if n.preds and g.nodes[n.preds[0]].label in fresh}
         assert sorted_labels and len(sorted_labels) == len(set(sorted_labels)), text
+        assert set(sorted_labels) <= fresh | made_from_fresh, text
+        assert len(sorted_labels) < len({n.label for n in g.nodes}), text
+
+
+def test_a_deep_nest_reads_each_label_by_its_delta(monkeypatch):
+    """Along a 200-deep conjunction nest each label is its parent's minus
+    one conjunction plus its two parts. The clash test builds the
+    complements of those two only, where a walk of every label makes
+    depth * (depth + 1) / 2 calls, and no label but the root's is sorted."""
+    depth = 200
+    complemented: list = []
+    sorted_labels: list = []
+    _spy(monkeypatch, "complement", complemented)
+    _spy(monkeypatch, "ordered", sorted_labels)
+    verdict = decide_sat(parse_kb(and_nest(depth)))
+    g = verdict.graph
+    assert verdict.sat and verdict.stats["nodes"] == depth
+    assert len(complemented) < 2 * depth
+    assert sorted_labels == [g.nodes[g.root].label]
+
+
+@st.composite
+def _delta_cases(draw):
+    """A pool of formulas, the pool indices of a clash-free parent label, a
+    member to drop (an index past the parent drops none) and 1-3 members
+    to add: a pool formula, the complement of a parent member, bottom, or
+    a formula built after the parent's clash test. Pool formulas and
+    complements are drawn most often: a child that adds the complement of
+    an early parent member and a pool formula after it is the case where
+    the delta test must stop before the full walk would."""
+    members = _COMPLEX_MEMBERS if draw(st.booleans()) else _SIMPLE_MEMBERS
+    pool = draw(st.lists(members, min_size=2, max_size=10))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))
+    parent = _clash_free(pool, picks)
+    drop = draw(st.integers(0, len(parent)))
+    adds = []
+    for kind in draw(st.lists(st.sampled_from(("neg", "pool", "neg", "pool", "bot", "new")), min_size=1, max_size=3)):
+        if kind == "pool":
+            adds.append((kind, draw(st.sampled_from([i for i in range(len(pool)) if i not in parent] or [0]))))
+        elif kind == "neg" and parent:
+            adds.append((kind, draw(st.integers(0, len(parent) - 1))))
+        elif kind != "neg":
+            adds.append((kind, draw(members) if kind == "new" else None))
+    return pool, parent, drop, adds
+
+
+def _clash_free(pool, picks) -> list:
+    """`picks` without each index whose pool formula would make a clash
+    with those kept before it, decided on a throwaway store."""
+    store = FormulaStore()
+    formulas = [_build(store, recipe) for recipe in pool]
+    keep: list = []
+    for i in picks:
+        if not t_unsat(store, frozenset(formulas[j] for j in keep + [i])):
+            keep.append(i)
+    return keep
+
+
+def _delta_setup(case):
+    """A fresh store holding the pool, the parent label after its full
+    clash test, and the child label. Equal cases give equal stores."""
+    pool, picks, drop, adds = case
+    store = FormulaStore()
+    formulas = [_build(store, recipe) for recipe in pool]
+    parent = [formulas[i] for i in picks]
+    assert not t_unsat(store, frozenset(parent))
+    child = set(parent[:drop] + parent[drop + 1 :])
+    for kind, arg in adds:
+        if kind == "pool":
+            child.add(formulas[arg])
+        elif kind == "neg" and parent[arg].kind != REL:
+            child.add(store.negate(parent[arg]))  # built by the clash test: interns nothing
+        elif kind == "bot":
+            child.add(store.bot)
+        elif kind == "new":
+            child.add(_build(store, arg))
+    return store, frozenset(parent), frozenset(child)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_delta_cases())
+@example((["A", "C"], [0], 1, [("neg", 0), ("pool", 1)]))  # the full walk stops at A, before C
+def test_delta_clash_test_is_the_full_walk(case):
+    """Same verdict, and the same formulas interned in the same order."""
+    runs = []
+    for clashes in (lambda s, p, c: t_unsat_delta(s, c, p), lambda s, p, c: t_unsat(s, c)):
+        store, parent, child = _delta_setup(case)
+        runs.append((clashes(store, parent, child), interned_texts(store)))
+    assert runs[0] == runs[1]
+
+
+@settings(deadline=None, max_examples=200)
+@given(_delta_cases())
+def test_derived_split_is_the_fresh_split(case):
+    _, parent, child = _delta_setup(case)
+    derived = derive_split(split_label(tuple(ordered(parent))), parent, child)
+    fresh = split_label(tuple(ordered(child)))
+    assert derived[:5] == fresh[:5] and derived[5] is None
 
 
 def test_t_unsat_walks_the_members_it_is_given():

@@ -8,8 +8,10 @@ tree derives from the same inputs and counting the runs that differ:
 
 `dump` decides `differential_suite(500, 20240817)`, `chain_kb_text(1..40)`,
 `(some r ...)` nests of depth 50 and 200 and, under `trans r`, of depth 10
-and 45 (witnesses of up to 201 elements), and the worked examples, each
-under both expansion strategies: 1,094 runs. It records per run the
+and 45 (witnesses of up to 201 elements), conjunction nests of depth 50
+and 320 (labels of up to 320 members), a TBox of 40 value restrictions
+that no rule splits (`wide_tbox(40)`), and the worked examples, each
+under both expansion strategies: 1,100 runs. It records per run the
 verdict and stats, the trace, each node's id, rule, status, label,
 successors, ce_label and expansion count, each node's converse-repair
 record (rformulas, dformulas, conv_method, fmls_rc, alt_fml_sets_sc and
@@ -30,7 +32,9 @@ intern the same formulas in the same order.
 Dump each tree with its own copy of this script, run from that tree's
 root (for an older commit, a `git archive` copy): the modules under test
 come from PYTHONPATH, and how a tree's graph is read changes with the tree
-while the record format stays the same.
+while the record format stays the same. A change that widens the corpus
+dumps its parent with the new script and the new `tests/helpers.py`, so
+both dumps hold the same runs.
 """
 from __future__ import annotations
 
@@ -41,13 +45,14 @@ FIELDS = ("verdict", "stats", "trace", "nodes", "repair", "witness", "names", "r
 
 
 def _corpus() -> list:
-    from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, some_nest
+    from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, and_nest, some_nest, wide_tbox
     from kbgen import chain_kb_text, differential_suite
 
     cases = [(f"suite/{i}", t) for i, t in enumerate(differential_suite(500, 20240817))]
     cases += [(f"chain/{d}", chain_kb_text(d)) for d in range(1, 41)]
     cases += [(f"some/{d}", some_nest(d, False)) for d in (50, 200)]
     cases += [(f"some.trans/{d}", some_nest(d, True)) for d in (10, 45)]
+    cases += [(f"and/{d}", and_nest(d)) for d in (50, 320)] + [("wide/40", wide_tbox(40))]
     cases += [("ex1_base", EX1_BASE_TEXT), ("ex1", EX1_TEXT), ("ex2", EX2_TEXT)]
     return [(f"{name}/{strategy}", text, strategy) for strategy in ("dfs", "fifo") for name, text in cases]
 
