@@ -8,9 +8,11 @@ transitional rule expands into one successor per existential obligation.
 
 Simple labels hold concepts, complex labels assertions about named
 individuals. A primed rule is the plain rule applied to the concept C of
-an assertion a:C: `_body` reads C and `_lift` puts a conclusion back in
-a:C form, so one rule schema serves both label forms, and only the tag,
-primed on complex nodes, tells them apart.
+an assertion a:C: the formula's `body` field holds C and `_lift` puts a
+conclusion back in a:C form, so one rule schema serves both label forms,
+and only the tag, primed on complex nodes, tells them apart. The clash
+tests read each member's complement from its `neg` field and build it
+only where the field is still empty.
 
 Inverse roles make a successor able to push constraints *back* onto the
 state that spawned it. Two repair modes exist: while a state is being
@@ -72,6 +74,12 @@ is built at the first state, so a run without existentials pays
 nothing. On the hot path the engine asks whether a formula is in the
 label or in rformulas instead of building their union, `aformulas`,
 which stays a node property for the witness builder.
+
+The event trace, `("rule", tag, node)` and `("status", node, status)`
+tuples in the order they happen (an INCOMPLETE state's event also holds
+its `conv_method` and `fmls_rc`), is recorded only on request:
+`decide_sat(kb, trace=True)`. Otherwise `engine.trace` stays empty and
+the engine builds no event.
 """
 from __future__ import annotations
 
@@ -147,14 +155,6 @@ class Verdict:
     engine: "TableauEngine"
 
 
-def _body(f):
-    """The concept a label member speaks of: `f` itself for a concept, C
-    for an assertion ind:C, None for a role assertion."""
-    if f.kind == sx.INST:
-        return f.concept
-    return None if f.kind == sx.REL else f
-
-
 def t_unsat(store: FormulaStore, label, members=None) -> bool:
     """Obvious refutation: bottom in either label form, or a complementary
     pair. Members are tried in uid order (`members`, when the caller has
@@ -166,8 +166,8 @@ def t_unsat(store: FormulaStore, label, members=None) -> bool:
     state's fresh successors and on a label made from a successor before
     that successor's own test, and `t_unsat_delta` on every other label."""
     for f in ordered(label) if members is None else members:
-        c = _body(f)
-        if c is not None and (c.kind == sx.BOT or complement(store, f) in label):
+        c = f.body
+        if c is not None and (c.kind == sx.BOT or (f.neg or complement(store, f)) in label):
             return True
     return False
 
@@ -186,20 +186,19 @@ def t_unsat_delta(store: FormulaStore, label, parent) -> bool:
     are walked in uid order as the full walk would walk them, but only up
     to the first member whose complement is added: the full walk stops
     there, before it builds the complements of the added members after
-    it. That complement is built already, so the store's read-only
-    `complements` finds the stop without interning anything."""
+    it. That complement is built already, so its `neg` field finds the
+    stop without interning anything."""
     new = label - parent
-    known = store.complements
     stop = None  # the uid of the first member whose complement is added
     for f in new:
-        c = known.get(f)
+        c = f.neg
         if c in label and (stop is None or c.uid < stop):
             stop = c.uid
     for f in sorted(new, key=_uid) if len(new) > 1 else new:
         if stop is not None and f.uid > stop:
             return True
-        k = f.kind
-        if k != sx.REL and ((f.concept.kind if k == sx.INST else k) == sx.BOT or complement(store, f) in label):
+        c = f.body
+        if c is not None and (c.kind == sx.BOT or (f.neg or complement(store, f)) in label):
             return True
     return stop is not None
 
@@ -210,7 +209,7 @@ _PART = {sx.AND: 0, sx.ALL: 1, sx.REL: 2, sx.OR: 3, sx.SOME: 4}
 
 
 def _part(f):
-    return _PART.get((f.concept if f.kind == sx.INST else f).kind)
+    return _PART.get((f.body or f).kind)
 
 
 def split_label(members: tuple) -> tuple:
@@ -278,14 +277,15 @@ def pulling_roles(kb: KnowledgeBase, idx) -> frozenset:
 
 
 class TableauEngine:
-    def __init__(self, kb: KnowledgeBase, strategy: str = "dfs"):
+    def __init__(self, kb: KnowledgeBase, strategy: str = "dfs", trace: bool = False):
         self.kb = kb
         self.store = kb.store
         self.idx = kb_index(kb)
         self.graph = TableauGraph(strategy)
         self.tbox_set = frozenset(kb.tbox)
         self.rule_counts: Counter = Counter()
-        self.trace: list = []
+        self.tracing = trace
+        self.trace: list = []  # the events, when `tracing`
         self._split: dict = {}  # label -> its split by kind (`split_label`, `derive_split`)
         self._clash: dict = {}  # label -> t_unsat(store, label)
         self._steps: dict = {}  # (node_type, stype, label, rformulas) -> [rule, (labels, rformulas) or None]
@@ -295,10 +295,11 @@ class TableauEngine:
 
     def _set_status(self, node, status) -> None:
         node.status = status
-        if status == INCOMPLETE and node.node_type == STATE:
-            self.trace.append(("status", node.id, status, node.conv_method, node.fmls_rc))
-        else:
-            self.trace.append(("status", node.id, status))
+        if self.tracing:
+            if status == INCOMPLETE and node.node_type == STATE:
+                self.trace.append(("status", node.id, status, node.conv_method, node.fmls_rc))
+            else:
+                self.trace.append(("status", node.id, status))
 
     def _lift(self, f, c):
         """`c` in the label form of `f`: as is, or asserted of `f`'s individual."""
@@ -307,7 +308,7 @@ class TableauEngine:
     def _forward(self, ex, label):
         """What `label`, holding the existential `ex`, forces on the simple
         successor that realizes `ex`."""
-        role = _body(ex).role
+        role = ex.body.role
         if ex.kind == sx.INST:
             return transfer_assertions_from(self.idx, label, ex.ind, role)
         return transfer_concepts(self.idx, label, role)
@@ -316,7 +317,7 @@ class TableauEngine:
         """What the simple `label` of `ex`'s successor forces back across
         the edge, in the label form of `ex`. A repeated call interns
         nothing: its assertions were interned by the first."""
-        role = _body(ex).role.inverse
+        role = ex.body.role.inverse
         if ex.kind == sx.INST:
             return frozenset(transfer_concepts_to(self.idx, self.store, label, role, ex.ind))
         return frozenset(transfer_concepts(self.idx, label, role))
@@ -326,7 +327,7 @@ class TableauEngine:
         its edge, i.e. whether `_backward(ex, ...)` can be non-empty."""
         if self._pulling is None:
             self._pulling = pulling_roles(self.kb, self.idx)
-        return _body(ex).role in self._pulling
+        return ex.body.role in self._pulling
 
     def _clashes(self, label, parent=None) -> bool:
         """`t_unsat` of `label`, computed once per run: by `t_unsat_delta`
@@ -393,7 +394,7 @@ class TableauEngine:
         if univ:  # narrowing and univ' both act on a value restriction
             store = self.store
             for f in univ:
-                c = _body(f)
+                c = f.body
                 for r in self.idx.subroles_of(c.role):
                     if r == c.role:  # a narrowing to c's own role is f itself
                         continue
@@ -430,7 +431,7 @@ class TableauEngine:
                 step[1] = ((node.label | rule.added,), node.rformulas)
             else:
                 f = rule.principal
-                c = _body(f)
+                c = f.body
                 left, right = self._lift(f, c.left), self._lift(f, c.right)
                 base = node.label - {f}
                 labels = (base | {left, right},) if c.kind == sx.AND else (base | {left}, base | {right})
@@ -444,7 +445,8 @@ class TableauEngine:
         node.expansions += 1
         node.rule = rule.tag
         self.rule_counts[rule.tag] += 1
-        self.trace.append(("rule", rule.tag, v))
+        if self.tracing:
+            self.trace.append(("rule", rule.tag, v))
 
         if rule.tag == R_FORM:
             g.con_to_succ(v, STATE, node.label, node.rformulas, node.dformulas)
@@ -504,7 +506,7 @@ class TableauEngine:
 
         w = len(g.nodes)
         for f in rule.principals:
-            label = frozenset({_body(f).child}) | self._forward(f, un.label) | self.tbox_set
+            label = frozenset({f.body.child}) | self._forward(f, un.label) | self.tbox_set
             g.new_succ(u, NONSTATE, SIMPLE, f, label, EMPTY, EMPTY)
             if self._pulls(f):
                 un.fmls_rc |= self._backward(f, label) - un.label - un.rformulas
@@ -655,10 +657,10 @@ class TableauEngine:
         }
 
 
-def decide_sat(kb: KnowledgeBase, strategy: str = "dfs") -> Verdict:
+def decide_sat(kb: KnowledgeBase, strategy: str = "dfs", trace: bool = False) -> Verdict:
     """Decide satisfiability of `kb`: SAT iff the finished root is not
-    refuted."""
-    engine = TableauEngine(kb, strategy=strategy)
+    refuted. With `trace`, `verdict.engine.trace` holds the run's events."""
+    engine = TableauEngine(kb, strategy=strategy, trace=trace)
     engine.run()
     sat = engine.graph.nodes[engine.graph.root].status != UNSAT
     return Verdict(sat=sat, graph=engine.graph, stats=engine.stats(), engine=engine)

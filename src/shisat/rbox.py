@@ -8,11 +8,13 @@ the declared names and their inverses, so the closure is finite; it is
 computed once per knowledge base, in closed form, and `kb_index` returns
 that one closure to every caller. `RBoxIndex` exposes it as two tables,
 `subrole_pairs` and `transitive`, and serves the two queries the search
-makes, `srtr` and `subroles_of`, from tables too; both reject a role the
-knowledge base does not declare. `transitive_closure` is the one closure
-routine of the package: the witness construction in `models` closes role
-edges with it too, and reads roles through `successor_map`, the map it
-walks.
+makes, `srtr` and `subroles_of`, from tables too, with no copy. Both
+reject a role the knowledge base does not declare: `subroles_of` returns
+its stored tuple, and `srtr` looks up a second table only when its
+answer is no, to check the second role. `transitive_closure` is the one
+closure routine of the package: the witness construction in `models`
+closes role edges with it too, and reads roles through `successor_map`,
+the map it walks.
 """
 from __future__ import annotations
 
@@ -46,31 +48,40 @@ def transitive_closure(pairs: set) -> set:
 class RBoxIndex:
     """Immutable view of the closed role box."""
 
-    __slots__ = ("roles", "subrole_pairs", "transitive", "_subrole_lists", "_srtr")
+    __slots__ = ("roles", "subrole_pairs", "transitive", "_subroles", "_trans_supers")
 
     def __init__(self, roles, subrole_pairs, transitive):
         self.roles = tuple(roles)
         self.subrole_pairs = frozenset(subrole_pairs)
         self.transitive = frozenset(transitive)
-        self._subrole_lists = {
-            s: sorted(r for (r, t) in self.subrole_pairs if t == s) for s in self.roles
+        # role -> its subroles, sorted; role -> its transitive superroles
+        self._subroles = {s: tuple(sorted(r for (r, t) in self.subrole_pairs if t == s)) for s in self.roles}
+        self._trans_supers = {
+            r: frozenset(s for (q, s) in self.subrole_pairs if q == r and s in self.transitive) for r in self.roles
         }
-        self._srtr = frozenset((r, s) for (r, s) in self.subrole_pairs if s in self.transitive)
 
-    def _check(self, role: Role) -> None:
-        if role not in self._subrole_lists:
-            raise ValueError(f"role {role} is not declared in the knowledge base")
+    @staticmethod
+    def _undeclared(role: Role) -> ValueError:
+        return ValueError(f"role {role} is not declared in the knowledge base")
 
     def srtr(self, r: Role, s: Role) -> bool:
         """True when r <= s and s is transitive: exactly the situation in
         which a value restriction over s must follow an r edge unweakened."""
-        self._check(r)
-        self._check(s)
-        return (r, s) in self._srtr
+        try:
+            if s in self._trans_supers[r]:
+                return True
+        except KeyError:
+            raise self._undeclared(r) from None
+        if s not in self._subroles:
+            raise self._undeclared(s)
+        return False
 
-    def subroles_of(self, s: Role) -> list:
-        self._check(s)
-        return list(self._subrole_lists[s])
+    def subroles_of(self, s: Role) -> tuple:
+        """The subroles of `s`, in role order: the stored tuple itself."""
+        try:
+            return self._subroles[s]
+        except KeyError:
+            raise self._undeclared(s) from None
 
 
 def build_ext(subsumptions, transitive, role_names) -> RBoxIndex:

@@ -6,24 +6,26 @@ negation normal form at all times -- the only negation nodes ever
 constructed sit directly on concept names, so downstream code never has
 to normalize. `FormulaStore.negate` is the one place complements are
 built, of concepts and of concept assertions alike; `complement` is the
-same function under the name the engine calls. Each store memoises the
-complements it has built, so a complement is computed once and then
-looked up, and the build uses an explicit stack rather than recursion.
-`FormulaStore.complements` shows the memo read-only, for a caller that
-must know whether a complement exists without building it.
+same function under the name the engine calls. The build uses an explicit
+stack rather than recursion.
 
 Concepts and assertions are interned: structurally equal formulas are the
 same Python object. Identity doubles as equality, membership tests are
 pointer comparisons, and every formula carries a stable creation index
 (`uid`) that gives a fixed total order used wherever a deterministic
-choice among formulas is needed.
+choice among formulas is needed. Because a formula is never rebuilt, the
+facts about it are fields rather than functions: `body`, the concept a
+label member speaks of (the concept itself, C for an assertion ind:C,
+None for a role assertion), is set at birth, and `neg`, the complement,
+is set in both directions when `negate` builds it, so a complement is
+built once and then read. While `neg` is None no complement exists yet,
+and reading the field builds nothing.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Union
 
 
@@ -59,16 +61,18 @@ REL = "rel"
 class Concept:
     """A concept in NNF. Create instances only through a FormulaStore."""
 
-    __slots__ = ("kind", "name", "role", "left", "right", "child", "uid")
+    __slots__ = ("uid", "kind", "name", "role", "left", "right", "child", "body", "neg")
 
-    def __init__(self, kind, uid, name=None, role=None, left=None, right=None, child=None):
-        self.kind = kind
+    def __init__(self, uid, kind, name=None, role=None, left=None, right=None, child=None):
         self.uid = uid
+        self.kind = kind
         self.name = name
         self.role = role
         self.left = left
         self.right = right
         self.child = child
+        self.body = self
+        self.neg = None  # the complement, once `FormulaStore.negate` has built it
 
     def __repr__(self) -> str:
         return concept_text(self)
@@ -77,16 +81,18 @@ class Concept:
 class Assertion:
     """An ABox assertion: ind:Concept or Role(ind, ind)."""
 
-    __slots__ = ("kind", "ind", "concept", "role", "a", "b", "uid")
+    __slots__ = ("uid", "kind", "ind", "concept", "role", "a", "b", "body", "neg")
 
-    def __init__(self, kind, uid, ind=None, concept=None, role=None, a=None, b=None):
-        self.kind = kind
+    def __init__(self, uid, kind, ind=None, concept=None, role=None, a=None, b=None):
         self.uid = uid
+        self.kind = kind
         self.ind = ind
         self.concept = concept
         self.role = role
         self.a = a
         self.b = b
+        self.body = concept  # None for a role assertion
+        self.neg = None
 
     def __repr__(self) -> str:
         return formula_text(self)
@@ -100,59 +106,60 @@ class FormulaStore:
 
     The store owns the uid sequence. A knowledge base and every formula the
     engine derives from it share one store, so formula identity and the
-    uid order are stable for the lifetime of the problem.
+    uid order are stable for the lifetime of the problem. Each constructor
+    looks its key up first, so an interning hit builds nothing but the key.
     """
 
     def __init__(self) -> None:
         self._table: dict = {}
-        self._neg: dict = {}  # formula -> its complement, both ways round
-        # The complements built so far, read-only: a lookup that builds nothing.
-        self.complements = MappingProxyType(self._neg)
         self._next = 0
         self.top = self._make((TOP,), Concept, TOP)
         self.bot = self._make((BOT,), Concept, BOT)
 
-    def _make(self, key, cls, kind, **fields):
-        obj = self._table.get(key)
-        if obj is None:
-            obj = cls(kind, self._next, **fields)
-            self._next += 1
-            self._table[key] = obj
+    def _make(self, key, cls, *fields):
+        """Intern a new formula under `key`, which the caller has looked up
+        and missed; `fields` follow the uid in `cls`'s constructor."""
+        obj = self._table[key] = cls(self._next, *fields)
+        self._next += 1
         return obj
 
     def atom(self, name: str) -> Concept:
-        return self._make((ATOM, name), Concept, ATOM, name=name)
+        key = (ATOM, name)
+        return self._table.get(key) or self._make(key, Concept, ATOM, name)
 
     def conj(self, left: Concept, right: Concept) -> Concept:
-        return self._make((AND, left.uid, right.uid), Concept, AND, left=left, right=right)
+        key = (AND, left.uid, right.uid)
+        return self._table.get(key) or self._make(key, Concept, AND, None, None, left, right)
 
     def disj(self, left: Concept, right: Concept) -> Concept:
-        return self._make((OR, left.uid, right.uid), Concept, OR, left=left, right=right)
+        key = (OR, left.uid, right.uid)
+        return self._table.get(key) or self._make(key, Concept, OR, None, None, left, right)
 
     def univ(self, role: Role, child: Concept) -> Concept:
-        return self._make((ALL, role, child.uid), Concept, ALL, role=role, child=child)
+        key = (ALL, role, child.uid)
+        return self._table.get(key) or self._make(key, Concept, ALL, None, role, None, None, child)
 
     def exist(self, role: Role, child: Concept) -> Concept:
-        return self._make((SOME, role, child.uid), Concept, SOME, role=role, child=child)
+        key = (SOME, role, child.uid)
+        return self._table.get(key) or self._make(key, Concept, SOME, None, role, None, None, child)
 
     def negate(self, formula: Formula) -> Formula:
         """The NNF complement of a concept, by the usual dualities, or of a
         concept assertion: a:C gives a:(not C). Role assertions have no
         complement in this language and are rejected.
 
-        Complements are memoised per store in both directions (negation is
-        an involution on interned formulas), so each is built once. The
-        build walks an explicit stack in postorder, left part first, and so
-        interns the same formulas in the same order as the plain recursion
-        would, at any nesting depth."""
-        neg = self._neg
-        done = neg.get(formula)
+        Each complement is built once: the build sets `neg` on both
+        formulas (negation is an involution on interned formulas), and a
+        later call reads it. The build walks an explicit stack in
+        postorder, left part first, and so interns the same formulas in the
+        same order as the plain recursion would, at any nesting depth."""
+        done = formula.neg
         if done is not None:
             return done
         stack = [formula]
         while stack:
             f = stack[-1]
-            if f in neg:  # a part shared with one built earlier
+            if f.neg is not None:  # a part shared with one built earlier
                 stack.pop()
                 continue
             k = f.kind
@@ -164,7 +171,7 @@ class FormulaStore:
                 parts = (f.concept,)
             else:
                 parts = ()
-            todo = [p for p in parts if p not in neg]
+            todo = [p for p in parts if p.neg is None]
             if todo:
                 stack += todo
                 continue
@@ -174,30 +181,33 @@ class FormulaStore:
             elif k == BOT:
                 g = self.top
             elif k == ATOM:
-                g = self._make((NOT, f.uid), Concept, NOT, child=f)
+                key = (NOT, f.uid)
+                g = self._table.get(key) or self._make(key, Concept, NOT, None, None, None, None, f)
             elif k == NOT:
                 g = f.child
             elif k == AND:
-                g = self.disj(neg[f.left], neg[f.right])
+                g = self.disj(f.left.neg, f.right.neg)
             elif k == OR:
-                g = self.conj(neg[f.left], neg[f.right])
+                g = self.conj(f.left.neg, f.right.neg)
             elif k == ALL:
-                g = self.exist(f.role, neg[f.child])
+                g = self.exist(f.role, f.child.neg)
             elif k == SOME:
-                g = self.univ(f.role, neg[f.child])
+                g = self.univ(f.role, f.child.neg)
             elif k == INST:
-                g = self.inst(f.ind, neg[f.concept])
+                g = self.inst(f.ind, f.concept.neg)
             else:
                 raise ValueError(f"a formula of kind {k!r} has no complement")
-            neg[f] = g
-            neg[g] = f
-        return neg[formula]
+            f.neg = g
+            g.neg = f
+        return formula.neg
 
     def inst(self, ind: str, concept: Concept) -> Assertion:
-        return self._make((INST, ind, concept.uid), Assertion, INST, ind=ind, concept=concept)
+        key = (INST, ind, concept.uid)
+        return self._table.get(key) or self._make(key, Assertion, INST, ind, concept)
 
     def rel(self, role: Role, a: str, b: str) -> Assertion:
-        return self._make((REL, role, a, b), Assertion, REL, role=role, a=a, b=b)
+        key = (REL, role, a, b)
+        return self._table.get(key) or self._make(key, Assertion, REL, None, None, role, a, b)
 
 
 # The complement as a function of the store: the name the engine calls.

@@ -34,8 +34,9 @@ inst a top
 
 
 def run(text: str, strategy: str = "dfs"):
+    """Parse and decide `text`, recording the event trace."""
     kb = parse_kb(text)
-    return kb, decide_sat(kb, strategy=strategy)
+    return kb, decide_sat(kb, strategy=strategy, trace=True)
 
 
 def some_nest(depth: int, transitive: bool) -> str:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location("ab", Path(__file__).parents[1] / "tools" / "ab.py")
@@ -98,3 +100,23 @@ def test_json_holds_the_rows_and_every_run(tmp_path, monkeypatch):
                    "wins": 2, "pairs": 2, "gain": True}
     assert [(r["pair"], r["seed"]) for r in saved["runs"]] == [(0, 5), (1, 6)]
     assert saved["runs"][1]["parent"] == _record(10, 1) and saved["runs"][1]["change"] == _record(9, 1)
+
+
+def test_each_run_compiles_from_source_in_a_fresh_cache(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run(cmd, cwd, capture_output, text, env):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cwd, cache, cache.is_dir() and not any(cache.iterdir())))
+        assert {k: v for k, v in env.items() if k != "PYTHONPYCACHEPREFIX"} == {
+            k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"
+        }
+        (cache / "stale.pyc").write_bytes(b"")  # what a run leaves behind
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(_record(1, 1)) + "\n", "")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    assert ab.run_bench(tmp_path, "chain", 3, 20, 0) == _record(1, 1)
+    assert ab.run_bench(tmp_path, "chain", 3, 20, 0) == _record(1, 1)
+    (cwd, first, fresh), (_, second, fresh_again) = seen
+    assert cwd == tmp_path and fresh and fresh_again  # each run starts from an empty cache
+    assert first != second and not first.exists() and not second.exists()

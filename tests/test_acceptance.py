@@ -51,11 +51,11 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 
 class Run:
-    def __init__(self, text):
+    def __init__(self, text, trace=False):
         self.text = text
         self.kb = parse_kb(text)
         self.idx = kb_index(self.kb)
-        self.verdict = decide_sat(self.kb)
+        self.verdict = decide_sat(self.kb, trace=trace)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def ex1():
 
 @pytest.fixture(scope="module")
 def ex2():
-    return Run(EX2_TEXT)
+    return Run(EX2_TEXT, trace=True)  # criterion 2 reads its trace
 
 
 @pytest.fixture(scope="module")

@@ -119,7 +119,7 @@ def test_no_backward_transfer_across_a_role_off_the_pulling_table(decided):
             if node.state_pred is None or node.node_type != NONSTATE:
                 continue
             ex = nodes[node.after_trans_pred].ce_label
-            if engine_module._body(ex).role not in table:
+            if ex.body.role not in table:
                 off_table += 1
                 assert engine._backward(ex, node.label) == EMPTY, text
     assert off_table > 0
@@ -248,10 +248,9 @@ def test_form_state_requires_an_existential():
 def _reference_rule(engine, v):
     """The rule scan as it was before labels were memoised: it sorts the
     label and scans it once per rule kind."""
-    body = engine_module._body
     node = engine.graph.nodes[v]
     prime = "" if node.stype == SIMPLE else "'"
-    view = [(f, body(f)) for f in ordered(node.label)]
+    view = [(f, f.body) for f in ordered(node.label)]
     if node.node_type == STATE:
         ex = tuple(f for f, c in view if c is not None and c.kind == SOME)
         return RuleInstance(engine_module.R_EXISTS + prime, principals=ex) if ex else None
@@ -843,7 +842,7 @@ _STATUSES = (UNEXPANDED, EXPANDED, INCOMPLETE, UNSAT, SAT)
 
 def _status_outcome(update, node_type, succs):
     kb = parse_kb("inst a A\n")
-    engine = TableauEngine(kb)
+    engine = TableauEngine(kb, trace=True)
     store = engine.store
     g = engine.graph
     repairs = []
@@ -961,6 +960,34 @@ def test_determinism_reparsed_kb():
     first = decide_sat(parse_kb(EX2_TEXT))
     second = decide_sat(parse_kb(EX2_TEXT))
     assert first.stats == second.stats
+
+
+def _graph_record(graph) -> list:
+    """Every node's content, edges, status and repair record, formulas as text."""
+    texts = lambda fs: frozenset(map(formula_text, fs))  # noqa: E731
+    return [
+        (n.id, n.node_type, n.stype, n.rule, n.status, n.expansions, tuple(n.succs), tuple(n.preds),
+         texts(n.label), texts(n.rformulas), texts(n.dformulas), n.conv_method, texts(n.fmls_rc),
+         frozenset(map(texts, n.alt_fml_sets_sc)), frozenset(map(texts, n.alt_fml_sets_scp)))
+        for n in graph.nodes
+    ]
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+def test_the_trace_is_recorded_only_on_request(strategy):
+    texts = differential_suite(500, 20240817)[:60] + [chain_kb_text(5), EX1_TEXT, EX2_TEXT]
+    recorded = 0
+    for text in texts:
+        plain_kb, traced_kb = parse_kb(text), parse_kb(text)
+        plain = decide_sat(plain_kb, strategy=strategy)
+        traced = decide_sat(traced_kb, strategy=strategy, trace=True)
+        assert plain.engine.trace == [], text
+        assert traced.engine.trace, text
+        assert plain.sat == traced.sat and plain.stats == traced.stats, text
+        assert _graph_record(plain.graph) == _graph_record(traced.graph), text
+        assert interned_texts(plain_kb.store) == interned_texts(traced_kb.store), text
+        recorded += len(traced.engine.trace)
+    assert recorded > len(texts)
 
 
 def test_reparsed_runs_intern_in_one_order():

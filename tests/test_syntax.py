@@ -13,6 +13,7 @@ from shisat.syntax import (
     INST,
     NOT,
     OR,
+    REL,
     SOME,
     TOP,
     Concept,
@@ -21,6 +22,7 @@ from shisat.syntax import (
     build_kb,
     complement,
     concept_text,
+    formula_text,
     internalize_tbox,
     subconcepts,
 )
@@ -172,7 +174,8 @@ def _reference_negate(store, f):
     if k == BOT:
         return store.top
     if k == ATOM:
-        return store._make((NOT, f.uid), Concept, NOT, child=f)
+        key = (NOT, f.uid)
+        return store._table.get(key) or store._make(key, Concept, NOT, None, None, None, None, f)
     if k == NOT:
         return f.child
     if k == AND:
@@ -206,6 +209,69 @@ def test_memoised_negate_interns_like_the_recursion(recipe, other, data):
     got, want = check(c, d)  # then the whole
     check(got, want)  # a complement, memoised from the other side
     check(memo.inst("a", e), plain.inst("a", e_ref))  # an assertion
+
+
+def _derived_body(f):
+    """The concept a label member speaks of, derived from its kind."""
+    if f.kind == INST:
+        return f.concept
+    return None if f.kind == REL else f
+
+
+_DUAL = {TOP: "bot", BOT: "top", AND: "or", OR: "and", ALL: "some", SOME: "all"}
+
+
+def _complement_text(f) -> str:
+    """The text of `f`'s NNF complement, by the dualities, built without a store."""
+    k = f.kind
+    if k == INST:
+        return f"{f.ind}:{_complement_text(f.concept)}"
+    if k in (TOP, BOT):
+        return _DUAL[k]
+    if k == ATOM:
+        return f"(not {f.name})"
+    if k == NOT:
+        return concept_text(f.child)
+    if k in (AND, OR):
+        return f"({_DUAL[k]} {_complement_text(f.left)} {_complement_text(f.right)})"
+    return f"({_DUAL[k]} {f.role} {_complement_text(f.child)})"
+
+
+def test_body_field_is_the_derived_body(decided):
+    seen = 0
+    for text, kb, _ in decided:
+        for f in kb.store._table.values():
+            assert f.body is _derived_body(f), (text, f)
+            seen += 1
+    assert seen
+
+
+def test_neg_field_is_an_involution_read_without_interning(decided):
+    built = 0
+    for text, kb, _ in decided:
+        store = kb.store
+        before = (store._next, len(store._table))
+        for f in list(store._table.values()):
+            g = f.neg
+            if g is not None:
+                assert g.neg is f and store.negate(f) is g, (text, f)
+                assert formula_text(g) == _complement_text(f), (text, f)
+                built += 1
+        assert (store._next, len(store._table)) == before, text
+    assert built
+
+
+def test_negate_sets_the_complement_pointer_on_every_part():
+    store = FormulaStore()
+    r = Role("r")
+    c = store.conj(store.atom("A"), store.exist(r, store.disj(store.atom("B"), store.top)))
+    assert all(part.neg is None for part in subconcepts(c))
+    assert store.negate(c).neg is c
+    for part in subconcepts(c):
+        assert part.neg is not None and part.neg.neg is part
+        assert concept_text(part.neg) == _complement_text(part)
+    rel = store.rel(r, "a", "b")
+    assert rel.body is None and rel.neg is None
 
 
 @given(_RECIPE)

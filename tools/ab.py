@@ -5,6 +5,9 @@
 Runs `python3 bench/run.py` from the root of each tree, in pairs: pair i
 runs both trees on seed SEED + i, and the side that runs first alternates
 from pair to pair, so drift in the machine's speed falls on both sides.
+Each run gets its own empty bytecode cache (`PYTHONPYCACHEPREFIX`), so
+both trees compile from source and no `.pyc` left in either tree, which
+would shorten its import, reaches `setup_s`.
 Each run's last JSON line is its record. For every metric the records
 share, it prints the parent's and this tree's median and quartiles, and
 this tree's wins out of the pairs, where a win is a strictly better value
@@ -21,9 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,7 +52,9 @@ def last_record(stdout: str) -> dict | None:
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
     record = last_record(done.stdout)
     if record is None:  # the run ended without a summary, e.g. exit 2
         tail = done.stderr.strip().splitlines()[-1:] or [f"exit {done.returncode}"]

@@ -12,7 +12,8 @@ and 45 (witnesses of up to 201 elements), conjunction nests of depth 50
 and 320 (labels of up to 320 members), a TBox of 40 value restrictions
 that no rule splits (`wide_tbox(40)`), and the worked examples, each
 under both expansion strategies: 1,100 runs. It records per run the
-verdict and stats, the trace, each node's id, rule, status, label,
+verdict and stats, the trace (the engine records it on request, and
+this script asks), each node's id, rule, status, label,
 successors, ce_label and expansion count, each node's converse-repair
 record (rformulas, dformulas, conv_method, fmls_rc, alt_fml_sets_sc and
 alt_fml_sets_scp), the witness of a SAT verdict (its domain, atoms and
@@ -77,7 +78,7 @@ def _record(text: str, strategy: str) -> dict:
     from shisat.syntax import ordered
 
     kb = parse_kb(text)
-    verdict = decide_sat(kb, strategy=strategy)
+    verdict = decide_sat(kb, strategy=strategy, trace=True)
     g = verdict.graph
     idx = verdict.engine.idx
     nodes = [
