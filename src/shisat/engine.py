@@ -73,7 +73,9 @@ table is exact in that every other call would return the empty set. It
 is built at the first state, so a run without existentials pays
 nothing. On the hot path the engine asks whether a formula is in the
 label or in rformulas instead of building their union, `aformulas`,
-which stays a node property for the witness builder.
+which stays a node property for the witness builder. Only value
+restrictions force anything across an edge, so the transfer operators
+are handed a label's split part of them, not the whole label.
 
 The event trace, `("rule", tag, node)` and `("status", node, status)`
 tuples in the order they happen (an INCOMPLETE state's event also holds
@@ -87,6 +89,7 @@ import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import syntax as sx
 from .graph import (
@@ -139,8 +142,7 @@ PRIORITY = {
 }
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
     tag: str
     principal: object = None
     principals: tuple = ()
@@ -307,20 +309,24 @@ class TableauEngine:
 
     def _forward(self, ex, label):
         """What `label`, holding the existential `ex`, forces on the simple
-        successor that realizes `ex`."""
+        successor that realizes `ex`. Only the label's value restrictions
+        can force anything, so only they are passed on."""
         role = ex.body.role
+        univ = self._kinds(label)[1]
         if ex.kind == sx.INST:
-            return transfer_assertions_from(self.idx, label, ex.ind, role)
-        return transfer_concepts(self.idx, label, role)
+            return transfer_assertions_from(self.idx, univ, ex.ind, role)
+        return transfer_concepts(self.idx, univ, role)
 
-    def _backward(self, ex, label) -> frozenset:
-        """What the simple `label` of `ex`'s successor forces back across
-        the edge, in the label form of `ex`. A repeated call interns
-        nothing: its assertions were interned by the first."""
+    def _backward(self, ex, label, parent=None) -> frozenset:
+        """What the simple `label` of `ex`'s successor, made from `parent`
+        when that is known, forces back across the edge, in the label form
+        of `ex`: only the label's value restrictions are read. A repeated
+        call interns nothing: its assertions were interned by the first."""
         role = ex.body.role.inverse
+        univ = self._kinds(label, parent)[1]
         if ex.kind == sx.INST:
-            return frozenset(transfer_concepts_to(self.idx, self.store, label, role, ex.ind))
-        return frozenset(transfer_concepts(self.idx, label, role))
+            return frozenset(transfer_concepts_to(self.idx, self.store, univ, role, ex.ind))
+        return frozenset(transfer_concepts(self.idx, univ, role))
 
     def _pulls(self, ex) -> bool:
         """Whether the successor of `ex` can force anything back across
@@ -404,8 +410,8 @@ class TableauEngine:
 
             for f in rel:  # univ' reads role assertions, found in complex labels only
                 added = (
-                    transfer_assertions(self.idx, store, label, f.a, f.role, f.b)
-                    | transfer_assertions(self.idx, store, label, f.b, f.role.inverse, f.a)
+                    transfer_assertions(self.idx, store, univ, f.a, f.role, f.b)
+                    | transfer_assertions(self.idx, store, univ, f.b, f.role.inverse, f.a)
                 ) - label - rf
                 if added:
                     return RuleInstance(R_UNIV_A, principal=f, added=frozenset(added))
@@ -480,7 +486,7 @@ class TableauEngine:
             if self._clashes(wn.label, parent):
                 self._set_status(wn, UNSAT)
             elif pulls and wn.node_type == NONSTATE:
-                x = self._backward(v1.ce_label, wn.label) - v0.label - v0.rformulas
+                x = self._backward(v1.ce_label, wn.label, parent) - v0.label - v0.rformulas
                 if x:
                     if v0.conv_method == 0:
                         v0.fmls_rc |= x

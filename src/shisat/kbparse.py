@@ -22,6 +22,14 @@ needs neither: its token texts come from one regex scan of the whole
 text, and its positions are computed only for an error message, when a
 `ParseError` places the failing token by its index. A text with a
 comment takes its token texts from `_tokenize`.
+
+`_Parser.concept` is a recursive descent with one Python frame per
+nesting level, so a concept nested deeper than the recursion limit
+(about 1,000 levels) raises `RecursionError`. That is kept on purpose
+until a stack-safe parser lands together with a benchmark change: the
+benchmark's `deep` workload pins the error on a 1,200-deep `(not ...)`,
+and `test_parser::test_deep_negation_overflows_until_item_3` fails as
+soon as the parser stops raising it.
 """
 from __future__ import annotations
 
@@ -110,7 +118,12 @@ class _Parser:
         return text
 
     def concept(self):
-        text = self.take("a concept")
+        pos = self.pos
+        try:
+            text = self.tokens[pos]
+        except IndexError:
+            self._fail("unexpected end of input, expected a concept", -1)
+        self.pos = pos + 1
         if text == "(":
             op = self.take("a concept operator")
             if op == "not":

@@ -5,16 +5,18 @@ trans(R). Its closure <=* is the reflexive-transitive closure of the
 inclusions together with their inverses (R <= S gives R- <= S-), and the
 inverse of a transitive role is transitive too. The role universe is just
 the declared names and their inverses, so the closure is finite; it is
-computed once per knowledge base, in closed form, and `kb_index` returns
-that one closure to every caller. `RBoxIndex` exposes it as two tables,
-`subrole_pairs` and `transitive`, and serves the two queries the search
-makes, `srtr` and `subroles_of`, from tables too, with no copy. Both
-reject a role the knowledge base does not declare: `subroles_of` returns
-its stored tuple, and `srtr` looks up a second table only when its
-answer is no, to check the second role. `transitive_closure` is the one
-closure routine of the package: the witness construction in `models`
-closes role edges with it too, and reads roles through `successor_map`,
-the map it walks.
+computed once per knowledge base, and `kb_index` returns that one closure
+to every caller. `build_ext` gives each role its direct superroles, from
+the axioms and their inverses, and `RBoxIndex` walks them once from each
+role: the roles a walk reaches are that role's superroles. It keeps two
+tables and serves the two queries the search makes from them, with no
+copy: `subroles_of` returns the stored tuple of a role's subroles, and
+`srtr` reads a role's transitive superroles and looks up the subrole
+table only when its answer is no, to check the second role. Both reject a
+role the knowledge base does not declare. The closure as a set of pairs,
+`subrole_pairs`, is built only when read. `transitive_closure` closes a
+set of pairs for the witness construction in `models`, which reads roles
+through `successor_map`, the map it walks.
 """
 from __future__ import annotations
 
@@ -48,17 +50,35 @@ def transitive_closure(pairs: set) -> set:
 class RBoxIndex:
     """Immutable view of the closed role box."""
 
-    __slots__ = ("roles", "subrole_pairs", "transitive", "_subroles", "_trans_supers")
+    __slots__ = ("roles", "transitive", "_subroles", "_trans_supers")
 
-    def __init__(self, roles, subrole_pairs, transitive):
+    def __init__(self, roles, supers, transitive):
+        """`roles` in role order, `supers` each role -> its direct
+        superroles, `transitive` the transitive roles. Each role's
+        superroles under <=* are the roles one walk over `supers` reaches
+        from it, itself included."""
         self.roles = tuple(roles)
-        self.subrole_pairs = frozenset(subrole_pairs)
         self.transitive = frozenset(transitive)
         # role -> its subroles, sorted; role -> its transitive superroles
-        self._subroles = {s: tuple(sorted(r for (r, t) in self.subrole_pairs if t == s)) for s in self.roles}
-        self._trans_supers = {
-            r: frozenset(s for (q, s) in self.subrole_pairs if q == r and s in self.transitive) for r in self.roles
-        }
+        subroles: dict = {s: [] for s in self.roles}
+        self._trans_supers = trans_supers = {}
+        for r in self.roles:  # in role order, so each list of subroles is sorted
+            reached = {r}
+            stack = list(supers[r])
+            while stack:
+                s = stack.pop()
+                if s not in reached:
+                    reached.add(s)
+                    stack += supers[s]
+            for s in reached:
+                subroles[s].append(r)
+            trans_supers[r] = self.transitive.intersection(reached)
+        self._subroles = {s: tuple(rs) for s, rs in subroles.items()}
+
+    @property
+    def subrole_pairs(self) -> frozenset:
+        """Every (r, s) with r <=* s, built when read."""
+        return frozenset((r, s) for s, rs in self._subroles.items() for r in rs)
 
     @staticmethod
     def _undeclared(role: Role) -> ValueError:
@@ -87,25 +107,23 @@ class RBoxIndex:
 def build_ext(subsumptions, transitive, role_names) -> RBoxIndex:
     """The closed role box over the given signature.
 
-    The subrole pairs are the transitive closure of the reflexive pairs,
-    the axioms, and the axioms with both roles inverted. That generator
-    set is closed under inverses, so its closure is too. The transitive
+    The direct superroles of a role are those its axioms give it, and
+    those the axioms with both roles inverted give it; that relation is
+    closed under inverses, so the walks over it are too. The transitive
     roles are the declared ones and their inverses.
     """
     roles = [Role(name, inverted) for name in role_names for inverted in (False, True)]
-    role_set = set(roles)
+    supers: dict = {r: [] for r in roles}
     for r, s in subsumptions:
-        if r not in role_set or s not in role_set:
+        if r not in supers or s not in supers:
             raise ValueError(f"role axiom mentions undeclared role: {r} <= {s}")
+        supers[r].append(s)
+        supers[r.inverse].append(s.inverse)
     for r in transitive:
-        if r not in role_set:
+        if r not in supers:
             raise ValueError(f"transitivity axiom mentions undeclared role: {r}")
-
-    generators = {(r, r) for r in roles}
-    generators.update((r, s) for r, s in subsumptions)
-    generators.update((r.inverse, s.inverse) for r, s in subsumptions)
-    trans = {r for t in transitive for r in (t, t.inverse)}
-    return RBoxIndex(sorted(roles), transitive_closure(generators), trans)
+    trans = [r for t in transitive for r in (t, t.inverse)]
+    return RBoxIndex(sorted(roles), supers, trans)
 
 
 def kb_index(kb) -> RBoxIndex:

@@ -152,7 +152,10 @@ class FormulaStore:
         formulas (negation is an involution on interned formulas), and a
         later call reads it. The build walks an explicit stack in
         postorder, left part first, and so interns the same formulas in the
-        same order as the plain recursion would, at any nesting depth."""
+        same order as the plain recursion would, at any nesting depth. A
+        formula whose parts all have their complements is built at once;
+        otherwise the parts whose `neg` is still None go straight onto the
+        stack, the left one on top, and the formula waits under them."""
         done = formula.neg
         if done is not None:
             return done
@@ -163,40 +166,39 @@ class FormulaStore:
                 stack.pop()
                 continue
             k = f.kind
-            if k in (AND, OR):
-                parts = (f.right, f.left)
-            elif k in (ALL, SOME):
-                parts = (f.child,)
-            elif k == INST:
-                parts = (f.concept,)
-            else:
-                parts = ()
-            todo = [p for p in parts if p.neg is None]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            if k == TOP:
-                g = self.bot
-            elif k == BOT:
-                g = self.top
+            if k == AND or k == OR:
+                left, right = f.left, f.right
+                if left.neg is None or right.neg is None:
+                    if right.neg is None:
+                        stack.append(right)
+                    if left.neg is None:
+                        stack.append(left)
+                    continue
+                g = self.disj(left.neg, right.neg) if k == AND else self.conj(left.neg, right.neg)
+            elif k == ALL or k == SOME:
+                child = f.child
+                if child.neg is None:
+                    stack.append(child)
+                    continue
+                g = self.exist(f.role, child.neg) if k == ALL else self.univ(f.role, child.neg)
             elif k == ATOM:
                 key = (NOT, f.uid)
                 g = self._table.get(key) or self._make(key, Concept, NOT, None, None, None, None, f)
             elif k == NOT:
                 g = f.child
-            elif k == AND:
-                g = self.disj(f.left.neg, f.right.neg)
-            elif k == OR:
-                g = self.conj(f.left.neg, f.right.neg)
-            elif k == ALL:
-                g = self.exist(f.role, f.child.neg)
-            elif k == SOME:
-                g = self.univ(f.role, f.child.neg)
             elif k == INST:
-                g = self.inst(f.ind, f.concept.neg)
+                concept = f.concept
+                if concept.neg is None:
+                    stack.append(concept)
+                    continue
+                g = self.inst(f.ind, concept.neg)
+            elif k == TOP:
+                g = self.bot
+            elif k == BOT:
+                g = self.top
             else:
                 raise ValueError(f"a formula of kind {k!r} has no complement")
+            stack.pop()
             f.neg = g
             g.neg = f
         return formula.neg
@@ -295,36 +297,25 @@ def build_kb(store, subsumptions, transitive, tbox_axioms, abox) -> KnowledgeBas
 
     # Names in order of first occurrence; the oracle's symmetry constraints
     # depend on this order. The internalized TBox is built from the axioms
-    # and holds no name they lack.
-    role_names: list = []
-    concept_names: list = []
-    individuals: list = []
-
-    def note(names: list, *new) -> None:
-        for n in new:
-            if n not in names:
-                names.append(n)
-
-    def scan(concept: Concept) -> None:
-        for c in subconcepts(concept):
-            if c.kind == ATOM:
-                note(concept_names, c.name)
-            elif c.kind in (ALL, SOME):
-                note(role_names, c.role.name)
-
+    # and holds no name they lack. Each dict keeps its keys in the order
+    # they were first set.
+    roles: dict = {}
+    concepts: dict = {}
+    individuals: dict = {}
     for r, s in subsumptions:
-        note(role_names, r.name, s.name)
-    note(role_names, *(role.name for role in transitive))
+        roles[r.name] = roles[s.name] = None
+    for role in transitive:
+        roles[role.name] = None
     for _, left, right in tbox_axioms:
-        scan(left)
-        scan(right)
+        _note_names(left, roles, concepts)
+        _note_names(right, roles, concepts)
     for f in abox:
         if f.kind == INST:
-            note(individuals, f.ind)
-            scan(f.concept)
+            individuals[f.ind] = None
+            _note_names(f.concept, roles, concepts)
         else:
-            note(role_names, f.role.name)
-            note(individuals, f.a, f.b)
+            roles[f.role.name] = None
+            individuals[f.a] = individuals[f.b] = None
 
     return KnowledgeBase(
         store=store,
@@ -333,10 +324,29 @@ def build_kb(store, subsumptions, transitive, tbox_axioms, abox) -> KnowledgeBas
         tbox_axioms=list(tbox_axioms),
         tbox=internalize_tbox(store, tbox_axioms),
         abox=abox,
-        role_names=role_names,
-        concept_names=concept_names,
-        individuals=individuals,
+        role_names=list(roles),
+        concept_names=list(concepts),
+        individuals=list(individuals),
     )
+
+
+def _note_names(concept: Concept, roles: dict, concepts: dict) -> None:
+    """Note each role and concept name of `concept` in `roles` and
+    `concepts`, in preorder, left part first. Walks an explicit stack, so
+    nesting depth is not bounded by the recursion limit."""
+    stack = [concept]
+    while stack:
+        c = stack.pop()
+        k = c.kind
+        if k == AND or k == OR:
+            stack += (c.right, c.left)
+        elif k == ATOM:
+            concepts[c.name] = None
+        elif k == ALL or k == SOME:
+            roles[c.role.name] = None
+            stack.append(c.child)
+        elif k == NOT:
+            stack.append(c.child)
 
 
 def subconcepts(concept: Concept) -> Iterator[Concept]:

@@ -370,3 +370,16 @@ def test_parser_matches_the_reference_on_random_kbs():
     for _ in range(60):
         text = random_kb_text(rng)
         assert _outcome(parse_kb, text) == _outcome(_reference_parse_kb, text)
+
+
+@pytest.mark.xfail(
+    raises=RecursionError,
+    strict=True,
+    reason="ROADMAP item 3: the parser takes one frame per nesting level, and the bench "
+    "`deep` fingerprint pins this input's RecursionError (decided_share 41/42) until "
+    "item 3 lands a stack-safe parser with a benchmark change",
+)
+def test_deep_negation_overflows_until_item_3():
+    depth = 1200  # the `deep` workload's not[1200], past the default recursion limit
+    kb = parse_kb("inst a " + "(not " * depth + "A" + ")" * depth + "\n")
+    assert kb.abox[0].concept is kb.store.atom("A")

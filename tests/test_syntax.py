@@ -1,6 +1,8 @@
 """Syntax layer: NNF construction, complement, internalization, closure."""
 from __future__ import annotations
 
+import random
+
 import hypothesis.strategies as st
 from hypothesis import given
 
@@ -27,8 +29,8 @@ from shisat.syntax import (
     subconcepts,
 )
 
-from helpers import EX1_TEXT, EX2_TEXT, interned_texts
-from kbgen import differential_suite
+from helpers import EX1_TEXT, EX2_TEXT, and_nest, interned_texts, some_nest
+from kbgen import differential_suite, random_kb_text
 
 
 def test_interning_gives_identity():
@@ -310,6 +312,54 @@ def test_names_in_order_of_first_occurrence():
     assert kb.role_names == ["r", "s", "t", "u", "v", "w", "x"]
     assert kb.concept_names == ["A", "B", "D", "C"]
     assert kb.individuals == ["b", "a", "c"]
+
+
+def _reference_names(kb) -> tuple:
+    """The role, concept and individual names of `kb` in order of first
+    occurrence, by a scan of `subconcepts` and a list search per name."""
+    role_names: list = []
+    concept_names: list = []
+    individuals: list = []
+
+    def note(names: list, *new) -> None:
+        for n in new:
+            if n not in names:
+                names.append(n)
+
+    def scan(concept) -> None:
+        for c in subconcepts(concept):
+            if c.kind == ATOM:
+                note(concept_names, c.name)
+            elif c.kind in (ALL, SOME):
+                note(role_names, c.role.name)
+
+    for r, s in kb.role_subsumptions:
+        note(role_names, r.name, s.name)
+    note(role_names, *(role.name for role in kb.transitive_roles))
+    for _, left, right in kb.tbox_axioms:
+        scan(left)
+        scan(right)
+    for f in kb.abox:
+        if f.kind == INST:
+            note(individuals, f.ind)
+            scan(f.concept)
+        else:
+            note(role_names, f.role.name)
+            note(individuals, f.a, f.b)
+    return role_names, concept_names, individuals
+
+
+_kb_texts = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: random_kb_text(random.Random(seed))),
+    st.builds(and_nest, st.integers(1, 80)),
+    st.builds(some_nest, st.integers(1, 80), st.booleans()),
+)
+
+
+@given(st.lists(_kb_texts, min_size=1, max_size=3).map("".join))
+def test_names_match_the_first_occurrence_reference(text):
+    kb = parse_kb(text)
+    assert (kb.role_names, kb.concept_names, kb.individuals) == _reference_names(kb)
 
 
 def test_name_collection_and_closure_are_stack_safe():
