@@ -126,18 +126,14 @@ def _cmd_sat(args) -> int:
     return 0 if verdict.sat else 1
 
 
-def _cmd_instance(args) -> int:
+def _cmd_check(args) -> int:
+    """`instance` and `consistent`: print the answer, exit 0 if true, 1 if false."""
     kb = parse_kb(_read(args.file))
     concept = parse_concept_text(args.concept, kb.store)
-    result = check_instance(kb, args.individual, concept)
-    print("true" if result else "false")
-    return 0 if result else 1
-
-
-def _cmd_consistent(args) -> int:
-    kb = parse_kb(_read(args.file))
-    concept = parse_concept_text(args.concept, kb.store)
-    result = check_concept_consistency(kb, concept)
+    if args.command == "instance":
+        result = check_instance(kb, args.individual, concept)
+    else:
+        result = check_concept_consistency(kb, concept)
     print("true" if result else "false")
     return 0 if result else 1
 
@@ -174,12 +170,12 @@ def _build_parser() -> argparse.ArgumentParser:
     inst.add_argument("file")
     inst.add_argument("individual")
     inst.add_argument("concept")
-    inst.set_defaults(run=_cmd_instance)
+    inst.set_defaults(run=_cmd_check)
 
     cons = sub.add_parser("consistent", help="check concept consistency w.r.t. the axioms")
     cons.add_argument("file")
     cons.add_argument("concept")
-    cons.set_defaults(run=_cmd_consistent)
+    cons.set_defaults(run=_cmd_check)
     return parser
 
 

@@ -30,36 +30,21 @@ refuted successor kills an and-node.
 
 Labels are interned frozensets that never change, and many nodes share
 one: the engine does each piece of per-label work once per run and looks
-it up afterwards. Three dicts hold that work. `_clash` holds each label's
-`t_unsat` result and `_split` its split: the members the rule scan reads,
-by kind (conjunctions, value restrictions, role assertions, disjunctions,
-existentials), each in uid order. `_steps` is keyed by a node's content
-(node type, form, label, rformulas), which comes back across local graphs
-and across dformulas. It holds the rule instance `applicable_rule` chose
-for that content and, once a static rule has been applied to it, the
-successor labels and rformulas. The memo is exact: the scan and the
-conclusions read those four fields and nothing else. The dicts live on
-the engine, not on the nodes, and are dropped when the run ends.
+it up afterwards. Three dicts on the engine hold that work, and are
+dropped when the run ends: `_clash` holds each label's clash test
+(`_clashes`), `_split` its split (`_kinds`), and `_steps`, keyed by a
+node's content, the rule chosen for it and the conclusions of a static
+rule (`applicable_rule`). A node's content comes back across local graphs
+and across dformulas.
 
 Apart from the root's and a state's fresh successors', every label is
 made from an or-node's label by a rule: minus the consumed principal,
-plus the conclusions. Both per-label walks read only that delta, so the
-work per node does not grow with the label. The clash test of a label
-made from a label known clash-free is `t_unsat_delta`: the full walk
-found no clash in the parent and built the complement of each of its
-members, so only the added members can clash or intern anything, and the
-walk over them stops where the full walk would (at the first member whose
-complement is added), so it interns the same formulas in the same order.
-A split is derived from the split of the or-node a node was made from
-(`derive_split`): dropped members leave their part, added ones are put
-in place by uid, and parts that do not change are shared. A label is
-sorted at most once, and only when it needs the full clash test: a fresh
-label, or one made from a fresh successor before that successor's own
-test (a state's local graph is saturated first). Its split is then made
-from the sort and keeps the sorted members, which the test walks. None of this changes the uid order: a memo hit replays a
-call whose formulas were interned on its miss, and the subrole
-narrowings, which intern new formulas, are still built lazily during the
-rule scan, in the same order as before.
+plus the conclusions. Both per-label walks read only that delta
+(`t_unsat_delta`, `derive_split`), so the work per node does not grow
+with the label, and a label is sorted at most once. None of this changes
+the uid order: a memo hit replays a call whose formulas were interned on
+its miss, and the subrole narrowings, which intern new formulas, are
+built lazily during the rule scan.
 
 Only some edges can carry a constraint back. Across an R edge the
 successor's label forces something on the state only through a value
@@ -166,7 +151,8 @@ def t_unsat(store: FormulaStore, label, members=None) -> bool:
     the role assertions, which have none; `t_unsat_delta` rests on that.
     This is the reference clash test. The engine runs it on the root, on a
     state's fresh successors and on a label made from a successor before
-    that successor's own test, and `t_unsat_delta` on every other label."""
+    that successor's own test (a state's local graph is saturated first),
+    and `t_unsat_delta` on every other label."""
     for f in ordered(label) if members is None else members:
         c = f.body
         if c is not None and (c.kind == sx.BOT or (f.neg or complement(store, f)) in label):
@@ -254,27 +240,13 @@ def derive_split(split: tuple, parent, label) -> tuple:
 
 def pulling_roles(kb: KnowledgeBase, idx) -> frozenset:
     """The roles R across which a successor can force something back: the
-    inverses of the subroles of every value restriction's role in the TBox
-    and ABox concepts. `_backward` over an R edge reads (all R-.D), and
-    (all Q.D) with R- <= Q and Q transitive; a label's value restrictions
-    are subconcepts of the knowledge base or their narrowings to subroles,
-    and in both cases R- is a subrole of an occurring restriction's role.
-    Walks the concepts with an explicit stack and interns nothing."""
-    stack = list(kb.tbox)
-    stack += [f.concept for f in kb.abox if f.kind == sx.INST]
-    seen: set = set()
-    univ_roles: set = set()
-    while stack:
-        c = stack.pop()
-        if c in seen:
-            continue
-        seen.add(c)
-        if c.kind in (sx.AND, sx.OR):
-            stack += (c.left, c.right)
-        elif c.child is not None:
-            stack.append(c.child)
-            if c.kind == sx.ALL:
-                univ_roles.add(c.role)
+    inverses of the subroles of every value restriction's role in the
+    knowledge base's concepts. `_backward` over an R edge reads (all R-.D),
+    and (all Q.D) with R- <= Q and Q transitive; a label's value
+    restrictions are subconcepts of the knowledge base or their narrowings
+    to subroles, and in both cases R- is a subrole of an occurring
+    restriction's role. Interns nothing."""
+    univ_roles = {c.role for root in kb.concepts for c in sx.subconcepts(root) if c.kind == sx.ALL}
     return frozenset(r.inverse for q in univ_roles for r in idx.subroles_of(q))
 
 
@@ -382,7 +354,7 @@ class TableauEngine:
         time. The split is derived from that of the or-node `node` was made
         from, its first predecessor. What the scan tests against the node's
         label and rformulas, and the narrowings it interns, are computed per
-        call, in the same order as a scan of the sorted label would."""
+        call."""
         prime = "" if node.stype == SIMPLE else "'"
         parent = None
         if node.preds:

@@ -16,12 +16,12 @@ One statement per construct, prefix s-expressions for concepts:
 Comments run from '#' to end of line. `and`/`or` take two or more
 arguments and are folded to the right into binary nodes.
 
-The parser reads token texts alone. `_tokenize` is the one definition
-of comments and of a token's line and column. A text with no '#' in it
-needs neither: its token texts come from one regex scan of the whole
-text, and its positions are computed only for an error message, when a
-`ParseError` places the failing token by its index. A text with a
-comment takes its token texts from `_tokenize`.
+The parser reads token texts alone, from one regex scan of the whole
+text once `_COMMENT`, the one definition of a comment, has cut the
+comments out. `_tokenize` is the one definition of a token's line and
+column; it cuts each line with the same `_COMMENT`. The parser calls it
+only for an error message, when a `ParseError` places the failing token
+by its index.
 
 `_Parser.concept` is a recursive descent with one Python frame per
 nesting level, so a concept nested deeper than the recursion limit
@@ -40,6 +40,8 @@ from .syntax import FormulaStore, INST, KnowledgeBase, Role, build_kb, concept_t
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN = re.compile(r"[()]|[^\s()]+")
+# A comment runs from '#' to the next line boundary of `str.splitlines`.
+_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 _KEYWORDS = ("sub", "trans", "impl", "equiv", "inst", "rel")
 
 
@@ -62,17 +64,15 @@ def _tokenize(text: str) -> list:
     return [
         _Token(m.group(), lineno, m.start() + 1)
         for lineno, line in enumerate(text.splitlines(), start=1)
-        for m in _TOKEN.finditer(line.split("#", 1)[0])
+        for m in _TOKEN.finditer(_COMMENT.sub("", line))
     ]
 
 
 def _token_texts(text: str) -> list:
-    """The texts of `_tokenize(text)`. Without a comment they come from one
-    scan of the whole text: every line boundary is a space to `_TOKEN`, so
-    no token spans one and the lists agree."""
-    if "#" in text:
-        return [t.text for t in _tokenize(text)]
-    return _TOKEN.findall(text)
+    """The texts of `_tokenize(text)`, from one scan of the whole text:
+    every line boundary is a space to `_TOKEN`, so no token spans one, and
+    a comment ends at the boundary, so the lists agree."""
+    return _TOKEN.findall(_COMMENT.sub("", text))
 
 
 class _Parser:
@@ -118,12 +118,7 @@ class _Parser:
         return text
 
     def concept(self):
-        pos = self.pos
-        try:
-            text = self.tokens[pos]
-        except IndexError:
-            self._fail("unexpected end of input, expected a concept", -1)
-        self.pos = pos + 1
+        text = self.take("a concept")
         if text == "(":
             op = self.take("a concept operator")
             if op == "not":

@@ -191,7 +191,7 @@ def eval_concept(interp: Interpretation, concept) -> set:
     domain = set(interp.domain)
     value: dict = {}
     succ: dict = {}  # role -> its successor map, built on first use
-    for c in reversed(list(sx.subconcepts(concept))):
+    for c in reversed(sx.subconcepts(concept)):
         if c in value:
             continue
         k = c.kind

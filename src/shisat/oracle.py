@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import accumulate, product
 
 from .models import Interpretation, check_model
-from .syntax import ALL, AND, ATOM, BOT, INST, NOT, OR, TOP, KnowledgeBase, Role
+from .syntax import ALL, AND, ATOM, BOT, INST, NOT, OR, TOP, KnowledgeBase, Role, subconcepts
 
 # Literal 2v is variable v, 2v + 1 its negation. Variable 0 is the constant true.
 TRUE, FALSE = 0, 1
@@ -52,23 +52,21 @@ class _Grounding:
         # Each subconcept's literal at every element, the compound ones in preorder.
         self.at = at = {}
         compound = []
-        stack = [f.concept for f in reversed(kb.abox) if f.kind == INST] + kb.tbox[::-1]
-        while stack:
-            c = stack.pop()
-            if c in at:
-                continue
-            k = c.kind
-            if k == ATOM:
-                at[c] = self.atoms[c.name]
-            elif k == NOT:
-                xs = self.atoms[c.child.name]
-                at[c] = range(xs.start + 1, xs.stop + 1, 2)
-            elif k == TOP or k == BOT:
-                at[c] = (TRUE if k == TOP else FALSE,) * n
-            else:
-                at[c] = self._fresh(n)
-                compound.append(c)
-                stack += (c.right, c.left) if k == AND or k == OR else (c.child,)
+        for root in kb.concepts:
+            for c in subconcepts(root):
+                if c in at:
+                    continue
+                k = c.kind
+                if k == ATOM:
+                    at[c] = self.atoms[c.name]
+                elif k == NOT:
+                    xs = self.atoms[c.child.name]
+                    at[c] = range(xs.start + 1, xs.stop + 1, 2)
+                elif k == TOP or k == BOT:
+                    at[c] = (TRUE if k == TOP else FALSE,) * n
+                else:
+                    at[c] = self._fresh(n)
+                    compound.append(c)
         self.units = [TRUE] + [lit for c in kb.tbox for lit in at[c]]
         pairs, self.long = [], []  # binary clauses, and the longer ones
         for c in compound:

@@ -3,20 +3,21 @@
 The role box of an SHI knowledge base contains axioms R <= S and
 trans(R). Its closure <=* is the reflexive-transitive closure of the
 inclusions together with their inverses (R <= S gives R- <= S-), and the
-inverse of a transitive role is transitive too. The role universe is just
-the declared names and their inverses, so the closure is finite; it is
-computed once per knowledge base, and `kb_index` returns that one closure
-to every caller. `build_ext` gives each role its direct superroles, from
-the axioms and their inverses, and `RBoxIndex` walks them once from each
-role: the roles a walk reaches are that role's superroles. It keeps two
-tables and serves the two queries the search makes from them, with no
-copy: `subroles_of` returns the stored tuple of a role's subroles, and
-`srtr` reads a role's transitive superroles and looks up the subrole
-table only when its answer is no, to check the second role. Both reject a
-role the knowledge base does not declare. The closure as a set of pairs,
-`subrole_pairs`, is built only when read. `transitive_closure` closes a
-set of pairs for the witness construction in `models`, which reads roles
-through `successor_map`, the map it walks.
+inverse of a transitive role is transitive too. The role universe is
+just the declared names and their inverses, so the closure is finite; it
+is computed once per knowledge base, and `kb_index` returns that one
+closure to every caller. `build_ext` gives each role its direct
+superroles, from the axioms and their inverses, and `RBoxIndex` walks
+them once from each role with `reach`: the roles a walk reaches are that
+role's superroles. It keeps two tables and serves the two queries the
+search makes from them, with no copy: `subroles_of` returns the stored
+tuple of a role's subroles, and `srtr` reads a role's transitive
+superroles and looks up the subrole table only when its answer is no, to
+check the second role. Both reject a role the knowledge base does not
+declare. The closure as a set of pairs, `subrole_pairs`, is built only
+when read. `transitive_closure` closes a set of pairs with the same
+`reach`, for the witness construction in `models`, which also reads
+roles through `successor_map`.
 """
 from __future__ import annotations
 
@@ -31,20 +32,24 @@ def successor_map(pairs) -> dict:
     return succ
 
 
+def reach(succ: dict, start, reached: set) -> set:
+    """`reached` plus every element a path over `succ` leads to from the
+    elements of `start`, added to `reached` in place. This is the one walk
+    over a role graph: the closure of the role box and `transitive_closure`
+    both read it."""
+    stack = list(start)
+    while stack:
+        b = stack.pop()
+        if b not in reached:
+            reached.add(b)
+            stack += succ.get(b, ())
+    return reached
+
+
 def transitive_closure(pairs: set) -> set:
     """Every (a, c) joined by a path of `pairs`."""
     succ = successor_map(pairs)
-    out = set()
-    for a in succ:
-        reached: set = set()
-        stack = list(succ[a])
-        while stack:
-            b = stack.pop()
-            if b not in reached:
-                reached.add(b)
-                stack.extend(succ.get(b, ()))
-        out.update((a, b) for b in reached)
-    return out
+    return {(a, b) for a, bs in succ.items() for b in reach(succ, bs, set())}
 
 
 class RBoxIndex:
@@ -63,13 +68,7 @@ class RBoxIndex:
         subroles: dict = {s: [] for s in self.roles}
         self._trans_supers = trans_supers = {}
         for r in self.roles:  # in role order, so each list of subroles is sorted
-            reached = {r}
-            stack = list(supers[r])
-            while stack:
-                s = stack.pop()
-                if s not in reached:
-                    reached.add(s)
-                    stack += supers[s]
+            reached = reach(supers, supers[r], {r})
             for s in reached:
                 subroles[s].append(r)
             trans_supers[r] = self.transitive.intersection(reached)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 
 class Role(NamedTuple):
@@ -281,6 +281,14 @@ class KnowledgeBase:
     concept_names: list
     individuals: list
 
+    @property
+    def concepts(self) -> tuple:
+        """The concepts the knowledge base asserts: the internalized TBox,
+        then each concept assertion's concept in ABox order. The walks over
+        its concepts (`closure`, the engine's `pulling_roles` and the
+        oracle's grounding) start from these roots."""
+        return (*self.tbox, *(f.concept for f in self.abox if f.kind == INST))
+
     @cached_property
     def role_box(self):
         """The closed role box (`rbox.kb_index`), one closure per knowledge base."""
@@ -296,9 +304,10 @@ def build_kb(store, subsumptions, transitive, tbox_axioms, abox) -> KnowledgeBas
         abox.append(store.inst("a0", store.top))
 
     # Names in order of first occurrence; the oracle's symmetry constraints
-    # depend on this order. The internalized TBox is built from the axioms
-    # and holds no name they lack. Each dict keeps its keys in the order
-    # they were first set.
+    # depend on this order. They are read from the axioms as written, not
+    # from `KnowledgeBase.concepts`: internalizing drops an axiom that says
+    # nothing, such as `impl bot A`, and its names with it. Each dict keeps
+    # its keys in the order they were first set.
     roles: dict = {}
     concepts: dict = {}
     individuals: dict = {}
@@ -332,36 +341,31 @@ def build_kb(store, subsumptions, transitive, tbox_axioms, abox) -> KnowledgeBas
 
 def _note_names(concept: Concept, roles: dict, concepts: dict) -> None:
     """Note each role and concept name of `concept` in `roles` and
-    `concepts`, in preorder, left part first. Walks an explicit stack, so
-    nesting depth is not bounded by the recursion limit."""
-    stack = [concept]
-    while stack:
-        c = stack.pop()
+    `concepts`, in preorder, left part first."""
+    for c in subconcepts(concept):
         k = c.kind
-        if k == AND or k == OR:
-            stack += (c.right, c.left)
-        elif k == ATOM:
+        if k == ATOM:
             concepts[c.name] = None
         elif k == ALL or k == SOME:
             roles[c.role.name] = None
-            stack.append(c.child)
-        elif k == NOT:
-            stack.append(c.child)
 
 
-def subconcepts(concept: Concept) -> Iterator[Concept]:
-    """All subconcepts of `concept`, including itself, in preorder
-    (left before right). Walks an explicit stack, so nesting depth is not
-    bounded by the recursion limit."""
+def subconcepts(concept: Concept) -> list:
+    """The subconcepts of `concept`, itself first, in preorder, left part
+    first: one entry per occurrence, so a part shared by two others is
+    listed twice. This is the one walk that visits a concept tree; it
+    keeps an explicit stack, so nesting depth is not bounded by the
+    recursion limit."""
+    out = []
     stack = [concept]
     while stack:
         c = stack.pop()
-        yield c
-        if c.kind in (AND, OR):
-            stack.append(c.right)
-            stack.append(c.left)
-        elif c.kind in (NOT, ALL, SOME):
+        out.append(c)
+        if c.kind == AND or c.kind == OR:
+            stack += (c.right, c.left)
+        elif c.child is not None:  # not, all, some
             stack.append(c.child)
+    return out
 
 
 def closure(kb: KnowledgeBase, idx) -> frozenset:
@@ -375,12 +379,7 @@ def closure(kb: KnowledgeBase, idx) -> frozenset:
     """
     store = kb.store
 
-    occurring: set = set()
-    for concept in kb.tbox:
-        occurring.update(subconcepts(concept))
-    for f in kb.abox:
-        if f.kind == INST:
-            occurring.update(subconcepts(f.concept))
+    occurring = {c for root in kb.concepts for c in subconcepts(root)}
 
     universe: set = set(occurring)
     for concept in ordered(occurring):

@@ -1,0 +1,62 @@
+"""tools/identity.py: the gate a behaviour-preserving refactor is checked by."""
+from __future__ import annotations
+
+import importlib.util
+import pickle
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parents[1]
+_spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
+identity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(identity)
+
+CASES = [
+    ("sat/dfs", "inst a (some r A)\n", "dfs"),  # SAT, with a two-element witness
+    ("unsat/dfs", "inst a (and A (not A))\n", "dfs"),
+    ("broken/dfs", "inst a (and A)\n", "dfs"),  # does not parse, so `_record` raises
+]
+
+
+@pytest.fixture
+def dumps(tmp_path, monkeypatch, capsys):
+    """Two dumps of `CASES`, with the dump messages read off."""
+    monkeypatch.setattr(identity, "_corpus", lambda: CASES)
+    paths = [tmp_path / "a.pkl", tmp_path / "b.pkl"]
+    for path in paths:
+        identity.dump(str(path))
+    capsys.readouterr()
+    return paths
+
+
+def _differing(out: str) -> dict:
+    """Field -> the number of runs `compare` reports differing on it."""
+    return {line.split(":")[0]: int(line.split()[1]) for line in out.splitlines()}
+
+
+def test_two_dumps_of_one_tree_agree_on_every_field(dumps, capsys):
+    a, b = dumps
+    assert identity.compare(str(a), str(b)) == 0
+    assert _differing(capsys.readouterr().out) == {field: 0 for field in identity.FIELDS}
+    assert len(identity.FIELDS) == 11
+    with open(a, "rb") as fh:
+        runs = pickle.load(fh)
+    assert runs["sat/dfs"]["verdict"] is True and len(runs["sat/dfs"]["witness"][0]) == 2
+    assert runs["unsat/dfs"]["verdict"] is False and runs["unsat/dfs"]["witness"] is None
+    broken = runs["broken/dfs"]
+    assert broken.keys() == set(identity.FIELDS)
+    assert all(value.startswith("error: ParseError: ") for value in broken.values())
+
+
+def test_an_edited_node_list_is_counted_on_that_field_alone(dumps, tmp_path, capsys):
+    a, _ = dumps
+    with open(a, "rb") as fh:
+        runs = pickle.load(fh)
+    runs["sat/dfs"]["nodes"] = runs["sat/dfs"]["nodes"][:-1]
+    edited = tmp_path / "edited.pkl"
+    with open(edited, "wb") as fh:
+        pickle.dump(runs, fh)
+    assert identity.compare(str(a), str(edited)) == 1
+    counts = _differing(capsys.readouterr().out)
+    assert counts == {field: int(field == "nodes") for field in identity.FIELDS}

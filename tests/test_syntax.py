@@ -6,7 +6,8 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given
 
-from shisat import closure, format_kb, kb_index, parse_kb
+from shisat import bounded_model_search, closure, format_kb, kb_index, parse_kb
+from shisat.engine import pulling_roles
 from shisat.syntax import (
     ALL,
     AND,
@@ -378,6 +379,9 @@ def test_name_collection_and_closure_are_stack_safe():
     assert repr(store.inst("a", concept)) == "a:" + text
     assert format_kb(kb) == f"inst a {text}\n"
     assert store.negate(store.negate(concept)) is concept
+    # The engine's and the oracle's walks over the concepts read `subconcepts` too.
+    assert pulling_roles(kb, kb_index(kb)) == frozenset()  # no value restriction
+    assert len(bounded_model_search(kb, 1).domain) == 1  # A and r(0, 0)
 
 
 def test_closure_interns_in_one_order():
