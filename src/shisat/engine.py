@@ -33,18 +33,21 @@ one: the engine does each piece of per-label work once per run and looks
 it up afterwards. Three dicts on the engine hold that work, and are
 dropped when the run ends: `_clash` holds each label's clash test
 (`_clashes`), `_split` its split (`_kinds`), and `_steps`, keyed by a
-node's content, the rule chosen for it and the conclusions of a static
-rule (`applicable_rule`). A node's content comes back across local graphs
-and across dformulas.
+node's content, the rule instance chosen for it (`applicable_rule`),
+which carries a static rule's successor labels and rformulas. A node's
+content comes back across local graphs and across dformulas.
 
 Apart from the root's and a state's fresh successors', every label is
 made from an or-node's label by a rule: minus the consumed principal,
-plus the conclusions. Both per-label walks read only that delta
-(`t_unsat_delta`, `derive_split`), so the work per node does not grow
-with the label, and a label is sorted at most once. None of this changes
-the uid order: a memo hit replays a call whose formulas were interned on
-its miss, and the subrole narrowings, which intern new formulas, are
-built lazily during the rule scan.
+plus the conclusions. Every clash test reads only the members a label
+adds to its parent's, or to the empty label when that is not known
+clash-free (`t_unsat`), and a split is derived from its parent's
+(`derive_split`), so the work per node does not grow with the label. A
+label is sorted at most once, by its split (`split_label`); a clash test
+sorts only the members it reads. None of this changes the uid order: a
+memo hit replays a call whose formulas were interned on its miss, and
+the scan interns the conclusions of the rule it picks, which on a
+complex node is applied right after its scan.
 
 Only some edges can carry a constraint back. Across an R edge the
 successor's label forces something on the state only through a value
@@ -128,10 +131,17 @@ PRIORITY = {
 
 
 class RuleInstance(NamedTuple):
+    """A rule chosen for a node: its tag, its principal (the existentials
+    for the transitional rule) and a static rule's successor labels and
+    their rformulas."""
     tag: str
     principal: object = None
     principals: tuple = ()
-    added: frozenset = EMPTY
+    labels: tuple = ()
+    rformulas: frozenset = EMPTY
+
+
+_UNSEEN = object()  # a `_steps` miss: None is a saturated node's step
 
 
 @dataclass
@@ -142,40 +152,24 @@ class Verdict:
     engine: "TableauEngine"
 
 
-def t_unsat(store: FormulaStore, label, members=None) -> bool:
-    """Obvious refutation: bottom in either label form, or a complementary
-    pair. Members are tried in uid order (`members`, when the caller has
-    sorted `label` already), so the complements interned on the way do not
-    depend on set iteration order, and the walk stops at the first clash.
-    When it returns False, it has built the complement of every member but
-    the role assertions, which have none; `t_unsat_delta` rests on that.
-    This is the reference clash test. The engine runs it on the root, on a
-    state's fresh successors and on a label made from a successor before
-    that successor's own test (a state's local graph is saturated first),
-    and `t_unsat_delta` on every other label."""
-    for f in ordered(label) if members is None else members:
-        c = f.body
-        if c is not None and (c.kind == sx.BOT or (f.neg or complement(store, f)) in label):
-            return True
-    return False
-
-
 _uid = operator.attrgetter("uid")
 
 
-def t_unsat_delta(store: FormulaStore, label, parent) -> bool:
-    """`t_unsat(store, label)`, given that `t_unsat(store, parent)` has
-    returned False: it reads only the members `label` adds to `parent`,
-    and interns what the full walk would, in the same order.
+def t_unsat(store: FormulaStore, label, parent=EMPTY) -> bool:
+    """Obvious refutation of `label`: bottom in either label form, or a
+    complementary pair. `parent` is a label this test passed, so it holds
+    no pair and its members have their complements built (role assertions
+    have none). Only the members `label` adds to it are read, in uid order
+    up to the first clash, and they intern what a walk of all of `label`
+    in uid order would, in the same order. The engine saturates a state's
+    local graph before testing it, so a label made from a successor before
+    that successor's test is tested against the empty label.
 
-    A member of `parent` has its complement built, so the full walk
-    interns nothing at it, and it clashes there only if its complement is
-    one of the added members (`parent` holds no pair). The added members
-    are walked in uid order as the full walk would walk them, but only up
-    to the first member whose complement is added: the full walk stops
-    there, before it builds the complements of the added members after
-    it. That complement is built already, so its `neg` field finds the
-    stop without interning anything."""
+    A member of `parent` interns nothing on the whole walk and clashes
+    only with an added complement. So the added members are walked up to
+    the first member of `label` whose complement is added, where the whole
+    walk stops before it builds the complements of the added members after
+    it; that complement's `neg` field finds the stop without interning."""
     new = label - parent
     stop = None  # the uid of the first member whose complement is added
     for f in new:
@@ -200,28 +194,25 @@ def _part(f):
     return _PART.get((f.body or f).kind)
 
 
-def split_label(members: tuple) -> tuple:
-    """The split of the label whose members are `members`, in uid order:
-    its conjunctions, value restrictions, role assertions, disjunctions
-    and existentials, in either label form, each a tuple in uid order,
-    then `members` itself."""
+def split_label(label) -> tuple:
+    """`label`'s conjunctions, value restrictions, role assertions,
+    disjunctions and existentials, in either label form, each a tuple in
+    uid order. It sorts `label`, which `derive_split` does not."""
     parts = ([], [], [], [], [])
-    for f in members:
+    for f in ordered(label):
         i = _part(f)
         if i is not None:
             parts[i].append(f)
-    return (*map(tuple, parts), members)
+    return tuple(map(tuple, parts))
 
 
 def derive_split(split: tuple, parent, label) -> tuple:
     """The split of `label` from `split`, the split of `parent`: the
     members `label` drops leave their part and those it adds are put in
     theirs by uid, so nothing is sorted and only the parts that change are
-    copied. Its last slot is None: a derived split keeps no sorted copy of
-    the whole label."""
+    copied."""
     added = label - parent
     parts = list(split)
-    parts[5] = None
     if len(parent) + len(added) > len(label):  # `label` drops members of `parent`
         for f in parent - label:
             i = _part(f)
@@ -262,7 +253,7 @@ class TableauEngine:
         self.trace: list = []  # the events, when `tracing`
         self._split: dict = {}  # label -> its split by kind (`split_label`, `derive_split`)
         self._clash: dict = {}  # label -> t_unsat(store, label)
-        self._steps: dict = {}  # (node_type, stype, label, rformulas) -> [rule, (labels, rformulas) or None]
+        self._steps: dict = {}  # (node_type, stype, label, rformulas) -> RuleInstance or None
         self._pulling = None  # pulling_roles, built at the first state
 
     # -- bookkeeping ---------------------------------------------------
@@ -308,26 +299,23 @@ class TableauEngine:
         return ex.body.role in self._pulling
 
     def _clashes(self, label, parent=None) -> bool:
-        """`t_unsat` of `label`, computed once per run: by `t_unsat_delta`
-        when `parent`, the label of the or-node it was made from, is known
-        clash-free, else by the full walk over its sorted members."""
+        """`t_unsat` of `label`, computed once per run: against `parent`,
+        the label of the or-node it was made from, when that is known
+        clash-free, else against the empty label."""
         out = self._clash.get(label)
         if out is None:
-            if self._clash.get(parent) is False:
-                out = t_unsat_delta(self.store, label, parent)
-            else:
-                out = t_unsat(self.store, label, self._kinds(label)[5])
-            self._clash[label] = out
+            if self._clash.get(parent) is not False:
+                parent = EMPTY
+            out = self._clash[label] = t_unsat(self.store, label, parent)
         return out
 
     def _kinds(self, label, parent=None) -> tuple:
         """`label`'s split, made once per run: derived from the split of
-        `parent` when that is known, else by sorting `label`, in which case
-        it keeps the sorted members for the label's full clash test."""
+        `parent` when that is known, else by `split_label`."""
         split = self._split.get(label)
         if split is None:
             base = self._split.get(parent)
-            split = split_label(tuple(ordered(label))) if base is None else derive_split(base, parent, label)
+            split = split_label(label) if base is None else derive_split(base, parent, label)
             self._split[label] = split
         return split
 
@@ -339,35 +327,34 @@ class TableauEngine:
         rule kind, then smallest principal in the fixed formula order,
         then smallest auxiliary role.
 
-        The choice reads only `v`'s node type, form, label and rformulas,
-        so it is made once per run for each such content (`_steps`) and
-        a later node of the same content gets the same instance."""
+        The instance, conclusions included, reads only `v`'s node type,
+        form, label and rformulas, so it is made once per run for each such
+        content (`_steps`) and a later node of that content gets it too."""
         node = self.graph.nodes[v]
         key = (node.node_type, node.stype, node.label, node.rformulas)
-        step = self._steps.get(key)
-        if step is None:
-            step = self._steps[key] = [self._scan(node), None]
-        return step[0]
+        rule = self._steps.get(key, _UNSEEN)
+        if rule is _UNSEEN:
+            rule = self._steps[key] = self._scan(node)
+        return rule
 
     def _scan(self, node) -> RuleInstance | None:
         """`applicable_rule`'s choice, from the label's split, one kind at a
-        time. The split is derived from that of the or-node `node` was made
-        from, its first predecessor. What the scan tests against the node's
-        label and rformulas, and the narrowings it interns, are computed per
-        call."""
+        time; a static rule comes with its conclusions. The split is derived
+        from that of the or-node `node` was made from, its first
+        predecessor."""
         prime = "" if node.stype == SIMPLE else "'"
         parent = None
         if node.preds:
             pred = self.graph.nodes[node.preds[0]]
             parent = pred.label if pred.node_type == NONSTATE else None
-        conj, univ, rel, disj, some, _ = self._kinds(node.label, parent)
+        conj, univ, rel, disj, some = self._kinds(node.label, parent)
         if node.node_type == STATE:
             return RuleInstance(R_EXISTS + prime, principals=some) if some else None
 
         label, rf = node.label, node.rformulas
         for f in conj:
             if f not in rf:
-                return RuleInstance(R_AND + prime, principal=f)
+                return self._decompose(R_AND + prime, f, node)
 
         if univ:  # narrowing and univ' both act on a value restriction
             store = self.store
@@ -378,7 +365,7 @@ class TableauEngine:
                         continue
                     added = self._lift(f, store.univ(r, c.child))
                     if added not in label and added not in rf:
-                        return RuleInstance(R_HIER + prime, principal=f, added=frozenset({added}))
+                        return RuleInstance(R_HIER + prime, f, labels=(label | {added},), rformulas=rf)
 
             for f in rel:  # univ' reads role assertions, found in complex labels only
                 added = (
@@ -386,35 +373,25 @@ class TableauEngine:
                     | transfer_assertions(self.idx, store, univ, f.b, f.role.inverse, f.a)
                 ) - label - rf
                 if added:
-                    return RuleInstance(R_UNIV_A, principal=f, added=frozenset(added))
+                    return RuleInstance(R_UNIV_A, f, labels=(label | added,), rformulas=rf)
 
         for f in disj:
             if f not in rf:
-                return RuleInstance(R_OR + prime, principal=f)
+                return self._decompose(R_OR + prime, f, node)
 
         return RuleInstance(R_FORM) if some else None
 
-    # -- rule application -------------------------------------------------
+    def _decompose(self, tag, f, node) -> RuleInstance:
+        """The and/or rule on `f`: consume it and add its concept's parts,
+        both to one successor for a conjunction, one to each of two for a
+        disjunction."""
+        c = f.body
+        left, right = self._lift(f, c.left), self._lift(f, c.right)
+        base = node.label - {f}
+        labels = (base | {left, right},) if c.kind == sx.AND else (base | {left}, base | {right})
+        return RuleInstance(tag, f, labels=labels, rformulas=node.rformulas | {f})
 
-    def _static_conclusions(self, rule: RuleInstance, node) -> tuple:
-        """Successor labels and their rformulas for a static rule: and/or
-        split the principal's concept into its parts and consume the
-        principal, hier/univ' add `rule.added` and keep it. Built on the
-        first application of a step and kept in `_steps` with the rule:
-        they read nothing but the step's key."""
-        step = self._steps[(node.node_type, node.stype, node.label, node.rformulas)]
-        assert step[0] is rule  # every static rule comes from applicable_rule
-        if step[1] is None:
-            if rule.added:
-                step[1] = ((node.label | rule.added,), node.rformulas)
-            else:
-                f = rule.principal
-                c = f.body
-                left, right = self._lift(f, c.left), self._lift(f, c.right)
-                base = node.label - {f}
-                labels = (base | {left, right},) if c.kind == sx.AND else (base | {left}, base | {right})
-                step[1] = (labels, node.rformulas | {f})
-        return step[1]
+    # -- rule application -------------------------------------------------
 
     def apply_rule(self, rule: RuleInstance, v) -> None:
         g = self.graph
@@ -436,9 +413,8 @@ class TableauEngine:
                 self.propagate_status(v)
                 return
         else:
-            labels, rfmls = self._static_conclusions(rule, node)
-            for x in labels:
-                g.con_to_succ(v, NONSTATE, x, rfmls, node.dformulas)
+            for x in rule.labels:
+                g.con_to_succ(v, NONSTATE, x, rule.rformulas, node.dformulas)
 
         self._set_status(node, EXPANDED)
 

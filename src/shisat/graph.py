@@ -69,10 +69,9 @@ class TableauNode:
         self.node_type = node_type
         self.stype = stype
         self.status = UNEXPANDED
-        # the engine passes frozensets, which are kept as they are
-        self.label = label if type(label) is frozenset else frozenset(label)
-        self.rformulas = rformulas if type(rformulas) is frozenset else frozenset(rformulas)
-        self.dformulas = dformulas if type(dformulas) is frozenset else frozenset(dformulas)
+        self.label = label
+        self.rformulas = rformulas
+        self.dformulas = dformulas
         self.state_pred = None
         self.after_trans_pred = None
         self.ce_label = None

@@ -20,7 +20,6 @@ from shisat.engine import (
     pulling_roles,
     split_label,
     t_unsat,
-    t_unsat_delta,
 )
 from shisat.graph import (
     COMPLEX,
@@ -34,7 +33,7 @@ from shisat.graph import (
     UNSAT,
 )
 from shisat.kbparse import parse_concept_text
-from shisat.syntax import ALL, AND, INST, OR, REL, SOME, FormulaStore, Role, formula_text, ordered
+from shisat.syntax import ALL, AND, BOT, INST, OR, REL, SOME, FormulaStore, Role, complement, formula_text, ordered
 from shisat.transfer import transfer_concepts_to
 
 from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, and_nest, interned_texts, label_texts, run
@@ -246,8 +245,10 @@ def test_form_state_requires_an_existential():
 # -- application effects ------------------------------------------------------
 
 def _reference_rule(engine, v):
-    """The rule scan as it was before labels were memoised: it sorts the
-    label and scans it once per rule kind."""
+    """The rule scan as a walk of the sorted label once per rule kind,
+    with a static rule's successor labels and rformulas built from its
+    principal: and/or consume it and add its concept's parts, lifted left
+    then right; hier and univ' keep it and add what they derive."""
     node = engine.graph.nodes[v]
     prime = "" if node.stype == SIMPLE else "'"
     view = [(f, f.body) for f in ordered(node.label)]
@@ -255,29 +256,38 @@ def _reference_rule(engine, v):
         ex = tuple(f for f, c in view if c is not None and c.kind == SOME)
         return RuleInstance(engine_module.R_EXISTS + prime, principals=ex) if ex else None
     store = engine.store
+    label, rf = node.label, node.rformulas
     af = node.aformulas
+
+    def decompose(tag, f):
+        c = f.body
+        parts = [store.inst(f.ind, x) if f.kind == INST else x for x in (c.left, c.right)]
+        rest = label - {f}
+        labels = (rest | set(parts),) if c.kind == AND else tuple(rest | {x} for x in parts)
+        return RuleInstance(tag, principal=f, labels=labels, rformulas=rf | {f})
+
     for f, c in view:
-        if c is not None and c.kind == AND and f not in node.rformulas:
-            return RuleInstance(engine_module.R_AND + prime, principal=f)
+        if c is not None and c.kind == AND and f not in rf:
+            return decompose(engine_module.R_AND + prime, f)
     for f, c in view:
         if c is None or c.kind != ALL:
             continue
         for r in engine.idx.subroles_of(c.role):
             added = engine._lift(f, store.univ(r, c.child))
             if added not in af:
-                return RuleInstance(engine_module.R_HIER + prime, principal=f, added=frozenset({added}))
+                return RuleInstance(engine_module.R_HIER + prime, principal=f, labels=(label | {added},), rformulas=rf)
     for f, c in view:
         if c is not None:
             continue
         added = (
-            engine_module.transfer_assertions(engine.idx, store, node.label, f.a, f.role, f.b)
-            | engine_module.transfer_assertions(engine.idx, store, node.label, f.b, f.role.inverse, f.a)
+            engine_module.transfer_assertions(engine.idx, store, label, f.a, f.role, f.b)
+            | engine_module.transfer_assertions(engine.idx, store, label, f.b, f.role.inverse, f.a)
         ) - af
         if added:
-            return RuleInstance(engine_module.R_UNIV_A, principal=f, added=frozenset(added))
+            return RuleInstance(engine_module.R_UNIV_A, principal=f, labels=(label | added,), rformulas=rf)
     for f, c in view:
-        if c is not None and c.kind == OR and f not in node.rformulas:
-            return RuleInstance(engine_module.R_OR + prime, principal=f)
+        if c is not None and c.kind == OR and f not in rf:
+            return decompose(engine_module.R_OR + prime, f)
     if any(c is not None and c.kind == SOME for _, c in view):
         return RuleInstance(engine_module.R_FORM)
     return None
@@ -331,7 +341,8 @@ def _rule_text(rule):
     if rule is None:
         return None
     principal = None if rule.principal is None else formula_text(rule.principal)
-    return (rule.tag, principal, tuple(map(formula_text, rule.principals)), _texts(rule.added))
+    principals = tuple(map(formula_text, rule.principals))
+    return (rule.tag, principal, principals, tuple(map(_texts, rule.labels)), _texts(rule.rformulas))
 
 
 @settings(deadline=None, max_examples=300)
@@ -346,7 +357,7 @@ def test_applicable_rule_matches_the_label_scan(case):
         rfmls = {f for f, in_rf in members if in_rf} | {_build(kb.store, m) for m in extra}
         v = engine.graph.new_succ(
             None, STATE if state else NONSTATE, COMPLEX if complex_label else SIMPLE, None,
-            frozenset(f for f, _ in members), rfmls, EMPTY,
+            frozenset(f for f, _ in members), frozenset(rfmls), EMPTY,
         )
         rule = select(engine, v)
         assert select is _reference_rule or select(engine, v) == rule  # a memo hit agrees
@@ -395,10 +406,11 @@ def _spy(monkeypatch, name, log):
 
 
 def test_each_label_is_sorted_once_per_run(monkeypatch):
-    """A label is sorted at most once, and only when it needs the full
-    clash test: the root's and a state's successors' labels, whose clash
-    test and rule scan share the sort, and a label made from a successor
-    before the successor's own test has run. Every other split is derived."""
+    """A label is sorted at most once, by `split_label`, and only when no
+    parent's split is at hand: the root's and a state's successors' labels
+    (the bound below also admits labels made from those). Every other
+    split is derived. A fresh label's clash test sorts the members it
+    reads by itself, apart from the split."""
     sorted_labels: list = []
     _spy(monkeypatch, "ordered", sorted_labels)
     for text in (EX1_TEXT, EX2_TEXT, chain_kb_text(4)):
@@ -453,6 +465,16 @@ def _delta_cases(draw):
     return pool, parent, drop, adds
 
 
+def _full_walk(store, label) -> bool:
+    """The reference clash test: every member of `label` in uid order,
+    up to the first that is bottom or has its complement in `label`."""
+    for f in ordered(label):
+        c = f.body
+        if c is not None and (c.kind == BOT or (f.neg or complement(store, f)) in label):
+            return True
+    return False
+
+
 def _clash_free(pool, picks) -> list:
     """`picks` without each index whose pool formula would make a clash
     with those kept before it, decided on a throwaway store."""
@@ -460,7 +482,7 @@ def _clash_free(pool, picks) -> list:
     formulas = [_build(store, recipe) for recipe in pool]
     keep: list = []
     for i in picks:
-        if not t_unsat(store, frozenset(formulas[j] for j in keep + [i])):
+        if not _full_walk(store, frozenset(formulas[j] for j in keep + [i])):
             keep.append(i)
     return keep
 
@@ -472,7 +494,7 @@ def _delta_setup(case):
     store = FormulaStore()
     formulas = [_build(store, recipe) for recipe in pool]
     parent = [formulas[i] for i in picks]
-    assert not t_unsat(store, frozenset(parent))
+    assert not _full_walk(store, frozenset(parent))
     child = set(parent[:drop] + parent[drop + 1 :])
     for kind, arg in adds:
         if kind == "pool":
@@ -490,32 +512,21 @@ def _delta_setup(case):
 @given(_delta_cases())
 @example((["A", "C"], [0], 1, [("neg", 0), ("pool", 1)]))  # the full walk stops at A, before C
 def test_delta_clash_test_is_the_full_walk(case):
-    """Same verdict, and the same formulas interned in the same order."""
+    """The clash test against the clash-free parent, against the empty
+    label and the reference walk: same verdict, and the same formulas
+    interned in the same order."""
     runs = []
-    for clashes in (lambda s, p, c: t_unsat_delta(s, c, p), lambda s, p, c: t_unsat(s, c)):
+    for clashes in (t_unsat, lambda s, c, p: t_unsat(s, c), lambda s, c, p: _full_walk(s, c)):
         store, parent, child = _delta_setup(case)
-        runs.append((clashes(store, parent, child), interned_texts(store)))
-    assert runs[0] == runs[1]
+        runs.append((clashes(store, child, parent), interned_texts(store)))
+    assert runs[0] == runs[1] == runs[2]
 
 
 @settings(deadline=None, max_examples=200)
 @given(_delta_cases())
 def test_derived_split_is_the_fresh_split(case):
     _, parent, child = _delta_setup(case)
-    derived = derive_split(split_label(tuple(ordered(parent))), parent, child)
-    fresh = split_label(tuple(ordered(child)))
-    assert derived[:5] == fresh[:5] and derived[5] is None
-
-
-def test_t_unsat_walks_the_members_it_is_given():
-    # the complements it interns come in the order of `members`
-    interned = []
-    for walk in (ordered, lambda label: ordered(label)[::-1]):
-        kb = parse_kb("inst a (and B C)\ninst b (or D E)\n")
-        label = frozenset(kb.abox)
-        assert not t_unsat(kb.store, label, tuple(walk(label)))
-        interned.append(interned_texts(kb.store))
-    assert interned[0] != interned[1] and sorted(interned[0]) == sorted(interned[1])
+    assert derive_split(split_label(parent), parent, child) == split_label(child)
 
 
 def test_disjunction_split_at_root():

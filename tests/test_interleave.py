@@ -35,3 +35,15 @@ def test_a_node_count_that_differs_is_reported():
     times, raised, differ = interleave.interleave(shisat, other, cases, 2)
     assert [name for name, *_ in times] == [] and raised == ["broken"]
     assert len(differ) == 1 and differ[0].startswith("one: A gives (True, ")
+
+
+def test_rule_applications_that_differ_are_reported_at_equal_node_counts():
+    def decide_sat_or_for_and(kb):
+        verdict = shisat.decide_sat(kb)
+        rules = {("or'" if tag == "and'" else tag): n for tag, n in verdict.stats["rule_applications"].items()}
+        return SimpleNamespace(sat=verdict.sat, stats={**verdict.stats, "rule_applications": rules})
+
+    other = SimpleNamespace(parse_kb=shisat.parse_kb, kb_index=shisat.kb_index, decide_sat=decide_sat_or_for_and)
+    times, raised, differ = interleave.interleave(shisat, other, [("one", "inst a (and A B)\n")], 2)
+    assert times == [] and raised == []
+    assert len(differ) == 1 and differ[0].count("'nodes': 2,") == 2 and "\"or'\": 1" in differ[0]

@@ -12,7 +12,8 @@ keeps each tree's best. An input that raises on both trees with the same
 exception is counted and not timed. It prints the p50, p75 and p95 of the
 per-input times (the benchmark's `percentile`) and their total, for A and
 B, with the ratio B/A. It exits 1 if the trees differ on any input's
-verdict, node count or exception.
+verdict, stats (nodes, states and rule applications) or exception, so a
+timing run also catches a changed rule choice.
 
 Both trees share the process, so drift in the machine's speed falls on
 both alike: this sizes changes of a few microseconds per input, which
@@ -57,7 +58,7 @@ def workload_texts(workload: str) -> list:
 
 def run_once(tree, text: str):
     """(seconds, outcome) of one parse -> role box -> decision of `text`;
-    the outcome is (verdict, nodes) or the name of the exception raised."""
+    the outcome is (verdict, stats) or the name of the exception raised."""
     start = perf_counter()
     try:
         kb = tree.parse_kb(text)
@@ -65,7 +66,7 @@ def run_once(tree, text: str):
         verdict = tree.decide_sat(kb)
     except Exception as exc:  # an input the trees must fail alike
         return perf_counter() - start, type(exc).__name__
-    return perf_counter() - start, (verdict.sat, verdict.stats["nodes"])
+    return perf_counter() - start, (verdict.sat, verdict.stats)
 
 
 def interleave(a, b, cases: list, k: int) -> tuple:
