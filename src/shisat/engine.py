@@ -39,15 +39,15 @@ content comes back across local graphs and across dformulas.
 
 Apart from the root's and a state's fresh successors', every label is
 made from an or-node's label by a rule: minus the consumed principal,
-plus the conclusions. Every clash test reads only the members a label
-adds to its parent's, or to the empty label when that is not known
+plus the conclusions. A clash test reads only the members a label adds
+to its parent's, or to the empty label when that is not known
 clash-free (`t_unsat`), and a split is derived from its parent's
 (`derive_split`), so the work per node does not grow with the label. A
-label is sorted at most once, by its split (`split_label`); a clash test
-sorts only the members it reads. None of this changes the uid order: a
-memo hit replays a call whose formulas were interned on its miss, and
-the scan interns the conclusions of the rule it picks, which on a
-complex node is applied right after its scan.
+label is sorted at most once, by `split_label`, which keeps the sorted
+members for a test against the empty label. None of this changes the
+uid order: a memo hit replays a call whose formulas were interned on its
+miss, and the scan interns the conclusions of the rule it picks, which
+on a complex node is applied right after its scan.
 
 Only some edges can carry a constraint back. Across an R edge the
 successor's label forces something on the state only through a value
@@ -155,30 +155,30 @@ class Verdict:
 _uid = operator.attrgetter("uid")
 
 
-def t_unsat(store: FormulaStore, label, parent=EMPTY) -> bool:
+def t_unsat(store: FormulaStore, label, parent=EMPTY, members=None) -> bool:
     """Obvious refutation of `label`: bottom in either label form, or a
-    complementary pair. `parent` is a label this test passed, so it holds
-    no pair and its members have their complements built (role assertions
-    have none). Only the members `label` adds to it are read, in uid order
-    up to the first clash, and they intern what a walk of all of `label`
-    in uid order would, in the same order. The engine saturates a state's
-    local graph before testing it, so a label made from a successor before
-    that successor's test is tested against the empty label.
-
-    A member of `parent` interns nothing on the whole walk and clashes
-    only with an added complement. So the added members are walked up to
-    the first member of `label` whose complement is added, where the whole
-    walk stops before it builds the complements of the added members after
-    it; that complement's `neg` field finds the stop without interning."""
-    new = label - parent
-    stop = None  # the uid of the first member whose complement is added
-    for f in new:
-        c = f.neg
-        if c in label and (stop is None or c.uid < stop):
-            stop = c.uid
-    for f in sorted(new, key=_uid) if len(new) > 1 else new:
-        if stop is not None and f.uid > stop:
-            return True
+    complementary pair. `parent` is a label this test passed: it holds no
+    pair and its members have their complements built (role assertions
+    have none). Only the members `label` adds to it are read, in uid order,
+    and they intern what a walk of all of `label` in uid order would, in
+    the same order. A member of `parent` interns nothing on that walk and
+    clashes only with an added complement; the added members' `neg` fields
+    find the first such member, where the walk stops, with no interning.
+    Against the empty label every member is read, in the order of
+    `members` when the caller has sorted `label` already. The engine
+    saturates a state's local graph before testing it, so a label made
+    from a successor before that successor's test is tested against the
+    empty label."""
+    new, stop = label, None  # stop: the uid of the first member whose complement is added
+    if parent:
+        new = label - parent
+        for f in new:
+            c = f.neg
+            if c in label and (stop is None or c.uid < stop):
+                stop = c.uid
+        if stop is not None:
+            new = [f for f in new if f.uid <= stop]
+    for f in members or (sorted(new, key=_uid) if len(new) > 1 else new):
         c = f.body
         if c is not None and (c.kind == sx.BOT or (f.neg or complement(store, f)) in label):
             return True
@@ -197,22 +197,25 @@ def _part(f):
 def split_label(label) -> tuple:
     """`label`'s conjunctions, value restrictions, role assertions,
     disjunctions and existentials, in either label form, each a tuple in
-    uid order. It sorts `label`, which `derive_split` does not."""
+    uid order, then all of `label` in uid order, for its clash test: it
+    sorts `label`, which `derive_split` does not."""
+    members = tuple(ordered(label))
     parts = ([], [], [], [], [])
-    for f in ordered(label):
+    for f in members:
         i = _part(f)
         if i is not None:
             parts[i].append(f)
-    return tuple(map(tuple, parts))
+    return (*map(tuple, parts), members)
 
 
 def derive_split(split: tuple, parent, label) -> tuple:
     """The split of `label` from `split`, the split of `parent`: the
     members `label` drops leave their part and those it adds are put in
     theirs by uid, so nothing is sorted and only the parts that change are
-    copied."""
+    copied. Its last slot is None: a derived split keeps no sorted copy of
+    the whole label."""
     added = label - parent
-    parts = list(split)
+    parts = [*split[:5], None]
     if len(parent) + len(added) > len(label):  # `label` drops members of `parent`
         for f in parent - label:
             i = _part(f)
@@ -301,12 +304,15 @@ class TableauEngine:
     def _clashes(self, label, parent=None) -> bool:
         """`t_unsat` of `label`, computed once per run: against `parent`,
         the label of the or-node it was made from, when that is known
-        clash-free, else against the empty label."""
+        clash-free, else against the empty label, sharing the sort of a
+        split that `split_label` made."""
         out = self._clash.get(label)
         if out is None:
-            if self._clash.get(parent) is not False:
-                parent = EMPTY
-            out = self._clash[label] = t_unsat(self.store, label, parent)
+            if self._clash.get(parent) is False:
+                out = t_unsat(self.store, label, parent)
+            else:
+                out = t_unsat(self.store, label, members=self._kinds(label)[5])
+            self._clash[label] = out
         return out
 
     def _kinds(self, label, parent=None) -> tuple:
@@ -347,7 +353,7 @@ class TableauEngine:
         if node.preds:
             pred = self.graph.nodes[node.preds[0]]
             parent = pred.label if pred.node_type == NONSTATE else None
-        conj, univ, rel, disj, some = self._kinds(node.label, parent)
+        conj, univ, rel, disj, some, _ = self._kinds(node.label, parent)
         if node.node_type == STATE:
             return RuleInstance(R_EXISTS + prime, principals=some) if some else None
 

@@ -407,10 +407,10 @@ def _spy(monkeypatch, name, log):
 
 def test_each_label_is_sorted_once_per_run(monkeypatch):
     """A label is sorted at most once, by `split_label`, and only when no
-    parent's split is at hand: the root's and a state's successors' labels
-    (the bound below also admits labels made from those). Every other
-    split is derived. A fresh label's clash test sorts the members it
-    reads by itself, apart from the split."""
+    parent's split is at hand or its clash test reads it against the empty
+    label: the root's and a state's successors' labels, whose clash test
+    and rule scan share the sort, and a label made from a successor before
+    the successor's own test has run. Every other split is derived."""
     sorted_labels: list = []
     _spy(monkeypatch, "ordered", sorted_labels)
     for text in (EX1_TEXT, EX2_TEXT, chain_kb_text(4)):
@@ -513,20 +513,39 @@ def _delta_setup(case):
 @example((["A", "C"], [0], 1, [("neg", 0), ("pool", 1)]))  # the full walk stops at A, before C
 def test_delta_clash_test_is_the_full_walk(case):
     """The clash test against the clash-free parent, against the empty
-    label and the reference walk: same verdict, and the same formulas
-    interned in the same order."""
+    label, against the empty label with the members sorted by the caller,
+    and the reference walk: same verdict, and the same formulas interned
+    in the same order."""
     runs = []
-    for clashes in (t_unsat, lambda s, c, p: t_unsat(s, c), lambda s, c, p: _full_walk(s, c)):
+    for clashes in (
+        t_unsat,
+        lambda s, c, p: t_unsat(s, c),
+        lambda s, c, p: t_unsat(s, c, members=tuple(ordered(c))),
+        lambda s, c, p: _full_walk(s, c),
+    ):
         store, parent, child = _delta_setup(case)
         runs.append((clashes(store, child, parent), interned_texts(store)))
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
 @settings(deadline=None, max_examples=200)
 @given(_delta_cases())
 def test_derived_split_is_the_fresh_split(case):
     _, parent, child = _delta_setup(case)
-    assert derive_split(split_label(parent), parent, child) == split_label(child)
+    derived = derive_split(split_label(parent), parent, child)
+    fresh = split_label(child)
+    assert derived[:5] == fresh[:5] and derived[5] is None
+
+
+def test_t_unsat_walks_the_members_it_is_given():
+    # the complements it interns come in the order of `members`
+    interned = []
+    for walk in (ordered, lambda label: ordered(label)[::-1]):
+        kb = parse_kb("inst a (and B C)\ninst b (or D E)\n")
+        label = frozenset(kb.abox)
+        assert not t_unsat(kb.store, label, members=tuple(walk(label)))
+        interned.append(interned_texts(kb.store))
+    assert interned[0] != interned[1] and sorted(interned[0]) == sorted(interned[1])
 
 
 def test_disjunction_split_at_root():
