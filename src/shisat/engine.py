@@ -10,9 +10,9 @@ Simple labels hold concepts, complex labels assertions about named
 individuals. A primed rule is the plain rule applied to the concept C of
 an assertion a:C: the formula's `body` field holds C and `_lift` puts a
 conclusion back in a:C form, so one rule schema serves both label forms,
-and only the tag, primed on complex nodes, tells them apart. The clash
-tests read each member's complement from its `neg` field and build it
-only where the field is still empty.
+and only the tag, primed when its principal is an assertion, tells them
+apart. The clash test reads each member's complement from its `neg`
+field and builds it only where the field is still empty.
 
 Inverse roles make a successor able to push constraints *back* onto the
 state that spawned it. Two repair modes exist: while a state is being
@@ -81,14 +81,12 @@ from typing import NamedTuple
 
 from . import syntax as sx
 from .graph import (
-    COMPLEX,
     DETERMINED,
     EMPTY,
     EXPANDED,
     INCOMPLETE,
     NONSTATE,
     SAT,
-    SIMPLE,
     STATE,
     UNEXPANDED,
     UNSAT,
@@ -139,6 +137,11 @@ class RuleInstance(NamedTuple):
     principals: tuple = ()
     labels: tuple = ()
     rformulas: frozenset = EMPTY
+
+
+def _tag(rule, f) -> str:
+    """`rule`'s tag on the principal `f`: primed when `f` is an assertion."""
+    return rule + "'" if f.kind == sx.INST else rule
 
 
 _UNSEEN = object()  # a `_steps` miss: None is a saturated node's step
@@ -256,7 +259,7 @@ class TableauEngine:
         self.trace: list = []  # the events, when `tracing`
         self._split: dict = {}  # label -> its split by kind (`split_label`, `derive_split`)
         self._clash: dict = {}  # label -> t_unsat(store, label)
-        self._steps: dict = {}  # (node_type, stype, label, rformulas) -> RuleInstance or None
+        self._steps: dict = {}  # (node_type, label, rformulas) -> RuleInstance or None
         self._pulling = None  # pulling_roles, built at the first state
 
     # -- bookkeeping ---------------------------------------------------
@@ -334,10 +337,10 @@ class TableauEngine:
         then smallest auxiliary role.
 
         The instance, conclusions included, reads only `v`'s node type,
-        form, label and rformulas, so it is made once per run for each such
+        label and rformulas, so it is made once per run for each such
         content (`_steps`) and a later node of that content gets it too."""
         node = self.graph.nodes[v]
-        key = (node.node_type, node.stype, node.label, node.rformulas)
+        key = (node.node_type, node.label, node.rformulas)
         rule = self._steps.get(key, _UNSEEN)
         if rule is _UNSEEN:
             rule = self._steps[key] = self._scan(node)
@@ -348,19 +351,18 @@ class TableauEngine:
         time; a static rule comes with its conclusions. The split is derived
         from that of the or-node `node` was made from, its first
         predecessor."""
-        prime = "" if node.stype == SIMPLE else "'"
         parent = None
         if node.preds:
             pred = self.graph.nodes[node.preds[0]]
             parent = pred.label if pred.node_type == NONSTATE else None
         conj, univ, rel, disj, some, _ = self._kinds(node.label, parent)
         if node.node_type == STATE:
-            return RuleInstance(R_EXISTS + prime, principals=some) if some else None
+            return RuleInstance(_tag(R_EXISTS, some[0]), principals=some) if some else None
 
         label, rf = node.label, node.rformulas
         for f in conj:
             if f not in rf:
-                return self._decompose(R_AND + prime, f, node)
+                return self._decompose(R_AND, f, node)
 
         if univ:  # narrowing and univ' both act on a value restriction
             store = self.store
@@ -371,7 +373,7 @@ class TableauEngine:
                         continue
                     added = self._lift(f, store.univ(r, c.child))
                     if added not in label and added not in rf:
-                        return RuleInstance(R_HIER + prime, f, labels=(label | {added},), rformulas=rf)
+                        return RuleInstance(_tag(R_HIER, f), f, labels=(label | {added},), rformulas=rf)
 
             for f in rel:  # univ' reads role assertions, found in complex labels only
                 added = (
@@ -383,19 +385,19 @@ class TableauEngine:
 
         for f in disj:
             if f not in rf:
-                return self._decompose(R_OR + prime, f, node)
+                return self._decompose(R_OR, f, node)
 
         return RuleInstance(R_FORM) if some else None
 
-    def _decompose(self, tag, f, node) -> RuleInstance:
-        """The and/or rule on `f`: consume it and add its concept's parts,
+    def _decompose(self, rule, f, node) -> RuleInstance:
+        """The and/or `rule` on `f`: consume it and add its concept's parts,
         both to one successor for a conjunction, one to each of two for a
         disjunction."""
         c = f.body
         left, right = self._lift(f, c.left), self._lift(f, c.right)
         base = node.label - {f}
         labels = (base | {left, right},) if c.kind == sx.AND else (base | {left}, base | {right})
-        return RuleInstance(tag, f, labels=labels, rformulas=node.rformulas | {f})
+        return RuleInstance(_tag(rule, f), f, labels=labels, rformulas=node.rformulas | {f})
 
     # -- rule application -------------------------------------------------
 
@@ -467,7 +469,7 @@ class TableauEngine:
         w = len(g.nodes)
         for f in rule.principals:
             label = frozenset({f.body.child}) | self._forward(f, un.label) | self.tbox_set
-            g.new_succ(u, NONSTATE, SIMPLE, f, label, EMPTY, EMPTY)
+            g.new_succ(u, NONSTATE, f, label, EMPTY, EMPTY)
             if self._pulls(f):
                 un.fmls_rc |= self._backward(f, label) - un.label - un.rformulas
 
@@ -592,7 +594,7 @@ class TableauEngine:
         kb = self.kb
         g = self.graph
         tbox_asserted = {self.store.inst(a, c) for a in kb.individuals for c in kb.tbox}
-        g.root = g.new_succ(None, NONSTATE, COMPLEX, None, frozenset(kb.abox) | tbox_asserted, EMPTY, EMPTY)
+        g.root = g.new_succ(None, NONSTATE, None, frozenset(kb.abox) | tbox_asserted, EMPTY, EMPTY)
         rn = g.nodes[g.root]
         if self._clashes(rn.label):
             self._set_status(rn, UNSAT)

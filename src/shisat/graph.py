@@ -10,8 +10,9 @@ blowing up: no two nodes of one scope share the triple (label,
 rformulas, dformulas). States share the global scope None; an or-node's
 scope is its local graph -- everything reachable from a node without
 crossing a state -- named by the `after_trans_pred` all its members
-share. Labels are frozensets of interned formulas, so the triple itself
-is the key.
+share. Labels are frozensets of interned formulas, so the scope and the
+triple are the key. A label holds assertions only (a complex node) or
+concepts only (a simple one), so its content also fixes the node's form.
 
 Nodes carry their edges: `succs` and `preds` list node ids in the order
 the edges were added, and form a set. The graph is the node list, indexed
@@ -28,9 +29,6 @@ from .syntax import ordered
 STATE = "state"
 NONSTATE = "nonstate"
 
-COMPLEX = "complex"
-SIMPLE = "simple"
-
 UNEXPANDED = "unexpanded"
 EXPANDED = "expanded"
 INCOMPLETE = "incomplete"
@@ -46,7 +44,6 @@ class TableauNode:
     __slots__ = (
         "id",
         "node_type",
-        "stype",
         "status",
         "label",
         "rformulas",
@@ -64,10 +61,9 @@ class TableauNode:
         "preds",
     )
 
-    def __init__(self, node_id, node_type, stype, label, rformulas, dformulas):
+    def __init__(self, node_id, node_type, label, rformulas, dformulas):
         self.id = node_id
         self.node_type = node_type
-        self.stype = stype
         self.status = UNEXPANDED
         self.label = label
         self.rformulas = rformulas
@@ -87,10 +83,10 @@ class TableauNode:
         return self.label | self.rformulas
 
     def triple_key(self) -> tuple:
-        return (self.stype, self.label, self.rformulas, self.dformulas)
+        return (self.label, self.rformulas, self.dformulas)
 
     def __repr__(self) -> str:
-        return f"<node {self.id} {self.node_type}/{self.stype} {self.status} {ordered(self.label)}>"
+        return f"<node {self.id} {self.node_type} {self.status} {ordered(self.label)}>"
 
 
 class TableauGraph:
@@ -99,7 +95,7 @@ class TableauGraph:
             raise ValueError(f"unknown expansion strategy {strategy!r}")
         self.nodes: list = []  # node id -> TableauNode
         self.root: int | None = None
-        self._cache: dict = {}  # (scope, triple key) -> node id
+        self._cache: dict = {}  # (scope, label, rformulas, dformulas) -> node id
         self._queue: deque = deque()
         self._next = self._queue.pop if strategy == "dfs" else self._queue.popleft
 
@@ -115,11 +111,11 @@ class TableauGraph:
 
     # -- node creation and caching ------------------------------------
 
-    def new_succ(self, v, node_type, stype, ce_label, label, rformulas, dformulas) -> int:
+    def new_succ(self, v, node_type, ce_label, label, rformulas, dformulas) -> int:
         """Append a fresh unexpanded node and hook it under `v` (or make it
         the root when `v` is None)."""
         node_id = len(self.nodes)
-        node = TableauNode(node_id, node_type, stype, label, rformulas, dformulas)
+        node = TableauNode(node_id, node_type, label, rformulas, dformulas)
         self.nodes.append(node)
         parent = None
         if v is not None:  # a fresh node is no one's successor yet: no add_edge scan
@@ -133,13 +129,14 @@ class TableauGraph:
             node.state_pred, node.after_trans_pred, node.ce_label = v, node_id, ce_label
         else:
             node.state_pred, node.after_trans_pred = parent.state_pred, parent.after_trans_pred
-        key = (node.after_trans_pred, node.triple_key())  # None for a state
+        key = (node.after_trans_pred, label, rformulas, dformulas)  # scope None for a state
         assert key not in self._cache, "duplicate triple in a cache scope"
         self._cache[key] = node_id
 
         self._queue.append(node_id)
         return node_id
 
+    # `stype` is unused: `bench/tracing.py`'s `counting_lookup` wraps this signature.
     def find_proxy(self, node_type, stype, v1, label, rformulas, dformulas):
         """The unique existing node matching the attributes, if any.
 
@@ -147,15 +144,14 @@ class TableauGraph:
         graph rooted at `v1`.
         """
         scope = None if node_type == STATE else v1
-        return self._cache.get((scope, (stype, label, rformulas, dformulas)))
+        return self._cache.get((scope, label, rformulas, dformulas))
 
     def con_to_succ(self, v, node_type, label, rformulas, dformulas) -> int:
-        """Connect the or-node `v` to a node of its form with the given
-        content, creating it only when no cached one exists."""
-        parent = self.nodes[v]
-        w = self.find_proxy(node_type, parent.stype, parent.after_trans_pred, label, rformulas, dformulas)
+        """Connect the or-node `v` to a node with the given content,
+        creating it only when no cached one exists."""
+        w = self.find_proxy(node_type, None, self.nodes[v].after_trans_pred, label, rformulas, dformulas)
         if w is None:
-            return self.new_succ(v, node_type, parent.stype, None, label, rformulas, dformulas)
+            return self.new_succ(v, node_type, None, label, rformulas, dformulas)
         self.add_edge(v, w)
         return w
 

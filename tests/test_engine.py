@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -22,12 +23,10 @@ from shisat.engine import (
     t_unsat,
 )
 from shisat.graph import (
-    COMPLEX,
     EXPANDED,
     INCOMPLETE,
     NONSTATE,
     SAT,
-    SIMPLE,
     STATE,
     UNEXPANDED,
     UNSAT,
@@ -222,7 +221,7 @@ def test_saturated_label_has_no_rule():
             store.univ(Role("r", True), not_a),
         }
     )
-    v = engine.graph.new_succ(None, NONSTATE, SIMPLE, None, label, EMPTY, EMPTY)
+    v = engine.graph.new_succ(None, NONSTATE, None, label, EMPTY, EMPTY)
     assert engine.applicable_rule(v) is None
 
 
@@ -231,11 +230,11 @@ def test_form_state_requires_an_existential():
     engine = TableauEngine(kb)
     store = kb.store
     v = engine.graph.new_succ(
-        None, NONSTATE, SIMPLE, None, frozenset({store.atom("A")}), EMPTY, EMPTY
+        None, NONSTATE, None, frozenset({store.atom("A")}), EMPTY, EMPTY
     )
     assert engine.applicable_rule(v) is None
     w = engine.graph.new_succ(
-        None, NONSTATE, SIMPLE, None,
+        None, NONSTATE, None,
         frozenset({store.exist(Role("r"), store.atom("A"))}), EMPTY, EMPTY,
     )
     rule = engine.applicable_rule(w)
@@ -248,13 +247,14 @@ def _reference_rule(engine, v):
     """The rule scan as a walk of the sorted label once per rule kind,
     with a static rule's successor labels and rformulas built from its
     principal: and/or consume it and add its concept's parts, lifted left
-    then right; hier and univ' keep it and add what they derive."""
+    then right; hier and univ' keep it and add what they derive. A tag is
+    primed when its principal is an assertion."""
     node = engine.graph.nodes[v]
-    prime = "" if node.stype == SIMPLE else "'"
+    prime = lambda f: "'" if f.kind == INST else ""  # noqa: E731
     view = [(f, f.body) for f in ordered(node.label)]
     if node.node_type == STATE:
         ex = tuple(f for f, c in view if c is not None and c.kind == SOME)
-        return RuleInstance(engine_module.R_EXISTS + prime, principals=ex) if ex else None
+        return RuleInstance(engine_module.R_EXISTS + prime(ex[0]), principals=ex) if ex else None
     store = engine.store
     label, rf = node.label, node.rformulas
     af = node.aformulas
@@ -268,14 +268,14 @@ def _reference_rule(engine, v):
 
     for f, c in view:
         if c is not None and c.kind == AND and f not in rf:
-            return decompose(engine_module.R_AND + prime, f)
+            return decompose(engine_module.R_AND + prime(f), f)
     for f, c in view:
         if c is None or c.kind != ALL:
             continue
         for r in engine.idx.subroles_of(c.role):
             added = engine._lift(f, store.univ(r, c.child))
             if added not in af:
-                return RuleInstance(engine_module.R_HIER + prime, principal=f, labels=(label | {added},), rformulas=rf)
+                return RuleInstance(engine_module.R_HIER + prime(f), principal=f, labels=(label | {added},), rformulas=rf)
     for f, c in view:
         if c is not None:
             continue
@@ -287,7 +287,7 @@ def _reference_rule(engine, v):
             return RuleInstance(engine_module.R_UNIV_A, principal=f, labels=(label | added,), rformulas=rf)
     for f, c in view:
         if c is not None and c.kind == OR and f not in rf:
-            return decompose(engine_module.R_OR + prime, f)
+            return decompose(engine_module.R_OR + prime(f), f)
     if any(c is not None and c.kind == SOME for _, c in view):
         return RuleInstance(engine_module.R_FORM)
     return None
@@ -356,7 +356,7 @@ def test_applicable_rule_matches_the_label_scan(case):
         members = [(_build(kb.store, m), in_rf) for m, in_rf in label]
         rfmls = {f for f, in_rf in members if in_rf} | {_build(kb.store, m) for m in extra}
         v = engine.graph.new_succ(
-            None, STATE if state else NONSTATE, COMPLEX if complex_label else SIMPLE, None,
+            None, STATE if state else NONSTATE, None,
             frozenset(f for f, _ in members), frozenset(rfmls), EMPTY,
         )
         rule = select(engine, v)
@@ -367,7 +367,7 @@ def test_applicable_rule_matches_the_label_scan(case):
 
 def test_nodes_of_one_content_take_one_step(decided):
     """What the step memo rests on, read off the finished graph: two nodes
-    of one run with equal (node type, form, label, rformulas), each
+    of one run with equal (node type, label, rformulas), each
     stepped once (expanded once, or found saturated), carry the same rule
     tag and successor contents, whatever their dformulas. A converse
     re-expansion adds what a state demanded, so it is left out."""
@@ -378,11 +378,28 @@ def test_nodes_of_one_content_take_one_step(decided):
         for node in nodes:
             if node.expansions == 1 or (node.expansions == 0 and node.status == SAT):
                 step = (node.rule, frozenset((nodes[w].label, nodes[w].rformulas) for w in node.succs))
-                key = (node.node_type, node.stype, node.label, node.rformulas)
+                key = (node.node_type, node.label, node.rformulas)
                 first = steps.setdefault(key, step)
                 assert first == step, (text, node)
                 repeats += first is not step
     assert repeats > 1000
+
+
+def test_a_label_fixes_the_node_form(decided):
+    """What keying nodes and steps on content alone rests on: every label
+    holds assertions only (a complex node) or concepts only (a simple
+    one), and a static or transitional rule's tag is primed exactly when
+    the label it expanded holds assertions."""
+    tagged = Counter()
+    for text, _, verdict in decided:
+        for node in verdict.graph.nodes:
+            asserted = {f.kind in (INST, REL) for f in node.label}
+            assert len(asserted) <= 1, (text, node)
+            if node.rule not in (None, engine_module.R_FORM, R_CONV):
+                primed = node.rule.endswith("'")
+                assert primed == (True in asserted), (text, node)
+                tagged[primed] += 1
+    assert tagged[True] > 1000 and tagged[False] > 1000
 
 
 def test_run_drops_its_per_run_memos():
@@ -582,7 +599,7 @@ def test_transitional_expansion_of_the_state():
     assert len(succs) == 1
     child = succs[0]
     assert label_texts(child) == TRACE_LABELS[12]
-    assert child.stype == SIMPLE
+    assert all(f.kind != INST for f in child.label)
     assert child.ce_label is kb.store.inst(
         "b", parse_concept_text("(some L (not I))", kb.store)
     )
@@ -645,8 +662,8 @@ def test_converse_repair_with_alternative_sets():
     store = kb.store
     g = engine.graph
     base = store.atom("L0")
-    v = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({base}), EMPTY, EMPTY)
-    w = g.new_succ(v, STATE, SIMPLE, None, frozenset({base}), EMPTY, EMPTY)
+    v = g.new_succ(None, NONSTATE, None, frozenset({base}), EMPTY, EMPTY)
+    w = g.new_succ(v, STATE, None, frozenset({base}), EMPTY, EMPTY)
     phi1, phi2 = store.atom("F1"), store.atom("F2")
     psi1, psi2 = store.atom("G1"), store.atom("G2")
     vn, wn = g.nodes[v], g.nodes[w]
@@ -706,8 +723,8 @@ def _conv_setup(mode, sets, rfmls, dfmls):
     def atoms(names):
         return frozenset(store.atom(n) for n in names)
 
-    v = g.new_succ(None, NONSTATE, SIMPLE, None, atoms({"L0"}), atoms(rfmls), atoms(dfmls))
-    w = g.new_succ(v, STATE, SIMPLE, None, atoms({"L0"}), EMPTY, EMPTY)
+    v = g.new_succ(None, NONSTATE, None, atoms({"L0"}), atoms(rfmls), atoms(dfmls))
+    w = g.new_succ(v, STATE, None, atoms({"L0"}), EMPTY, EMPTY)
     g.nodes[v].status = EXPANDED
     wn = g.nodes[w]
     wn.status = INCOMPLETE
@@ -754,8 +771,8 @@ def test_converse_repair_with_no_alternatives_refutes():
     store = kb.store
     g = engine.graph
     base = store.atom("L0")
-    v = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({base}), EMPTY, EMPTY)
-    w = g.new_succ(v, STATE, SIMPLE, None, frozenset({base}), EMPTY, EMPTY)
+    v = g.new_succ(None, NONSTATE, None, frozenset({base}), EMPTY, EMPTY)
+    w = g.new_succ(v, STATE, None, frozenset({base}), EMPTY, EMPTY)
     g.nodes[v].status = EXPANDED
     wn = g.nodes[w]
     wn.status = INCOMPLETE
@@ -772,7 +789,7 @@ def test_local_pass_saturates_the_nodes_it_creates():
     engine = TableauEngine(kb)
     g = engine.graph
     ex = parse_concept_text("(some r (and B (and C (all s D))))", kb.store)
-    u = g.new_succ(None, STATE, SIMPLE, None, frozenset({ex}), EMPTY, EMPTY)
+    u = g.new_succ(None, STATE, None, frozenset({ex}), EMPTY, EMPTY)
     first = len(g.nodes)
     engine.apply_rule(engine.applicable_rule(u), u)
     assert engine.rule_counts["and"] == 2 and engine.rule_counts["hier"] == 1
@@ -793,10 +810,10 @@ def _two_children(statuses):
     engine = TableauEngine(kb)
     store = kb.store
     g = engine.graph
-    v = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
+    v = g.new_succ(None, NONSTATE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
     g.nodes[v].status = EXPANDED
     for i, status in enumerate(statuses):
-        w = g.new_succ(v, NONSTATE, SIMPLE, None, frozenset({store.atom(f"X{i + 1}")}), EMPTY, EMPTY)
+        w = g.new_succ(v, NONSTATE, None, frozenset({store.atom(f"X{i + 1}")}), EMPTY, EMPTY)
         g.nodes[w].status = status
     return engine, g, v
 
@@ -824,9 +841,9 @@ def test_update_status_state_copies_alternative_sets():
     engine = TableauEngine(kb)
     store = kb.store
     g = engine.graph
-    pre = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({store.atom("Y0")}), EMPTY, EMPTY)
-    u = g.new_succ(pre, STATE, SIMPLE, None, frozenset({store.atom("Y0")}), EMPTY, EMPTY)
-    w = g.new_succ(u, NONSTATE, SIMPLE, None, frozenset({store.atom("Y1")}), EMPTY, EMPTY)
+    pre = g.new_succ(None, NONSTATE, None, frozenset({store.atom("Y0")}), EMPTY, EMPTY)
+    u = g.new_succ(pre, STATE, None, frozenset({store.atom("Y0")}), EMPTY, EMPTY)
+    w = g.new_succ(u, NONSTATE, None, frozenset({store.atom("Y1")}), EMPTY, EMPTY)
     g.nodes[u].status = EXPANDED
     wn = g.nodes[w]
     wn.status = INCOMPLETE
@@ -877,11 +894,11 @@ def _status_outcome(update, node_type, succs):
     g = engine.graph
     repairs = []
     engine.apply_rule = lambda rule, x: repairs.append((rule.tag, x))
-    root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
-    v = root if node_type == NONSTATE else g.new_succ(root, STATE, SIMPLE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
+    v = root if node_type == NONSTATE else g.new_succ(root, STATE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
     g.nodes[v].status = EXPANDED
     for i, (status, succ_type) in enumerate(succs):
-        w = g.new_succ(v, succ_type, SIMPLE, None, frozenset({store.atom(f"X{i + 1}")}), EMPTY, EMPTY)
+        w = g.new_succ(v, succ_type, None, frozenset({store.atom(f"X{i + 1}")}), EMPTY, EMPTY)
         g.nodes[w].status = status
         g.nodes[w].alt_fml_sets_scp = frozenset({frozenset({store.atom(f"Y{i + 1}")})})
     update(engine, v)
@@ -909,7 +926,7 @@ def test_propagate_skips_unexpanded_predecessors():
     engine, g, v = _two_children([SAT, SAT])
     # v's predecessor list is empty; add an unexpanded parent above it
     store = engine.store
-    parent = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({store.atom("Z9")}), EMPTY, EMPTY)
+    parent = g.new_succ(None, NONSTATE, None, frozenset({store.atom("Z9")}), EMPTY, EMPTY)
     g.add_edge(parent, v)
     engine.update_status(v)
     engine.propagate_status(v)
@@ -996,7 +1013,7 @@ def _graph_record(graph) -> list:
     """Every node's content, edges, status and repair record, formulas as text."""
     texts = lambda fs: frozenset(map(formula_text, fs))  # noqa: E731
     return [
-        (n.id, n.node_type, n.stype, n.rule, n.status, n.expansions, tuple(n.succs), tuple(n.preds),
+        (n.id, n.node_type, n.rule, n.status, n.expansions, tuple(n.succs), tuple(n.preds),
          texts(n.label), texts(n.rformulas), texts(n.dformulas), n.conv_method, texts(n.fmls_rc),
          frozenset(map(texts, n.alt_fml_sets_sc)), frozenset(map(texts, n.alt_fml_sets_scp)))
         for n in graph.nodes

@@ -4,15 +4,13 @@ from __future__ import annotations
 from shisat import decide_sat, parse_kb
 from shisat.engine import R_CONV
 from shisat.graph import (
-    COMPLEX,
     EMPTY,
     NONSTATE,
-    SIMPLE,
     STATE,
     UNEXPANDED,
     TableauGraph,
 )
-from shisat.syntax import FormulaStore, Role
+from shisat.syntax import INST, FormulaStore, Role
 
 from helpers import EX1_TEXT, EX2_TEXT
 
@@ -26,7 +24,7 @@ def test_root_creation_attributes():
     store, a, b = _store()
     g = TableauGraph()
     label = frozenset({store.inst("a", a), store.rel(Role("r"), "a", "b")})
-    root = g.new_succ(None, NONSTATE, COMPLEX, None, label, EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, label, EMPTY, EMPTY)
     node = g.nodes[root]
     assert node.status == UNEXPANDED
     assert node.state_pred is None
@@ -38,10 +36,10 @@ def test_root_creation_attributes():
 def test_state_successor_records_coming_edge_label():
     store, a, _ = _store()
     g = TableauGraph()
-    root = g.new_succ(None, NONSTATE, COMPLEX, None, frozenset({store.inst("a", a)}), EMPTY, EMPTY)
-    u = g.new_succ(root, STATE, COMPLEX, None, frozenset({store.inst("a", a)}), EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, frozenset({store.inst("a", a)}), EMPTY, EMPTY)
+    u = g.new_succ(root, STATE, None, frozenset({store.inst("a", a)}), EMPTY, EMPTY)
     ce = store.inst("a", store.exist(Role("r"), a))
-    w = g.new_succ(u, NONSTATE, SIMPLE, ce, frozenset({a}), EMPTY, EMPTY)
+    w = g.new_succ(u, NONSTATE, ce, frozenset({a}), EMPTY, EMPTY)
     node = g.nodes[w]
     assert node.ce_label is ce
     assert node.state_pred == u
@@ -52,8 +50,8 @@ def test_state_successor_records_coming_edge_label():
 def test_nonstate_child_inherits_scope():
     store, a, b = _store()
     g = TableauGraph()
-    root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
-    child = g.new_succ(root, NONSTATE, SIMPLE, None, frozenset({a, b}), EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, frozenset({a}), EMPTY, EMPTY)
+    child = g.new_succ(root, NONSTATE, None, frozenset({a, b}), EMPTY, EMPTY)
     node = g.nodes[child]
     assert node.state_pred is None
     assert node.after_trans_pred == root
@@ -62,8 +60,8 @@ def test_nonstate_child_inherits_scope():
 def test_state_fields_initialized():
     store, a, _ = _store()
     g = TableauGraph()
-    root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
-    u = g.new_succ(root, STATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, frozenset({a}), EMPTY, EMPTY)
+    u = g.new_succ(root, STATE, None, frozenset({a}), EMPTY, EMPTY)
     node = g.nodes[u]
     assert node.conv_method == 0
     assert node.fmls_rc is EMPTY
@@ -73,37 +71,37 @@ def test_state_fields_initialized():
 def test_find_proxy_state_lookup():
     store, a, b = _store()
     g = TableauGraph()
-    root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
-    u = g.new_succ(root, STATE, SIMPLE, None, frozenset({a}), frozenset({b}), EMPTY)
-    assert g.find_proxy(STATE, SIMPLE, None, frozenset({a}), frozenset({b}), EMPTY) == u
-    assert g.find_proxy(STATE, SIMPLE, None, frozenset({b}), frozenset({b}), EMPTY) is None
-    assert g.find_proxy(STATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY) is None
+    root = g.new_succ(None, NONSTATE, None, frozenset({a}), EMPTY, EMPTY)
+    u = g.new_succ(root, STATE, None, frozenset({a}), frozenset({b}), EMPTY)
+    assert g.find_proxy(STATE, None, None, frozenset({a}), frozenset({b}), EMPTY) == u
+    assert g.find_proxy(STATE, None, None, frozenset({b}), frozenset({b}), EMPTY) is None
+    assert g.find_proxy(STATE, None, None, frozenset({a}), EMPTY, EMPTY) is None
 
 
 def test_one_cache_keeps_scopes_apart():
     store, a, b = _store()
     g = TableauGraph()
     label = frozenset({a})
-    root = g.new_succ(None, NONSTATE, SIMPLE, None, label, EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, label, EMPTY, EMPTY)
     # forming a state copies the or-node's triple; both stay cached
-    u = g.new_succ(root, STATE, SIMPLE, None, label, EMPTY, EMPTY)
+    u = g.new_succ(root, STATE, None, label, EMPTY, EMPTY)
     assert g.nodes[u].triple_key() == g.nodes[root].triple_key()
-    assert g.find_proxy(STATE, SIMPLE, None, label, EMPTY, EMPTY) == u
-    assert g.find_proxy(NONSTATE, SIMPLE, root, label, EMPTY, EMPTY) == root
+    assert g.find_proxy(STATE, None, None, label, EMPTY, EMPTY) == u
+    assert g.find_proxy(NONSTATE, None, root, label, EMPTY, EMPTY) == root
     # one triple in two local scopes is two distinct nodes
     ce = store.exist(Role("r"), b)
-    w1 = g.new_succ(u, NONSTATE, SIMPLE, ce, frozenset({b}), EMPTY, EMPTY)
-    w2 = g.new_succ(u, NONSTATE, SIMPLE, ce, frozenset({a, b}), EMPTY, EMPTY)
-    x1 = g.new_succ(w1, NONSTATE, SIMPLE, None, frozenset({a, b}), EMPTY, EMPTY)
+    w1 = g.new_succ(u, NONSTATE, ce, frozenset({b}), EMPTY, EMPTY)
+    w2 = g.new_succ(u, NONSTATE, ce, frozenset({a, b}), EMPTY, EMPTY)
+    x1 = g.new_succ(w1, NONSTATE, None, frozenset({a, b}), EMPTY, EMPTY)
     assert x1 != w2
-    assert g.find_proxy(NONSTATE, SIMPLE, w1, frozenset({a, b}), EMPTY, EMPTY) == x1
-    assert g.find_proxy(NONSTATE, SIMPLE, w2, frozenset({a, b}), EMPTY, EMPTY) == w2
+    assert g.find_proxy(NONSTATE, None, w1, frozenset({a, b}), EMPTY, EMPTY) == x1
+    assert g.find_proxy(NONSTATE, None, w2, frozenset({a, b}), EMPTY, EMPTY) == w2
 
 
 def test_con_to_succ_reuses_and_deduplicates_edges():
     store, a, b = _store()
     g = TableauGraph()
-    root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, frozenset({a}), EMPTY, EMPTY)
     first = g.con_to_succ(root, NONSTATE, frozenset({a, b}), EMPTY, EMPTY)
     second = g.con_to_succ(root, NONSTATE, frozenset({a, b}), EMPTY, EMPTY)
     assert first == second
@@ -127,29 +125,29 @@ def test_states_shared_across_branches():
     states = [n for n in verdict.graph.nodes if n.node_type == STATE]
     assert verdict.sat
     assert len(states) == 2
-    simple_state = next(n for n in states if n.stype == SIMPLE)
+    simple_state = next(n for n in states if all(f.kind != INST for f in n.label))
     assert len(verdict.graph.nodes[simple_state.id].preds) == 2
 
 
 def test_remove_edge_keeps_node():
     store, a, b = _store()
     g = TableauGraph()
-    root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
-    child = g.new_succ(root, NONSTATE, SIMPLE, None, frozenset({a, b}), EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, frozenset({a}), EMPTY, EMPTY)
+    child = g.new_succ(root, NONSTATE, None, frozenset({a, b}), EMPTY, EMPTY)
     g.remove_edge(root, child)
     assert g.nodes[root].succs == []
     assert g.nodes[child] is not None
-    assert g.find_proxy(NONSTATE, SIMPLE, root, frozenset({a, b}), EMPTY, EMPTY) == child
+    assert g.find_proxy(NONSTATE, None, root, frozenset({a, b}), EMPTY, EMPTY) == child
 
 
 def test_queue_strategies():
     store, a, b = _store()
     for strategy, expected in (("dfs", [2, 1]), ("fifo", [1, 2])):
         g = TableauGraph(strategy)
-        root = g.new_succ(None, NONSTATE, SIMPLE, None, frozenset({a}), EMPTY, EMPTY)
+        root = g.new_succ(None, NONSTATE, None, frozenset({a}), EMPTY, EMPTY)
         g.nodes[root].status = "expanded"
-        one = g.new_succ(root, NONSTATE, SIMPLE, None, frozenset({a, b}), EMPTY, EMPTY)
-        two = g.new_succ(root, NONSTATE, SIMPLE, None, frozenset({b}), EMPTY, EMPTY)
+        one = g.new_succ(root, NONSTATE, None, frozenset({a, b}), EMPTY, EMPTY)
+        two = g.new_succ(root, NONSTATE, None, frozenset({b}), EMPTY, EMPTY)
         order = [g.to_expand(), g.to_expand()]
         assert order == expected
 
@@ -194,7 +192,7 @@ def test_edge_lists_mirror_each_other(decided):
         assert len(conv) == sum(1 for e in verdict.engine.trace if e[:2] == ("rule", R_CONV)), text
         for v in conv:
             # the state the form-state rule made from v, found through the cache
-            w = g.find_proxy(STATE, v.stype, None, v.label, v.rformulas, v.dformulas)
+            w = g.find_proxy(STATE, None, None, v.label, v.rformulas, v.dformulas)
             assert w is not None and w not in v.succs and v.id not in g.nodes[w].preds, text
         repaired += len(conv)
     assert repaired

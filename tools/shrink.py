@@ -25,7 +25,7 @@ import sys
 from functools import partial
 
 from shisat import bounded_model_search, decide_sat, parse_kb
-from shisat.kbparse import _KEYWORDS, _tokenize
+from shisat.kbparse import _KEYWORDS, _token_texts
 from shisat.oracle import SearchBudgetExceeded
 
 _CONCEPT_ARGS = {"impl": (1, 2), "equiv": (1, 2), "inst": (2,)}  # positions in a statement
@@ -37,7 +37,7 @@ def _statements(text: str) -> list:
     is a tuple of its parts, a name is a string."""
     parse_kb(text)  # raises ParseError on a malformed input
     statements, open_terms = [], []
-    for tok in (t.text for t in _tokenize(text)):
+    for tok in _token_texts(text):
         if tok == "(":
             open_terms.append([])
             continue
