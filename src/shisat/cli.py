@@ -42,13 +42,10 @@ def check_instance(kb: KnowledgeBase, ind: str, concept) -> bool:
 
 
 def check_concept_consistency(kb: KnowledgeBase, concept) -> bool:
-    """Can `concept` be non-empty given the role and terminology axioms?"""
-    fresh = "q0"
-    i = 0
-    while fresh in kb.individuals:
-        i += 1
-        fresh = f"q{i}"
-    return decide_sat(_query(kb, [kb.store.inst(fresh, concept)])).sat
+    """Can `concept` be non-empty given the role and terminology axioms?
+    The query replaces the ABox with one assertion of `concept`, so its
+    individual meets no assertion of `kb`."""
+    return decide_sat(_query(kb, [kb.store.inst("q0", concept)])).sat
 
 
 def _dot_escape(text: str) -> str:

@@ -428,11 +428,12 @@ class TableauEngine:
 
         # Only an or-node under a state has a state_pred, and its successors
         # are checked for demands on the state only when the local graph's
-        # existential can pull. A state gets here only with fmls_rc empty:
-        # its successors' demands are all met.
+        # existential can pull and they are or-nodes, which every rule but
+        # form-state makes. A state gets here only with fmls_rc empty: its
+        # successors' demands are all met.
         pulls = False
         parent = node.label if node.node_type == NONSTATE else None
-        if node.state_pred is not None:
+        if node.state_pred is not None and rule.tag != R_FORM:
             v0, v1 = g.nodes[node.state_pred], g.nodes[node.after_trans_pred]
             pulls = self._pulls(v1.ce_label)
         for w in node.succs:
@@ -441,7 +442,7 @@ class TableauEngine:
                 continue
             if self._clashes(wn.label, parent):
                 self._set_status(wn, UNSAT)
-            elif pulls and wn.node_type == NONSTATE:
+            elif pulls:
                 x = self._backward(v1.ce_label, wn.label, parent) - v0.label - v0.rformulas
                 if x:
                     if v0.conv_method == 0:
@@ -452,7 +453,7 @@ class TableauEngine:
                     elif x & v0.dformulas:
                         self._set_status(wn, UNSAT)
                     else:
-                        v1.alt_fml_sets_scp |= {x}
+                        v1.alt_fml_sets |= {x}
                         self._set_status(wn, INCOMPLETE)
 
         self.update_status(v)
@@ -513,7 +514,7 @@ class TableauEngine:
         if wn.conv_method == 0:
             sets = [wn.fmls_rc]
         else:
-            sets = sorted(wn.alt_fml_sets_sc, key=lambda s: (len(s) > 1, sorted(f.uid for f in s)))
+            sets = sorted(wn.alt_fml_sets, key=lambda s: (len(s) > 1, sorted(f.uid for f in s)))
         tried = EMPTY
         for x in sets:
             g.con_to_succ(v, NONSTATE, node.label | x, node.rformulas, node.dformulas | tried)
@@ -526,9 +527,10 @@ class TableauEngine:
         """Settle the expanded `v` from its successors' statuses, in one
         pass over them. An or-node is SAT if a successor is, else UNSAT if
         all are; if all are INCOMPLETE or UNSAT it is repaired by the
-        converse rule when its successor is a state, else INCOMPLETE. A
-        state is SAT if all successors are, else UNSAT if one is, else
-        INCOMPLETE with the alternative sets of its first INCOMPLETE one."""
+        converse rule when form-state expanded it (its one successor is
+        then a state), else INCOMPLETE. A state is SAT if all successors
+        are, else UNSAT if one is, else INCOMPLETE with the alternative
+        sets of its first INCOMPLETE one."""
         nodes = self.graph.nodes
         node = nodes[v]
         if node.status != EXPANDED:
@@ -536,10 +538,8 @@ class TableauEngine:
         succs = node.succs
         if node.node_type == NONSTATE:
             unsat = incomplete = 0
-            state = False
             for w in succs:
-                wn = nodes[w]
-                status = wn.status
+                status = nodes[w].status
                 if status == SAT:
                     self._set_status(node, SAT)
                     return
@@ -547,12 +547,10 @@ class TableauEngine:
                     unsat += 1
                 elif status == INCOMPLETE:
                     incomplete += 1
-                state = state or wn.node_type == STATE
             if unsat == len(succs):
                 self._set_status(node, UNSAT)
             elif unsat + incomplete == len(succs):
-                if state:
-                    # the state is the only successor
+                if node.rule == R_FORM:
                     self.apply_rule(RuleInstance(R_CONV), v)
                 else:
                     self._set_status(node, INCOMPLETE)
@@ -571,7 +569,7 @@ class TableauEngine:
             if all_sat:
                 self._set_status(node, SAT)
             elif first is not None:
-                node.alt_fml_sets_sc = first.alt_fml_sets_scp
+                node.alt_fml_sets = first.alt_fml_sets
                 self._set_status(node, INCOMPLETE)
 
     def propagate_status(self, v) -> None:

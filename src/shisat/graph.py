@@ -4,7 +4,10 @@ Nodes are immutable in their content (label, reduced formulas,
 disallowed formulas) and provenance once created; only the status and
 the converse-repair record change afterwards. The record's fields start
 as the shared `EMPTY` and are only ever rebound to larger frozensets,
-never mutated, so a reader keeps a value without copying it. States are
+never mutated, so a reader keeps a value without copying it. Mode 1's
+alternative sets sit in one field, `alt_fml_sets`: a local graph's head
+collects those of its members, and its state takes the set of its first
+INCOMPLETE head; no other node sets it. States are
 and-nodes, everything else is an or-node. One cache keeps the graph from
 blowing up: no two nodes of one scope share the triple (label,
 rformulas, dformulas). States share the global scope None; an or-node's
@@ -53,8 +56,7 @@ class TableauNode:
         "ce_label",
         "conv_method",
         "fmls_rc",
-        "alt_fml_sets_sc",
-        "alt_fml_sets_scp",
+        "alt_fml_sets",
         "rule",
         "expansions",
         "succs",
@@ -72,7 +74,7 @@ class TableauNode:
         self.after_trans_pred = None
         self.ce_label = None
         self.conv_method = 0
-        self.fmls_rc = self.alt_fml_sets_sc = self.alt_fml_sets_scp = EMPTY
+        self.fmls_rc = self.alt_fml_sets = EMPTY
         self.rule = None
         self.expansions = 0
         self.succs: list = []

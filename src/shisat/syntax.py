@@ -112,15 +112,14 @@ class FormulaStore:
 
     def __init__(self) -> None:
         self._table: dict = {}
-        self._next = 0
         self.top = self._make((TOP,), Concept, TOP)
         self.bot = self._make((BOT,), Concept, BOT)
 
     def _make(self, key, cls, *fields):
         """Intern a new formula under `key`, which the caller has looked up
-        and missed; `fields` follow the uid in `cls`'s constructor."""
-        obj = self._table[key] = cls(self._next, *fields)
-        self._next += 1
+        and missed; `fields` follow the uid in `cls`'s constructor. The uid
+        is the table's size: the table only grows."""
+        obj = self._table[key] = cls(len(self._table), *fields)
         return obj
 
     def atom(self, name: str) -> Concept:

@@ -318,7 +318,7 @@ def test_repair_records_are_frozen(ex1, ex2, ex1_instance_query, suite):
     # Rebinding, never mutating: whoever holds a record holds a value.
     for run in _all_runs(ex1, ex2, ex1_instance_query, suite):
         for node in run.verdict.graph.nodes:
-            for record in (node.fmls_rc, node.alt_fml_sets_sc, node.alt_fml_sets_scp):
+            for record in (node.fmls_rc, node.alt_fml_sets):
                 assert type(record) is frozenset, (run.text, node.id)
 
 

@@ -195,6 +195,13 @@ def test_consistent_command(kbfile, capsys):
     capsys.readouterr()
 
 
+def test_consistent_query_individual_is_not_the_files(kbfile, capsys):
+    # The query replaces the ABox, so its individual q0 meets no assertion
+    # of the file about a q0 of its own.
+    assert run_cli(["consistent", kbfile("inst q0 (not A)\n"), "A"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
 def test_internal_error_is_not_a_verdict(kbfile, capsys):
     # 1200 nested negations overflow the recursive parser. The crash must
     # exit 2 with a one-line message, never 1 (UNSAT); once parsing is

@@ -77,13 +77,13 @@ def test_repeated_clash_test_interns_nothing():
     label = frozenset(
         {store.atom("A"), store.univ(r, store.atom("B")), store.exist(r, store.conj(store.atom("B"), store.atom("C")))}
     )
-    before = store._next
+    before = len(store._table)
     assert not engine._clashes(label)
-    after = store._next
+    after = len(store._table)
     assert after > before
     assert not engine._clashes(label)
     assert not t_unsat(store, label)
-    assert store._next == after
+    assert len(store._table) == after
 
 
 def test_repeated_backward_transfer_interns_nothing():
@@ -92,14 +92,14 @@ def test_repeated_backward_transfer_interns_nothing():
     engine = TableauEngine(kb)
     ex = kb.abox[0]
     label = frozenset({store.atom("A"), store.univ(Role("r"), store.atom("B")), store.univ(Role("r"), store.atom("C"))})
-    before = store._next
+    before = len(store._table)
     out = engine._backward(ex, label)
-    after = store._next
+    after = len(store._table)
     assert after > before
     assert _texts(out) == {"a:B", "a:C"}
     assert engine._backward(ex, label) == out
     assert transfer_concepts_to(engine.idx, store, label, Role("r"), "a") == out
-    assert store._next == after
+    assert len(store._table) == after
 
 
 # -- roles a successor can pull back across --------------------------------
@@ -670,7 +670,7 @@ def test_converse_repair_with_alternative_sets():
     vn.status = EXPANDED
     wn.status = INCOMPLETE
     wn.conv_method = 1
-    wn.alt_fml_sets_sc = frozenset({frozenset({phi1}), frozenset({phi2}), frozenset({psi1, psi2})})
+    wn.alt_fml_sets = frozenset({frozenset({phi1}), frozenset({phi2}), frozenset({psi1, psi2})})
     engine.apply_conv_rule(v)
     kids = [g.nodes[x] for x in g.nodes[v].succs]
     assert [k.label for k in kids] == [
@@ -697,7 +697,7 @@ def _reference_conv_successors(engine, v) -> None:
     if wn.conv_method == 0:
         g.con_to_succ(v, NONSTATE, node.label | wn.fmls_rc, node.rformulas, node.dformulas)
         return
-    sets = list(wn.alt_fml_sets_sc)
+    sets = list(wn.alt_fml_sets)
     singles = sorted((s for s in sets if len(s) == 1), key=lambda s: next(iter(s)).uid)
     rest = sorted((s for s in sets if len(s) > 1), key=lambda s: tuple(sorted(f.uid for f in s)))
     chosen = [next(iter(s)) for s in singles]
@@ -732,7 +732,7 @@ def _conv_setup(mode, sets, rfmls, dfmls):
     if mode == 0:
         wn.fmls_rc = atoms(sets[0])
     else:
-        wn.alt_fml_sets_sc = frozenset(atoms(x) for x in sets)
+        wn.alt_fml_sets = frozenset(atoms(x) for x in sets)
     return engine, v
 
 
@@ -847,11 +847,11 @@ def test_update_status_state_copies_alternative_sets():
     g.nodes[u].status = EXPANDED
     wn = g.nodes[w]
     wn.status = INCOMPLETE
-    wn.alt_fml_sets_scp = frozenset({frozenset({store.atom("Y2")})})
+    wn.alt_fml_sets = frozenset({frozenset({store.atom("Y2")})})
     engine.update_status(u)
     un = g.nodes[u]
     assert un.status == INCOMPLETE
-    assert un.alt_fml_sets_sc is wn.alt_fml_sets_scp
+    assert un.alt_fml_sets is wn.alt_fml_sets
 
 
 def _reference_update_status(engine, v):
@@ -880,7 +880,7 @@ def _reference_update_status(engine, v):
         else:
             w = next((w for w in succ_nodes if w.status == INCOMPLETE), None)
             if w is not None:
-                node.alt_fml_sets_sc = w.alt_fml_sets_scp
+                node.alt_fml_sets = w.alt_fml_sets
                 engine._set_status(node, INCOMPLETE)
 
 
@@ -897,13 +897,15 @@ def _status_outcome(update, node_type, succs):
     root = g.new_succ(None, NONSTATE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
     v = root if node_type == NONSTATE else g.new_succ(root, STATE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
     g.nodes[v].status = EXPANDED
+    if any(succ_type == STATE for _, succ_type in succs):  # as the engine links an or-node to a state
+        g.nodes[v].rule = engine_module.R_FORM
     for i, (status, succ_type) in enumerate(succs):
         w = g.new_succ(v, succ_type, None, frozenset({store.atom(f"X{i + 1}")}), EMPTY, EMPTY)
         g.nodes[w].status = status
-        g.nodes[w].alt_fml_sets_scp = frozenset({frozenset({store.atom(f"Y{i + 1}")})})
+        g.nodes[w].alt_fml_sets = frozenset({frozenset({store.atom(f"Y{i + 1}")})})
     update(engine, v)
     node = g.nodes[v]
-    return node.status, repairs, _texts(f for s in node.alt_fml_sets_sc for f in s), engine.trace
+    return node.status, repairs, _texts(f for s in node.alt_fml_sets for f in s), engine.trace
 
 
 def test_update_status_matches_the_scans_on_every_successor_list():
@@ -1015,7 +1017,7 @@ def _graph_record(graph) -> list:
     return [
         (n.id, n.node_type, n.rule, n.status, n.expansions, tuple(n.succs), tuple(n.preds),
          texts(n.label), texts(n.rformulas), texts(n.dformulas), n.conv_method, texts(n.fmls_rc),
-         frozenset(map(texts, n.alt_fml_sets_sc)), frozenset(map(texts, n.alt_fml_sets_scp)))
+         frozenset(map(texts, n.alt_fml_sets)))
         for n in graph.nodes
     ]
 
@@ -1072,6 +1074,24 @@ def test_every_state_holds_an_existential(decided):
             if node.node_type == STATE:
                 bodies = [f.concept if f.kind == INST else f for f in node.label]
                 assert any(c.kind == SOME for c in bodies), (text, node)
+
+
+def test_only_form_state_links_an_or_node_to_a_state(decided):
+    # What the converse trigger and the demand check read off an or-node's
+    # rule: an or-node has a state successor exactly when form-state
+    # expanded it, and that state is then its only successor.
+    formed = 0
+    for text, _, verdict in decided:
+        nodes = verdict.graph.nodes
+        for node in nodes:
+            if node.node_type == NONSTATE:
+                states = [w for w in node.succs if nodes[w].node_type == STATE]
+                if node.rule == engine_module.R_FORM:
+                    assert len(node.succs) == 1 and states == node.succs, (text, node)
+                    formed += 1
+                else:
+                    assert not states, (text, node)
+    assert formed > 1000
 
 
 def test_monotone_growth_along_static_edges():

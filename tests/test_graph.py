@@ -44,7 +44,7 @@ def test_state_successor_records_coming_edge_label():
     assert node.ce_label is ce
     assert node.state_pred == u
     assert node.after_trans_pred == w
-    assert node.alt_fml_sets_scp is EMPTY
+    assert node.alt_fml_sets is EMPTY
 
 
 def test_nonstate_child_inherits_scope():
@@ -65,7 +65,7 @@ def test_state_fields_initialized():
     node = g.nodes[u]
     assert node.conv_method == 0
     assert node.fmls_rc is EMPTY
-    assert node.alt_fml_sets_sc is EMPTY
+    assert node.alt_fml_sets is EMPTY
 
 
 def test_find_proxy_state_lookup():

@@ -15,9 +15,11 @@ under both expansion strategies: 1,100 runs. It records per run the
 verdict and stats, the trace (the engine records it on request, and
 this script asks), each node's id, rule, status, label,
 successors, ce_label and expansion count, each node's converse-repair
-record (rformulas, dformulas, conv_method, fmls_rc, alt_fml_sets_sc and
-alt_fml_sets_scp), the witness of a SAT verdict (its domain, atoms and
-role pairs), the knowledge base's name lists, the closed role box (its
+record (rformulas, dformulas, conv_method, fmls_rc, then `alt_fml_sets`
+in the fifth slot on a state and in the sixth on an or-node, the other
+slot empty: older trees kept the two in separate fields, and their dumps
+still compare), the witness of a SAT verdict (its domain, atoms and role
+pairs), the knowledge base's name lists, the closed role box (its
 subrole pairs and transitive roles, sorted), the store's interned
 formulas in uid order once the run and the witness are done, and the
 domain size of the model `bounded_model_search(kb, 3)` finds (or None),
@@ -75,6 +77,7 @@ def _plain(x):
 
 def _record(text: str, strategy: str) -> dict:
     from shisat import build_witness, decide_sat, parse_kb
+    from shisat.graph import EMPTY, STATE
     from shisat.syntax import ordered
 
     kb = parse_kb(text)
@@ -86,7 +89,8 @@ def _record(text: str, strategy: str) -> dict:
         for n in g.nodes
     ]
     repair = [
-        _plain((n.rformulas, n.dformulas, n.conv_method, n.fmls_rc, n.alt_fml_sets_sc, n.alt_fml_sets_scp))
+        _plain((n.rformulas, n.dformulas, n.conv_method, n.fmls_rc)
+               + ((n.alt_fml_sets, EMPTY) if n.node_type == STATE else (EMPTY, n.alt_fml_sets)))
         for n in g.nodes
     ]
     witness = None
