@@ -129,11 +129,10 @@ PRIORITY = {
 
 
 class RuleInstance(NamedTuple):
-    """A rule chosen for a node: its tag, its principal (the existentials
-    for the transitional rule) and a static rule's successor labels and
-    their rformulas."""
+    """A rule chosen for a node: its tag, the transitional rule's
+    existentials, and a static rule's successor labels and their
+    rformulas. Only the scan reads a static rule's principal."""
     tag: str
-    principal: object = None
     principals: tuple = ()
     labels: tuple = ()
     rformulas: frozenset = EMPTY
@@ -373,7 +372,7 @@ class TableauEngine:
                         continue
                     added = self._lift(f, store.univ(r, c.child))
                     if added not in label and added not in rf:
-                        return RuleInstance(_tag(R_HIER, f), f, labels=(label | {added},), rformulas=rf)
+                        return RuleInstance(_tag(R_HIER, f), labels=(label | {added},), rformulas=rf)
 
             for f in rel:  # univ' reads role assertions, found in complex labels only
                 added = (
@@ -381,7 +380,7 @@ class TableauEngine:
                     | transfer_assertions(self.idx, store, univ, f.b, f.role.inverse, f.a)
                 ) - label - rf
                 if added:
-                    return RuleInstance(R_UNIV_A, f, labels=(label | added,), rformulas=rf)
+                    return RuleInstance(R_UNIV_A, labels=(label | added,), rformulas=rf)
 
         for f in disj:
             if f not in rf:
@@ -397,7 +396,7 @@ class TableauEngine:
         left, right = self._lift(f, c.left), self._lift(f, c.right)
         base = node.label - {f}
         labels = (base | {left, right},) if c.kind == sx.AND else (base | {left}, base | {right})
-        return RuleInstance(_tag(rule, f), f, labels=labels, rformulas=node.rformulas | {f})
+        return RuleInstance(_tag(rule, f), labels=labels, rformulas=node.rformulas | {f})
 
     # -- rule application -------------------------------------------------
 
@@ -426,16 +425,16 @@ class TableauEngine:
 
         self._set_status(node, EXPANDED)
 
-        # Only an or-node under a state has a state_pred, and its successors
-        # are checked for demands on the state only when the local graph's
-        # existential can pull and they are or-nodes, which every rule but
-        # form-state makes. A state gets here only with fmls_rc empty: its
-        # successors' demands are all met.
-        pulls = False
-        parent = node.label if node.node_type == NONSTATE else None
-        if node.state_pred is not None and rule.tag != R_FORM:
-            v0, v1 = g.nodes[node.state_pred], g.nodes[node.after_trans_pred]
-            pulls = self._pulls(v1.ce_label)
+        # An or-node's successors are checked for demands on its local graph's
+        # state v0, the first predecessor of the graph's head v1, only when the
+        # head's existential can pull (the root's graph has none) and they are
+        # or-nodes, which every rule but form-state makes. A state gets here
+        # only with fmls_rc empty: its successors' demands are all met.
+        pulls, parent = False, None
+        if node.node_type == NONSTATE:
+            parent, v1 = node.label, g.nodes[node.after_trans_pred]
+            if rule.tag != R_FORM and v1.ce_label is not None and self._pulls(v1.ce_label):
+                pulls, v0 = True, g.nodes[v1.preds[0]]
         for w in node.succs:
             wn = g.nodes[w]
             if wn.status in DETERMINED:
@@ -484,7 +483,7 @@ class TableauEngine:
         # status returns to UNEXPANDED, so a member skipped once stays skipped.
         while w < len(g.nodes) and un.status != UNSAT:
             wn = g.nodes[w]
-            assert wn.state_pred == u
+            assert g.nodes[wn.after_trans_pred].preds[0] == u
             if wn.status == UNEXPANDED:
                 inst = self.applicable_rule(w)
                 if inst is not None and PRIORITY[inst.tag] == 5:
@@ -533,8 +532,7 @@ class TableauEngine:
         sets of its first INCOMPLETE one."""
         nodes = self.graph.nodes
         node = nodes[v]
-        if node.status != EXPANDED:
-            return
+        assert node.status == EXPANDED
         succs = node.succs
         if node.node_type == NONSTATE:
             unsat = incomplete = 0

@@ -4,18 +4,21 @@ Nodes are immutable in their content (label, reduced formulas,
 disallowed formulas) and provenance once created; only the status and
 the converse-repair record change afterwards. The record's fields start
 as the shared `EMPTY` and are only ever rebound to larger frozensets,
-never mutated, so a reader keeps a value without copying it. Mode 1's
-alternative sets sit in one field, `alt_fml_sets`: a local graph's head
-collects those of its members, and its state takes the set of its first
-INCOMPLETE head; no other node sets it. States are
-and-nodes, everything else is an or-node. One cache keeps the graph from
-blowing up: no two nodes of one scope share the triple (label,
-rformulas, dformulas). States share the global scope None; an or-node's
-scope is its local graph -- everything reachable from a node without
-crossing a state -- named by the `after_trans_pred` all its members
-share. Labels are frozensets of interned formulas, so the scope and the
-triple are the key. A label holds assertions only (a complex node) or
-concepts only (a simple one), so its content also fixes the node's form.
+never mutated, so a reader keeps a value without copying it. States are
+and-nodes, everything else is an or-node. An or-node's local graph is
+everything reachable from its head without crossing a state; members
+carry only the head, `after_trans_pred`, and the graph's facts sit on it:
+the existential `ce_label`, the state (the head's first predecessor,
+which made it; the root heads a graph with neither) and mode 1's
+alternative sets, `alt_fml_sets`, collected from the members. A state
+takes those of its first INCOMPLETE head; no other node sets the field.
+
+One cache keeps the graph from blowing up: no two nodes of one scope
+share the triple (label, rformulas, dformulas). States share the global
+scope None; an or-node's scope is its head. Labels are frozensets of
+interned formulas, so the scope and the triple are the key. A label holds
+assertions only (a complex node) or concepts only (a simple one), so its
+content also fixes the node's form.
 
 Nodes carry their edges: `succs` and `preds` list node ids in the order
 the edges were added, and form a set. The graph is the node list, indexed
@@ -51,7 +54,6 @@ class TableauNode:
         "label",
         "rformulas",
         "dformulas",
-        "state_pred",
         "after_trans_pred",
         "ce_label",
         "conv_method",
@@ -70,7 +72,6 @@ class TableauNode:
         self.label = label
         self.rformulas = rformulas
         self.dformulas = dformulas
-        self.state_pred = None
         self.after_trans_pred = None
         self.ce_label = None
         self.conv_method = 0
@@ -128,9 +129,9 @@ class TableauGraph:
         if node_type == STATE:
             assert parent is None or parent.node_type == NONSTATE
         elif parent is None or parent.node_type == STATE:  # starts a local graph
-            node.state_pred, node.after_trans_pred, node.ce_label = v, node_id, ce_label
+            node.after_trans_pred, node.ce_label = node_id, ce_label
         else:
-            node.state_pred, node.after_trans_pred = parent.state_pred, parent.after_trans_pred
+            node.after_trans_pred = parent.after_trans_pred
         key = (node.after_trans_pred, label, rformulas, dformulas)  # scope None for a state
         assert key not in self._cache, "duplicate triple in a cache scope"
         self._cache[key] = node_id

@@ -39,6 +39,13 @@ def run(text: str, strategy: str = "dfs"):
     return kb, decide_sat(kb, strategy=strategy, trace=True)
 
 
+def state_of(nodes, node):
+    """The state of the or-node `node`'s local graph: its head's first
+    predecessor, or None in the root's graph, whose head has no existential."""
+    head = nodes[node.after_trans_pred]
+    return None if head.ce_label is None else head.preds[0]
+
+
 def some_nest(depth: int, transitive: bool) -> str:
     """`a` in (all r B) and a chain of `depth` r-successors ending in A."""
     concept = "(some r " * depth + "A" + ")" * depth

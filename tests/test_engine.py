@@ -35,7 +35,7 @@ from shisat.kbparse import parse_concept_text
 from shisat.syntax import ALL, AND, BOT, INST, OR, REL, SOME, FormulaStore, Role, complement, formula_text, ordered
 from shisat.transfer import transfer_concepts_to
 
-from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, and_nest, interned_texts, label_texts, run
+from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, and_nest, interned_texts, label_texts, run, state_of
 from kbgen import chain_kb_text, differential_suite, random_kb_text
 
 
@@ -114,7 +114,7 @@ def test_no_backward_transfer_across_a_role_off_the_pulling_table(decided):
         table = pulling_roles(kb, engine.idx)
         assert engine._pulling in (None, table)
         for node in nodes:
-            if node.state_pred is None or node.node_type != NONSTATE:
+            if node.node_type != NONSTATE or state_of(nodes, node) is None:
                 continue
             ex = nodes[node.after_trans_pred].ce_label
             if ex.body.role not in table:
@@ -264,7 +264,7 @@ def _reference_rule(engine, v):
         parts = [store.inst(f.ind, x) if f.kind == INST else x for x in (c.left, c.right)]
         rest = label - {f}
         labels = (rest | set(parts),) if c.kind == AND else tuple(rest | {x} for x in parts)
-        return RuleInstance(tag, principal=f, labels=labels, rformulas=rf | {f})
+        return RuleInstance(tag, labels=labels, rformulas=rf | {f})
 
     for f, c in view:
         if c is not None and c.kind == AND and f not in rf:
@@ -275,7 +275,7 @@ def _reference_rule(engine, v):
         for r in engine.idx.subroles_of(c.role):
             added = engine._lift(f, store.univ(r, c.child))
             if added not in af:
-                return RuleInstance(engine_module.R_HIER + prime(f), principal=f, labels=(label | {added},), rformulas=rf)
+                return RuleInstance(engine_module.R_HIER + prime(f), labels=(label | {added},), rformulas=rf)
     for f, c in view:
         if c is not None:
             continue
@@ -284,7 +284,7 @@ def _reference_rule(engine, v):
             | engine_module.transfer_assertions(engine.idx, store, label, f.b, f.role.inverse, f.a)
         ) - af
         if added:
-            return RuleInstance(engine_module.R_UNIV_A, principal=f, labels=(label | added,), rformulas=rf)
+            return RuleInstance(engine_module.R_UNIV_A, labels=(label | added,), rformulas=rf)
     for f, c in view:
         if c is not None and c.kind == OR and f not in rf:
             return decompose(engine_module.R_OR + prime(f), f)
@@ -340,9 +340,8 @@ def _rule_cases(draw):
 def _rule_text(rule):
     if rule is None:
         return None
-    principal = None if rule.principal is None else formula_text(rule.principal)
     principals = tuple(map(formula_text, rule.principals))
-    return (rule.tag, principal, principals, tuple(map(_texts, rule.labels)), _texts(rule.rformulas))
+    return (rule.tag, principals, tuple(map(_texts, rule.labels)), _texts(rule.rformulas))
 
 
 @settings(deadline=None, max_examples=300)
@@ -797,7 +796,7 @@ def test_local_pass_saturates_the_nodes_it_creates():
     assert len(created) == 4
     assert "(all r D)" in label_texts(created[-1])
     for node in created:
-        assert node.state_pred == u
+        assert state_of(g.nodes, node) == u
         if node.status == UNEXPANDED:
             inst = engine.applicable_rule(node.id)
             assert inst is None or PRIORITY[inst.tag] < 5

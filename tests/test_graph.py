@@ -12,7 +12,7 @@ from shisat.graph import (
 )
 from shisat.syntax import INST, FormulaStore, Role
 
-from helpers import EX1_TEXT, EX2_TEXT
+from helpers import EX1_TEXT, EX2_TEXT, state_of
 
 
 def _store():
@@ -27,7 +27,7 @@ def test_root_creation_attributes():
     root = g.new_succ(None, NONSTATE, None, label, EMPTY, EMPTY)
     node = g.nodes[root]
     assert node.status == UNEXPANDED
-    assert node.state_pred is None
+    assert state_of(g.nodes, node) is None
     assert node.after_trans_pred == root
     assert node.ce_label is None
     assert node.succs == [] and node.preds == []
@@ -42,8 +42,8 @@ def test_state_successor_records_coming_edge_label():
     w = g.new_succ(u, NONSTATE, ce, frozenset({a}), EMPTY, EMPTY)
     node = g.nodes[w]
     assert node.ce_label is ce
-    assert node.state_pred == u
     assert node.after_trans_pred == w
+    assert state_of(g.nodes, node) == u
     assert node.alt_fml_sets is EMPTY
 
 
@@ -53,8 +53,8 @@ def test_nonstate_child_inherits_scope():
     root = g.new_succ(None, NONSTATE, None, frozenset({a}), EMPTY, EMPTY)
     child = g.new_succ(root, NONSTATE, None, frozenset({a, b}), EMPTY, EMPTY)
     node = g.nodes[child]
-    assert node.state_pred is None
     assert node.after_trans_pred == root
+    assert state_of(g.nodes, node) is None
 
 
 def test_state_fields_initialized():
@@ -153,17 +153,17 @@ def test_queue_strategies():
 
 
 def test_paths_from_state_funnel_through_scope_root():
-    # Every path from a node's state-predecessor to the node passes
-    # through its after-transition root.
+    # Every path from the state of a node's local graph to the node
+    # passes through the graph's head.
     for text in (EX1_TEXT, EX2_TEXT, "inst a (some r (all r- C))\n"):
         graph = decide_sat(parse_kb(text)).graph
         for node in graph.nodes:
-            if node.node_type == STATE or node.state_pred is None:
+            if node.node_type == STATE or state_of(graph.nodes, node) is None:
                 continue
             if node.after_trans_pred == node.id:
                 continue
             seen = set()
-            work = [node.state_pred]
+            work = [state_of(graph.nodes, node)]
             reached = False
             while work:
                 x = work.pop()
@@ -175,6 +175,29 @@ def test_paths_from_state_funnel_through_scope_root():
                         reached = True
                     work.append(w)
             assert not reached, f"node {node.id} reachable around its scope root"
+
+
+def test_a_local_graph_is_read_from_its_head(decided):
+    # The engine reads a local graph's existential and state from its head
+    # alone: every or-node's head is the root, with no existential, or a
+    # node whose first predecessor is a state that holds the head's
+    # existential and lists the head among its successors.
+    heads = 0
+    for text, _, verdict in decided:
+        g = verdict.graph
+        for node in g.nodes:
+            if node.node_type == STATE:
+                continue
+            head = g.nodes[node.after_trans_pred]
+            assert head.after_trans_pred == head.id, text
+            if head.id == g.root:
+                assert head.ce_label is None, text
+                continue
+            state = g.nodes[head.preds[0]]
+            assert state.node_type == STATE, text
+            assert head.ce_label in state.label and head.id in state.succs, text
+            heads += 1
+    assert heads
 
 
 def test_edge_lists_mirror_each_other(decided):

@@ -14,7 +14,8 @@ that no rule splits (`wide_tbox(40)`), and the worked examples, each
 under both expansion strategies: 1,100 runs. It records per run the
 verdict and stats, the trace (the engine records it on request, and
 this script asks), each node's id, rule, status, label,
-successors, ce_label and expansion count, each node's converse-repair
+successors, ce_label, expansion count and `after_trans_pred` (the head
+of its local graph, which names its cache scope), each node's converse-repair
 record (rformulas, dformulas, conv_method, fmls_rc, then `alt_fml_sets`
 in the fifth slot on a state and in the sixth on an or-node, the other
 slot empty: older trees kept the two in separate fields, and their dumps
@@ -37,7 +38,9 @@ root (for an older commit, a `git archive` copy): the modules under test
 come from PYTHONPATH, and how a tree's graph is read changes with the tree
 while the record format stays the same. A change that widens the corpus
 dumps its parent with the new script and the new `tests/helpers.py`, so
-both dumps hold the same runs.
+both dumps hold the same runs. So does a change that widens the record,
+as adding `after_trans_pred` to `nodes` did, when the parent has the
+fields the new script reads (every tree since the seed has that one).
 """
 from __future__ import annotations
 
@@ -85,7 +88,8 @@ def _record(text: str, strategy: str) -> dict:
     g = verdict.graph
     idx = verdict.engine.idx
     nodes = [
-        (n.id, n.rule, n.status, _plain(n.label), tuple(n.succs), _plain(n.ce_label), n.expansions)
+        (n.id, n.rule, n.status, _plain(n.label), tuple(n.succs), _plain(n.ce_label), n.expansions,
+         n.after_trans_pred)
         for n in g.nodes
     ]
     repair = [
