@@ -15,7 +15,8 @@ apart. The clash test reads each member's complement from its `neg`
 field and builds it only where the field is still empty.
 
 Inverse roles make a successor able to push constraints *back* onto the
-state that spawned it. Two repair modes exist: while a state is being
+state that spawned it. Two repair modes exist, and the state's status
+and demands tell them apart (`conv_method`): while a state is being
 expanded, required formulas collect in `fmls_rc` and the state reports
 Incomplete (mode 0); once a state survived expansion cleanly, later
 disjunctive descendants record alternative requirement sets instead
@@ -490,11 +491,8 @@ class TableauEngine:
                     self.apply_rule(inst, w)
             w += 1
 
-        if un.status != UNSAT:
-            if un.fmls_rc:
-                self._set_status(un, INCOMPLETE)
-            else:
-                un.conv_method = 1
+        if un.status != UNSAT and un.fmls_rc:
+            self._set_status(un, INCOMPLETE)
 
     def apply_conv_rule(self, v) -> None:
         """Re-expand `v` after its state demanded more formulas: drop the

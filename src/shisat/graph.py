@@ -2,9 +2,11 @@
 
 Nodes are immutable in their content (label, reduced formulas,
 disallowed formulas) and provenance once created; only the status and
-the converse-repair record change afterwards. The record's fields start
-as the shared `EMPTY` and are only ever rebound to larger frozensets,
-never mutated, so a reader keeps a value without copying it. States are
+the converse-repair record, `fmls_rc` and `alt_fml_sets`, change
+afterwards; the repair mode is read from the state (`conv_method`). The
+record's fields start as the shared `EMPTY` and are only ever rebound to
+larger frozensets, never mutated, so a reader keeps a value without
+copying it. States are
 and-nodes, everything else is an or-node. An or-node's local graph is
 everything reachable from its head without crossing a state; members
 carry only the head, `after_trans_pred`, and the graph's facts sit on it:
@@ -56,7 +58,6 @@ class TableauNode:
         "dformulas",
         "after_trans_pred",
         "ce_label",
-        "conv_method",
         "fmls_rc",
         "alt_fml_sets",
         "rule",
@@ -74,12 +75,20 @@ class TableauNode:
         self.dformulas = dformulas
         self.after_trans_pred = None
         self.ce_label = None
-        self.conv_method = 0
         self.fmls_rc = self.alt_fml_sets = EMPTY
         self.rule = None
         self.expansions = 0
         self.succs: list = []
         self.preds: list = []
+
+    @property
+    def conv_method(self) -> int:
+        """The repair mode: 1 on a state whose local pass (run while it is
+        UNEXPANDED) left no demands, `fmls_rc`, else 0. A state gains
+        demands only in its pass or later in mode 0, turns UNSAT in its
+        pass only when a demand meets its dformulas, and no status update
+        reaches it before a clean pass has made it EXPANDED."""
+        return int(self.node_type == STATE and self.status != UNEXPANDED and not self.fmls_rc)
 
     @property
     def aformulas(self) -> frozenset:

@@ -655,6 +655,27 @@ def test_incomplete_events_hold_the_final_repair_record(decided):
         assert all(ev[4] is nodes[ev[1]].fmls_rc for ev in events if nodes[ev[1]].node_type == STATE), text
 
 
+def test_a_state_gains_demands_only_before_it_is_expanded(decided):
+    # What lets the repair mode be read from a state's status and fmls_rc:
+    # a state that a clean pass made EXPANDED never gains demands, and one
+    # that holds demands takes no status but INCOMPLETE or UNSAT. Read from
+    # the trace and fmls_rc alone, never from the mode.
+    with_demands = 0
+    for text, _, verdict in decided:
+        nodes = verdict.graph.nodes
+        statuses = {}
+        for ev in verdict.engine.trace:
+            if ev[0] == "status" and nodes[ev[1]].node_type == STATE:
+                statuses.setdefault(ev[1], []).append(ev[2])
+        for v, seen in statuses.items():
+            if EXPANDED in seen:
+                assert not nodes[v].fmls_rc, (text, v, seen)
+            if nodes[v].fmls_rc:
+                assert set(seen) <= {INCOMPLETE, UNSAT}, (text, v, seen)
+                with_demands += 1
+    assert with_demands > 100
+
+
 def test_converse_repair_with_alternative_sets():
     kb = parse_kb("inst a A\n")
     engine = TableauEngine(kb)
@@ -667,8 +688,7 @@ def test_converse_repair_with_alternative_sets():
     psi1, psi2 = store.atom("G1"), store.atom("G2")
     vn, wn = g.nodes[v], g.nodes[w]
     vn.status = EXPANDED
-    wn.status = INCOMPLETE
-    wn.conv_method = 1
+    wn.status = INCOMPLETE  # with alternative sets and no demands: mode 1
     wn.alt_fml_sets = frozenset({frozenset({phi1}), frozenset({phi2}), frozenset({psi1, psi2})})
     engine.apply_conv_rule(v)
     kids = [g.nodes[x] for x in g.nodes[v].succs]
@@ -708,10 +728,10 @@ def _reference_conv_successors(engine, v) -> None:
         g.con_to_succ(v, NONSTATE, node.label | x, node.rformulas, node.dformulas | blocked)
 
 
-def _conv_setup(mode, sets, rfmls, dfmls):
+def _conv_setup(fmls_rc, sets, rfmls, dfmls):
     """A fresh engine with an or-node over an incomplete state whose repair
-    record is `sets` of atom names: the single set `fmls_rc` in mode 0,
-    alternative sets in mode 1."""
+    record is given by atom names, as the engine leaves one: demands
+    `fmls_rc` (mode 0), or none and the alternative `sets` (mode 1)."""
     kb = parse_kb("inst a A\n")
     engine = TableauEngine(kb)
     store = kb.store
@@ -727,11 +747,8 @@ def _conv_setup(mode, sets, rfmls, dfmls):
     g.nodes[v].status = EXPANDED
     wn = g.nodes[w]
     wn.status = INCOMPLETE
-    wn.conv_method = mode
-    if mode == 0:
-        wn.fmls_rc = atoms(sets[0])
-    else:
-        wn.alt_fml_sets = frozenset(atoms(x) for x in sets)
+    wn.fmls_rc = atoms(fmls_rc)
+    wn.alt_fml_sets = frozenset(atoms(x) for x in sets)
     return engine, v
 
 
@@ -744,16 +761,16 @@ _ATOM_NAMES = st.sampled_from([f"F{i}" for i in range(6)])
 
 @given(
     st.one_of(
-        st.tuples(st.just(0), st.lists(st.frozensets(_ATOM_NAMES, min_size=1), min_size=1, max_size=1)),
-        st.tuples(st.just(1), st.lists(st.frozensets(_ATOM_NAMES, min_size=1, max_size=3), max_size=5)),
+        st.tuples(st.frozensets(_ATOM_NAMES, min_size=1), st.just(())),
+        st.tuples(st.just(()), st.lists(st.frozensets(_ATOM_NAMES, min_size=1, max_size=3), max_size=5)),
     ),
     st.frozensets(st.sampled_from(["R0", "R1"])),
     st.frozensets(st.sampled_from(["D0", "D1"])),
 )
 def test_converse_successors_match_the_two_branch_rule(repair, rfmls, dfmls):
-    mode, sets = repair
-    engine, v = _conv_setup(mode, sets, rfmls, dfmls)
-    reference, v_ref = _conv_setup(mode, sets, rfmls, dfmls)
+    fmls_rc, sets = repair
+    engine, v = _conv_setup(fmls_rc, sets, rfmls, dfmls)
+    reference, v_ref = _conv_setup(fmls_rc, sets, rfmls, dfmls)
     engine.apply_conv_rule(v)
     _reference_conv_successors(reference, v_ref)
 
@@ -773,9 +790,7 @@ def test_converse_repair_with_no_alternatives_refutes():
     v = g.new_succ(None, NONSTATE, None, frozenset({base}), EMPTY, EMPTY)
     w = g.new_succ(v, STATE, None, frozenset({base}), EMPTY, EMPTY)
     g.nodes[v].status = EXPANDED
-    wn = g.nodes[w]
-    wn.status = INCOMPLETE
-    wn.conv_method = 1
+    g.nodes[w].status = INCOMPLETE  # no demands and no alternative sets: mode 1
     engine.apply_rule(RuleInstance(R_CONV), v)
     assert g.nodes[v].succs == []
     assert g.nodes[v].status == UNSAT

@@ -19,7 +19,9 @@ of its local graph, which names its cache scope), each node's converse-repair
 record (rformulas, dformulas, conv_method, fmls_rc, then `alt_fml_sets`
 in the fifth slot on a state and in the sixth on an or-node, the other
 slot empty: older trees kept the two in separate fields, and their dumps
-still compare), the witness of a SAT verdict (its domain, atoms and role
+still compare; `conv_method` is now read from a state's status and
+`fmls_rc` rather than stored, with the same values, so dumps of trees
+that stored it compare too), the witness of a SAT verdict (its domain, atoms and role
 pairs), the knowledge base's name lists, the closed role box (its
 subrole pairs and transitive roles, sorted), the store's interned
 formulas in uid order once the run and the witness are done, and the
