@@ -43,9 +43,10 @@ made from an or-node's label by a rule: minus the consumed principal,
 plus the conclusions. A clash test reads only the members a label adds
 to its parent's, or to the empty label when that is not known
 clash-free (`t_unsat`), and a split is derived from its parent's
-(`derive_split`), so the work per node does not grow with the label. A
-label is sorted at most once, by `split_label`, which keeps the sorted
-members for a test against the empty label. None of this changes the
+(`derive_split`), so the work per node does not grow with the label.
+Only the other labels are sorted, once by each routine that reads them
+whole: `t_unsat` for a test against the empty label, `split_label` for
+the split, so a clash test builds no split. None of this changes the
 uid order: a memo hit replays a call whose formulas were interned on its
 miss, and the scan interns the conclusions of the rule it picks, which
 on a complex node is applied right after its scan.
@@ -158,7 +159,7 @@ class Verdict:
 _uid = operator.attrgetter("uid")
 
 
-def t_unsat(store: FormulaStore, label, parent=EMPTY, members=None) -> bool:
+def t_unsat(store: FormulaStore, label, parent=EMPTY) -> bool:
     """Obvious refutation of `label`: bottom in either label form, or a
     complementary pair. `parent` is a label this test passed: it holds no
     pair and its members have their complements built (role assertions
@@ -167,8 +168,7 @@ def t_unsat(store: FormulaStore, label, parent=EMPTY, members=None) -> bool:
     the same order. A member of `parent` interns nothing on that walk and
     clashes only with an added complement; the added members' `neg` fields
     find the first such member, where the walk stops, with no interning.
-    Against the empty label every member is read, in the order of
-    `members` when the caller has sorted `label` already. The engine
+    Against the empty label every member is read. The engine
     saturates a state's local graph before testing it, so a label made
     from a successor before that successor's test is tested against the
     empty label."""
@@ -181,7 +181,7 @@ def t_unsat(store: FormulaStore, label, parent=EMPTY, members=None) -> bool:
                 stop = c.uid
         if stop is not None:
             new = [f for f in new if f.uid <= stop]
-    for f in members or (sorted(new, key=_uid) if len(new) > 1 else new):
+    for f in sorted(new, key=_uid) if len(new) > 1 else new:
         c = f.body
         if c is not None and (c.kind == sx.BOT or (f.neg or complement(store, f)) in label):
             return True
@@ -200,25 +200,22 @@ def _part(f):
 def split_label(label) -> tuple:
     """`label`'s conjunctions, value restrictions, role assertions,
     disjunctions and existentials, in either label form, each a tuple in
-    uid order, then all of `label` in uid order, for its clash test: it
-    sorts `label`, which `derive_split` does not."""
-    members = tuple(ordered(label))
+    uid order: it sorts `label`, which `derive_split` does not."""
     parts = ([], [], [], [], [])
-    for f in members:
+    for f in ordered(label):
         i = _part(f)
         if i is not None:
             parts[i].append(f)
-    return (*map(tuple, parts), members)
+    return tuple(map(tuple, parts))
 
 
 def derive_split(split: tuple, parent, label) -> tuple:
     """The split of `label` from `split`, the split of `parent`: the
     members `label` drops leave their part and those it adds are put in
     theirs by uid, so nothing is sorted and only the parts that change are
-    copied. Its last slot is None: a derived split keeps no sorted copy of
-    the whole label."""
+    copied."""
     added = label - parent
-    parts = [*split[:5], None]
+    parts = list(split)
     if len(parent) + len(added) > len(label):  # `label` drops members of `parent`
         for f in parent - label:
             i = _part(f)
@@ -307,15 +304,11 @@ class TableauEngine:
     def _clashes(self, label, parent=None) -> bool:
         """`t_unsat` of `label`, computed once per run: against `parent`,
         the label of the or-node it was made from, when that is known
-        clash-free, else against the empty label, sharing the sort of a
-        split that `split_label` made."""
+        clash-free, else against the empty label."""
         out = self._clash.get(label)
         if out is None:
-            if self._clash.get(parent) is False:
-                out = t_unsat(self.store, label, parent)
-            else:
-                out = t_unsat(self.store, label, members=self._kinds(label)[5])
-            self._clash[label] = out
+            base = parent if self._clash.get(parent) is False else EMPTY
+            out = self._clash[label] = t_unsat(self.store, label, base)
         return out
 
     def _kinds(self, label, parent=None) -> tuple:
@@ -355,7 +348,7 @@ class TableauEngine:
         if node.preds:
             pred = self.graph.nodes[node.preds[0]]
             parent = pred.label if pred.node_type == NONSTATE else None
-        conj, univ, rel, disj, some, _ = self._kinds(node.label, parent)
+        conj, univ, rel, disj, some = self._kinds(node.label, parent)
         if node.node_type == STATE:
             return RuleInstance(_tag(R_EXISTS, some[0]), principals=some) if some else None
 

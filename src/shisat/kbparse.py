@@ -18,10 +18,9 @@ arguments and are folded to the right into binary nodes.
 
 The parser reads token texts alone, from one regex scan of the whole
 text once `_COMMENT`, the one definition of a comment, has cut the
-comments out. `_tokenize` is the one definition of a token's line and
-column; it cuts each line with the same `_COMMENT`. The parser calls it
-only for an error message, when a `ParseError` places the failing token
-by its index.
+comments out. Only an error message needs a token's line and column:
+`_place` repeats that scan and reads them from the failing token's
+offset.
 
 `_Parser.concept` is a recursive descent with one Python frame per
 nesting level, so a concept nested deeper than the recursion limit
@@ -34,7 +33,6 @@ soon as the parser stops raising it.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .syntax import FormulaStore, INST, KnowledgeBase, Role, build_kb, concept_text
 
@@ -53,32 +51,28 @@ class ParseError(Exception):
         self.col = col
 
 
-class _Token(NamedTuple):
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list:
-    """Parentheses and runs of other non-space characters, with line and column."""
-    return [
-        _Token(m.group(), lineno, m.start() + 1)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        for m in _TOKEN.finditer(_COMMENT.sub("", line))
-    ]
-
-
 def _token_texts(text: str) -> list:
-    """The texts of `_tokenize(text)`, from one scan of the whole text:
-    every line boundary is a space to `_TOKEN`, so no token spans one, and
-    a comment ends at the boundary, so the lists agree."""
+    """Parentheses and runs of other non-space characters, comments cut
+    out. Every line boundary is a space to `_TOKEN`, so no token spans one."""
     return _TOKEN.findall(_COMMENT.sub("", text))
+
+
+def _place(text: str, at: int) -> tuple:
+    """The line and column of the token with index `at` in `_token_texts(text)`,
+    from its offset in the same scan, or (1, 1) when there is no token. A
+    comment runs to a line boundary and keeps it, so cutting it moves no
+    token's line or column."""
+    clean = _COMMENT.sub("", text)
+    starts = [m.start() for m in _TOKEN.finditer(clean)]
+    if not starts:
+        return 1, 1
+    lines = (clean[: starts[at]] + "x").splitlines()
+    return len(lines), len(lines[-1])
 
 
 class _Parser:
     """Recursive descent over the token texts, one frame per nesting
-    level. `_fail` places the token it names with `_tokenize`, the one
-    definition of a token's line and column."""
+    level. `_fail` places the token it names with `_place`."""
 
     def __init__(self, text: str, store: FormulaStore):
         self.text = text
@@ -88,9 +82,7 @@ class _Parser:
 
     def _fail(self, message: str, at: int):
         """Raise `message` at the token with index `at`."""
-        tokens = _tokenize(self.text)
-        token = tokens[at] if tokens else _Token("", 1, 1)
-        raise ParseError(message, token.line, token.col)
+        raise ParseError(message, *_place(self.text, at))
 
     def done(self) -> bool:
         return self.pos >= len(self.tokens)

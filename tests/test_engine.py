@@ -2,6 +2,7 @@
 status flow, and the worked examples end to end."""
 from __future__ import annotations
 
+import builtins
 import itertools
 import random
 from collections import Counter
@@ -401,6 +402,19 @@ def test_a_label_fixes_the_node_form(decided):
     assert tagged[True] > 1000 and tagged[False] > 1000
 
 
+def test_a_clash_test_builds_no_split():
+    """The clash test sorts a label it reads whole by itself: testing a
+    root's label, clash-free or not, leaves the split memo empty, and the
+    split made afterwards has the five parts the rule scan reads."""
+    for text, clashes in ((EX1_TEXT, False), ("inst a F\ninst a (not F)\n", True)):
+        kb = parse_kb(text)
+        engine = TableauEngine(kb)
+        label = frozenset(kb.abox) | {kb.store.inst(a, c) for a in kb.individuals for c in kb.tbox}
+        assert engine._clashes(label) is clashes
+        assert engine._split == {}
+        assert len(engine._kinds(label)) == 5
+
+
 def test_run_drops_its_per_run_memos():
     for text in (EX2_TEXT, chain_kb_text(3)):
         engine = decide_sat(parse_kb(text)).engine
@@ -410,40 +424,48 @@ def test_run_drops_its_per_run_memos():
 
 
 def _spy(monkeypatch, name, log):
-    """Log the last argument of each call the engine makes to its
-    module-level `name`."""
-    real = getattr(engine_module, name)
+    """Log the last positional argument of each call the engine makes to
+    its module-level `name`, a builtin such as `sorted` included."""
+    real = getattr(engine_module, name, None) or getattr(builtins, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         log.append(args[-1])
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(engine_module, name, spy)
+    monkeypatch.setattr(engine_module, name, spy, raising=False)
 
 
-def test_each_label_is_sorted_once_per_run(monkeypatch):
-    """A label is sorted at most once, by `split_label`, and only when no
-    parent's split is at hand or its clash test reads it against the empty
-    label: the root's and a state's successors' labels, whose clash test
-    and rule scan share the sort, and a label made from a successor before
-    the successor's own test has run. Every other split is derived."""
-    sorted_labels: list = []
-    _spy(monkeypatch, "ordered", sorted_labels)
+def test_the_split_sorts_each_label_at_most_once(monkeypatch):
+    """`split_label` sorts a label at most once per run, and only when no
+    parent's split is at hand: the root's and a state's successors'
+    labels, and a label made from a successor before the successor's own
+    scan. Every other split is derived. The clash test sorts a label whole
+    only against the empty label, so only a fresh label, or one made from
+    a fresh label before that label's own test."""
+    split_sorts: list = []
+    clash_sorts: list = []
+    _spy(monkeypatch, "ordered", split_sorts)
+    _spy(monkeypatch, "sorted", clash_sorts)
     for text in (EX1_TEXT, EX2_TEXT, chain_kb_text(4)):
-        sorted_labels.clear()
+        split_sorts.clear()
+        clash_sorts.clear()
         g = decide_sat(parse_kb(text)).graph
         fresh = {g.nodes[g.root].label} | {g.nodes[w].label for n in g.nodes if n.node_type == STATE for w in n.succs}
         made_from_fresh = {n.label for n in g.nodes if n.preds and g.nodes[n.preds[0]].label in fresh}
-        assert sorted_labels and len(sorted_labels) == len(set(sorted_labels)), text
-        assert set(sorted_labels) <= fresh | made_from_fresh, text
-        assert len(sorted_labels) < len({n.label for n in g.nodes}), text
+        assert split_sorts and len(split_sorts) == len(set(split_sorts)), text
+        assert set(split_sorts) <= fresh | made_from_fresh, text
+        assert len(split_sorts) < len({n.label for n in g.nodes}), text
+        labels = {id(n.label): n.label for n in g.nodes}  # a delta sort reads a collection made for it
+        whole = {labels[id(x)] for x in clash_sorts if id(x) in labels}
+        assert whole and whole <= fresh | made_from_fresh, text
 
 
-def test_a_deep_nest_reads_each_label_by_its_delta(monkeypatch):
+def test_a_deep_nest_tests_each_label_by_its_delta_and_splits_only_the_root(monkeypatch):
     """Along a 200-deep conjunction nest each label is its parent's minus
     one conjunction plus its two parts. The clash test builds the
     complements of those two only, where a walk of every label makes
-    depth * (depth + 1) / 2 calls, and no label but the root's is sorted."""
+    depth * (depth + 1) / 2 calls, and no label but the root's is split
+    fresh: every other split is derived from its parent's."""
     depth = 200
     complemented: list = []
     sorted_labels: list = []
@@ -529,39 +551,20 @@ def _delta_setup(case):
 @example((["A", "C"], [0], 1, [("neg", 0), ("pool", 1)]))  # the full walk stops at A, before C
 def test_delta_clash_test_is_the_full_walk(case):
     """The clash test against the clash-free parent, against the empty
-    label, against the empty label with the members sorted by the caller,
-    and the reference walk: same verdict, and the same formulas interned
-    in the same order."""
+    label, and the reference walk: same verdict, and the same formulas
+    interned in the same order."""
     runs = []
-    for clashes in (
-        t_unsat,
-        lambda s, c, p: t_unsat(s, c),
-        lambda s, c, p: t_unsat(s, c, members=tuple(ordered(c))),
-        lambda s, c, p: _full_walk(s, c),
-    ):
+    for clashes in (t_unsat, lambda s, c, p: t_unsat(s, c), lambda s, c, p: _full_walk(s, c)):
         store, parent, child = _delta_setup(case)
         runs.append((clashes(store, child, parent), interned_texts(store)))
-    assert runs[0] == runs[1] == runs[2] == runs[3]
+    assert runs[0] == runs[1] == runs[2]
 
 
 @settings(deadline=None, max_examples=200)
 @given(_delta_cases())
 def test_derived_split_is_the_fresh_split(case):
     _, parent, child = _delta_setup(case)
-    derived = derive_split(split_label(parent), parent, child)
-    fresh = split_label(child)
-    assert derived[:5] == fresh[:5] and derived[5] is None
-
-
-def test_t_unsat_walks_the_members_it_is_given():
-    # the complements it interns come in the order of `members`
-    interned = []
-    for walk in (ordered, lambda label: ordered(label)[::-1]):
-        kb = parse_kb("inst a (and B C)\ninst b (or D E)\n")
-        label = frozenset(kb.abox)
-        assert not t_unsat(kb.store, label, members=tuple(walk(label)))
-        interned.append(interned_texts(kb.store))
-    assert interned[0] != interned[1] and sorted(interned[0]) == sorted(interned[1])
+    assert derive_split(split_label(parent), parent, child) == split_label(child)
 
 
 def test_disjunction_split_at_root():

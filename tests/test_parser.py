@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from shisat import format_kb, parse_kb
-from shisat.kbparse import _IDENT, ParseError, _Token, _token_texts, _tokenize, parse_concept_text
+from shisat.kbparse import _COMMENT, _IDENT, _TOKEN, ParseError, _place, _token_texts, parse_concept_text
 from shisat.syntax import FormulaStore, Role, build_kb, formula_text
 
 from helpers import EX1_TEXT, interned_texts
@@ -119,16 +120,40 @@ def test_round_trip_random_cases():
         assert format_kb(again) == printed
 
 
+class _Token(NamedTuple):
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(text: str) -> list:
+    """The reference tokens, with line and column: each line of
+    `str.splitlines` scanned on its own, its comment cut out."""
+    return [
+        _Token(m.group(), lineno, m.start() + 1)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        for m in _TOKEN.finditer(_COMMENT.sub("", line))
+    ]
+
+
+def _placed(text: str) -> list:
+    """Each token text with the line and column `_place` gives it."""
+    return [(t, *_place(text, i)) for i, t in enumerate(_token_texts(text))]
+
+
 def test_token_positions():
     # Tabs, adjacent parentheses, an inverse role, a trailing comment, a
     # CRLF line ending, and U+00A0 / U+3000 as separators.
     text = "sub r-\ts\r\ninst a\u00a0(and\tA (some r- B))# trailing (comment\n\trel\u3000r- a b\n"
-    assert [(t.text, t.line, t.col) for t in _tokenize(text)] == [
+    expected = [
         ("sub", 1, 1), ("r-", 1, 5), ("s", 1, 8),
         ("inst", 2, 1), ("a", 2, 6), ("(", 2, 8), ("and", 2, 9), ("A", 2, 13),
         ("(", 2, 15), ("some", 2, 16), ("r-", 2, 21), ("B", 2, 24), (")", 2, 25), (")", 2, 26),
         ("rel", 3, 2), ("r-", 3, 6), ("a", 3, 9), ("b", 3, 11),
     ]
+    assert [tuple(t) for t in _tokenize(text)] == expected
+    assert _placed(text) == expected
+    assert _place("# only a comment\n", -1) == (1, 1)
     assert len(parse_kb(text).abox) == 2
 
 
@@ -166,7 +191,7 @@ def test_only_parse_errors_escape(text):
             pass
 
 
-# -- the token-text fast path against the positioned tokens ---------------
+# -- the one token scan against the per-line reference tokens ------------
 
 # Every line boundary `str.splitlines` knows, and spaces that are not one.
 _BOUNDARIES = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -199,7 +224,7 @@ _WORD_TEXT = st.lists(
 @settings(max_examples=400)
 @given(st.one_of(_CHAR_TEXT, _WORD_TEXT))
 def test_token_texts_match_the_positioned_tokens(text):
-    assert _token_texts(text) == [t.text for t in _tokenize(text)]
+    assert _placed(text) == [tuple(t) for t in _tokenize(text)]
 
 
 class _ReferenceParser:
