@@ -17,10 +17,10 @@ Comments run from '#' to end of line. `and`/`or` take two or more
 arguments and are folded to the right into binary nodes.
 
 The parser reads token texts alone, from one regex scan of the whole
-text once `_COMMENT`, the one definition of a comment, has cut the
-comments out. Only an error message needs a token's line and column:
-`_place` repeats that scan and reads them from the failing token's
-offset.
+text once `_COMMENT`, the one definition of a comment, has cut each
+comment to one space. Only an error message needs a token's line and
+column: `_place` repeats that scan and reads them from the failing
+token's offset.
 
 `_Parser.concept` is a recursive descent with one Python frame per
 nesting level, so a concept nested deeper than the recursion limit
@@ -52,17 +52,20 @@ class ParseError(Exception):
 
 
 def _token_texts(text: str) -> list:
-    """Parentheses and runs of other non-space characters, comments cut
-    out. Every line boundary is a space to `_TOKEN`, so no token spans one."""
-    return _TOKEN.findall(_COMMENT.sub("", text))
+    """Parentheses and runs of other non-space characters, each comment
+    cut to one space. Every line boundary is a space to `_TOKEN`, so no
+    token spans one."""
+    return _TOKEN.findall(_COMMENT.sub(" ", text))
 
 
 def _place(text: str, at: int) -> tuple:
     """The line and column of the token with index `at` in `_token_texts(text)`,
     from its offset in the same scan, or (1, 1) when there is no token. A
-    comment runs to a line boundary and keeps it, so cutting it moves no
-    token's line or column."""
-    clean = _COMMENT.sub("", text)
+    comment runs to a line boundary and keeps it, and is cut to one space,
+    so no token moves to another line: cut to nothing, a comment between a
+    CR and an LF would join them into one CRLF break. No token follows a
+    comment on its line, so no column moves either."""
+    clean = _COMMENT.sub(" ", text)
     starts = [m.start() for m in _TOKEN.finditer(clean)]
     if not starts:
         return 1, 1

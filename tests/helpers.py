@@ -4,7 +4,7 @@ from __future__ import annotations
 from kbgen import chain_kb_text, differential_suite
 from shisat import decide_sat, parse_kb
 from shisat.models import ModelGraph
-from shisat.syntax import ALL, AND, ATOM, BOT, NOT, OR, SOME, formula_text, ordered
+from shisat.syntax import ALL, AND, ATOM, BOT, NOT, OR, SOME, FormulaStore, Role, build_kb, formula_text, ordered
 from shisat.transfer import transfer_concepts
 
 EX1_TEXT = """\
@@ -58,6 +58,22 @@ def and_nest(depth: int) -> str:
     for i in range(depth - 1, 0, -1):
         concept = f"(and A{i} {concept})"
     return f"inst a {concept}\n"
+
+
+def pullback_kb(depth: int):
+    """`a` in `depth` nested (some r ...) around `depth` nested (all r- ...)
+    around B: the deepest element carries B back up to `a` over r-, so
+    each state's converse repair makes the state above it repair in turn,
+    `depth` repairs deep. Built through the store, since its text nests
+    past what the parser takes from about depth 500 on; `format_kb` gives
+    the text."""
+    store = FormulaStore()
+    concept = store.atom("B")
+    for _ in range(depth):
+        concept = store.univ(Role("r", True), concept)
+    for _ in range(depth):
+        concept = store.exist(Role("r"), concept)
+    return build_kb(store, [], [], [], [store.inst("a", concept)])
 
 
 def wide_tbox(width: int) -> str:

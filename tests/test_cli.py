@@ -10,9 +10,9 @@ import pytest
 
 from shisat import run_cli
 from shisat.cli import export_dot
-from shisat import decide_sat, parse_kb
+from shisat import decide_sat, format_kb, parse_kb
 
-from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT
+from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, pullback_kb
 
 
 @pytest.fixture
@@ -214,6 +214,13 @@ def test_internal_error_is_not_a_verdict(kbfile, capsys):
         assert code == 2
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+def test_a_deep_converse_repair_cascade_is_decided(kbfile, capsys):
+    # 340 repairs deep: a status flow that recursed once per repair exited
+    # 2 here with a RecursionError.
+    assert run_cli(["sat", kbfile(format_kb(pullback_kb(340))), "--model"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "SAT"
 
 
 def test_usage_error_exit_code(capsys):

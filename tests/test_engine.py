@@ -5,13 +5,14 @@ from __future__ import annotations
 import builtins
 import itertools
 import random
+import sys
 from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from shisat import TableauEngine, bounded_model_search, check_model, closure, decide_sat, kb_index, parse_kb
+from shisat import TableauEngine, bounded_model_search, build_witness, check_model, closure, decide_sat, kb_index, parse_kb
 from shisat import engine as engine_module
 from shisat.engine import (
     EMPTY,
@@ -36,7 +37,7 @@ from shisat.kbparse import parse_concept_text
 from shisat.syntax import ALL, AND, BOT, INST, OR, REL, SOME, FormulaStore, Role, complement, formula_text, ordered
 from shisat.transfer import transfer_concepts_to
 
-from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, and_nest, interned_texts, label_texts, run, state_of
+from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, and_nest, interned_texts, label_texts, pullback_kb, run, state_of
 from kbgen import chain_kb_text, differential_suite, random_kb_text
 
 
@@ -950,6 +951,18 @@ def test_propagate_skips_unexpanded_predecessors():
     engine.update_status(v)
     engine.propagate_status(v)
     assert g.nodes[parent].status == "unexpanded"
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+def test_a_converse_repair_cascade_takes_no_python_stack(strategy):
+    # 2,000 repairs, each made while the flow of the one below it runs: a
+    # flow that recursed once per repair overflowed near 330.
+    assert sys.getrecursionlimit() <= 1000
+    kb = pullback_kb(2000)
+    verdict = decide_sat(kb, strategy=strategy)
+    assert verdict.sat and verdict.engine._frames == []
+    witness = build_witness(verdict.graph, kb, verdict.engine.idx)
+    assert len(witness.domain) == 2001 and check_model(witness, kb)
 
 
 def test_clashing_transitional_successor_refutes_the_state():

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from shisat import format_kb, parse_kb
 from shisat.kbparse import _COMMENT, _IDENT, _TOKEN, ParseError, _place, _token_texts, parse_concept_text
@@ -365,6 +365,8 @@ def _concept_outcome(parse, text):
 
 @settings(max_examples=300)
 @given(st.one_of(_WORD_TEXT, _CHAR_TEXT, _FUZZ_TEXT))
+@example("\r#\n(")  # a comment between CR and LF keeps the two line breaks apart
+@example("inst a A\r# note\ninst b (or A)\n")
 def test_parser_matches_the_positioned_reference(text):
     assert _outcome(parse_kb, text) == _outcome(_reference_parse_kb, text)
     assert _concept_outcome(parse_concept_text, text) == _concept_outcome(_reference_parse_concept_text, text)

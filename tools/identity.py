@@ -10,8 +10,10 @@ tree derives from the same inputs and counting the runs that differ:
 `(some r ...)` nests of depth 50 and 200 and, under `trans r`, of depth 10
 and 45 (witnesses of up to 201 elements), conjunction nests of depth 50
 and 320 (labels of up to 320 members), a TBox of 40 value restrictions
-that no rule splits (`wide_tbox(40)`), and the worked examples, each
-under both expansion strategies: 1,100 runs. It records per run the
+that no rule splits (`wide_tbox(40)`), a cascade of 200 converse repairs,
+each made inside the status flow of the one below it (`pullback_kb(200)`
+as text), and the worked examples, each under both expansion strategies:
+1,102 runs. It records per run the
 verdict and stats, the trace (the engine records it on request, and
 this script asks), each node's id, rule, status, label,
 successors, ce_label, expansion count and `after_trans_pred` (the head
@@ -53,14 +55,16 @@ FIELDS = ("verdict", "stats", "trace", "nodes", "repair", "witness", "names", "r
 
 
 def _corpus() -> list:
-    from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, and_nest, some_nest, wide_tbox
+    from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, and_nest, pullback_kb, some_nest, wide_tbox
     from kbgen import chain_kb_text, differential_suite
+    from shisat import format_kb
 
     cases = [(f"suite/{i}", t) for i, t in enumerate(differential_suite(500, 20240817))]
     cases += [(f"chain/{d}", chain_kb_text(d)) for d in range(1, 41)]
     cases += [(f"some/{d}", some_nest(d, False)) for d in (50, 200)]
     cases += [(f"some.trans/{d}", some_nest(d, True)) for d in (10, 45)]
     cases += [(f"and/{d}", and_nest(d)) for d in (50, 320)] + [("wide/40", wide_tbox(40))]
+    cases += [("pullback/200", format_kb(pullback_kb(200)))]
     cases += [("ex1_base", EX1_BASE_TEXT), ("ex1", EX1_TEXT), ("ex2", EX2_TEXT)]
     return [(f"{name}/{strategy}", text, strategy) for strategy in ("dfs", "fifo") for name, text in cases]
 
