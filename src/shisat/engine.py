@@ -26,11 +26,10 @@ over requirement sets: mode 0 has the single set `fmls_rc`, mode 1 its
 alternatives, and each repaired successor adds its set to the label and
 disallows the singleton sets tried before it.
 
-Statuses flow upward: any satisfiable branch settles an or-node, any
-refuted successor kills an and-node, in one loop over a stack of frames
-(`propagate_status`). A converse repair is made inside that loop, so the
-repaired node's own flow is pushed as a frame, run before the one below
-as a nested call would be, and repairs of any depth take no Python stack.
+Statuses flow upward in one work-list loop (`propagate_status`): a
+satisfiable branch settles an or-node, a refuted successor kills a state.
+The converse rule's tail leaves that walk to `update_status`'s callers,
+which make it anyway, so no repair cascade re-enters the loop, at any depth.
 
 Labels are interned frozensets that never change, and many nodes share
 one: the engine does each piece of per-label work once per run and looks
@@ -261,7 +260,6 @@ class TableauEngine:
         self._clash: dict = {}  # label -> t_unsat(store, label)
         self._steps: dict = {}  # (node_type, label, rformulas) -> RuleInstance or None
         self._pulling = None  # pulling_roles, built at the first state
-        self._frames: list = []  # propagate_status's frames: [settled nodes to walk, predecessors left]
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -454,7 +452,8 @@ class TableauEngine:
                         self._set_status(wn, INCOMPLETE)
 
         self.update_status(v)
-        if node.status in DETERMINED:
+        # a converse repair is made only by update_status, whose caller walks on from v
+        if node.status in DETERMINED and rule.tag != R_CONV:
             self.propagate_status(v)
 
     def apply_trans_rule(self, rule: RuleInstance, u) -> None:
@@ -566,29 +565,16 @@ class TableauEngine:
                 self._set_status(node, INCOMPLETE)
 
     def propagate_status(self, v) -> None:
-        frames, nodes = self._frames, self.graph.nodes
-        frames.append([[], iter(list(nodes[v].preds))])  # a copy: a converse repair drops an edge
-        if len(frames) > 1:
-            return
-        work, preds = frame = frames[0]
-        while True:
-            for u in preds:
+        nodes = self.graph.nodes
+        work = [v]
+        while work:
+            # a copy: update_status may apply the converse rule, which drops an edge
+            for u in list(nodes[work.pop()].preds):
                 un = nodes[u]
                 if un.status == EXPANDED:
                     self.update_status(u)
                     if un.status in DETERMINED:
                         work.append(u)
-                    if frames[-1] is not frame:  # a repair pushed its frame: run that first
-                        frame[1] = preds
-                        break
-            else:
-                if work:
-                    preds = iter(list(nodes[work.pop()].preds))
-                    continue
-                frames.pop()
-                if not frames:
-                    return
-            work, preds = frame = frames[-1]
 
     # -- top level ---------------------------------------------------------
 

@@ -94,21 +94,19 @@ class _Grounding:
         for r, s in kb.role_subsumptions:
             for e in elements:
                 pairs += [(ls, lr ^ 1) for ls, lr in zip(self.edges(s, e), self.edges(r, e))]
-        # blocks[e]: the atom vector of e is lexicographically >= that of e + 1.
-        # g reads "e's vector is greater on the atoms before this one".
-        blocks = []
+        # lex holds a block of 3 clauses per atom for each e < n - 1: the atom
+        # vector of e is lexicographically >= that of e + 1. g reads "e's
+        # vector is greater on the atoms before this one".
+        self.lex = []
         for e in range(n - 1):
-            block, g = [], FALSE
+            g = FALSE
             for xs, nxt in zip(self.atoms.values(), self._fresh(len(self.atoms))):
                 x, y = xs[e], xs[e + 1]
-                block += [(y ^ 1, x, g), (nxt ^ 1, g, x), (nxt ^ 1, g, y ^ 1)]
+                self.lex += [(y ^ 1, x, g), (nxt ^ 1, g, x), (nxt ^ 1, g, y ^ 1)]
                 g = nxt
-            blocks.append(block)
-        # lex[h] orders the elements h..n-1, which a map hitting h elements leaves free.
-        self.lex = [[c for block in blocks[h:] for c in block] for h in range(n + 1)]
         # The transitivity clauses, Horn like the role clauses above, grow as
         # n**3, so they are charged with the rest before they are built.
-        _charge(budget, len(pairs) + len(self.long) + sum(map(len, self.lex)) + len(kb.transitive_roles) * n**3)
+        _charge(budget, len(pairs) + len(self.long) + len(self.lex) + len(kb.transitive_roles) * n**3)
         for r in kb.transitive_roles:
             rows = [self.edges(r, e) for e in elements]
             self.long += [
@@ -141,7 +139,8 @@ class _Grounding:
             self.at[f.concept][iota[f.ind]] if f.kind == INST else self.edges(f.role, iota[f.a])[iota[f.b]]
             for f in kb.abox
         ]
-        return units, self.lex[len(set(iota.values()))]
+        # the order on the elements h..n-1 is the suffix from element h's block
+        return units, self.lex[3 * len(self.atoms) * len(set(iota.values())):]
 
 
 def _restricted_growth_maps(inds, n):

@@ -960,9 +960,48 @@ def test_a_converse_repair_cascade_takes_no_python_stack(strategy):
     assert sys.getrecursionlimit() <= 1000
     kb = pullback_kb(2000)
     verdict = decide_sat(kb, strategy=strategy)
-    assert verdict.sat and verdict.engine._frames == []
+    assert verdict.sat
     witness = build_witness(verdict.graph, kb, verdict.engine.idx)
     assert len(witness.domain) == 2001 and check_model(witness, kb)
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+def test_no_call_re_enters_the_status_flow(strategy, monkeypatch):
+    # A converse repair leaves the walk on from the repaired node to the
+    # caller of its status update, so the flow never runs inside itself.
+    original = TableauEngine.propagate_status
+    active = deepest = 0
+
+    def counted(self, v):
+        nonlocal active, deepest
+        active += 1
+        deepest = max(deepest, active)
+        try:
+            original(self, v)
+        finally:
+            active -= 1
+
+    monkeypatch.setattr(TableauEngine, "propagate_status", counted)
+    for kb in (pullback_kb(50), parse_kb(EX2_TEXT)):
+        verdict = decide_sat(kb, strategy=strategy)
+        assert verdict.stats["rule_applications"][R_CONV] > 0
+    assert deepest == 1
+
+
+def test_the_status_flow_reaches_its_fixpoint(decided):
+    # No expanded node is left that an update would settle or repair: an
+    # or-node has no SAT successor and not only UNSAT or INCOMPLETE ones, a
+    # state no UNSAT or INCOMPLETE successor and not only SAT ones. Statuses
+    # settle as a fixpoint, so the order of the upward walk does not matter.
+    for text, _, verdict in decided:
+        nodes = verdict.graph.nodes
+        for node in nodes:
+            if node.status == EXPANDED:
+                statuses = {nodes[w].status for w in node.succs}
+                if node.node_type == NONSTATE:
+                    assert SAT not in statuses and not statuses <= {UNSAT, INCOMPLETE}, (text, node.id)
+                else:
+                    assert not statuses & {UNSAT, INCOMPLETE} and not statuses <= {SAT}, (text, node.id)
 
 
 def test_clashing_transitional_successor_refutes_the_state():

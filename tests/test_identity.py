@@ -60,3 +60,17 @@ def test_an_edited_node_list_is_counted_on_that_field_alone(dumps, tmp_path, cap
     assert identity.compare(str(a), str(edited)) == 1
     counts = _differing(capsys.readouterr().out)
     assert counts == {field: int(field == "nodes") for field in identity.FIELDS}
+
+
+def test_compare_names_ten_differing_runs_and_counts_the_rest(tmp_path, capsys):
+    left = {f"run/{i}": {field: 0 for field in identity.FIELDS} for i in range(12)}
+    right = {name: {**record, "trace": 1} for name, record in left.items()}
+    paths = [tmp_path / "a.pkl", tmp_path / "b.pkl"]
+    for path, runs in zip(paths, (left, right)):
+        with open(path, "wb") as fh:
+            pickle.dump(runs, fh)
+    assert identity.compare(*map(str, paths)) == 1
+    lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+    named = ", ".join(f"run/{i}" for i in range(10))
+    assert lines["trace"] == f"trace: 12 of 12 runs differ: {named} and 2 more"
+    assert lines["verdict"] == "verdict: 0 of 12 runs differ"

@@ -11,9 +11,11 @@ tree derives from the same inputs and counting the runs that differ:
 and 45 (witnesses of up to 201 elements), conjunction nests of depth 50
 and 320 (labels of up to 320 members), a TBox of 40 value restrictions
 that no rule splits (`wide_tbox(40)`), a cascade of 200 converse repairs,
-each made inside the status flow of the one below it (`pullback_kb(200)`
-as text), and the worked examples, each under both expansion strategies:
-1,102 runs. It records per run the
+each making the state above it repair in turn (`pullback_kb(200)` as
+text), a suite text whose upward walk repairs several predecessors of one
+state (`differential_suite(500, 1)[132]`, named `reorder/1.132`) and the
+worked examples, each under both expansion strategies: 1,104 runs. It
+records per run the
 verdict and stats, the trace (the engine records it on request, and
 this script asks), each node's id, rule, status, label,
 successors, ce_label, expansion count and `after_trans_pred` (the head
@@ -35,7 +37,8 @@ parses, the `ParseError`'s (message, line, col), or the type of any other
 exception. Formulas are recorded as text, so values compare across
 processes; the `interned` field shows whether two runs of one text
 intern the same formulas in the same order.
-`compare` prints, for each field, how many runs differ.
+`compare` prints, for each field, how many runs differ and the names of
+the first 10, then how many more there are.
 
 Dump each tree with its own copy of this script, run from that tree's
 root (for an older commit, a `git archive` copy): the modules under test
@@ -64,7 +67,7 @@ def _corpus() -> list:
     cases += [(f"some/{d}", some_nest(d, False)) for d in (50, 200)]
     cases += [(f"some.trans/{d}", some_nest(d, True)) for d in (10, 45)]
     cases += [(f"and/{d}", and_nest(d)) for d in (50, 320)] + [("wide/40", wide_tbox(40))]
-    cases += [("pullback/200", format_kb(pullback_kb(200)))]
+    cases += [("pullback/200", format_kb(pullback_kb(200))), ("reorder/1.132", differential_suite(500, 1)[132])]
     cases += [("ex1_base", EX1_BASE_TEXT), ("ex1", EX1_TEXT), ("ex2", EX2_TEXT)]
     return [(f"{name}/{strategy}", text, strategy) for strategy in ("dfs", "fifo") for name, text in cases]
 
@@ -188,8 +191,9 @@ def compare(a: str, b: str) -> int:
     for field in FIELDS:
         differ = [name for name in left if left[name][field] != right[name][field]]
         worst = max(worst, len(differ))
-        example = f" (first: {differ[0]})" if differ else ""
-        print(f"{field}: {len(differ)} of {len(left)} runs differ{example}")
+        named = f": {', '.join(differ[:10])}" if differ else ""
+        rest = f" and {len(differ) - 10} more" if len(differ) > 10 else ""
+        print(f"{field}: {len(differ)} of {len(left)} runs differ{named}{rest}")
     return 1 if worst else 0
 
 
