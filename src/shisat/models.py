@@ -17,11 +17,12 @@ from `rbox.transitive_closure`, the routine that closes the role box
 itself. `eval_concept` and `check_model` implement the plain set
 semantics independently and are shared by the differential oracle.
 
-Both read a role through its successor map (element -> successors),
-built once per role and call. An `all` or `some` subconcept then costs
-O(|domain| + |pairs|) rather than O(|domain| * |pairs|), and the
-transitivity test compares successor sets along each pair instead of
-joining every pair with every other.
+Both read each role through successor and predecessor maps built once
+per call, so `some` and `all` are preimages and no subconcept scans the
+domain element by element; `check_model` evaluates each distinct
+subconcept once. The set work stays O(|domain|) per `all` and negation,
+so the pullback family of `tests/helpers.py` still checks in
+Theta(|domain| * subconcepts); that is left for a later change.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from itertools import count
 from . import syntax as sx
 from .graph import INCOMPLETE, STATE, UNSAT
 from .rbox import RBoxIndex, successor_map, transitive_closure
-from .syntax import KnowledgeBase, Role, concepts_of, ordered
+from .syntax import KnowledgeBase, Role, ordered
 
 
 @dataclass
@@ -91,7 +92,11 @@ def extract_model_graph(graph, kb: KnowledgeBase) -> ModelGraph:
 
     named = list(kb.individuals)
     domain = list(named)
-    concepts = {a: concepts_of(graph.nodes[vk].aformulas, a) for a in named}  # keys: the domain
+    label: dict = {a: set() for a in named}  # one pass over the label for all individuals
+    for f in graph.nodes[vk].aformulas:
+        if f.kind == sx.INST:
+            label[f.ind].add(f.concept)
+    concepts = {a: frozenset(cs) for a, cs in label.items()}  # keys: the domain
     edges: dict = {}
     for f in kb.abox:
         if f.kind == sx.REL:
@@ -139,16 +144,29 @@ def close_role_relations(edges: dict, idx: RBoxIndex) -> dict:
     reversed raw edges of every S <= R-, together with the transitive
     closure of base(T) for every transitive T <= R (R itself included).
     The result has one entry for every role of `idx`, inverses included.
+    It is built for role names only: R- holds the converse of R, and a
+    transitive T- the converse of T's closure, so each transitive name is
+    closed once.
     """
+    names = [r for r in idx.roles if not r.inverted]
     base = {}
-    for r in idx.roles:
+    for r in names:
         pairs = set()
         for s in idx.subroles_of(r):  # s <= r, and so s- <= r-
             pairs.update(edges.get(s, ()))
             pairs.update((b, a) for (a, b) in edges.get(s.inverse, ()))
         base[r] = pairs
-    chains = {t: transitive_closure(base[t]) for t in idx.transitive}
-    return {r: base[r].union(*(chains[t] for t in idx.subroles_of(r) if t in chains)) for r in idx.roles}
+    chains = {t: transitive_closure(base[t]) for t in names if t in idx.transitive}
+    closed = {}
+    for r in names:
+        subs = [t for t in idx.subroles_of(r) if t in idx.transitive]
+        closed[r] = base[r].union(*(_converse(chains[t.inverse]) if t.inverted else chains[t] for t in subs))
+        closed[r.inverse] = _converse(closed[r])
+    return closed
+
+
+def _converse(pairs) -> set:
+    return {(b, a) for (a, b) in pairs}
 
 
 def complete_relations(mg: ModelGraph, idx: RBoxIndex, concept_names) -> Interpretation:
@@ -167,16 +185,27 @@ def complete_relations(mg: ModelGraph, idx: RBoxIndex, concept_names) -> Interpr
     )
 
 
-def role_pairs(interp: Interpretation, role: Role) -> set:
-    if role.name not in interp.roles:
-        raise ValueError(f"unknown role name {role.name!r}")
-    pairs = interp.roles[role.name]
-    if role.inverted:
-        return {(b, a) for (a, b) in pairs}
-    return pairs
-
-
 _NONE = frozenset()  # the successors of an element that is no pair's source
+
+
+class _RoleMaps(dict):
+    """(role name, inverted), as a `Role` is, -> that role's successor map,
+    built from its name's pairs on first use. R's predecessors are the
+    successors of (R's name, not R.inverted). A hit is a plain dict
+    lookup, so a check of a tiny model pays almost nothing for the maps."""
+
+    __slots__ = ("relations",)
+
+    def __init__(self, relations: dict):  # dict.__new__ made it empty already
+        self.relations = relations
+
+    def __missing__(self, role) -> dict:
+        name, inverted = role
+        if name not in self.relations:
+            raise ValueError(f"unknown role name {name!r}")
+        pairs = self.relations[name]
+        succ = self[role] = successor_map(_converse(pairs) if inverted else pairs)
+        return succ
 
 
 def eval_concept(interp: Interpretation, concept) -> set:
@@ -184,13 +213,19 @@ def eval_concept(interp: Interpretation, concept) -> set:
     semantics. Subconcepts are evaluated bottom-up, each distinct one once,
     so nesting depth is not bounded by the recursion limit.
 
-    The first `all` or `some` over a role builds that role's successor
-    map; the rest of the call reuses it. `all R.C` is then the elements
-    whose successors all lie in C, and `some R.C` those with a successor
-    in C, so each subconcept costs O(|domain| + |pairs of its role|)."""
-    domain = set(interp.domain)
-    value: dict = {}
-    succ: dict = {}  # role -> its successor map, built on first use
+    A role's predecessor map is built once per call, on its first use.
+    `some R.C` is the domain's part of the R-predecessors of C's elements,
+    and `all R.C` the domain less the R-predecessors of the R-targets
+    outside C. So a `some` subconcept costs O(|C| + the pairs into C), an
+    `all` O(|domain| + |pairs of R|), and every other one the set
+    operation it names."""
+    return _evaluate(interp, concept, set(interp.domain), _RoleMaps(interp.roles), {})
+
+
+def _evaluate(interp: Interpretation, concept, domain: set, maps: _RoleMaps, value: dict) -> set:
+    """`eval_concept` over the domain as a set and the role maps and
+    subconcept values of the check it serves, so that a subconcept shared
+    by several axioms and assertions is evaluated once per check."""
     for c in reversed(sx.subconcepts(concept)):
         if c in value:
             continue
@@ -209,15 +244,19 @@ def eval_concept(interp: Interpretation, concept) -> set:
             out = value[c.left] & value[c.right]
         elif k == sx.OR:
             out = value[c.left] | value[c.right]
-        elif k in (sx.ALL, sx.SOME):
-            if c.role not in succ:
-                succ[c.role] = successor_map(role_pairs(interp, c.role))
-            role_succ = succ[c.role]
+        elif k == sx.SOME:
+            pred = maps[c.role.name, not c.role.inverted]
+            out = set()
+            for y in value[c.child]:
+                if y in pred:
+                    out |= pred[y]
+            out &= domain
+        elif k == sx.ALL:
             inner = value[c.child]
-            if k == sx.ALL:
-                out = {x for x in domain if role_succ.get(x, _NONE) <= inner}
-            else:
-                out = {x for x in domain if not role_succ.get(x, _NONE).isdisjoint(inner)}
+            out = set(domain)
+            for y, xs in maps[c.role.name, not c.role.inverted].items():
+                if y not in inner:
+                    out -= xs
         else:
             raise ValueError(f"unknown concept kind {k!r}")
         value[c] = out
@@ -227,28 +266,36 @@ def eval_concept(interp: Interpretation, concept) -> set:
 def check_model(interp: Interpretation, kb: KnowledgeBase) -> bool:
     """Does `interp` satisfy every axiom and assertion of `kb`?
 
-    A transitive role passes when the successors of each successor b of
-    an element a are successors of a; over the role's successor map this
-    costs the sum of |succ(b)| over its pairs (a, b), not |pairs|^2."""
+    The whole check shares one set of role maps, so it reads each role
+    name's pairs at most once in each direction. A role inclusion compares
+    successor sets element by element, and a role assertion looks up one
+    successor set. A transitive role passes when the successors of each
+    successor b of an element a are successors of a, which costs the sum
+    of |succ(b)| over its pairs (a, b). Each distinct subconcept of the
+    axioms and assertions is evaluated once per check, at the cost
+    `eval_concept` gives."""
+    maps = _RoleMaps(interp.roles)
     for (r, s) in kb.role_subsumptions:
-        if not role_pairs(interp, r) <= role_pairs(interp, s):
+        sub, sup = maps[r], maps[s]
+        if not all(bs <= sup.get(a, _NONE) for a, bs in sub.items()):
             return False
     for r in kb.transitive_roles:
-        succ = successor_map(role_pairs(interp, r))
+        succ = maps[r]
         for bs in succ.values():
-            if not all(succ.get(b, _NONE) <= bs for b in bs):
-                return False
-    domain = set(interp.domain)
+            for b in bs:
+                if not succ.get(b, _NONE) <= bs:
+                    return False
+    domain, value = set(interp.domain), {}
     for concept in kb.tbox:
-        if eval_concept(interp, concept) != domain:
+        if _evaluate(interp, concept, domain, maps, value) != domain:
             return False
     for f in kb.abox:
         if f.kind == sx.INST:
-            if interp.individuals[f.ind] not in eval_concept(interp, f.concept):
+            if interp.individuals[f.ind] not in _evaluate(interp, f.concept, domain, maps, value):
                 return False
         else:
-            pair = (interp.individuals[f.a], interp.individuals[f.b])
-            if pair not in role_pairs(interp, f.role):
+            a, b = interp.individuals[f.a], interp.individuals[f.b]
+            if b not in maps[f.role].get(a, _NONE):
                 return False
     return True
 

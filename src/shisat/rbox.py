@@ -16,8 +16,8 @@ superroles and looks up the subrole table only when its answer is no, to
 check the second role. Both reject a role the knowledge base does not
 declare. The closure as a set of pairs, `subrole_pairs`, is built only
 when read. `transitive_closure` closes a set of pairs with the same
-`reach`, for the witness construction in `models`, which also reads
-roles through `successor_map`.
+`reach`, adding each finished element's set whole, for the witness
+construction in `models`, which also reads roles through `successor_map`.
 """
 from __future__ import annotations
 
@@ -32,24 +32,37 @@ def successor_map(pairs) -> dict:
     return succ
 
 
-def reach(succ: dict, start, reached: set) -> set:
+_NO_CLOSURES: dict = {}  # never written
+
+
+def reach(succ: dict, start, reached: set, done: dict = _NO_CLOSURES) -> set:
     """`reached` plus every element a path over `succ` leads to from the
-    elements of `start`, added to `reached` in place. This is the one walk
-    over a role graph: the closure of the role box and `transitive_closure`
-    both read it."""
+    elements of `start`, added to `reached` in place; an element that
+    `done` maps to all it reaches brings that set and is not walked
+    through. This is the one walk over a role graph: the closure of the
+    role box and `transitive_closure` both read it."""
     stack = list(start)
     while stack:
         b = stack.pop()
         if b not in reached:
             reached.add(b)
-            stack += succ.get(b, ())
+            if b in done:
+                reached |= done[b]
+            else:
+                stack += succ.get(b, ())
     return reached
 
 
 def transitive_closure(pairs: set) -> set:
-    """Every (a, c) joined by a path of `pairs`."""
+    """Every (a, c) joined by a path of `pairs`. One walk from each source
+    element; a later walk that meets a finished element adds its set whole
+    instead of walking through it. A finished set holds everything
+    reachable, cycles included, so the result is exact in any order."""
     succ = successor_map(pairs)
-    return {(a, b) for a, bs in succ.items() for b in reach(succ, bs, set())}
+    done: dict = {}
+    for a, bs in succ.items():
+        done[a] = reach(succ, bs, set(), done)
+    return {(a, b) for a, bs in done.items() for b in bs}
 
 
 class RBoxIndex:

@@ -21,19 +21,29 @@ def test_the_tree_against_itself_on_ten_suite_texts():
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "suite: 10 inputs timed, best of 1; 0 raised on both trees"
-    assert [line.split()[0] for line in lines[2:]] == ["p50", "p75", "p95", "total"]
+    assert [line.split()[0] for line in lines[2:6]] == ["p50", "p75", "p95", "total"]
+    assert lines[6].startswith("witness path (build_witness -> check_model): ") and lines[6].endswith(" SAT inputs")
+    assert [line.split()[0] for line in lines[8:]] == ["p50", "p75", "p95", "total"]
     assert "DIFFER" not in done.stdout
+
+
+def _tree(**calls):
+    """This package's calls, with those in `calls` put in their place."""
+    names = ("parse_kb", "kb_index", "decide_sat", "build_witness", "check_model")
+    return SimpleNamespace(**{name: calls.get(name, getattr(shisat, name)) for name in names})
 
 
 def test_a_node_count_that_differs_is_reported():
     def decide_sat_one_node_more(kb):
         verdict = shisat.decide_sat(kb)
-        return SimpleNamespace(sat=verdict.sat, stats={**verdict.stats, "nodes": verdict.stats["nodes"] + 1})
+        return SimpleNamespace(
+            sat=verdict.sat, graph=verdict.graph, stats={**verdict.stats, "nodes": verdict.stats["nodes"] + 1}
+        )
 
-    other = SimpleNamespace(parse_kb=shisat.parse_kb, kb_index=shisat.kb_index, decide_sat=decide_sat_one_node_more)
+    other = _tree(decide_sat=decide_sat_one_node_more)
     cases = [("one", "inst a (some r A)\n"), ("broken", "inst a (and A)\n")]
-    times, raised, differ = interleave.interleave(shisat, other, cases, 2)
-    assert [name for name, *_ in times] == [] and raised == ["broken"]
+    times, witness_times, raised, differ = interleave.interleave(shisat, other, cases, 2)
+    assert times == witness_times == [] and raised == ["broken"]
     assert len(differ) == 1 and differ[0].startswith("one: A gives (True, ")
 
 
@@ -41,9 +51,22 @@ def test_rule_applications_that_differ_are_reported_at_equal_node_counts():
     def decide_sat_or_for_and(kb):
         verdict = shisat.decide_sat(kb)
         rules = {("or'" if tag == "and'" else tag): n for tag, n in verdict.stats["rule_applications"].items()}
-        return SimpleNamespace(sat=verdict.sat, stats={**verdict.stats, "rule_applications": rules})
+        return SimpleNamespace(sat=verdict.sat, graph=verdict.graph, stats={**verdict.stats, "rule_applications": rules})
 
-    other = SimpleNamespace(parse_kb=shisat.parse_kb, kb_index=shisat.kb_index, decide_sat=decide_sat_or_for_and)
-    times, raised, differ = interleave.interleave(shisat, other, [("one", "inst a (and A B)\n")], 2)
-    assert times == [] and raised == []
+    other = _tree(decide_sat=decide_sat_or_for_and)
+    times, witness_times, raised, differ = interleave.interleave(shisat, other, [("one", "inst a (and A B)\n")], 2)
+    assert times == witness_times == [] and raised == []
     assert len(differ) == 1 and differ[0].count("'nodes': 2,") == 2 and "\"or'\": 1" in differ[0]
+
+
+def test_witnesses_that_differ_are_reported_and_not_timed():
+    def build_witness_one_element_more(graph, kb, idx):
+        witness = shisat.build_witness(graph, kb, idx)
+        witness.domain.append("extra")
+        return witness
+
+    other = _tree(build_witness=build_witness_one_element_more, check_model=lambda interp, kb: False)
+    cases = [("sat", "inst a (some r A)\n"), ("unsat", "inst a (and A (not A))\n")]
+    times, witness_times, raised, differ = interleave.interleave(shisat, other, cases, 2)
+    assert [name for name, *_ in times] == ["sat", "unsat"] and witness_times == [] and raised == []
+    assert differ == ["sat: the witnesses differ in domain, check_model"]

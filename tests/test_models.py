@@ -1,6 +1,8 @@
 """Model extraction, relation completion, semantics, model checking."""
 from __future__ import annotations
 
+from collections import Counter
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,10 @@ from shisat import (
     parse_kb,
     saturation_path,
 )
-from shisat.graph import STATE
+from shisat import models
+from shisat.graph import STATE, TableauNode
 from shisat import syntax as sx
-from shisat.models import Interpretation, close_role_relations, role_pairs
+from shisat.models import Interpretation, close_role_relations
 from shisat.rbox import transitive_closure
 from shisat.syntax import Role
 
@@ -169,6 +172,16 @@ def test_completion_matches_reference_fixpoint_on_random_role_boxes(box):
     assert close_role_relations(edges, idx) == naive_role_closure(edges, idx)
 
 
+@given(_role_boxes())
+def test_each_inverse_relation_is_the_converse_of_its_role(box):
+    names, subs, trans, edges = box
+    idx = build_ext(subs, trans, names)
+    closed = close_role_relations(edges, idx)
+    assert list(closed) == list(idx.roles)
+    for r in idx.roles:
+        assert closed[r.inverse] == {(b, a) for (a, b) in closed[r]}
+
+
 # -- semantics -------------------------------------------------------------------
 
 def _interp():
@@ -285,6 +298,41 @@ def test_check_model_is_stack_safe():
     assert check_model(witness, kb)
 
 
+def _counting(kind, reads: Counter, key: str):
+    """A subclass of the set type `kind` that adds its size to
+    `reads[key]` each time it is iterated from Python code."""
+
+    class Counting(kind):
+        def __iter__(self):
+            reads[key] += len(self)
+            return super().__iter__()
+
+    return Counting
+
+
+def test_a_witness_of_many_individuals_is_read_in_linear_work(monkeypatch):
+    """`rel r- a<i> a<i+1>` for i < 3,200 and `inst a0 (all r- A)`.
+    Extraction reads the final label once, not once per individual, and
+    the check reads each role's pairs once per direction, not once per
+    role assertion: counted as the members that Python code iterates over
+    in the label and in the relations that `close_role_relations` hands to
+    the witness."""
+    n = 3200
+    text = "".join(f"rel r- a{i} a{i + 1}\n" for i in range(n)) + "inst a0 (all r- A)\n"
+    kb, verdict = _finished(text)
+    reads: Counter = Counter()
+    label = _counting(frozenset, reads, "label")
+    monkeypatch.setattr(TableauNode, "aformulas", property(lambda node: label(node.label | node.rformulas)))
+    pairs = _counting(set, reads, "pairs")
+    close = models.close_role_relations
+    monkeypatch.setattr(models, "close_role_relations", lambda *args: {r: pairs(p) for r, p in close(*args).items()})
+    witness = build_witness(verdict.graph, kb, kb_index(kb))
+    assert len(witness.domain) == n + 1 and len(witness.roles["r"]) == n
+    assert check_model(witness, kb)
+    assert reads["label"] <= n + 2  # the n role assertions, a0:(all r- A) and a1:A
+    assert reads["pairs"] <= 2 * n
+
+
 def test_created_elements_have_distinct_concept_sets():
     import random
 
@@ -308,7 +356,18 @@ def test_created_elements_have_distinct_concept_sets():
     assert checked > 10
 
 
-# -- successor maps against the pairwise definitions -------------------------------
+# -- role maps against the pairwise definitions ------------------------------------
+
+def role_pairs(interp, role) -> set:
+    """The pairs of `role` in `interp`, read as first written: an inverse
+    role builds the converse of its name's pairs on every read."""
+    if role.name not in interp.roles:
+        raise ValueError(f"unknown role name {role.name!r}")
+    pairs = interp.roles[role.name]
+    if role.inverted:
+        return {(b, a) for (a, b) in pairs}
+    return pairs
+
 
 def _reference_eval(interp, concept) -> set:
     """`eval_concept` as first written: each `all`/`some` scans every role

@@ -5,10 +5,11 @@ from dataclasses import FrozenInstanceError
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from shisat import build_ext, build_witness, decide_sat, kb_index, parse_kb
 from shisat import rbox as rbox_module
+from shisat.rbox import transitive_closure
 from shisat.syntax import Role
 
 R, RI = Role("r"), Role("r", True)
@@ -199,3 +200,34 @@ def test_a_knowledge_base_cannot_be_reassigned():
     with pytest.raises(FrozenInstanceError):
         kb.role_subsumptions = []
     assert kb_index(kb) is idx
+
+
+def _naive_transitive_closure(pairs: set) -> set:
+    """Add every (a, d) with (a, b) and (b, d) until nothing changes."""
+    closed = set(pairs)
+    while True:
+        more = {(a, d) for (a, b) in closed for (c, d) in closed if b == c} - closed
+        if not more:
+            return closed
+        closed |= more
+
+
+@st.composite
+def _graphs(draw):
+    """Random pairs over eight elements, with a drawn cycle and self-loops
+    added, so that walks meet finished elements inside and outside cycles
+    and many elements share successors."""
+    element = st.integers(0, 7)
+    pairs = draw(st.sets(st.tuples(element, element), max_size=20))
+    cycle = draw(st.lists(element, unique=True, max_size=5))
+    pairs |= set(zip(cycle, cycle[1:] + cycle[:1]))
+    pairs |= {(x, x) for x in draw(st.sets(element, max_size=3))}
+    return pairs
+
+
+@given(_graphs())
+@example({(0, 1), (1, 0), (2, 0)})  # 0's walk goes through 1 and back before 0 is finished
+@example({(1, 2), (2, 3), (3, 1), (0, 2), (3, 4)})  # a cycle entered from outside, with an exit
+@example({(0, 0), (0, 1), (1, 1)})
+def test_transitive_closure_matches_the_naive_fixpoint(pairs):
+    assert transitive_closure(pairs) == _naive_transitive_closure(pairs)

@@ -8,17 +8,21 @@ copies do not meet). For each input of the benchmark workload WORKLOAD
 (`bench/corpora.py` of this tree, in the order seed 1 gives, the first N
 with `--limit`), it times `parse_kb -> kb_index -> decide_sat` on both
 trees in turn, K times, switching which tree goes first each time, and
-keeps each tree's best. An input that raises on both trees with the same
-exception is counted and not timed. It prints the p50, p75 and p95 of the
-per-input times (the benchmark's `percentile`) and their total, for A and
-B, with the ratio B/A. It exits 1 if the trees differ on any input's
-verdict, stats (nodes, states and rule applications) or exception, so a
-timing run also catches a changed rule choice.
+keeps each tree's best; on a SAT verdict it times the witness path,
+`build_witness -> check_model`, apart, and keeps its best too. An input
+that raises on both trees with the same exception is counted and not
+timed. It prints the p50, p75 and p95 of the per-input times (the
+benchmark's `percentile`) and their total, for A and B, with the ratio
+B/A: one table for the decision and one for the witness path over the SAT
+inputs. It exits 1 if the trees differ on any input's verdict, stats
+(nodes, states and rule applications) or exception, or if their
+witnesses differ in domain, atoms, roles or `check_model`'s answer, so a
+timing run also catches a changed rule choice or witness.
 
 Both trees share the process, so drift in the machine's speed falls on
 both alike: this sizes changes of a few microseconds per input, which
 `tools/ab.py` can only average out over many runs. Times are not
-gauge-scaled and do not include the witness or the oracle. Stdlib only.
+gauge-scaled and do not include the oracle. Stdlib only.
 """
 from __future__ import annotations
 
@@ -57,38 +61,61 @@ def workload_texts(workload: str) -> list:
 
 
 def run_once(tree, text: str):
-    """(seconds, outcome) of one parse -> role box -> decision of `text`;
-    the outcome is (verdict, stats) or the name of the exception raised."""
+    """(decision seconds, witness seconds, outcome, witness) of one parse ->
+    role box -> decision of `text`, then, on a SAT verdict, one
+    `build_witness -> check_model`. The outcome is (verdict, stats) or the
+    name of the exception raised; the witness is (domain, atoms, roles,
+    check_model's answer), and it and its seconds are None when the verdict
+    is not SAT or a call raised."""
     start = perf_counter()
     try:
         kb = tree.parse_kb(text)
-        tree.kb_index(kb)
+        idx = tree.kb_index(kb)
         verdict = tree.decide_sat(kb)
+        decided = perf_counter()
+        if not verdict.sat:
+            return decided - start, None, (verdict.sat, verdict.stats), None
+        interp = tree.build_witness(verdict.graph, kb, idx)
+        ok = tree.check_model(interp, kb)
     except Exception as exc:  # an input the trees must fail alike
-        return perf_counter() - start, type(exc).__name__
-    return perf_counter() - start, (verdict.sat, verdict.stats)
+        return perf_counter() - start, None, type(exc).__name__, None
+    witness_s = perf_counter() - decided
+    return decided - start, witness_s, (verdict.sat, verdict.stats), (interp.domain, interp.atoms, interp.roles, ok)
+
+
+WITNESS_PARTS = ("domain", "atoms", "roles", "check_model")
 
 
 def interleave(a, b, cases: list, k: int) -> tuple:
-    """Each case's best time on `a` and on `b` over `k` alternating rounds
-    as (name, a_s, b_s), the names of the cases that raised on both, and
-    the messages of those on which the trees differ."""
-    times, raised, differ = [], [], []
+    """Each case's best decision time on `a` and on `b` over `k`
+    alternating rounds as (name, a_s, b_s), the same for the witness path
+    of the SAT cases, the names of the cases that raised on both, and the
+    messages of those on which the trees differ."""
+    times, witness_times, raised, differ = [], [], [], []
     trees = (a, b)
     for name, text in cases:
         best = [float("inf")] * 2
+        best_witness = [float("inf")] * 2
         outcome: list = [None] * 2
+        witness: list = [None] * 2
         for i in range(k):
             for side in (0, 1) if i % 2 == 0 else (1, 0):
-                s, outcome[side] = run_once(trees[side], text)
+                s, ws, outcome[side], witness[side] = run_once(trees[side], text)
                 best[side] = min(best[side], s)
+                if ws is not None:
+                    best_witness[side] = min(best_witness[side], ws)
         if outcome[0] != outcome[1]:
             differ.append(f"{name}: A gives {outcome[0]}, B gives {outcome[1]}")
         elif isinstance(outcome[0], str):
             raised.append(name)
         else:
             times.append((name, *best))
-    return times, raised, differ
+            if witness[0] != witness[1]:
+                parts = [part for part, x, y in zip(WITNESS_PARTS, *witness) if x != y]
+                differ.append(f"{name}: the witnesses differ in {', '.join(parts)}")
+            elif witness[0] is not None:
+                witness_times.append((name, *best_witness))
+    return times, witness_times, raised, differ
 
 
 def report(times: list) -> list:
@@ -115,10 +142,13 @@ def main(argv: list) -> int:
 
     cases = workload_texts(args.workload)[: args.limit]
     a, b = load_tree(args.a, "shisat_a"), load_tree(args.b, "shisat_b")
-    times, raised, differ = interleave(a, b, cases, max(1, args.k))
+    times, witness_times, raised, differ = interleave(a, b, cases, max(1, args.k))
     print(f"{args.workload}: {len(times)} inputs timed, best of {args.k}; {len(raised)} raised on both trees")
     if times:
         print("\n".join(report(times)))
+    if witness_times:
+        print(f"witness path (build_witness -> check_model): {len(witness_times)} SAT inputs")
+        print("\n".join(report(witness_times)))
     for line in differ:
         print("DIFFER " + line)
     return 1 if differ else 0
