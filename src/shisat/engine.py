@@ -64,10 +64,11 @@ engine calls `_backward` only for existentials over those roles: the
 table is exact in that every other call would return the empty set. It
 is built at the first state, so a run without existentials pays
 nothing. On the hot path the engine asks whether a formula is in the
-label or in rformulas instead of building their union, `aformulas`,
-which stays a node property for the witness builder. Only value
-restrictions force anything across an edge, so the transfer operators
-are handed a label's split part of them, not the whole label.
+label, a frozenset of formulas, or in rformulas, a uid bitset (bit
+`f.uid` set for each reduced f), instead of building their union; only
+the witness builder decodes the bits (`FormulaStore.members`). Only
+value restrictions force anything across an edge, so the transfer
+operators are handed a label's split part of them, not the whole label.
 
 The event trace, `("rule", tag, node)` and `("status", node, status)`
 tuples in the order they happen (an INCOMPLETE state's event also holds
@@ -97,7 +98,7 @@ from .graph import (
     TableauGraph,
 )
 from .rbox import kb_index
-from .syntax import FormulaStore, KnowledgeBase, complement, ordered
+from .syntax import FormulaStore, KnowledgeBase, complement, ordered, uid_bits
 from .transfer import (
     transfer_assertions,
     transfer_assertions_from,
@@ -135,11 +136,11 @@ PRIORITY = {
 class RuleInstance(NamedTuple):
     """A rule chosen for a node: its tag, the transitional rule's
     existentials, and a static rule's successor labels and their
-    rformulas. Only the scan reads a static rule's principal."""
+    rformulas, a uid bitset. Only the scan reads a static rule's principal."""
     tag: str
     principals: tuple = ()
     labels: tuple = ()
-    rformulas: frozenset = EMPTY
+    rformulas: int = 0
 
 
 def _tag(rule, f) -> str:
@@ -148,6 +149,11 @@ def _tag(rule, f) -> str:
 
 
 _UNSEEN = object()  # a `_steps` miss: None is a saturated node's step
+
+
+def _unreduced(formulas: frozenset, rf: int) -> frozenset:
+    """The members of `formulas` whose uid bit is clear in `rf`."""
+    return frozenset(f for f in formulas if not rf >> f.uid & 1) if rf and formulas else formulas
 
 
 @dataclass
@@ -356,7 +362,7 @@ class TableauEngine:
 
         label, rf = node.label, node.rformulas
         for f in conj:
-            if f not in rf:
+            if not rf >> f.uid & 1:
                 return self._decompose(R_AND, f, node)
 
         if univ:  # narrowing and univ' both act on a value restriction
@@ -367,19 +373,20 @@ class TableauEngine:
                     if r == c.role:  # a narrowing to c's own role is f itself
                         continue
                     added = self._lift(f, store.univ(r, c.child))
-                    if added not in label and added not in rf:
+                    if added not in label and not rf >> added.uid & 1:
                         return RuleInstance(_tag(R_HIER, f), labels=(label | {added},), rformulas=rf)
 
             for f in rel:  # univ' reads role assertions, found in complex labels only
-                added = (
+                derived = (
                     transfer_assertions(self.idx, store, univ, f.a, f.role, f.b)
                     | transfer_assertions(self.idx, store, univ, f.b, f.role.inverse, f.a)
-                ) - label - rf
+                )
+                added = _unreduced(derived - label, rf)
                 if added:
                     return RuleInstance(R_UNIV_A, labels=(label | added,), rformulas=rf)
 
         for f in disj:
-            if f not in rf:
+            if not rf >> f.uid & 1:
                 return self._decompose(R_OR, f, node)
 
         return RuleInstance(R_FORM) if some else None
@@ -392,7 +399,7 @@ class TableauEngine:
         left, right = self._lift(f, c.left), self._lift(f, c.right)
         base = node.label - {f}
         labels = (base | {left, right},) if c.kind == sx.AND else (base | {left}, base | {right})
-        return RuleInstance(_tag(rule, f), labels=labels, rformulas=node.rformulas | {f})
+        return RuleInstance(_tag(rule, f), labels=labels, rformulas=node.rformulas | 1 << f.uid)
 
     # -- rule application -------------------------------------------------
 
@@ -438,14 +445,15 @@ class TableauEngine:
             if self._clashes(wn.label, parent):
                 self._set_status(wn, UNSAT)
             elif pulls:
-                x = self._backward(v1.ce_label, wn.label, parent) - v0.label - v0.rformulas
+                x = _unreduced(self._backward(v1.ce_label, wn.label, parent) - v0.label, v0.rformulas)
                 if x:
+                    disallowed = uid_bits(x) & v0.dformulas
                     if v0.conv_method == 0:
                         v0.fmls_rc |= x
-                        if x & v0.dformulas:
+                        if disallowed:
                             self._set_status(v0, UNSAT)
                             return
-                    elif x & v0.dformulas:
+                    elif disallowed:
                         self._set_status(wn, UNSAT)
                     else:
                         v1.alt_fml_sets |= {x}
@@ -466,11 +474,11 @@ class TableauEngine:
         w = len(g.nodes)
         for f in rule.principals:
             label = frozenset({f.body.child}) | self._forward(f, un.label) | self.tbox_set
-            g.new_succ(u, NONSTATE, f, label, EMPTY, EMPTY)
+            g.new_succ(u, NONSTATE, f, label, 0, 0)
             if self._pulls(f):
-                un.fmls_rc |= self._backward(f, label) - un.label - un.rformulas
+                un.fmls_rc |= _unreduced(self._backward(f, label) - un.label, un.rformulas)
 
-        if un.fmls_rc & un.dformulas:
+        if uid_bits(un.fmls_rc) & un.dformulas:
             self._set_status(un, UNSAT)
 
         # The local graph is new: its members are exactly the nodes created
@@ -508,11 +516,11 @@ class TableauEngine:
             sets = [wn.fmls_rc]
         else:
             sets = sorted(wn.alt_fml_sets, key=lambda s: (len(s) > 1, sorted(f.uid for f in s)))
-        tried = EMPTY
+        tried = 0  # the uid bits of the singletons tried
         for x in sets:
             g.con_to_succ(v, NONSTATE, node.label | x, node.rformulas, node.dformulas | tried)
             if len(x) == 1:
-                tried |= x
+                tried |= uid_bits(x)
 
     # -- status flow ------------------------------------------------------
 
@@ -582,7 +590,7 @@ class TableauEngine:
         kb = self.kb
         g = self.graph
         tbox_asserted = {self.store.inst(a, c) for a in kb.individuals for c in kb.tbox}
-        g.root = g.new_succ(None, NONSTATE, None, frozenset(kb.abox) | tbox_asserted, EMPTY, EMPTY)
+        g.root = g.new_succ(None, NONSTATE, None, frozenset(kb.abox) | tbox_asserted, 0, 0)
         rn = g.nodes[g.root]
         if self._clashes(rn.label):
             self._set_status(rn, UNSAT)

@@ -20,10 +20,15 @@ first INCOMPLETE head; no other node sets the field.
 
 One cache keeps the graph from blowing up: no two nodes of one scope
 share the triple (label, rformulas, dformulas). States share the global
-scope None; an or-node's scope is its head. Labels are frozensets of
-interned formulas, so the scope and the triple are the key. A label holds
-assertions only (a complex node) or concepts only (a simple one), so its
-content also fixes the node's form.
+scope None; an or-node's scope is its head. A label is a frozenset of
+interned formulas, which the clash test, the split, the transfers and the
+witness iterate. The reduced formulas, `rformulas`, and the disallowed
+ones, `dformulas`, are only tested for membership, grown and hashed, so
+each is a uid bitset, an int (`syntax.uid_bits`; 0 is the empty set):
+along a d-deep conjunction the reduced sets hold 1, 2, ..., d members,
+and as bits they share no formula references. The scope and the triple
+are the key. A label holds assertions only (a complex node) or concepts
+only (a simple one), so its content also fixes the node's form.
 
 Nodes carry their edges: `succs` and `preds` list node ids in the order
 the edges were added, and form a set. The graph is the node list, indexed
@@ -92,10 +97,6 @@ class TableauNode:
         pass only when a demand meets its dformulas, and no status update
         reaches it before a clean pass has made it EXPANDED."""
         return int(self.node_type == STATE and self.status != UNEXPANDED and not self.fmls_rc)
-
-    @property
-    def aformulas(self) -> frozenset:
-        return self.label | self.rformulas
 
     def triple_key(self) -> tuple:
         return (self.label, self.rformulas, self.dformulas)

@@ -2,11 +2,14 @@
 
 From a run that did not refute the root we first read off a *model
 graph*: a finite set of elements, each carrying the concept set of a
-fully saturated node, plus raw role edges. ABox individuals take their
-concepts from the endpoint of the root's saturation path; every
+fully saturated node (its label and the formulas it reduced, which the
+node keeps as uid bits), plus raw role edges. ABox individuals take
+their concepts from the endpoint of the root's saturation path; every
 existential obligation is then realized by following the successor the
 engine created for it, walking to a saturated endpoint, and reusing the
-element created for the same concept set when there is one.
+element created for the same concept set when there is one. A state's
+successors are read once, into a map from the existential each realizes
+to the first one that does, so an obligation costs a lookup.
 
 The model graph induces an interpretation through the standard SHI
 construction: a role holds the raw edges of its subroles, the reversed
@@ -86,14 +89,22 @@ def _fresh_names(taken):
             yield f"x{i}"
 
 
+def node_formulas(store, node) -> frozenset:
+    """What `node` holds: its label and the formulas it reduced, decoded
+    from their uid bits only when there are any."""
+    rf = node.rformulas
+    return node.label.union(store.members(rf)) if rf else node.label
+
+
 def extract_model_graph(graph, kb: KnowledgeBase) -> ModelGraph:
     """Build a model graph from a finished, unrefuted tableau."""
     vk = saturation_path(graph, graph.root)[-1]  # asserts the root is unrefuted
+    nodes, store = graph.nodes, kb.store
 
     named = list(kb.individuals)
     domain = list(named)
     label: dict = {a: set() for a in named}  # one pass over the label for all individuals
-    for f in graph.nodes[vk].aformulas:
+    for f in node_formulas(store, nodes[vk]):
         if f.kind == sx.INST:
             label[f.ind].add(f.concept)
     concepts = {a: frozenset(cs) for a, cs in label.items()}  # keys: the domain
@@ -104,6 +115,7 @@ def extract_model_graph(graph, kb: KnowledgeBase) -> ModelGraph:
 
     anchor: dict = {}  # created element -> its state in the graph
     by_concepts: dict = {}  # concept set -> the created element carrying it
+    realizers: dict = {}  # anchor node -> {existential: its first successor realizing it}
     fresh = _fresh_names(concepts)
 
     for x in domain:  # grows as elements are created
@@ -115,14 +127,16 @@ def extract_model_graph(graph, kb: KnowledgeBase) -> ModelGraph:
                 want = c
             else:
                 u = vk
-                want = kb.store.inst(x, c)
-            w0 = next(
-                (w for w in graph.nodes[u].succs if graph.nodes[w].ce_label is want),
-                None,
-            )
+                want = store.inst(x, c)
+            realizer = realizers.get(u)
+            if realizer is None:
+                realizer = realizers[u] = {}
+                for w in nodes[u].succs:
+                    realizer.setdefault(nodes[w].ce_label, w)
+            w0 = realizer.get(want)
             assert w0 is not None, "missing realization for an existential obligation"
             wpath = saturation_path(graph, w0)
-            target = frozenset(graph.nodes[wpath[-1]].aformulas)
+            target = node_formulas(store, nodes[wpath[-1]])
             y = by_concepts.get(target)
             if y is None:
                 y = next(fresh)

@@ -20,6 +20,11 @@ None for a role assertion), is set at birth, and `neg`, the complement,
 is set in both directions when `negate` builds it, so a complement is
 built once and then read. While `neg` is None no complement exists yet,
 and reading the field builds nothing.
+
+Uids are dense, so a set of formulas that is only tested for membership,
+grown and hashed can be a plain int with bit `f.uid` set for each member
+f (`uid_bits`); 0 is the empty set. The store's `members` is the one
+place such bits are turned back into formulas.
 """
 from __future__ import annotations
 
@@ -112,15 +117,27 @@ class FormulaStore:
 
     def __init__(self) -> None:
         self._table: dict = {}
+        self._by_uid: list = []  # uid -> formula
         self.top = self._make((TOP,), Concept, TOP)
         self.bot = self._make((BOT,), Concept, BOT)
 
     def _make(self, key, cls, *fields):
         """Intern a new formula under `key`, which the caller has looked up
         and missed; `fields` follow the uid in `cls`'s constructor. The uid
-        is the table's size: the table only grows."""
-        obj = self._table[key] = cls(len(self._table), *fields)
+        is the number of formulas interned before: both only grow."""
+        obj = self._table[key] = cls(len(self._by_uid), *fields)
+        self._by_uid.append(obj)
         return obj
+
+    def members(self, bits: int) -> list:
+        """The formulas whose uid bits are set in `bits`, in uid order: one
+        step per member, taking the lowest bit left each time."""
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(self._by_uid[low.bit_length() - 1])
+            bits ^= low
+        return out
 
     def atom(self, name: str) -> Concept:
         key = (ATOM, name)
@@ -213,6 +230,14 @@ class FormulaStore:
 
 # The complement as a function of the store: the name the engine calls.
 complement = FormulaStore.negate
+
+
+def uid_bits(formulas: Iterable[Formula]) -> int:
+    """`formulas` as a uid bitset: bit `f.uid` set for each member f."""
+    bits = 0
+    for f in formulas:
+        bits |= 1 << f.uid
+    return bits
 
 
 def _disj_flat(store: FormulaStore, left: Concept, right: Concept) -> Concept:

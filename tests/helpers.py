@@ -60,6 +60,12 @@ def and_nest(depth: int) -> str:
     return f"inst a {concept}\n"
 
 
+def flat_and(n: int) -> str:
+    """`a` in one flat conjunction of the atoms A0 .. A<n-1>, which the
+    parser folds into an n-deep right-nested `and`."""
+    return f"inst a (and {' '.join(f'A{i}' for i in range(n))})\n"
+
+
 def pullback_kb(depth: int):
     """`a` in `depth` nested (some r ...) around `depth` nested (all r- ...)
     around B: the deepest element carries B back up to `a` over r-, so

@@ -241,8 +241,9 @@ def _invariant_violations(run):
     universe = closure(run.kb, run.idx)
     out = []
 
+    members = run.kb.store.members  # the reduced and disallowed sets are uid bits
     for node in graph.nodes:
-        for bucket in (node.label, node.rformulas, node.dformulas):
+        for bucket in (node.label, frozenset(members(node.rformulas)), frozenset(members(node.dformulas))):
             if not bucket <= universe:
                 out.append(f"(a) node {node.id} escapes the closure")
 

@@ -34,10 +34,36 @@ from shisat.graph import (
     UNSAT,
 )
 from shisat.kbparse import parse_concept_text
-from shisat.syntax import ALL, AND, BOT, INST, OR, REL, SOME, FormulaStore, Role, complement, formula_text, ordered
+from shisat.models import node_formulas
+from shisat.syntax import (
+    ALL,
+    AND,
+    BOT,
+    INST,
+    OR,
+    REL,
+    SOME,
+    FormulaStore,
+    Role,
+    complement,
+    formula_text,
+    ordered,
+    uid_bits,
+)
 from shisat.transfer import transfer_concepts_to
 
-from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, and_nest, interned_texts, label_texts, pullback_kb, run, state_of
+from helpers import (
+    EX1_BASE_TEXT,
+    EX1_TEXT,
+    EX2_TEXT,
+    and_nest,
+    flat_and,
+    interned_texts,
+    label_texts,
+    pullback_kb,
+    run,
+    state_of,
+)
 from kbgen import chain_kb_text, differential_suite, random_kb_text
 
 
@@ -159,8 +185,23 @@ def test_every_node_stays_within_the_closure(decided):
     draw from."""
     for text, kb, verdict in decided:
         universe = closure(kb, kb_index(kb))
+        members = kb.store.members
         for node in verdict.graph.nodes:
-            assert node.label | node.rformulas | node.dformulas | node.fmls_rc <= universe, (text, node.id)
+            held = node.label.union(members(node.rformulas), members(node.dformulas), node.fmls_rc)
+            assert held <= universe, (text, node.id)
+
+
+def test_reduced_sets_of_a_long_conjunction_stay_small():
+    """A flat conjunction of 1,000 atoms folds into a 1,000-deep `and`,
+    whose nodes reduce 1, 2, ..., 999 conjunctions: kept as uid bits, the
+    reduced sets take less than a quarter of the memory of the labels."""
+    kb, verdict = run(flat_and(1000))
+    nodes = verdict.graph.nodes
+    assert verdict.sat and len(nodes) == 1000
+    assert max(len(kb.store.members(n.rformulas)) for n in nodes) == 999
+    reduced = sum(sys.getsizeof(n.rformulas) for n in nodes)
+    labels = sum(sys.getsizeof(n.label) for n in nodes)
+    assert reduced < labels / 4, (reduced, labels)
 
 
 # -- rule choice -------------------------------------------------------------
@@ -223,7 +264,7 @@ def test_saturated_label_has_no_rule():
             store.univ(Role("r", True), not_a),
         }
     )
-    v = engine.graph.new_succ(None, NONSTATE, None, label, EMPTY, EMPTY)
+    v = engine.graph.new_succ(None, NONSTATE, None, label, 0, 0)
     assert engine.applicable_rule(v) is None
 
 
@@ -232,12 +273,12 @@ def test_form_state_requires_an_existential():
     engine = TableauEngine(kb)
     store = kb.store
     v = engine.graph.new_succ(
-        None, NONSTATE, None, frozenset({store.atom("A")}), EMPTY, EMPTY
+        None, NONSTATE, None, frozenset({store.atom("A")}), 0, 0
     )
     assert engine.applicable_rule(v) is None
     w = engine.graph.new_succ(
         None, NONSTATE, None,
-        frozenset({store.exist(Role("r"), store.atom("A"))}), EMPTY, EMPTY,
+        frozenset({store.exist(Role("r"), store.atom("A"))}), 0, 0,
     )
     rule = engine.applicable_rule(w)
     assert rule is not None and rule.tag == "form-state"
@@ -250,7 +291,8 @@ def _reference_rule(engine, v):
     with a static rule's successor labels and rformulas built from its
     principal: and/or consume it and add its concept's parts, lifted left
     then right; hier and univ' keep it and add what they derive. A tag is
-    primed when its principal is an assertion."""
+    primed when its principal is an assertion. The rformulas are read as
+    a formula set and given back as uid bits, as the engine keeps them."""
     node = engine.graph.nodes[v]
     prime = lambda f: "'" if f.kind == INST else ""  # noqa: E731
     view = [(f, f.body) for f in ordered(node.label)]
@@ -258,15 +300,15 @@ def _reference_rule(engine, v):
         ex = tuple(f for f, c in view if c is not None and c.kind == SOME)
         return RuleInstance(engine_module.R_EXISTS + prime(ex[0]), principals=ex) if ex else None
     store = engine.store
-    label, rf = node.label, node.rformulas
-    af = node.aformulas
+    label, rf = node.label, frozenset(store.members(node.rformulas))
+    af = label | rf
 
     def decompose(tag, f):
         c = f.body
         parts = [store.inst(f.ind, x) if f.kind == INST else x for x in (c.left, c.right)]
         rest = label - {f}
         labels = (rest | set(parts),) if c.kind == AND else tuple(rest | {x} for x in parts)
-        return RuleInstance(tag, labels=labels, rformulas=rf | {f})
+        return RuleInstance(tag, labels=labels, rformulas=uid_bits(rf | {f}))
 
     for f, c in view:
         if c is not None and c.kind == AND and f not in rf:
@@ -277,7 +319,7 @@ def _reference_rule(engine, v):
         for r in engine.idx.subroles_of(c.role):
             added = engine._lift(f, store.univ(r, c.child))
             if added not in af:
-                return RuleInstance(engine_module.R_HIER + prime(f), labels=(label | {added},), rformulas=rf)
+                return RuleInstance(engine_module.R_HIER + prime(f), labels=(label | {added},), rformulas=uid_bits(rf))
     for f, c in view:
         if c is not None:
             continue
@@ -286,7 +328,7 @@ def _reference_rule(engine, v):
             | engine_module.transfer_assertions(engine.idx, store, label, f.b, f.role.inverse, f.a)
         ) - af
         if added:
-            return RuleInstance(engine_module.R_UNIV_A, labels=(label | added,), rformulas=rf)
+            return RuleInstance(engine_module.R_UNIV_A, labels=(label | added,), rformulas=uid_bits(rf))
     for f, c in view:
         if c is not None and c.kind == OR and f not in rf:
             return decompose(engine_module.R_OR + prime(f), f)
@@ -339,11 +381,12 @@ def _rule_cases(draw):
     return complex_label, label, extra, state
 
 
-def _rule_text(rule):
+def _rule_text(rule, store):
     if rule is None:
         return None
     principals = tuple(map(formula_text, rule.principals))
-    return (rule.tag, principals, tuple(map(_texts, rule.labels)), _texts(rule.rformulas))
+    rformulas = _texts(store.members(rule.rformulas))
+    return (rule.tag, principals, tuple(map(_texts, rule.labels)), rule.rformulas, rformulas)
 
 
 @settings(deadline=None, max_examples=300)
@@ -358,11 +401,11 @@ def test_applicable_rule_matches_the_label_scan(case):
         rfmls = {f for f, in_rf in members if in_rf} | {_build(kb.store, m) for m in extra}
         v = engine.graph.new_succ(
             None, STATE if state else NONSTATE, None,
-            frozenset(f for f, _ in members), frozenset(rfmls), EMPTY,
+            frozenset(f for f, _ in members), uid_bits(rfmls), 0,
         )
         rule = select(engine, v)
         assert select is _reference_rule or select(engine, v) == rule  # a memo hit agrees
-        runs.append((_rule_text(rule), interned_texts(kb.store)))
+        runs.append((_rule_text(rule, kb.store), interned_texts(kb.store)))
     assert runs[0] == runs[1]
 
 
@@ -577,7 +620,7 @@ def test_disjunction_split_at_root():
     assert len(kids) == 2
     principal = kb.store.inst("a", kb.tbox[0])
     for kid in kids:
-        assert principal in kid.rformulas
+        assert principal in kb.store.members(kid.rformulas)
         assert principal not in kid.label
     labels = {label_texts(k) for k in kids}
     assert frozenset({"a:F", "L(a,b)", "b:(some L (not I))", f"b:{PHI}", "a:(not F)"}) in labels
@@ -606,7 +649,7 @@ def test_transitional_expansion_of_the_state():
     assert child.ce_label is kb.store.inst(
         "b", parse_concept_text("(some L (not I))", kb.store)
     )
-    assert child.rformulas == frozenset() and child.dformulas == frozenset()
+    assert child.rformulas == 0 and child.dformulas == 0
 
 
 def test_example_two_state_goes_incomplete_with_required_formulas():
@@ -686,8 +729,8 @@ def test_converse_repair_with_alternative_sets():
     store = kb.store
     g = engine.graph
     base = store.atom("L0")
-    v = g.new_succ(None, NONSTATE, None, frozenset({base}), EMPTY, EMPTY)
-    w = g.new_succ(v, STATE, None, frozenset({base}), EMPTY, EMPTY)
+    v = g.new_succ(None, NONSTATE, None, frozenset({base}), 0, 0)
+    w = g.new_succ(v, STATE, None, frozenset({base}), 0, 0)
     phi1, phi2 = store.atom("F1"), store.atom("F2")
     psi1, psi2 = store.atom("G1"), store.atom("G2")
     vn, wn = g.nodes[v], g.nodes[w]
@@ -701,10 +744,10 @@ def test_converse_repair_with_alternative_sets():
         frozenset({base, phi2}),
         frozenset({base, psi1, psi2}),
     ]
-    assert [k.dformulas for k in kids] == [
-        frozenset(),
-        frozenset({phi1}),
-        frozenset({phi1, phi2}),
+    assert [store.members(k.dformulas) for k in kids] == [
+        [],
+        [phi1],
+        [phi1, phi2],
     ]
 
 
@@ -725,9 +768,9 @@ def _reference_conv_successors(engine, v) -> None:
     rest = sorted((s for s in sets if len(s) > 1), key=lambda s: tuple(sorted(f.uid for f in s)))
     chosen = [next(iter(s)) for s in singles]
     for i, phi in enumerate(chosen):
-        new_dfmls = node.dformulas | frozenset(chosen[:i])
+        new_dfmls = node.dformulas | uid_bits(chosen[:i])
         g.con_to_succ(v, NONSTATE, node.label | {phi}, node.rformulas, new_dfmls)
-    blocked = frozenset(chosen)
+    blocked = uid_bits(chosen)
     for x in rest:
         g.con_to_succ(v, NONSTATE, node.label | x, node.rformulas, node.dformulas | blocked)
 
@@ -746,8 +789,8 @@ def _conv_setup(fmls_rc, sets, rfmls, dfmls):
     def atoms(names):
         return frozenset(store.atom(n) for n in names)
 
-    v = g.new_succ(None, NONSTATE, None, atoms({"L0"}), atoms(rfmls), atoms(dfmls))
-    w = g.new_succ(v, STATE, None, atoms({"L0"}), EMPTY, EMPTY)
+    v = g.new_succ(None, NONSTATE, None, atoms({"L0"}), uid_bits(atoms(rfmls)), uid_bits(atoms(dfmls)))
+    w = g.new_succ(v, STATE, None, atoms({"L0"}), 0, 0)
     g.nodes[v].status = EXPANDED
     wn = g.nodes[w]
     wn.status = INCOMPLETE
@@ -780,7 +823,8 @@ def test_converse_successors_match_the_two_branch_rule(repair, rfmls, dfmls):
 
     def successors(e, x):
         kids = [e.graph.nodes[w] for w in e.graph.nodes[x].succs]
-        return [(_texts(k.label), _texts(k.rformulas), _texts(k.dformulas)) for k in kids]
+        members = e.store.members
+        return [(_texts(k.label), _texts(members(k.rformulas)), _texts(members(k.dformulas))) for k in kids]
 
     assert successors(engine, v) == successors(reference, v_ref)
 
@@ -791,8 +835,8 @@ def test_converse_repair_with_no_alternatives_refutes():
     store = kb.store
     g = engine.graph
     base = store.atom("L0")
-    v = g.new_succ(None, NONSTATE, None, frozenset({base}), EMPTY, EMPTY)
-    w = g.new_succ(v, STATE, None, frozenset({base}), EMPTY, EMPTY)
+    v = g.new_succ(None, NONSTATE, None, frozenset({base}), 0, 0)
+    w = g.new_succ(v, STATE, None, frozenset({base}), 0, 0)
     g.nodes[v].status = EXPANDED
     g.nodes[w].status = INCOMPLETE  # no demands and no alternative sets: mode 1
     engine.apply_rule(RuleInstance(R_CONV), v)
@@ -807,7 +851,7 @@ def test_local_pass_saturates_the_nodes_it_creates():
     engine = TableauEngine(kb)
     g = engine.graph
     ex = parse_concept_text("(some r (and B (and C (all s D))))", kb.store)
-    u = g.new_succ(None, STATE, None, frozenset({ex}), EMPTY, EMPTY)
+    u = g.new_succ(None, STATE, None, frozenset({ex}), 0, 0)
     first = len(g.nodes)
     engine.apply_rule(engine.applicable_rule(u), u)
     assert engine.rule_counts["and"] == 2 and engine.rule_counts["hier"] == 1
@@ -828,10 +872,10 @@ def _two_children(statuses):
     engine = TableauEngine(kb)
     store = kb.store
     g = engine.graph
-    v = g.new_succ(None, NONSTATE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
+    v = g.new_succ(None, NONSTATE, None, frozenset({store.atom("X0")}), 0, 0)
     g.nodes[v].status = EXPANDED
     for i, status in enumerate(statuses):
-        w = g.new_succ(v, NONSTATE, None, frozenset({store.atom(f"X{i + 1}")}), EMPTY, EMPTY)
+        w = g.new_succ(v, NONSTATE, None, frozenset({store.atom(f"X{i + 1}")}), 0, 0)
         g.nodes[w].status = status
     return engine, g, v
 
@@ -859,9 +903,9 @@ def test_update_status_state_copies_alternative_sets():
     engine = TableauEngine(kb)
     store = kb.store
     g = engine.graph
-    pre = g.new_succ(None, NONSTATE, None, frozenset({store.atom("Y0")}), EMPTY, EMPTY)
-    u = g.new_succ(pre, STATE, None, frozenset({store.atom("Y0")}), EMPTY, EMPTY)
-    w = g.new_succ(u, NONSTATE, None, frozenset({store.atom("Y1")}), EMPTY, EMPTY)
+    pre = g.new_succ(None, NONSTATE, None, frozenset({store.atom("Y0")}), 0, 0)
+    u = g.new_succ(pre, STATE, None, frozenset({store.atom("Y0")}), 0, 0)
+    w = g.new_succ(u, NONSTATE, None, frozenset({store.atom("Y1")}), 0, 0)
     g.nodes[u].status = EXPANDED
     wn = g.nodes[w]
     wn.status = INCOMPLETE
@@ -912,13 +956,13 @@ def _status_outcome(update, node_type, succs):
     g = engine.graph
     repairs = []
     engine.apply_rule = lambda rule, x: repairs.append((rule.tag, x))
-    root = g.new_succ(None, NONSTATE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
-    v = root if node_type == NONSTATE else g.new_succ(root, STATE, None, frozenset({store.atom("X0")}), EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, frozenset({store.atom("X0")}), 0, 0)
+    v = root if node_type == NONSTATE else g.new_succ(root, STATE, None, frozenset({store.atom("X0")}), 0, 0)
     g.nodes[v].status = EXPANDED
     if any(succ_type == STATE for _, succ_type in succs):  # as the engine links an or-node to a state
         g.nodes[v].rule = engine_module.R_FORM
     for i, (status, succ_type) in enumerate(succs):
-        w = g.new_succ(v, succ_type, None, frozenset({store.atom(f"X{i + 1}")}), EMPTY, EMPTY)
+        w = g.new_succ(v, succ_type, None, frozenset({store.atom(f"X{i + 1}")}), 0, 0)
         g.nodes[w].status = status
         g.nodes[w].alt_fml_sets = frozenset({frozenset({store.atom(f"Y{i + 1}")})})
     update(engine, v)
@@ -946,7 +990,7 @@ def test_propagate_skips_unexpanded_predecessors():
     engine, g, v = _two_children([SAT, SAT])
     # v's predecessor list is empty; add an unexpanded parent above it
     store = engine.store
-    parent = g.new_succ(None, NONSTATE, None, frozenset({store.atom("Z9")}), EMPTY, EMPTY)
+    parent = g.new_succ(None, NONSTATE, None, frozenset({store.atom("Z9")}), 0, 0)
     g.add_edge(parent, v)
     engine.update_status(v)
     engine.propagate_status(v)
@@ -1080,12 +1124,13 @@ def test_determinism_reparsed_kb():
     assert first.stats == second.stats
 
 
-def _graph_record(graph) -> list:
+def _graph_record(graph, store) -> list:
     """Every node's content, edges, status and repair record, formulas as text."""
     texts = lambda fs: frozenset(map(formula_text, fs))  # noqa: E731
+    members = store.members
     return [
         (n.id, n.node_type, n.rule, n.status, n.expansions, tuple(n.succs), tuple(n.preds),
-         texts(n.label), texts(n.rformulas), texts(n.dformulas), n.conv_method, texts(n.fmls_rc),
+         texts(n.label), texts(members(n.rformulas)), texts(members(n.dformulas)), n.conv_method, texts(n.fmls_rc),
          frozenset(map(texts, n.alt_fml_sets)))
         for n in graph.nodes
     ]
@@ -1102,7 +1147,7 @@ def test_the_trace_is_recorded_only_on_request(strategy):
         assert plain.engine.trace == [], text
         assert traced.engine.trace, text
         assert plain.sat == traced.sat and plain.stats == traced.stats, text
-        assert _graph_record(plain.graph) == _graph_record(traced.graph), text
+        assert _graph_record(plain.graph, plain_kb.store) == _graph_record(traced.graph, traced_kb.store), text
         assert interned_texts(plain_kb.store) == interned_texts(traced_kb.store), text
         recorded += len(traced.engine.trace)
     assert recorded > len(texts)
@@ -1170,7 +1215,12 @@ def test_monotone_growth_along_static_edges():
     rng = random.Random(77)
     texts = [EX1_TEXT, EX2_TEXT] + [random_kb_text(rng) for _ in range(40)]
     for text in texts:
-        graph = decide_sat(parse_kb(text)).graph
+        kb = parse_kb(text)
+        graph = decide_sat(kb).graph
+        store = kb.store
+        rformulas = lambda n: frozenset(store.members(n.rformulas))  # noqa: E731
+        dformulas = lambda n: frozenset(store.members(n.dformulas))  # noqa: E731
+        aformulas = lambda n: node_formulas(store, n)  # noqa: E731
         for v, node in enumerate(graph.nodes):
             if node.node_type == STATE:
                 continue
@@ -1181,13 +1231,13 @@ def test_monotone_growth_along_static_edges():
                     assert wn.rformulas == node.rformulas
                     assert wn.dformulas == node.dformulas
                     continue
-                assert node.rformulas <= wn.rformulas, text
-                assert node.aformulas <= wn.aformulas, text
-                assert node.dformulas <= wn.dformulas, text
+                assert rformulas(node) <= rformulas(wn), text
+                assert aformulas(node) <= aformulas(wn), text
+                assert dformulas(node) <= dformulas(wn), text
                 grew = (
-                    node.rformulas < wn.rformulas
-                    or node.aformulas < wn.aformulas
-                    or node.dformulas < wn.dformulas
+                    rformulas(node) < rformulas(wn)
+                    or aformulas(node) < aformulas(wn)
+                    or dformulas(node) < dformulas(wn)
                 )
                 assert grew, text
 
@@ -1202,7 +1252,7 @@ def test_disallowed_formula_refutes_state_at_seeding():
     blocked = store.inst("a", store.atom("C2"))
     dead = [
         n for n in verdict.graph.nodes
-        if n.node_type == STATE and blocked in n.dformulas
+        if n.node_type == STATE and blocked in store.members(n.dformulas)
     ]
     assert len(dead) == 1
     assert dead[0].status == UNSAT
@@ -1219,7 +1269,7 @@ def test_disallowed_formula_refutes_or_branch():
     blocked = store.inst("a", store.atom("B"))
     state = next(
         n for n in verdict.graph.nodes
-        if n.node_type == STATE and blocked in n.dformulas
+        if n.node_type == STATE and blocked in store.members(n.dformulas)
     )
     assert state.status == SAT
     branches = [verdict.graph.nodes[w] for w in verdict.graph.nodes[state.id].succs]

@@ -24,7 +24,7 @@ def test_root_creation_attributes():
     store, a, b = _store()
     g = TableauGraph()
     label = frozenset({store.inst("a", a), store.rel(Role("r"), "a", "b")})
-    root = g.new_succ(None, NONSTATE, None, label, EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, label, 0, 0)
     node = g.nodes[root]
     assert node.status == UNEXPANDED
     assert state_of(g.nodes, node) is None
@@ -36,10 +36,10 @@ def test_root_creation_attributes():
 def test_state_successor_records_coming_edge_label():
     store, a, _ = _store()
     g = TableauGraph()
-    root = g.new_succ(None, NONSTATE, None, frozenset({store.inst("a", a)}), EMPTY, EMPTY)
-    u = g.new_succ(root, STATE, None, frozenset({store.inst("a", a)}), EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, frozenset({store.inst("a", a)}), 0, 0)
+    u = g.new_succ(root, STATE, None, frozenset({store.inst("a", a)}), 0, 0)
     ce = store.inst("a", store.exist(Role("r"), a))
-    w = g.new_succ(u, NONSTATE, ce, frozenset({a}), EMPTY, EMPTY)
+    w = g.new_succ(u, NONSTATE, ce, frozenset({a}), 0, 0)
     node = g.nodes[w]
     assert node.ce_label is ce
     assert node.after_trans_pred == w
@@ -50,8 +50,8 @@ def test_state_successor_records_coming_edge_label():
 def test_nonstate_child_inherits_scope():
     store, a, b = _store()
     g = TableauGraph()
-    root = g.new_succ(None, NONSTATE, None, frozenset({a}), EMPTY, EMPTY)
-    child = g.new_succ(root, NONSTATE, None, frozenset({a, b}), EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, frozenset({a}), 0, 0)
+    child = g.new_succ(root, NONSTATE, None, frozenset({a, b}), 0, 0)
     node = g.nodes[child]
     assert node.after_trans_pred == root
     assert state_of(g.nodes, node) is None
@@ -60,8 +60,8 @@ def test_nonstate_child_inherits_scope():
 def test_state_fields_initialized():
     store, a, _ = _store()
     g = TableauGraph()
-    root = g.new_succ(None, NONSTATE, None, frozenset({a}), EMPTY, EMPTY)
-    u = g.new_succ(root, STATE, None, frozenset({a}), EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, frozenset({a}), 0, 0)
+    u = g.new_succ(root, STATE, None, frozenset({a}), 0, 0)
     node = g.nodes[u]
     assert node.conv_method == 0
     assert node.fmls_rc is EMPTY
@@ -71,39 +71,39 @@ def test_state_fields_initialized():
 def test_find_proxy_state_lookup():
     store, a, b = _store()
     g = TableauGraph()
-    root = g.new_succ(None, NONSTATE, None, frozenset({a}), EMPTY, EMPTY)
-    u = g.new_succ(root, STATE, None, frozenset({a}), frozenset({b}), EMPTY)
-    assert g.find_proxy(STATE, None, None, frozenset({a}), frozenset({b}), EMPTY) == u
-    assert g.find_proxy(STATE, None, None, frozenset({b}), frozenset({b}), EMPTY) is None
-    assert g.find_proxy(STATE, None, None, frozenset({a}), EMPTY, EMPTY) is None
+    root = g.new_succ(None, NONSTATE, None, frozenset({a}), 0, 0)
+    u = g.new_succ(root, STATE, None, frozenset({a}), 1 << b.uid, 0)  # rformulas {b}, as uid bits
+    assert g.find_proxy(STATE, None, None, frozenset({a}), 1 << b.uid, 0) == u
+    assert g.find_proxy(STATE, None, None, frozenset({b}), 1 << b.uid, 0) is None
+    assert g.find_proxy(STATE, None, None, frozenset({a}), 0, 0) is None
 
 
 def test_one_cache_keeps_scopes_apart():
     store, a, b = _store()
     g = TableauGraph()
     label = frozenset({a})
-    root = g.new_succ(None, NONSTATE, None, label, EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, label, 0, 0)
     # forming a state copies the or-node's triple; both stay cached
-    u = g.new_succ(root, STATE, None, label, EMPTY, EMPTY)
+    u = g.new_succ(root, STATE, None, label, 0, 0)
     assert g.nodes[u].triple_key() == g.nodes[root].triple_key()
-    assert g.find_proxy(STATE, None, None, label, EMPTY, EMPTY) == u
-    assert g.find_proxy(NONSTATE, None, root, label, EMPTY, EMPTY) == root
+    assert g.find_proxy(STATE, None, None, label, 0, 0) == u
+    assert g.find_proxy(NONSTATE, None, root, label, 0, 0) == root
     # one triple in two local scopes is two distinct nodes
     ce = store.exist(Role("r"), b)
-    w1 = g.new_succ(u, NONSTATE, ce, frozenset({b}), EMPTY, EMPTY)
-    w2 = g.new_succ(u, NONSTATE, ce, frozenset({a, b}), EMPTY, EMPTY)
-    x1 = g.new_succ(w1, NONSTATE, None, frozenset({a, b}), EMPTY, EMPTY)
+    w1 = g.new_succ(u, NONSTATE, ce, frozenset({b}), 0, 0)
+    w2 = g.new_succ(u, NONSTATE, ce, frozenset({a, b}), 0, 0)
+    x1 = g.new_succ(w1, NONSTATE, None, frozenset({a, b}), 0, 0)
     assert x1 != w2
-    assert g.find_proxy(NONSTATE, None, w1, frozenset({a, b}), EMPTY, EMPTY) == x1
-    assert g.find_proxy(NONSTATE, None, w2, frozenset({a, b}), EMPTY, EMPTY) == w2
+    assert g.find_proxy(NONSTATE, None, w1, frozenset({a, b}), 0, 0) == x1
+    assert g.find_proxy(NONSTATE, None, w2, frozenset({a, b}), 0, 0) == w2
 
 
 def test_con_to_succ_reuses_and_deduplicates_edges():
     store, a, b = _store()
     g = TableauGraph()
-    root = g.new_succ(None, NONSTATE, None, frozenset({a}), EMPTY, EMPTY)
-    first = g.con_to_succ(root, NONSTATE, frozenset({a, b}), EMPTY, EMPTY)
-    second = g.con_to_succ(root, NONSTATE, frozenset({a, b}), EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, frozenset({a}), 0, 0)
+    first = g.con_to_succ(root, NONSTATE, frozenset({a, b}), 0, 0)
+    second = g.con_to_succ(root, NONSTATE, frozenset({a, b}), 0, 0)
     assert first == second
     assert g.nodes[root].succs == [first]
     assert len(g.nodes) == 2
@@ -132,22 +132,22 @@ def test_states_shared_across_branches():
 def test_remove_edge_keeps_node():
     store, a, b = _store()
     g = TableauGraph()
-    root = g.new_succ(None, NONSTATE, None, frozenset({a}), EMPTY, EMPTY)
-    child = g.new_succ(root, NONSTATE, None, frozenset({a, b}), EMPTY, EMPTY)
+    root = g.new_succ(None, NONSTATE, None, frozenset({a}), 0, 0)
+    child = g.new_succ(root, NONSTATE, None, frozenset({a, b}), 0, 0)
     g.remove_edge(root, child)
     assert g.nodes[root].succs == []
     assert g.nodes[child] is not None
-    assert g.find_proxy(NONSTATE, None, root, frozenset({a, b}), EMPTY, EMPTY) == child
+    assert g.find_proxy(NONSTATE, None, root, frozenset({a, b}), 0, 0) == child
 
 
 def test_queue_strategies():
     store, a, b = _store()
     for strategy, expected in (("dfs", [2, 1]), ("fifo", [1, 2])):
         g = TableauGraph(strategy)
-        root = g.new_succ(None, NONSTATE, None, frozenset({a}), EMPTY, EMPTY)
+        root = g.new_succ(None, NONSTATE, None, frozenset({a}), 0, 0)
         g.nodes[root].status = "expanded"
-        one = g.new_succ(root, NONSTATE, None, frozenset({a, b}), EMPTY, EMPTY)
-        two = g.new_succ(root, NONSTATE, None, frozenset({b}), EMPTY, EMPTY)
+        one = g.new_succ(root, NONSTATE, None, frozenset({a, b}), 0, 0)
+        two = g.new_succ(root, NONSTATE, None, frozenset({b}), 0, 0)
         order = [g.to_expand(), g.to_expand()]
         assert order == expected
 

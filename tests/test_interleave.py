@@ -23,7 +23,10 @@ def test_the_tree_against_itself_on_ten_suite_texts():
     assert lines[0] == "suite: 10 inputs timed, best of 1; 0 raised on both trees"
     assert [line.split()[0] for line in lines[2:6]] == ["p50", "p75", "p95", "total"]
     assert lines[6].startswith("witness path (build_witness -> check_model): ") and lines[6].endswith(" SAT inputs")
-    assert [line.split()[0] for line in lines[8:]] == ["p50", "p75", "p95", "total"]
+    assert [line.split()[0] for line in lines[8:12]] == ["p50", "p75", "p95", "total"]
+    assert lines[12] == "decision peak memory (tracemalloc, parse_kb -> kb_index -> decide_sat): 10 inputs"
+    assert lines[13].split() == ["A", "MB", "B", "MB", "B/A"]
+    assert [line.split()[0] for line in lines[14:]] == ["p50", "p95", "max"]
     assert "DIFFER" not in done.stdout
 
 
@@ -70,3 +73,21 @@ def test_witnesses_that_differ_are_reported_and_not_timed():
     times, witness_times, raised, differ = interleave.interleave(shisat, other, cases, 2)
     assert [name for name, *_ in times] == ["sat", "unsat"] and witness_times == [] and raised == []
     assert differ == ["sat: the witnesses differ in domain, check_model"]
+
+
+def test_a_decision_that_holds_a_megabyte_more_peaks_a_megabyte_higher(monkeypatch):
+    def decide_sat_holding_a_megabyte(kb):
+        held = bytearray(10**6)
+        verdict = shisat.decide_sat(kb)
+        del held
+        return verdict
+
+    other = _tree(decide_sat=decide_sat_holding_a_megabyte)
+    cases = [("one", "inst a (some r A)\n"), ("two", "inst a (and A (not A))\n")]
+    peaks = interleave.memory(shisat, other, cases)
+    assert [name for name, *_ in peaks] == ["one", "two"]
+    assert all(0 < a < 10**5 and abs(b - a - 10**6) < 10**4 for _, a, b in peaks), peaks
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # `report` reads the benchmark's percentile
+    lines = interleave.report(peaks, interleave.MEMORY_ROWS, "MB", 1e-6)
+    assert [line.split()[0] for line in lines[1:]] == ["p50", "p95", "max"]
+    assert abs(float(lines[3].split()[2]) - float(lines[3].split()[1]) - 1.0) < 0.01

@@ -322,7 +322,8 @@ def test_a_witness_of_many_individuals_is_read_in_linear_work(monkeypatch):
     kb, verdict = _finished(text)
     reads: Counter = Counter()
     label = _counting(frozenset, reads, "label")
-    monkeypatch.setattr(TableauNode, "aformulas", property(lambda node: label(node.label | node.rformulas)))
+    held = models.node_formulas
+    monkeypatch.setattr(models, "node_formulas", lambda store, node: label(held(store, node)))
     pairs = _counting(set, reads, "pairs")
     close = models.close_role_relations
     monkeypatch.setattr(models, "close_role_relations", lambda *args: {r: pairs(p) for r, p in close(*args).items()})
@@ -331,6 +332,25 @@ def test_a_witness_of_many_individuals_is_read_in_linear_work(monkeypatch):
     assert check_model(witness, kb)
     assert reads["label"] <= n + 2  # the n role assertions, a0:(all r- A) and a1:A
     assert reads["pairs"] <= 2 * n
+
+
+def test_each_obligation_is_realized_by_a_lookup(monkeypatch):
+    """`inst a<i> (some r A)` for i < 4,000: the state has one successor
+    per obligation, and extraction reads each successor's `ce_label` once,
+    into a map, instead of scanning the successors once per obligation."""
+    n = 4000
+    kb, verdict = _finished("".join(f"inst a{i} (some r A)\n" for i in range(n)))
+    slot = TableauNode.__dict__["ce_label"]
+    reads = Counter()
+
+    def read(node):
+        reads["ce_label"] += 1
+        return slot.__get__(node, TableauNode)
+
+    monkeypatch.setattr(TableauNode, "ce_label", property(read, slot.__set__))
+    mg = models.extract_model_graph(verdict.graph, kb)
+    assert len(mg.domain) == n + 1 and len(mg.edges[Role("r")]) == n
+    assert reads["ce_label"] <= 2 * n
 
 
 def test_created_elements_have_distinct_concept_sets():

@@ -27,7 +27,9 @@ from shisat.syntax import (
     concept_text,
     formula_text,
     internalize_tbox,
+    ordered,
     subconcepts,
+    uid_bits,
 )
 
 from helpers import EX1_TEXT, EX2_TEXT, and_nest, interned_texts, some_nest
@@ -166,6 +168,28 @@ def test_negate_involution(recipe):
     f = store.inst("a", c)
     assert complement(store, f) is store.inst("a", store.negate(c))
     assert complement(store, complement(store, f)) is f
+
+
+@given(_RECIPE, _RECIPE, st.data())
+def test_members_decodes_the_uid_bits_of_any_subset(recipe, later, data):
+    """`members` of the uid bits of a subset of the interned formulas is
+    that subset in uid order, read after more formulas are interned too,
+    and a subset that takes some of those is decoded alike."""
+    store = FormulaStore()
+    _build(store, recipe)
+    store.inst("a", _build(store, recipe))
+    early = ordered(store._table.values())
+    subset = data.draw(st.sets(st.sampled_from(early)))
+    bits = uid_bits(subset)
+    assert store.members(bits) == ordered(subset)
+    store.negate(_build(store, later))
+    store.rel(Role("r"), "a", "b")
+    assert store.members(bits) == ordered(subset)
+    every = ordered(store._table.values())
+    wider = subset | data.draw(st.sets(st.sampled_from(every)))
+    assert store.members(uid_bits(wider)) == ordered(wider)
+    assert store.members(uid_bits(every)) == every
+    assert store.members(0) == [] and uid_bits(()) == 0
 
 
 def _reference_negate(store, f):

@@ -9,12 +9,13 @@ tree derives from the same inputs and counting the runs that differ:
 `dump` decides `differential_suite(500, 20240817)`, `chain_kb_text(1..40)`,
 `(some r ...)` nests of depth 50 and 200 and, under `trans r`, of depth 10
 and 45 (witnesses of up to 201 elements), conjunction nests of depth 50
-and 320 (labels of up to 320 members), a TBox of 40 value restrictions
+and 320 (labels of up to 320 members), a flat conjunction of 300 atoms
+on one individual (`flat_and(300)`), a TBox of 40 value restrictions
 that no rule splits (`wide_tbox(40)`), a cascade of 200 converse repairs,
 each making the state above it repair in turn (`pullback_kb(200)` as
 text), a suite text whose upward walk repairs several predecessors of one
 state (`differential_suite(500, 1)[132]`, named `reorder/1.132`) and the
-worked examples, each under both expansion strategies: 1,104 runs. It
+worked examples, each under both expansion strategies: 1,106 runs. It
 records per run the
 verdict and stats, the trace (the engine records it on request, and
 this script asks), each node's id, rule, status, label,
@@ -23,9 +24,11 @@ of its local graph, which names its cache scope), each node's converse-repair
 record (rformulas, dformulas, conv_method, fmls_rc, then `alt_fml_sets`
 in the fifth slot on a state and in the sixth on an or-node, the other
 slot empty: older trees kept the two in separate fields, and their dumps
-still compare; `conv_method` is now read from a state's status and
-`fmls_rc` rather than stored, with the same values, so dumps of trees
-that stored it compare too), the witness of a SAT verdict (its domain, atoms and role
+still compare; rformulas and dformulas are recorded as formula sets,
+decoded by `FormulaStore.members` where a tree keeps them as uid bits,
+so dumps of trees that kept frozensets compare too; `conv_method` is
+now read from a state's status and `fmls_rc` rather than stored, with
+the same values, so dumps of trees that stored it compare too), the witness of a SAT verdict (its domain, atoms and role
 pairs), the knowledge base's name lists, the closed role box (its
 subrole pairs and transitive roles, sorted), the store's interned
 formulas in uid order once the run and the witness are done, and the
@@ -58,7 +61,7 @@ FIELDS = ("verdict", "stats", "trace", "nodes", "repair", "witness", "names", "r
 
 
 def _corpus() -> list:
-    from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, and_nest, pullback_kb, some_nest, wide_tbox
+    from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, and_nest, flat_and, pullback_kb, some_nest, wide_tbox
     from kbgen import chain_kb_text, differential_suite
     from shisat import format_kb
 
@@ -66,7 +69,8 @@ def _corpus() -> list:
     cases += [(f"chain/{d}", chain_kb_text(d)) for d in range(1, 41)]
     cases += [(f"some/{d}", some_nest(d, False)) for d in (50, 200)]
     cases += [(f"some.trans/{d}", some_nest(d, True)) for d in (10, 45)]
-    cases += [(f"and/{d}", and_nest(d)) for d in (50, 320)] + [("wide/40", wide_tbox(40))]
+    cases += [(f"and/{d}", and_nest(d)) for d in (50, 320)] + [("flat_and/300", flat_and(300))]
+    cases += [("wide/40", wide_tbox(40))]
     cases += [("pullback/200", format_kb(pullback_kb(200))), ("reorder/1.132", differential_suite(500, 1)[132])]
     cases += [("ex1_base", EX1_BASE_TEXT), ("ex1", EX1_TEXT), ("ex2", EX2_TEXT)]
     return [(f"{name}/{strategy}", text, strategy) for strategy in ("dfs", "fifo") for name, text in cases]
@@ -101,8 +105,12 @@ def _record(text: str, strategy: str) -> dict:
          n.after_trans_pred)
         for n in g.nodes
     ]
+
+    def formulas(x):  # a uid bitset as its formulas
+        return frozenset(kb.store.members(x)) if isinstance(x, int) else x
+
     repair = [
-        _plain((n.rformulas, n.dformulas, n.conv_method, n.fmls_rc)
+        _plain((formulas(n.rformulas), formulas(n.dformulas), n.conv_method, n.fmls_rc)
                + ((n.alt_fml_sets, EMPTY) if n.node_type == STATE else (EMPTY, n.alt_fml_sets)))
         for n in g.nodes
     ]

@@ -14,10 +14,14 @@ that raises on both trees with the same exception is counted and not
 timed. It prints the p50, p75 and p95 of the per-input times (the
 benchmark's `percentile`) and their total, for A and B, with the ratio
 B/A: one table for the decision and one for the witness path over the SAT
-inputs. It exits 1 if the trees differ on any input's verdict, stats
-(nodes, states and rule applications) or exception, or if their
-witnesses differ in domain, atoms, roles or `check_model`'s answer, so a
-timing run also catches a changed rule choice or witness.
+inputs. Then, per tree, one more untimed pass over the timed inputs runs
+`parse_kb -> kb_index -> decide_sat` under `tracemalloc`, and a third
+table gives the p50, p95 and max of the per-input peaks, in MB: a memory
+change is sized in-process, where `tools/ab.py`'s `peak_rss_mb` reads
+the whole process. It exits 1 if the trees differ on any input's
+verdict, stats (nodes, states and rule applications) or exception, or if
+their witnesses differ in domain, atoms, roles or `check_model`'s
+answer, so a timing run also catches a changed rule choice or witness.
 
 Both trees share the process, so drift in the machine's speed falls on
 both alike: this sizes changes of a few microseconds per input, which
@@ -27,13 +31,16 @@ gauge-scaled and do not include the oracle. Stdlib only.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
-STATS = ((50, "p50"), (75, "p75"), (95, "p95"))
+TIME_ROWS = (("p50", 50), ("p75", 75), ("p95", 95), ("total", sum))
+MEMORY_ROWS = (("p50", 50), ("p95", 95), ("max", max))
 
 
 def load_tree(root: Path, name: str):
@@ -118,16 +125,37 @@ def interleave(a, b, cases: list, k: int) -> tuple:
     return times, witness_times, raised, differ
 
 
-def report(times: list) -> list:
-    """Lines with the p50, p75, p95 and total of both sides' times, in ms."""
+def peak_memory(tree, text: str) -> int:
+    """The `tracemalloc` peak, in bytes, of one parse -> role box ->
+    decision of `text`. A full collection first starts the cyclic
+    collector's counts afresh, so a repeat collects at the same points."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kb = tree.parse_kb(text)
+        tree.kb_index(kb)
+        tree.decide_sat(kb)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def memory(a, b, cases: list) -> list:
+    """(name, a_bytes, b_bytes): each case's decision peak on `a` and on `b`."""
+    return [(name, peak_memory(a, text), peak_memory(b, text)) for name, text in cases]
+
+
+def report(samples: list, rows=TIME_ROWS, unit: str = "ms", scale: float = 1e3) -> list:
+    """Lines with the `rows` of both sides' (name, a, b) `samples`, times
+    `scale`: each row is the benchmark's `percentile` at a rank or, where
+    a function stands for the rank, that function of the samples."""
     from summary import percentile
 
-    a_ms = [t[1] * 1e3 for t in times]
-    b_ms = [t[2] * 1e3 for t in times]
-    rows = [(label, percentile(a_ms, p), percentile(b_ms, p)) for p, label in STATS]
-    rows.append(("total", sum(a_ms), sum(b_ms)))
-    lines = [f"{'':6} {'A ms':>10} {'B ms':>10} {'B/A':>7}"]
-    lines += [f"{label:6} {x:10.4f} {y:10.4f} {y / x:7.3f}" for label, x, y in rows]
+    sides = [[t[i] * scale for t in samples] for i in (1, 2)]
+    lines = [f"{'':6} {'A ' + unit:>10} {'B ' + unit:>10} {'B/A':>7}"]
+    for label, p in rows:
+        x, y = (p(xs) if callable(p) else percentile(xs, p) for xs in sides)
+        lines.append(f"{label:6} {x:10.4f} {y:10.4f} {y / x:7.3f}")
     return lines
 
 
@@ -149,6 +177,11 @@ def main(argv: list) -> int:
     if witness_times:
         print(f"witness path (build_witness -> check_model): {len(witness_times)} SAT inputs")
         print("\n".join(report(witness_times)))
+    if times:
+        decided = {name for name, *_ in times}
+        peaks = memory(a, b, [(name, text) for name, text in cases if name in decided])
+        print(f"decision peak memory (tracemalloc, parse_kb -> kb_index -> decide_sat): {len(peaks)} inputs")
+        print("\n".join(report(peaks, MEMORY_ROWS, "MB", 1e-6)))
     for line in differ:
         print("DIFFER " + line)
     return 1 if differ else 0
