@@ -20,8 +20,11 @@ and demands tell them apart (`conv_method`): while a state is being
 expanded, required formulas collect in `fmls_rc` and the state reports
 Incomplete (mode 0); once a state survived expansion cleanly, later
 disjunctive descendants record alternative requirement sets instead
-(mode 1). Either way the edge into the incomplete state is dropped and
-the predecessor is re-expanded once by the converse rule, in one loop
+(mode 1). A demand that meets the state's dformulas refutes the state in
+mode 0, for good: it takes no more demands, though each is still made,
+since `_backward` may intern assertions. In mode 1 it refutes only the
+successor that made it. Either way an incomplete state's edge is dropped
+and the predecessor is re-expanded once by the converse rule, in one loop
 over requirement sets: mode 0 has the single set `fmls_rc`, mode 1 its
 alternatives, and each repaired successor adds its set to the label and
 disallows the singleton sets tried before it.
@@ -419,47 +422,43 @@ class TableauEngine:
             self.apply_conv_rule(v)
         elif rule.principals:  # exists, exists'
             self.apply_trans_rule(rule, v)
-            if node.status in DETERMINED:
-                self.propagate_status(v)
-                return
         else:
             for x in rule.labels:
                 g.con_to_succ(v, NONSTATE, x, rule.rformulas, node.dformulas)
 
-        self._set_status(node, EXPANDED)
-
-        # An or-node's successors are checked for demands on its local graph's
-        # state v0, the first predecessor of the graph's head v1, only when the
-        # head's existential can pull (the root's graph has none) and they are
-        # or-nodes, which every rule but form-state makes. A state gets here
-        # only with fmls_rc empty: its successors' demands are all met.
-        pulls, parent = False, None
-        if node.node_type == NONSTATE:
-            parent, v1 = node.label, g.nodes[node.after_trans_pred]
-            if rule.tag != R_FORM and v1.ce_label is not None and self._pulls(v1.ce_label):
-                pulls, v0 = True, g.nodes[v1.preds[0]]
-        for w in node.succs:
-            wn = g.nodes[w]
-            if wn.status in DETERMINED:
-                continue
-            if self._clashes(wn.label, parent):
-                self._set_status(wn, UNSAT)
-            elif pulls:
-                x = _unreduced(self._backward(v1.ce_label, wn.label, parent) - v0.label, v0.rformulas)
-                if x:
-                    disallowed = uid_bits(x) & v0.dformulas
-                    if v0.conv_method == 0:
-                        v0.fmls_rc |= x
-                        if disallowed:
-                            self._set_status(v0, UNSAT)
-                            return
-                    elif disallowed:
-                        self._set_status(wn, UNSAT)
-                    else:
-                        v1.alt_fml_sets |= {x}
-                        self._set_status(wn, INCOMPLETE)
-
-        self.update_status(v)
+        # A state its local pass settled walks straight up; any other node's successors
+        # are tested. An or-node's are checked for demands on its local graph's state v0,
+        # the first predecessor of the graph's head v1, only when the head's existential
+        # can pull (the root's graph has none) and they are or-nodes, which every rule
+        # but form-state makes. A state gets here only with its demands all met.
+        if node.status not in DETERMINED:
+            self._set_status(node, EXPANDED)
+            pulls, parent = False, None
+            if node.node_type == NONSTATE:
+                parent, v1 = node.label, g.nodes[node.after_trans_pred]
+                if rule.tag != R_FORM and v1.ce_label is not None and self._pulls(v1.ce_label):
+                    pulls, v0 = True, g.nodes[v1.preds[0]]
+            for w in node.succs:
+                wn = g.nodes[w]
+                if wn.status in DETERMINED:
+                    continue
+                if self._clashes(wn.label, parent):
+                    self._set_status(wn, UNSAT)
+                elif pulls:
+                    x = _unreduced(self._backward(v1.ce_label, wn.label, parent) - v0.label, v0.rformulas)
+                    if x:
+                        disallowed = uid_bits(x) & v0.dformulas
+                        if v0.conv_method == 0:
+                            if v0.status != UNSAT:  # a refuted state takes no more demands
+                                v0.fmls_rc |= x
+                                if disallowed:
+                                    self._set_status(v0, UNSAT)
+                        elif disallowed:
+                            self._set_status(wn, UNSAT)
+                        else:
+                            v1.alt_fml_sets |= {x}
+                            self._set_status(wn, INCOMPLETE)
+            self.update_status(v)
         # a converse repair is made only by update_status, whose caller walks on from v
         if node.status in DETERMINED and rule.tag != R_CONV:
             self.propagate_status(v)

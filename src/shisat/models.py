@@ -157,8 +157,8 @@ def close_role_relations(edges: dict, idx: RBoxIndex) -> dict:
     is needed: R holds base(R), the raw edges of every S <= R plus the
     reversed raw edges of every S <= R-, together with the transitive
     closure of base(T) for every transitive T <= R (R itself included).
-    The result has one entry for every role of `idx`, inverses included.
-    It is built for role names only: R- holds the converse of R, and a
+    The result has one entry for every role name of `idx`: R- holds the
+    converse of R, which the witness check reads off R's pairs, and a
     transitive T- the converse of T's closure, so each transitive name is
     closed once.
     """
@@ -175,7 +175,6 @@ def close_role_relations(edges: dict, idx: RBoxIndex) -> dict:
     for r in names:
         subs = [t for t in idx.subroles_of(r) if t in idx.transitive]
         closed[r] = base[r].union(*(_converse(chains[t.inverse]) if t.inverted else chains[t] for t in subs))
-        closed[r.inverse] = _converse(closed[r])
     return closed
 
 
@@ -184,7 +183,7 @@ def _converse(pairs) -> set:
 
 
 def complete_relations(mg: ModelGraph, idx: RBoxIndex, concept_names) -> Interpretation:
-    """The interpretation a model graph stands for."""
+    """The interpretation a model graph stands for, by role name."""
     closed = close_role_relations(mg.edges, idx)
     atoms: dict = {name: set() for name in concept_names}
     for x, cs in mg.concepts.items():
@@ -194,7 +193,7 @@ def complete_relations(mg: ModelGraph, idx: RBoxIndex, concept_names) -> Interpr
     return Interpretation(
         domain=list(mg.domain),
         atoms=atoms,
-        roles={r.name: pairs for r, pairs in closed.items() if not r.inverted},
+        roles={r.name: pairs for r, pairs in closed.items()},
         individuals={a: a for a in mg.named},
     )
 

@@ -32,6 +32,19 @@ impl top (some r (and A (all s (not A))))
 inst a top
 """
 
+# A converse demand meets the disallowed formulas of the states that the
+# second repair branch of (all r- F) makes, which refutes them; the input is
+# SAT. Kept out of `corpus()`, so the corpus-wide counts stay comparable.
+DISALLOW_ABOX_TEXT = """\
+impl B (or (all r- F) (all r- (all r (all r- F))))
+inst a (some r B)
+"""
+
+DISALLOW_TBOX_TEXT = """\
+impl B (or (all r- F) (all r- (all r (all r- F))))
+impl top (some r B)
+"""
+
 
 def run(text: str, strategy: str = "dfs"):
     """Parse and decide `text`, recording the event trace."""
@@ -140,6 +153,12 @@ def check_saturation(mg: ModelGraph, idx, store) -> None:
             assert fwd <= mg.concepts[y], f"forward transfer violated on {role}({x},{y})"
             bwd = transfer_concepts(idx, mg.concepts[y], role.inverse)
             assert bwd <= mg.concepts[x], f"backward transfer violated on {role}({x},{y})"
+
+
+def with_inverses(closed: dict) -> dict:
+    """Relations of role names, as `close_role_relations` gives them, plus
+    each inverse's relation: the converse of its name's."""
+    return {**closed, **{r.inverse: {(b, a) for (a, b) in pairs} for r, pairs in closed.items()}}
 
 
 def naive_role_closure(edges: dict, idx) -> dict:

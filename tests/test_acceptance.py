@@ -35,7 +35,16 @@ from shisat.graph import INCOMPLETE, STATE
 from shisat.models import close_role_relations, complete_relations, extract_model_graph
 from shisat.syntax import Role
 
-from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, check_consistent, check_saturation, label_texts, naive_role_closure
+from helpers import (
+    EX1_BASE_TEXT,
+    EX1_TEXT,
+    EX2_TEXT,
+    check_consistent,
+    check_saturation,
+    label_texts,
+    naive_role_closure,
+    with_inverses,
+)
 from kbgen import chain_kb_text, differential_suite
 
 SUITE_SIZE = 500
@@ -341,7 +350,7 @@ def test_criterion_6_model_builder_properties(suite):
         except AssertionError as exc:
             violations.append((i, f"saturation: {exc}"))
             continue
-        closed = close_role_relations(mg.edges, run.idx)
+        closed = with_inverses(close_role_relations(mg.edges, run.idx))
         for role, pairs in closed.items():
             if {(b, a) for (a, b) in pairs} != closed[role.inverse]:
                 violations.append((i, f"converse incoherence on {role}"))

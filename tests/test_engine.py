@@ -53,6 +53,8 @@ from shisat.syntax import (
 from shisat.transfer import transfer_concepts_to
 
 from helpers import (
+    DISALLOW_ABOX_TEXT,
+    DISALLOW_TBOX_TEXT,
     EX1_BASE_TEXT,
     EX1_TEXT,
     EX2_TEXT,
@@ -1242,6 +1244,11 @@ def test_monotone_growth_along_static_edges():
                 assert grew, text
 
 
+def _refutations(trace) -> Counter:
+    """Node id -> how many times the trace refutes that node."""
+    return Counter(event[1] for event in trace if event[0] == "status" and event[2] == UNSAT)
+
+
 def test_disallowed_formula_refutes_state_at_seeding():
     # Second repair alternative carries a:C2 in its disallowed set; the
     # direct existential demands a:C2 again as soon as that branch forms
@@ -1257,6 +1264,8 @@ def test_disallowed_formula_refutes_state_at_seeding():
     assert len(dead) == 1
     assert dead[0].status == UNSAT
     assert blocked in dead[0].fmls_rc
+    refuted = _refutations(verdict.engine.trace)
+    assert refuted[dead[0].id] == 1  # a refuted state takes no more demands
 
 
 def test_disallowed_formula_refutes_or_branch():
@@ -1280,6 +1289,23 @@ def test_disallowed_formula_refutes_or_branch():
     ]
     statuses = sorted(k.status for k in grandkids)
     assert statuses == [SAT, UNSAT]
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+@pytest.mark.parametrize("text", [DISALLOW_ABOX_TEXT, DISALLOW_TBOX_TEXT], ids=["abox", "tbox"])
+def test_a_state_a_disallowed_demand_refutes_is_refuted_once(text, strategy):
+    """A demand that meets a state's disallowed formulas refutes the state
+    in mode 0, for good: the input stays SAT with a checked witness and a
+    model the oracle finds, some state ends refuted holding a demand it
+    disallows, and no node is refuted twice, since the refuted state takes
+    no more demands and every expanded or-node is still settled."""
+    kb, verdict = run(text, strategy)
+    assert verdict.sat
+    assert check_model(build_witness(verdict.graph, kb, kb_index(kb)), kb)
+    assert bounded_model_search(parse_kb(text), 3) is not None
+    assert any(n.status == UNSAT and uid_bits(n.fmls_rc) & n.dformulas for n in verdict.graph.nodes)
+    refuted = _refutations(verdict.engine.trace)
+    assert max(refuted.values()) == 1, [v for v, k in refuted.items() if k > 1]
 
 
 # ROADMAP item 1: a mode-0 repair mixes the demands of exclusive branches,

@@ -21,12 +21,15 @@ def test_the_tree_against_itself_on_ten_suite_texts():
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "suite: 10 inputs timed, best of 1; 0 raised on both trees"
-    assert [line.split()[0] for line in lines[2:6]] == ["p50", "p75", "p95", "total"]
-    assert lines[6].startswith("witness path (build_witness -> check_model): ") and lines[6].endswith(" SAT inputs")
-    assert [line.split()[0] for line in lines[8:12]] == ["p50", "p75", "p95", "total"]
-    assert lines[12] == "decision peak memory (tracemalloc, parse_kb -> kb_index -> decide_sat): 10 inputs"
-    assert lines[13].split() == ["A", "MB", "B", "MB", "B/A"]
-    assert [line.split()[0] for line in lines[14:]] == ["p50", "p95", "max"]
+    assert lines[1].startswith("stats differ on 0 of 10 timed inputs; nodes summed: A ")
+    a, b = lines[1].split(": A ")[1].split(", B ")
+    assert a == b and int(a) > 10
+    assert [line.split()[0] for line in lines[3:7]] == ["p50", "p75", "p95", "total"]
+    assert lines[7].startswith("witness path (build_witness -> check_model): ") and lines[7].endswith(" SAT inputs")
+    assert [line.split()[0] for line in lines[9:13]] == ["p50", "p75", "p95", "total"]
+    assert lines[13] == "decision peak memory (tracemalloc, parse_kb -> kb_index -> decide_sat): 10 inputs"
+    assert lines[14].split() == ["A", "MB", "B", "MB", "B/A"]
+    assert [line.split()[0] for line in lines[15:]] == ["p50", "p95", "max"]
     assert "DIFFER" not in done.stdout
 
 
@@ -45,9 +48,12 @@ def test_a_node_count_that_differs_is_reported():
 
     other = _tree(decide_sat=decide_sat_one_node_more)
     cases = [("one", "inst a (some r A)\n"), ("broken", "inst a (and A)\n")]
-    times, witness_times, raised, differ = interleave.interleave(shisat, other, cases, 2)
-    assert times == witness_times == [] and raised == ["broken"]
+    times, witness_times, raised, differ, stats = interleave.interleave(shisat, other, cases, 2)
+    assert [name for name, *_ in times] == [name for name, *_ in witness_times] == ["one"] and raised == ["broken"]
+    assert all(0 < t < 1 for _, *ts in times + witness_times for t in ts)
     assert len(differ) == 1 and differ[0].startswith("one: A gives (True, ")
+    nodes = stats[0][1]["nodes"]
+    assert interleave.stats_line(stats) == f"stats differ on 1 of 1 timed inputs; nodes summed: A {nodes}, B {nodes + 1}"
 
 
 def test_rule_applications_that_differ_are_reported_at_equal_node_counts():
@@ -57,12 +63,13 @@ def test_rule_applications_that_differ_are_reported_at_equal_node_counts():
         return SimpleNamespace(sat=verdict.sat, graph=verdict.graph, stats={**verdict.stats, "rule_applications": rules})
 
     other = _tree(decide_sat=decide_sat_or_for_and)
-    times, witness_times, raised, differ = interleave.interleave(shisat, other, [("one", "inst a (and A B)\n")], 2)
-    assert times == witness_times == [] and raised == []
+    times, witness_times, raised, differ, stats = interleave.interleave(shisat, other, [("one", "inst a (and A B)\n")], 2)
+    assert [name for name, *_ in times] == [name for name, *_ in witness_times] == ["one"] and raised == []
+    assert interleave.stats_line(stats) == "stats differ on 1 of 1 timed inputs; nodes summed: A 2, B 2"
     assert len(differ) == 1 and differ[0].count("'nodes': 2,") == 2 and "\"or'\": 1" in differ[0]
 
 
-def test_witnesses_that_differ_are_reported_and_not_timed():
+def test_witnesses_that_differ_are_reported_and_timed():
     def build_witness_one_element_more(graph, kb, idx):
         witness = shisat.build_witness(graph, kb, idx)
         witness.domain.append("extra")
@@ -70,8 +77,9 @@ def test_witnesses_that_differ_are_reported_and_not_timed():
 
     other = _tree(build_witness=build_witness_one_element_more, check_model=lambda interp, kb: False)
     cases = [("sat", "inst a (some r A)\n"), ("unsat", "inst a (and A (not A))\n")]
-    times, witness_times, raised, differ = interleave.interleave(shisat, other, cases, 2)
-    assert [name for name, *_ in times] == ["sat", "unsat"] and witness_times == [] and raised == []
+    times, witness_times, raised, differ, _ = interleave.interleave(shisat, other, cases, 2)
+    assert [name for name, *_ in times] == ["sat", "unsat"] and [name for name, *_ in witness_times] == ["sat"]
+    assert raised == []
     assert differ == ["sat: the witnesses differ in domain, check_model"]
 
 
@@ -91,3 +99,16 @@ def test_a_decision_that_holds_a_megabyte_more_peaks_a_megabyte_higher(monkeypat
     lines = interleave.report(peaks, interleave.MEMORY_ROWS, "MB", 1e-6)
     assert [line.split()[0] for line in lines[1:]] == ["p50", "p95", "max"]
     assert abs(float(lines[3].split()[2]) - float(lines[3].split()[1]) - 1.0) < 0.01
+
+
+def test_a_verdict_that_differs_is_reported_and_not_timed():
+    def decide_sat_refuting(kb):
+        verdict = shisat.decide_sat(kb)
+        return SimpleNamespace(sat=False, graph=verdict.graph, stats=verdict.stats)
+
+    other = _tree(decide_sat=decide_sat_refuting)
+    cases = [("sat", "inst a (some r A)\n"), ("unsat", "inst a (and A (not A))\n")]
+    times, witness_times, raised, differ, stats = interleave.interleave(shisat, other, cases, 2)
+    assert [name for name, *_ in times] == [name for name, *_ in stats] == ["unsat"]
+    assert witness_times == raised == []
+    assert len(differ) == 1 and differ[0].startswith("sat: A gives (True, ") and "B gives (False, " in differ[0]

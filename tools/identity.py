@@ -14,9 +14,11 @@ on one individual (`flat_and(300)`), a TBox of 40 value restrictions
 that no rule splits (`wide_tbox(40)`), a cascade of 200 converse repairs,
 each making the state above it repair in turn (`pullback_kb(200)` as
 text), a suite text whose upward walk repairs several predecessors of one
-state (`differential_suite(500, 1)[132]`, named `reorder/1.132`) and the
-worked examples, each under both expansion strategies: 1,106 runs. It
-records per run the
+state (`differential_suite(500, 1)[132]`, named `reorder/1.132`), two
+texts in which a converse demand refutes a state by meeting its disallowed
+formulas, asserted of an individual and in the TBox (`disallow/abox` and
+`disallow/tbox`), and the worked examples, each under both expansion
+strategies: 1,110 runs. It records per run the
 verdict and stats, the trace (the engine records it on request, and
 this script asks), each node's id, rule, status, label,
 successors, ce_label, expansion count and `after_trans_pred` (the head
@@ -40,8 +42,11 @@ parses, the `ParseError`'s (message, line, col), or the type of any other
 exception. Formulas are recorded as text, so values compare across
 processes; the `interned` field shows whether two runs of one text
 intern the same formulas in the same order.
-`compare` prints, for each field, how many runs differ and the names of
-the first 10, then how many more there are.
+`dump` writes each run as its own `(name, record)` pickle as soon as it
+is made, and `compare` reads the two dumps in step, a run of each at a
+time, so neither holds more than a run's records; it exits 1 if the run
+names part, and else prints, for each field, how many runs differ and the
+names of the first 10, then how many more there are.
 
 Dump each tree with its own copy of this script, run from that tree's
 root (for an older commit, a `git archive` copy): the modules under test
@@ -51,17 +56,31 @@ dumps its parent with the new script and the new `tests/helpers.py`, so
 both dumps hold the same runs. So does a change that widens the record,
 as adding `after_trans_pred` to `nodes` did, when the parent has the
 fields the new script reads (every tree since the seed has that one).
+A dump made by a copy of this script that pickled all runs as one dict
+does not compare with a streamed one: dump both trees with this script.
 """
 from __future__ import annotations
 
 import pickle
 import sys
+from itertools import zip_longest
 
 FIELDS = ("verdict", "stats", "trace", "nodes", "repair", "witness", "names", "rbox", "interned", "oracle", "parse")
 
 
 def _corpus() -> list:
-    from helpers import EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, and_nest, flat_and, pullback_kb, some_nest, wide_tbox
+    from helpers import (
+        DISALLOW_ABOX_TEXT,
+        DISALLOW_TBOX_TEXT,
+        EX1_BASE_TEXT,
+        EX1_TEXT,
+        EX2_TEXT,
+        and_nest,
+        flat_and,
+        pullback_kb,
+        some_nest,
+        wide_tbox,
+    )
     from kbgen import chain_kb_text, differential_suite
     from shisat import format_kb
 
@@ -72,6 +91,7 @@ def _corpus() -> list:
     cases += [(f"and/{d}", and_nest(d)) for d in (50, 320)] + [("flat_and/300", flat_and(300))]
     cases += [("wide/40", wide_tbox(40))]
     cases += [("pullback/200", format_kb(pullback_kb(200))), ("reorder/1.132", differential_suite(500, 1)[132])]
+    cases += [("disallow/abox", DISALLOW_ABOX_TEXT), ("disallow/tbox", DISALLOW_TBOX_TEXT)]
     cases += [("ex1_base", EX1_BASE_TEXT), ("ex1", EX1_TEXT), ("ex2", EX2_TEXT)]
     return [(f"{name}/{strategy}", text, strategy) for strategy in ("dfs", "fifo") for name, text in cases]
 
@@ -170,39 +190,54 @@ def _parse_outcome(text: str):
 
 
 def dump(out: str) -> None:
-    runs = {}
+    """Write each run's (name, record) to `out` as its own pickle, as soon
+    as it is made, so no more than one record is held at a time."""
     oracle: dict = {}  # text -> the oracle's model size
     parse: dict = {}  # text -> how parse_kb ends on it and its variants
-    for name, text, strategy in _corpus():
-        try:
-            if text not in oracle:
-                oracle[text] = _oracle_size(text)
-                parse[text] = tuple(_parse_outcome(t) for t in [text, *_malformed(text)])
-            runs[name] = {**_record(text, strategy), "oracle": oracle[text], "parse": parse[text]}
-        except Exception as exc:  # a crash is recorded as the run's outcome
-            runs[name] = {field: f"error: {type(exc).__name__}: {exc}" for field in FIELDS}
+    n = 0
     with open(out, "wb") as fh:
-        pickle.dump(runs, fh)
-    print(f"{len(runs)} runs -> {out}")
+        for name, text, strategy in _corpus():
+            try:
+                if text not in oracle:
+                    oracle[text] = _oracle_size(text)
+                    parse[text] = tuple(_parse_outcome(t) for t in [text, *_malformed(text)])
+                record = {**_record(text, strategy), "oracle": oracle[text], "parse": parse[text]}
+            except Exception as exc:  # a crash is recorded as the run's outcome
+                record = {field: f"error: {type(exc).__name__}: {exc}" for field in FIELDS}
+            pickle.dump((name, record), fh)
+            n += 1
+    print(f"{n} runs -> {out}")
+
+
+def runs(path: str):
+    """The (name, record) pairs of a dump written by `dump`, in its order."""
+    with open(path, "rb") as fh:
+        while True:
+            try:
+                yield pickle.load(fh)
+            except EOFError:
+                return
 
 
 def compare(a: str, b: str) -> int:
-    # Both files are dumps written by this script.
-    with open(a, "rb") as fh:
-        left = pickle.load(fh)
-    with open(b, "rb") as fh:
-        right = pickle.load(fh)
-    if left.keys() != right.keys():
-        print(f"run sets differ: {len(left.keys() ^ right.keys())} runs in one dump only")
-        return 1
-    worst = 0
-    for field in FIELDS:
-        differ = [name for name in left if left[name][field] != right[name][field]]
-        worst = max(worst, len(differ))
-        named = f": {', '.join(differ[:10])}" if differ else ""
-        rest = f" and {len(differ) - 10} more" if len(differ) > 10 else ""
-        print(f"{field}: {len(differ)} of {len(left)} runs differ{named}{rest}")
-    return 1 if worst else 0
+    """Read both dumps in step, one run of each at a time; exit 1 where
+    their run names part."""
+    differ: dict = {field: [] for field in FIELDS}
+    n = 0
+    for left, right in zip_longest(runs(a), runs(b)):
+        if left is None or right is None or left[0] != right[0]:
+            names = [run[0] if run else "the end of the dump" for run in (left, right)]
+            print(f"run names part at run {n + 1}: {names[0]} against {names[1]}")
+            return 1
+        for field in FIELDS:
+            if left[1][field] != right[1][field]:
+                differ[field].append(left[0])
+        n += 1
+    for field, names in differ.items():
+        named = f": {', '.join(names[:10])}" if names else ""
+        rest = f" and {len(names) - 10} more" if len(names) > 10 else ""
+        print(f"{field}: {len(names)} of {n} runs differ{named}{rest}")
+    return 1 if any(differ.values()) else 0
 
 
 def main(argv: list) -> int:

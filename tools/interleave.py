@@ -9,12 +9,16 @@ copies do not meet). For each input of the benchmark workload WORKLOAD
 with `--limit`), it times `parse_kb -> kb_index -> decide_sat` on both
 trees in turn, K times, switching which tree goes first each time, and
 keeps each tree's best; on a SAT verdict it times the witness path,
-`build_witness -> check_model`, apart, and keeps its best too. An input
+`build_witness -> check_model`, apart, and keeps its best too. Every
+input with one verdict on both trees is timed, also where the trees'
+stats differ, so a change that moves node counts is timed on the whole
+workload; the witness path is timed on every input SAT on both. An input
 that raises on both trees with the same exception is counted and not
-timed. It prints the p50, p75 and p95 of the per-input times (the
-benchmark's `percentile`) and their total, for A and B, with the ratio
-B/A: one table for the decision and one for the witness path over the SAT
-inputs. Then, per tree, one more untimed pass over the timed inputs runs
+timed. A line gives how many timed inputs differ in stats and the nodes
+summed over them all, per tree. It prints the p50, p75 and p95 of the
+per-input times (the benchmark's `percentile`) and their total, for A and
+B, with the ratio B/A: one table for the decision and one for the witness
+path. Then, per tree, one more untimed pass over the timed inputs runs
 `parse_kb -> kb_index -> decide_sat` under `tracemalloc`, and a third
 table gives the p50, p95 and max of the per-input peaks, in MB: a memory
 change is sized in-process, where `tools/ab.py`'s `peak_rss_mb` reads
@@ -95,10 +99,11 @@ WITNESS_PARTS = ("domain", "atoms", "roles", "check_model")
 
 def interleave(a, b, cases: list, k: int) -> tuple:
     """Each case's best decision time on `a` and on `b` over `k`
-    alternating rounds as (name, a_s, b_s), the same for the witness path
-    of the SAT cases, the names of the cases that raised on both, and the
-    messages of those on which the trees differ."""
-    times, witness_times, raised, differ = [], [], [], []
+    alternating rounds as (name, a_s, b_s), for every case with one verdict
+    on both trees, the same for the witness path of the cases SAT on both,
+    the names of the cases that raised on both, the messages of those on
+    which the trees differ, and (name, a_stats, b_stats) of each timed case."""
+    times, witness_times, raised, differ, stats = [], [], [], [], []
     trees = (a, b)
     for name, text in cases:
         best = [float("inf")] * 2
@@ -113,16 +118,26 @@ def interleave(a, b, cases: list, k: int) -> tuple:
                     best_witness[side] = min(best_witness[side], ws)
         if outcome[0] != outcome[1]:
             differ.append(f"{name}: A gives {outcome[0]}, B gives {outcome[1]}")
-        elif isinstance(outcome[0], str):
-            raised.append(name)
-        else:
-            times.append((name, *best))
+        if isinstance(outcome[0], str) or isinstance(outcome[1], str) or outcome[0][0] != outcome[1][0]:
+            if outcome[0] == outcome[1]:
+                raised.append(name)
+            continue
+        times.append((name, *best))
+        stats.append((name, outcome[0][1], outcome[1][1]))
+        if witness[0] is not None:  # SAT on both
+            witness_times.append((name, *best_witness))
             if witness[0] != witness[1]:
                 parts = [part for part, x, y in zip(WITNESS_PARTS, *witness) if x != y]
                 differ.append(f"{name}: the witnesses differ in {', '.join(parts)}")
-            elif witness[0] is not None:
-                witness_times.append((name, *best_witness))
-    return times, witness_times, raised, differ
+    return times, witness_times, raised, differ, stats
+
+
+def stats_line(stats: list) -> str:
+    """How many of the timed cases' (name, a_stats, b_stats) differ, and
+    the nodes summed over all of them on each side."""
+    moved = sum(x != y for _, x, y in stats)
+    a, b = (sum(t[i]["nodes"] for t in stats) for i in (1, 2))
+    return f"stats differ on {moved} of {len(stats)} timed inputs; nodes summed: A {a}, B {b}"
 
 
 def peak_memory(tree, text: str) -> int:
@@ -170,8 +185,9 @@ def main(argv: list) -> int:
 
     cases = workload_texts(args.workload)[: args.limit]
     a, b = load_tree(args.a, "shisat_a"), load_tree(args.b, "shisat_b")
-    times, witness_times, raised, differ = interleave(a, b, cases, max(1, args.k))
+    times, witness_times, raised, differ, stats = interleave(a, b, cases, max(1, args.k))
     print(f"{args.workload}: {len(times)} inputs timed, best of {args.k}; {len(raised)} raised on both trees")
+    print(stats_line(stats))
     if times:
         print("\n".join(report(times)))
     if witness_times:
