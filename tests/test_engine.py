@@ -1309,13 +1309,16 @@ def test_a_state_a_disallowed_demand_refutes_is_refuted_once(text, strategy):
 
 
 # ROADMAP item 1: a mode-0 repair mixes the demands of exclusive branches,
-# so the engine refutes these satisfiable inputs. The first is the second
-# shrunk by delta debugging; fifo happens to get the second right.
+# so the engine refutes these satisfiable inputs. The first is the third
+# shrunk by delta debugging, and `tools/shrink.py unsound` shrinks the
+# first to the second; fifo happens to get the third right, and dfs the
+# second.
 WRONG_UNSAT_SHRUNK = (
     "impl top (some s (all s- B))\n"
     "impl (some s- top) A\n"
     "impl (and C B) (all s- C)\n"
 )
+WRONG_UNSAT_TWO = "impl top (some s (all s- top))\nimpl (some s- top) A\n"
 WRONG_UNSAT = (
     "impl (or (and B top) (all s D)) (some s (all s- B))\n"
     "impl (some s- (and C C)) (all s (all s D))\n"
@@ -1330,6 +1333,8 @@ _WRONG = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: wrong UNSAT from
     [
         pytest.param(WRONG_UNSAT_SHRUNK, "dfs", marks=_WRONG, id="shrunk-dfs"),
         pytest.param(WRONG_UNSAT_SHRUNK, "fifo", marks=_WRONG, id="shrunk-fifo"),
+        pytest.param(WRONG_UNSAT_TWO, "dfs", id="two-dfs"),
+        pytest.param(WRONG_UNSAT_TWO, "fifo", marks=_WRONG, id="two-fifo"),
         pytest.param(WRONG_UNSAT, "dfs", marks=_WRONG, id="unshrunk-dfs"),
         pytest.param(WRONG_UNSAT, "fifo", id="unshrunk-fifo"),
     ],
@@ -1338,7 +1343,7 @@ def test_satisfiable_under_exclusive_converse_demands(text, strategy):
     assert run(text, strategy)[1].sat
 
 
-@pytest.mark.parametrize("text", [WRONG_UNSAT_SHRUNK, WRONG_UNSAT], ids=["shrunk", "unshrunk"])
+@pytest.mark.parametrize("text", [WRONG_UNSAT_SHRUNK, WRONG_UNSAT_TWO, WRONG_UNSAT], ids=["shrunk", "two", "unshrunk"])
 def test_exclusive_converse_demands_have_a_one_element_model(text):
     kb = parse_kb(text)
     found = bounded_model_search(kb, 2)

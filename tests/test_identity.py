@@ -2,15 +2,20 @@
 from __future__ import annotations
 
 import importlib.util
-import pickle
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import shisat
 
 ROOT = Path(__file__).parents[1]
 _spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
 identity = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(identity)
+TREE_B = identity.load_tree(ROOT, "shisat_b")  # a second copy of this tree, for a test to patch
 
 CASES = [
     ("sat/dfs", "inst a (some r A)\n", "dfs"),  # SAT, with a two-element witness
@@ -19,73 +24,103 @@ CASES = [
 ]
 
 
-@pytest.fixture
-def dumps(tmp_path, monkeypatch, capsys):
-    """Two dumps of `CASES`, with the dump messages read off."""
-    monkeypatch.setattr(identity, "_corpus", lambda: CASES)
-    paths = [tmp_path / "a.pkl", tmp_path / "b.pkl"]
-    for path in paths:
-        identity.dump(str(path))
-    capsys.readouterr()
-    return paths
-
-
-def _write(path, runs: dict) -> None:
-    """`runs` as a dump: one (name, record) pickle per run."""
-    with open(path, "wb") as fh:
-        for item in runs.items():
-            pickle.dump(item, fh)
-
-
-def _differing(out: str) -> dict:
-    """Field -> the number of runs `compare` reports differing on it."""
-    return {line.split(":")[0]: int(line.split()[1]) for line in out.splitlines()}
-
-
-def test_two_dumps_of_one_tree_agree_on_every_field(dumps, capsys):
-    a, b = dumps
-    assert identity.compare(str(a), str(b)) == 0
-    assert _differing(capsys.readouterr().out) == {field: 0 for field in identity.FIELDS}
-    assert len(identity.FIELDS) == 11
-    runs = dict(identity.runs(str(a)))
-    assert list(runs) == [name for name, *_ in CASES]
-    assert runs["sat/dfs"]["verdict"] is True and len(runs["sat/dfs"]["witness"][0]) == 2
-    assert runs["unsat/dfs"]["verdict"] is False and runs["unsat/dfs"]["witness"] is None
-    broken = runs["broken/dfs"]
-    assert broken.keys() == set(identity.FIELDS)
-    assert all(value.startswith("error: ParseError: ") for value in broken.values())
-
-
-def test_an_edited_node_list_is_counted_on_that_field_alone(dumps, tmp_path, capsys):
-    a, _ = dumps
-    runs = dict(identity.runs(str(a)))
-    runs["sat/dfs"]["nodes"] = runs["sat/dfs"]["nodes"][:-1]
-    edited = tmp_path / "edited.pkl"
-    _write(edited, runs)
-    assert identity.compare(str(a), str(edited)) == 1
-    counts = _differing(capsys.readouterr().out)
-    assert counts == {field: int(field == "nodes") for field in identity.FIELDS}
-
-
-def test_compare_names_ten_differing_runs_and_counts_the_rest(tmp_path, capsys):
-    left = {f"run/{i}": {field: 0 for field in identity.FIELDS} for i in range(12)}
-    right = {name: {**record, "trace": 1} for name, record in left.items()}
-    paths = [tmp_path / "a.pkl", tmp_path / "b.pkl"]
-    for path, runs in zip(paths, (left, right)):
-        _write(path, runs)
-    assert identity.compare(*map(str, paths)) == 1
+def _report(corpus, monkeypatch, capsys) -> dict:
+    """Field -> the line `compare` prints for it, this tree against `TREE_B` on `corpus`."""
+    monkeypatch.setattr(identity, "_corpus", lambda: corpus)
+    code = identity.compare(shisat, TREE_B)
     lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert code == int(any(" 0 of " not in line for line in lines.values()))
+    return lines
+
+
+def _differing(corpus, monkeypatch, capsys) -> dict:
+    """Field -> the number of runs `compare` reports differing on it."""
+    return {field: int(line.split()[1]) for field, line in _report(corpus, monkeypatch, capsys).items()}
+
+
+@pytest.fixture
+def one_node_more(monkeypatch):
+    """`TREE_B` with one more node in every run's stats."""
+    engine = TREE_B.engine.TableauEngine
+    stats = engine.stats
+    monkeypatch.setattr(engine, "stats", lambda self: {**stats(self), "nodes": stats(self)["nodes"] + 1})
+
+
+def test_a_tree_against_itself_agrees_on_every_field(monkeypatch, capsys):
+    assert _differing(CASES, monkeypatch, capsys) == {field: 0 for field in identity.FIELDS}
+    assert len(identity.FIELDS) == 11
+    sat, unsat = (identity._run(shisat, text, strategy, {}) for _, text, strategy in CASES[:2])
+    assert sat["verdict"] is True and len(sat["witness"][0]) == 2
+    assert unsat["verdict"] is False and unsat["witness"] is None
+
+
+def test_a_run_that_fails_to_parse_is_an_error_on_every_field():
+    record = identity._run(shisat, CASES[2][1], "dfs", {})
+    assert record.keys() == set(identity.FIELDS)
+    assert all(value.startswith("error: ParseError: ") for value in record.values())
+
+
+def test_stats_with_one_node_more_differ_on_that_field_alone(one_node_more, monkeypatch, capsys):
+    assert _differing(CASES, monkeypatch, capsys) == {field: 2 * (field == "stats") for field in identity.FIELDS}
+
+
+def test_a_graph_one_node_short_differs_on_nodes_and_repair(monkeypatch, capsys):
+    decide_sat = TREE_B.decide_sat
+
+    def one_node_short(kb, **kwargs):
+        verdict = decide_sat(kb, **kwargs)
+        if not verdict.sat:  # a SAT graph keeps its nodes for the witness
+            verdict.graph.nodes.pop()
+        return verdict
+
+    monkeypatch.setattr(TREE_B, "decide_sat", one_node_short)
+    counts = _differing(CASES, monkeypatch, capsys)
+    assert counts == {field: int(field in ("nodes", "repair")) for field in identity.FIELDS}
+
+
+def test_compare_names_ten_differing_runs_and_counts_the_rest(one_node_more, monkeypatch, capsys):
+    lines = _report([(f"run/{i}", "inst a A\n", "dfs") for i in range(12)], monkeypatch, capsys)
     named = ", ".join(f"run/{i}" for i in range(10))
-    assert lines["trace"] == f"trace: 12 of 12 runs differ: {named} and 2 more"
+    assert lines["stats"] == f"stats: 12 of 12 runs differ: {named} and 2 more"
     assert lines["verdict"] == "verdict: 0 of 12 runs differ"
 
 
-@pytest.mark.parametrize("cut", [slice(None, -1), slice(1, None)], ids=["one run short", "first run missing"])
-def test_dumps_whose_run_names_part_are_not_compared(dumps, tmp_path, capsys, cut):
-    a, _ = dumps
-    runs = dict(list(identity.runs(str(a)))[cut])
-    other = tmp_path / "other.pkl"
-    _write(other, runs)
-    assert identity.compare(str(a), str(other)) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("run names part at run ") and "differ" not in out
+# Prints one line per run of a slice, with sets and dicts in an order that
+# no string hash decides.
+_SLICE = """
+import sys
+sys.path.insert(0, "tools")
+import identity, shisat
+from helpers import DISALLOW_ABOX_TEXT, DISALLOW_TBOX_TEXT, EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT
+from kbgen import differential_suite
+
+def canonical(x):
+    if isinstance(x, (set, frozenset)):
+        return sorted(map(canonical, x), key=repr)
+    if isinstance(x, dict):
+        return sorted(((canonical(k), canonical(v)) for k, v in x.items()), key=repr)
+    if isinstance(x, (tuple, list, map)):
+        return [canonical(y) for y in x]
+    return x
+
+texts = [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, DISALLOW_ABOX_TEXT, DISALLOW_TBOX_TEXT]
+for strategy in ("dfs", "fifo"):
+    for text in texts + differential_suite(500, 20240817)[:40]:
+        record = identity._record(shisat, text, strategy)
+        print(canonical([record[f] for f in ("verdict", "stats", "trace", "names", "interned", "witness")]))
+"""
+
+
+def test_runs_agree_under_two_string_hash_seeds():
+    """Two processes with different string hashes decide the same slice
+    alike: a record that follows set order would differ between them."""
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-c", _SLICE], cwd=ROOT, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout.splitlines())
+    assert len(outs[0]) == 90
+    differ = [i for i, (x, y) in enumerate(zip(*outs)) if x != y]
+    assert not differ, f"runs {differ} differ between hash seeds 1 and 2"

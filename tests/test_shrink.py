@@ -51,3 +51,27 @@ def test_shrunk_unsat_kb_is_one_minimal(still_fails):
 def test_input_must_show_the_fault():
     with pytest.raises(ValueError):
         shrink_tool.shrink("inst a A\n", _unsat)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["missing.kb"], "No such file or directory"),
+        (["malformed.kb"], "(and ...) expects at least 2 arguments"),
+        (["padded.kb", "-k", "0"], "domain bound must be at least 1, got 0"),
+    ],
+    ids=["unreadable", "malformed", "k-below-1"],
+)
+def test_usage_errors_exit_2_with_one_error_line(tmp_path, monkeypatch, capsys, args, message):
+    """Exit 1 means the input does not show the fault, so a usage error exits 2."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "malformed.kb").write_text("inst a (and A)\n")
+    (tmp_path / "padded.kb").write_text(PADDED_UNSAT)
+    try:
+        code = shrink_tool.main(["unsound", *args])
+    except SystemExit as exc:  # argparse rejects -k
+        code = exc.code
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error: " in line]
+    assert code == 2 and out == ""
+    assert len(errors) == 1 and message in errors[0], err

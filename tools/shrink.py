@@ -16,7 +16,8 @@ a subterm keeps it failing.
 while `bounded_model_search(kb, K)` finds a model (K defaults to 3).
 `disagree` keeps inputs on which dfs and fifo give different verdicts.
 The shrunk knowledge base is printed one statement a line; the exit code
-is 1 when the input does not show the fault.
+is 1 when the input does not show the fault, and 2, after one `error:`
+line, when the file cannot be read, does not parse, or K is below 1.
 """
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ import argparse
 import sys
 from functools import partial
 
-from shisat import bounded_model_search, decide_sat, parse_kb
+from shisat import ParseError, bounded_model_search, decide_sat, parse_kb
+from shisat.cli import _domain_bound
 from shisat.kbparse import _KEYWORDS, _token_texts
 from shisat.oracle import SearchBudgetExceeded
 
@@ -163,16 +165,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("predicate", choices=("unsound", "disagree"))
     parser.add_argument("kb_file")
-    parser.add_argument("-k", type=int, default=3, help="unsound: the oracle's domain bound (default 3)")
+    parser.add_argument("-k", type=_domain_bound, default=3, help="unsound: the oracle's domain bound (default 3)")
     args = parser.parse_args(argv)
-    with open(args.kb_file) as fh:
-        text = fh.read()
     still_fails = partial(unsound, k=args.k) if args.predicate == "unsound" else disagree
     try:
-        print(shrink(text, still_fails), end="")
+        with open(args.kb_file) as fh:
+            shrunk = shrink(fh.read(), still_fails)
+    except (OSError, ParseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1
+    print(shrunk, end="")
     return 0
 
 
