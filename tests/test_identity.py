@@ -5,6 +5,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ ROOT = Path(__file__).parents[1]
 _spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
 identity = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(identity)
-TREE_B = identity.load_tree(ROOT, "shisat_b")  # a second copy of this tree, for a test to patch
+TREE_B = identity.load_tree(ROOT, "shisat_patched")  # a second copy of this tree, for a test to patch
 
 CASES = [
     ("sat/dfs", "inst a (some r A)\n", "dfs"),  # SAT, with a two-element witness
@@ -46,11 +47,22 @@ def one_node_more(monkeypatch):
     monkeypatch.setattr(engine, "stats", lambda self: {**stats(self), "nodes": stats(self)["nodes"] + 1})
 
 
+def _untraced(monkeypatch, change):
+    """`TREE_B` with each verdict it gives without a trace passed through `change`."""
+    decide_sat = TREE_B.decide_sat
+
+    def patched(kb, strategy, trace=False):
+        verdict = decide_sat(kb, strategy=strategy, trace=trace)
+        return verdict if trace else change(verdict)
+
+    monkeypatch.setattr(TREE_B, "decide_sat", patched)
+
+
 def test_a_tree_against_itself_agrees_on_every_field(monkeypatch, capsys):
     assert _differing(CASES, monkeypatch, capsys) == {field: 0 for field in identity.FIELDS}
     assert len(identity.FIELDS) == 11
     sat, unsat = (identity._run(shisat, text, strategy, {}) for _, text, strategy in CASES[:2])
-    assert sat["verdict"] is True and len(sat["witness"][0]) == 2
+    assert sat["verdict"] is True and len(sat["witness"][0]) == 2 and sat["witness"][3] is True
     assert unsat["verdict"] is False and unsat["witness"] is None
 
 
@@ -62,6 +74,22 @@ def test_a_run_that_fails_to_parse_is_an_error_on_every_field():
 
 def test_stats_with_one_node_more_differ_on_that_field_alone(one_node_more, monkeypatch, capsys):
     assert _differing(CASES, monkeypatch, capsys) == {field: 2 * (field == "stats") for field in identity.FIELDS}
+
+
+def test_an_untraced_run_with_one_node_more_differs_on_stats_alone(monkeypatch, capsys):
+    _untraced(monkeypatch, lambda v: replace(v, stats={**v.stats, "nodes": v.stats["nodes"] + 1}))
+    assert _differing(CASES, monkeypatch, capsys) == {field: 2 * (field == "stats") for field in identity.FIELDS}
+
+
+def test_an_untraced_run_refuted_differs_on_verdict_and_witness(monkeypatch, capsys):
+    _untraced(monkeypatch, lambda v: replace(v, sat=False))
+    counts = _differing(CASES, monkeypatch, capsys)
+    assert counts == {field: int(field in ("verdict", "witness")) for field in identity.FIELDS}
+
+
+def test_a_witness_that_check_model_rejects_differs_on_that_field_alone(monkeypatch, capsys):
+    monkeypatch.setattr(TREE_B, "check_model", lambda interp, kb: False)
+    assert _differing(CASES, monkeypatch, capsys) == {field: int(field == "witness") for field in identity.FIELDS}
 
 
 def test_a_graph_one_node_short_differs_on_nodes_and_repair(monkeypatch, capsys):
@@ -83,6 +111,16 @@ def test_compare_names_ten_differing_runs_and_counts_the_rest(one_node_more, mon
     named = ", ".join(f"run/{i}" for i in range(10))
     assert lines["stats"] == f"stats: 12 of 12 runs differ: {named} and 2 more"
     assert lines["verdict"] == "verdict: 0 of 12 runs differ"
+
+
+def test_every_benchmark_text_is_a_run_under_both_strategies(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import corpora
+
+    runs = {(text, strategy) for _, text, strategy in identity._corpus()}
+    texts = {case.text for cases in corpora.WORKLOADS.values() for case in cases()}
+    missing = {text for text in texts for strategy in ("dfs", "fifo") if (text, strategy) not in runs}
+    assert not missing, f"{len(missing)} of {len(texts)} benchmark texts are not runs under both strategies"
 
 
 # Prints one line per run of a slice, with sets and dicts in an order that

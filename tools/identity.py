@@ -3,27 +3,30 @@
     python3 tools/identity.py PARENT_TREE TREE
 
 Loads both trees' `src/shisat` in one process (`tools/interleave.py`'s
-`load_tree`) and decides each run of the corpus on both. The corpus comes
-from this tree's `tests/helpers.py` and `tests/kbgen.py` (`_corpus`): the
-500-case suite, chain depths 1-40, `some r` nests with and without
-`trans r`, conjunction nests, `flat_and/300`, `wide/40`, `pullback/200`,
-`reorder/1.132`, `disallow/abox`, `disallow/tbox` and the worked
-examples, each under both expansion strategies: 1,110 runs.
+`load_tree`) and decides each run of the corpus on both. The corpus
+(`_corpus`) is the benchmark's `suite`, `chain` and `deep` cases under
+their benchmark names, read with `tools/interleave.py`'s `workload_texts`
+(the `oracle` workload's texts are `suite`'s), and nine texts of
+`tests/helpers.py` and `tests/kbgen.py` that no workload holds, each under
+both expansion strategies: 1,228 runs.
 
-A run is compared on 11 fields, with formulas as text: the verdict, stats
-and trace; `nodes`, each node's id, rule, status, label, successors,
-ce_label, expansion count and `after_trans_pred`; `repair`, each node's
-reduced and disallowed formulas, conv_method, fmls_rc, and `alt_fml_sets`
-in the fifth slot on a state and the sixth on an or-node; the witness of a
-SAT verdict; the knowledge base's name lists; the closed role box;
-`interned`, the store's formulas in uid order after the run and the
+A run is compared on 11 fields, with formulas as text. The verdict, stats
+and witness come from a plain `decide_sat(kb, strategy)`, as the benchmark
+calls it; the witness is a SAT verdict's domain, atoms and roles and
+`check_model`'s answer on it. A second, traced decision of a fresh parse
+gives the trace; `nodes`, each node's id, rule, status, label, successors,
+ce_label, expansion count and `after_trans_pred`; and `repair`, each
+node's reduced and disallowed formulas, conv_method, fmls_rc, and
+`alt_fml_sets` in the fifth slot on a state and the sixth on an or-node.
+The other fields are the knowledge base's name lists; the closed role box;
+`interned`, the store's formulas in uid order after the plain run and the
 witness; `oracle`, the domain size of the model that
 `bounded_model_search(kb, 3)` finds; and `parse`, how `parse_kb` ends on
 the text and on its `_malformed` variants. `nodes`, `repair`, `trace` and
 `interned` are compared element by element as each element is made, so no
-run's record is held whole. A run that raises on a tree has
-`error: TYPE: MESSAGE` on every field; an element that raises ends its
-field with that error.
+run's record is held whole, and a run makes each formula's text once. A
+run that raises on a tree has `error: TYPE: MESSAGE` on every field; an
+element that raises ends its field with that error.
 
 It prints per field how many runs differ, naming the first 10 and counting
 the rest, and exits 1 if any run differs.
@@ -41,73 +44,64 @@ for _sub in ("src", "tests", "tools"):  # the corpus and `load_tree` come from t
     if str(ROOT / _sub) not in sys.path:
         sys.path.insert(0, str(ROOT / _sub))
 
-from interleave import load_tree  # noqa: E402
+from interleave import load_tree, workload_texts  # noqa: E402
 
 FIELDS = ("verdict", "stats", "trace", "nodes", "repair", "witness", "names", "rbox", "interned", "oracle", "parse")
 _END = object()  # pads the shorter of two element streams
 
 
 def _corpus() -> list:
-    from helpers import (
-        DISALLOW_ABOX_TEXT,
-        DISALLOW_TBOX_TEXT,
-        EX1_BASE_TEXT,
-        EX1_TEXT,
-        EX2_TEXT,
-        and_nest,
-        flat_and,
-        pullback_kb,
-        some_nest,
-        wide_tbox,
-    )
-    from kbgen import chain_kb_text, differential_suite
+    from helpers import (DISALLOW_ABOX_TEXT, DISALLOW_TBOX_TEXT, EX1_BASE_TEXT, and_nest, flat_and, pullback_kb,
+                         some_nest, wide_tbox)
+    from kbgen import differential_suite
     from shisat import format_kb
 
-    cases = [(f"suite/{i}", t) for i, t in enumerate(differential_suite(500, 20240817))]
-    cases += [(f"chain/{d}", chain_kb_text(d)) for d in range(1, 41)]
-    cases += [(f"some/{d}", some_nest(d, False)) for d in (50, 200)]
-    cases += [(f"some.trans/{d}", some_nest(d, True)) for d in (10, 45)]
-    cases += [(f"and/{d}", and_nest(d)) for d in (50, 320)] + [("flat_and/300", flat_and(300))]
-    cases += [("wide/40", wide_tbox(40))]
-    cases += [("pullback/200", format_kb(pullback_kb(200))), ("reorder/1.132", differential_suite(500, 1)[132])]
-    cases += [("disallow/abox", DISALLOW_ABOX_TEXT), ("disallow/tbox", DISALLOW_TBOX_TEXT)]
-    cases += [("ex1_base", EX1_BASE_TEXT), ("ex1", EX1_TEXT), ("ex2", EX2_TEXT)]
+    cases = [case for workload in ("suite", "chain", "deep") for case in workload_texts(workload)]
+    cases += [("example1.base", EX1_BASE_TEXT), ("some[50]", some_nest(50, False)), ("and[50]", and_nest(50))]
+    cases += [("flat_and[300]", flat_and(300)), ("wide[40]", wide_tbox(40))]
+    cases += [("pullback[200]", format_kb(pullback_kb(200))), ("reorder[1.132]", differential_suite(500, 1)[132])]
+    cases += [("disallow.abox", DISALLOW_ABOX_TEXT), ("disallow.tbox", DISALLOW_TBOX_TEXT)]
     return [(f"{name}/{strategy}", text, strategy) for strategy in ("dfs", "fifo") for name, text in cases]
 
 
-def _plain(tree, x):
-    """`x` with `tree`'s formulas as text, so values of two trees compare."""
+def _plain(tree, texts: dict, x):
+    """`x` with `tree`'s formulas as text, so values of two trees compare;
+    `texts` keeps each formula's text once made."""
     if isinstance(x, (tree.syntax.Concept, tree.syntax.Assertion)):
-        return tree.syntax.formula_text(x)
+        if x not in texts:
+            texts[x] = tree.syntax.formula_text(x)
+        return texts[x]
     if isinstance(x, (set, frozenset)):
-        return frozenset(_plain(tree, y) for y in x)
+        return frozenset(_plain(tree, texts, y) for y in x)
     if isinstance(x, (tuple, list)):
-        return tuple(_plain(tree, y) for y in x)
+        return tuple(_plain(tree, texts, y) for y in x)
     if isinstance(x, dict):
-        return {_plain(tree, k): _plain(tree, v) for k, v in x.items()}
+        return {_plain(tree, texts, k): _plain(tree, texts, v) for k, v in x.items()}
     return x
 
 
 def _record(tree, text: str, strategy: str) -> dict:
     """The run's fields on `tree`; `nodes`, `repair`, `trace` and
     `interned` are iterators that make one element at a time."""
+    plain = partial(_plain, tree, {})
     kb = tree.parse_kb(text)
-    verdict = tree.decide_sat(kb, strategy=strategy, trace=True)
-    g, idx = verdict.graph, verdict.engine.idx
-    plain = partial(_plain, tree)
+    verdict = tree.decide_sat(kb, strategy=strategy)
     witness = None
     if verdict.sat:
-        w = tree.build_witness(g, kb, idx)
-        witness = (tuple(w.domain), plain(w.atoms), plain(w.roles))
+        w = tree.build_witness(verdict.graph, kb, tree.kb_index(kb))
+        witness = (tuple(w.domain), plain(w.atoms), plain(w.roles), tree.check_model(w, kb))
+    traced_kb = tree.parse_kb(text)  # a fresh parse, as the plain run had
+    traced = tree.decide_sat(traced_kb, strategy=strategy, trace=True)
+    g, idx = traced.graph, traced.engine.idx
 
     def formulas(x):  # a uid bitset as its formulas
-        return frozenset(kb.store.members(x)) if isinstance(x, int) else x
+        return frozenset(traced_kb.store.members(x)) if isinstance(x, int) else x
 
     empty, state = tree.graph.EMPTY, tree.graph.STATE
     return {
         "verdict": verdict.sat,
         "stats": verdict.stats,
-        "trace": map(plain, verdict.engine.trace),
+        "trace": map(plain, traced.engine.trace),
         "nodes": (
             plain((n.id, n.rule, n.status, n.label, n.succs, n.ce_label, n.expansions, n.after_trans_pred))
             for n in g.nodes

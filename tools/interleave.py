@@ -1,31 +1,28 @@
 """Time two source trees against each other in one process, input by input.
 
-    python3 tools/interleave.py A B WORKLOAD [-k K] [--limit N]
+    python3 tools/interleave.py A B WORKLOAD [-k K]
 
 Loads `A/src/shisat` and `B/src/shisat` side by side under two package
 names (the package's modules import each other only relatively, so two
 copies do not meet). For each input of the benchmark workload WORKLOAD
-(`bench/corpora.py` of this tree, in the order seed 1 gives, the first N
-with `--limit`), it times `parse_kb -> kb_index -> decide_sat` on both
-trees in turn, K times, switching which tree goes first each time, and
-keeps each tree's best; on a SAT verdict it times the witness path,
-`build_witness -> check_model`, apart, and keeps its best too. Every
-input with one verdict on both trees is timed, also where the trees'
-stats differ, so a change that moves node counts is timed on the whole
-workload; the witness path is timed on every input SAT on both. An input
-that raises on both trees with the same exception is counted and not
-timed. A line gives how many timed inputs differ in stats and the nodes
-summed over them all, per tree. It prints the p50, p75 and p95 of the
-per-input times (the benchmark's `percentile`) and their total, for A and
-B, with the ratio B/A: one table for the decision and one for the witness
-path. Then, per tree, one more untimed pass over the timed inputs runs
-`parse_kb -> kb_index -> decide_sat` under `tracemalloc`, and a third
-table gives the p50, p95 and max of the per-input peaks, in MB: a memory
-change is sized in-process, where `tools/ab.py`'s `peak_rss_mb` reads
-the whole process. It exits 1 if the trees differ on any input's
-verdict, stats (nodes, states and rule applications) or exception, or if
-their witnesses differ in domain, atoms, roles or `check_model`'s
-answer, so a timing run also catches a changed rule choice or witness.
+(`bench/corpora.py` of this tree, in the order seed 1 gives), it times
+`parse_kb -> kb_index -> decide_sat` on both trees in turn, K times,
+switching which tree goes first each time, and keeps each tree's best; on
+a SAT verdict it times the witness path, `build_witness -> check_model`,
+apart, and keeps its best too. Every input that raises on neither tree is
+timed, also where the trees' stats or verdicts differ, and the witness
+path is timed on every input SAT on both; an input that raises on a tree
+is counted and not timed. A line gives how many timed inputs differ in
+stats and the nodes summed over them all, per tree, so a change that
+moves node counts shows beside its timings. It prints the p50, p75 and
+p95 of the per-input times (the benchmark's `percentile`) and their
+total, for A and B, with the ratio B/A: one table for the decision and one
+for the witness path. Then, per tree, one more untimed pass over the timed
+inputs runs `parse_kb -> kb_index -> decide_sat` under `tracemalloc`, and
+a third table gives the p50, p95 and max of the per-input peaks, in MB: a
+memory change is sized in-process, where `tools/ab.py`'s `peak_rss_mb`
+reads the whole process. It compares no verdict or witness:
+`tools/identity.py` does.
 
 Both trees share the process, so drift in the machine's speed falls on
 both alike: this sizes changes of a few microseconds per input, which
@@ -45,6 +42,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 TIME_ROWS = (("p50", 50), ("p75", 75), ("p95", 95), ("total", sum))
 MEMORY_ROWS = (("p50", 50), ("p95", 95), ("max", max))
+INF = float("inf")
 
 
 def load_tree(root: Path, name: str):
@@ -71,65 +69,48 @@ def workload_texts(workload: str) -> list:
     return [(case.name, case.text) for case in corpora.build(workload, 1)]
 
 
-def run_once(tree, text: str):
-    """(decision seconds, witness seconds, outcome, witness) of one parse ->
-    role box -> decision of `text`, then, on a SAT verdict, one
-    `build_witness -> check_model`. The outcome is (verdict, stats) or the
-    name of the exception raised; the witness is (domain, atoms, roles,
-    check_model's answer), and it and its seconds are None when the verdict
-    is not SAT or a call raised."""
+def run_once(tree, text: str) -> tuple:
+    """(decision seconds, witness seconds, stats) of one parse -> role box
+    -> decision of `text`, then, on a SAT verdict, one `build_witness ->
+    check_model`. The witness seconds are infinite when the verdict is not
+    SAT, and all seconds are, with stats None, when a call raised."""
     start = perf_counter()
     try:
         kb = tree.parse_kb(text)
         idx = tree.kb_index(kb)
         verdict = tree.decide_sat(kb)
         decided = perf_counter()
-        if not verdict.sat:
-            return decided - start, None, (verdict.sat, verdict.stats), None
-        interp = tree.build_witness(verdict.graph, kb, idx)
-        ok = tree.check_model(interp, kb)
-    except Exception as exc:  # an input the trees must fail alike
-        return perf_counter() - start, None, type(exc).__name__, None
-    witness_s = perf_counter() - decided
-    return decided - start, witness_s, (verdict.sat, verdict.stats), (interp.domain, interp.atoms, interp.roles, ok)
-
-
-WITNESS_PARTS = ("domain", "atoms", "roles", "check_model")
+        if verdict.sat:
+            tree.check_model(tree.build_witness(verdict.graph, kb, idx), kb)
+    except Exception:  # how the trees fail is tools/identity.py's to compare
+        return INF, INF, None
+    return decided - start, perf_counter() - decided if verdict.sat else INF, verdict.stats
 
 
 def interleave(a, b, cases: list, k: int) -> tuple:
     """Each case's best decision time on `a` and on `b` over `k`
-    alternating rounds as (name, a_s, b_s), for every case with one verdict
-    on both trees, the same for the witness path of the cases SAT on both,
-    the names of the cases that raised on both, the messages of those on
-    which the trees differ, and (name, a_stats, b_stats) of each timed case."""
-    times, witness_times, raised, differ, stats = [], [], [], [], []
+    alternating rounds as (name, a_s, b_s), for every case that raises on
+    neither tree, the same for the witness path of the cases SAT on both,
+    the names of the cases that raised on a tree, and (name, a_stats,
+    b_stats) of each timed case."""
+    times, witness_times, raised, stats = [], [], [], []
     trees = (a, b)
     for name, text in cases:
-        best = [float("inf")] * 2
-        best_witness = [float("inf")] * 2
+        best = [(INF, INF)] * 2  # per tree: decision and witness seconds
         outcome: list = [None] * 2
-        witness: list = [None] * 2
         for i in range(k):
             for side in (0, 1) if i % 2 == 0 else (1, 0):
-                s, ws, outcome[side], witness[side] = run_once(trees[side], text)
-                best[side] = min(best[side], s)
-                if ws is not None:
-                    best_witness[side] = min(best_witness[side], ws)
-        if outcome[0] != outcome[1]:
-            differ.append(f"{name}: A gives {outcome[0]}, B gives {outcome[1]}")
-        if isinstance(outcome[0], str) or isinstance(outcome[1], str) or outcome[0][0] != outcome[1][0]:
-            if outcome[0] == outcome[1]:
-                raised.append(name)
+                *seconds, outcome[side] = run_once(trees[side], text)
+                best[side] = tuple(map(min, best[side], seconds))
+        if None in outcome:
+            raised.append(name)
             continue
-        times.append((name, *best))
-        stats.append((name, outcome[0][1], outcome[1][1]))
-        if witness[0] is not None:  # SAT on both
-            witness_times.append((name, *best_witness))
-            if witness[0] != witness[1]:
-                parts = [part for part, x, y in zip(WITNESS_PARTS, *witness) if x != y]
-                differ.append(f"{name}: the witnesses differ in {', '.join(parts)}")
-    return times, witness_times, raised, differ, stats
+        (a_s, a_witness), (b_s, b_witness) = best
+        times.append((name, a_s, b_s))
+        stats.append((name, *outcome))
+        if INF not in (a_witness, b_witness):  # SAT on both
+            witness_times.append((name, a_witness, b_witness))
+    return times, witness_times, raised, stats
 
 
 def stats_line(stats: list) -> str:
@@ -180,13 +161,12 @@ def main(argv: list) -> int:
     parser.add_argument("b", type=Path, help="root of tree B")
     parser.add_argument("workload", help="a workload of bench/corpora.py")
     parser.add_argument("-k", type=int, default=7, help="rounds per input; each tree keeps its best")
-    parser.add_argument("--limit", type=int, default=None, help="time only the first N inputs")
     args = parser.parse_args(argv)
 
-    cases = workload_texts(args.workload)[: args.limit]
+    cases = workload_texts(args.workload)
     a, b = load_tree(args.a, "shisat_a"), load_tree(args.b, "shisat_b")
-    times, witness_times, raised, differ, stats = interleave(a, b, cases, max(1, args.k))
-    print(f"{args.workload}: {len(times)} inputs timed, best of {args.k}; {len(raised)} raised on both trees")
+    times, witness_times, raised, stats = interleave(a, b, cases, max(1, args.k))
+    print(f"{args.workload}: {len(times)} inputs timed, best of {args.k}; {len(raised)} raised on a tree")
     print(stats_line(stats))
     if times:
         print("\n".join(report(times)))
@@ -198,9 +178,7 @@ def main(argv: list) -> int:
         peaks = memory(a, b, [(name, text) for name, text in cases if name in decided])
         print(f"decision peak memory (tracemalloc, parse_kb -> kb_index -> decide_sat): {len(peaks)} inputs")
         print("\n".join(report(peaks, MEMORY_ROWS, "MB", 1e-6)))
-    for line in differ:
-        print("DIFFER " + line)
-    return 1 if differ else 0
+    return 0
 
 
 if __name__ == "__main__":
