@@ -1,29 +1,21 @@
 """tools/ab.py: the per-metric summary of paired benchmark runs."""
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import subprocess
+import sys
 from pathlib import Path
 
-_spec = importlib.util.spec_from_file_location("ab", Path(__file__).parents[1] / "tools" / "ab.py")
-ab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab)
+import ab
 
 BETTER = {"verdict_ms.p50": "lower", "throughput_kb_s": "higher"}
 
 
 def _record(verdict, throughput, correct=True, failed=0):
-    return {
-        "correct": correct,
-        "attempted": 10,
-        "failed": failed,
-        "metrics": {
-            "verdict_ms.p50": {"value": verdict, "unit": "ms"},
-            "throughput_kb_s": {"value": throughput, "unit": "kb/s"},
-        },
-    }
+    metrics = {"verdict_ms.p50": {"value": verdict, "unit": "ms"},
+               "throughput_kb_s": {"value": throughput, "unit": "kb/s"}}
+    return {"correct": correct, "attempted": 10, "failed": failed, "metrics": metrics}
 
 
 def test_summary_counts_wins_in_each_metrics_direction():
@@ -63,10 +55,7 @@ def test_one_pair_has_degenerate_quartiles():
 def test_flags_incorrect_runs_and_extra_failures():
     parent = [_record(1, 1), _record(1, 1, failed=2), _record(1, 1)]
     change = [_record(1, 1, correct=False), _record(1, 1, failed=2), _record(1, 1, failed=1)]
-    assert ab.flags(parent, change) == [
-        "pair 0: change run not correct",
-        "pair 2: change failed 1 inputs, parent 0",
-    ]
+    assert ab.flags(parent, change) == ["pair 0: change run not correct", "pair 2: change failed 1 inputs, parent 0"]
 
 
 def test_the_record_is_the_last_json_line():
@@ -76,30 +65,47 @@ def test_the_record_is_the_last_json_line():
 
 
 def test_directions_come_from_the_benchmark_declaration():
-    better = ab.directions(Path(__file__).parents[1] / "BENCHMARK.json")
+    better = ab.directions(json.loads(ab.BENCHMARK.read_text()))
     assert better["verdict_ms.p50"] == "lower" and better["throughput_kb_s"] == "higher"
 
 
 def test_json_holds_the_rows_and_every_run(tmp_path, monkeypatch):
     calls = []
 
-    def fake_run(tree, workload, seed, seconds, trace):
-        calls.append((tree == ab.ROOT, seed))
+    def fake_run(tree, cmd):  # cmd[3] is the workload and cmd[5] the seed
+        calls.append(f"{cmd[3]} {'change' if tree == ab.ROOT else 'parent'} {cmd[5]}")
         return _record(9 if tree == ab.ROOT else 10, 1)
 
     monkeypatch.setattr(ab, "run_bench", fake_run)
     out = tmp_path / "ab.json"
-    assert ab.main([str(tmp_path), "--workload", "suite", "--pairs", "2", "--seed", "5", "--json", str(out)]) == 0
-    assert calls == [(False, 5), (True, 5), (True, 6), (False, 6)]  # the first side alternates
+    argv = [str(tmp_path), "--workload", "chain", "--workload", "suite", "--seed", "5", "--json", str(out)]
+    assert ab.main(argv) == 0
+    # Pair i runs both workloads, in the declaration's order, before pair i + 1; the first side alternates.
+    assert len(calls) == 40 and calls[:8] == ["suite parent 5", "suite change 5", "chain parent 5", "chain change 5",
+                                              "suite change 6", "suite parent 6", "chain change 6", "chain parent 6"]
 
     saved = json.loads(out.read_text())
-    assert (saved["workload"], saved["pairs"], saved["seconds"], saved["trace"]) == ("suite", 2, 20, 0)
-    assert saved["flags"] == []
-    row = next(r for r in saved["rows"] if r["metric"] == "verdict_ms.p50")
+    assert list(saved) == ["suite", "chain"] and saved["chain"]["flags"] == []
+    assert (saved["chain"]["pairs"], saved["chain"]["seconds"], saved["chain"]["trace"]) == (10, 20, 0)
+    row = next(r for r in saved["chain"]["rows"] if r["metric"] == "verdict_ms.p50")
     assert row == {"metric": "verdict_ms.p50", "unit": "ms", "parent": [10, 10, 10], "change": [9, 9, 9],
-                   "wins": 2, "pairs": 2, "gain": True}
-    assert [(r["pair"], r["seed"]) for r in saved["runs"]] == [(0, 5), (1, 6)]
-    assert saved["runs"][1]["parent"] == _record(10, 1) and saved["runs"][1]["change"] == _record(9, 1)
+                   "wins": 10, "pairs": 10, "gain": True}
+    runs = saved["suite"]["runs"]
+    assert [(r["pair"], r["seed"]) for r in runs] == [(i, 5 + i) for i in range(10)]
+    assert runs[1]["parent"] == _record(10, 1) and runs[1]["change"] == _record(9, 1)
+
+
+def test_the_declaration_gives_the_workloads_command_and_run_length(tmp_path, monkeypatch):
+    spec = json.loads(ab.BENCHMARK.read_text())
+    spec.update(command=["python3", "bench/other.py"], run_seconds=3.5, workloads=[*spec["workloads"], {"name": "x"}])
+    monkeypatch.setattr(ab, "BENCHMARK", tmp_path / "BENCHMARK.json")
+    ab.BENCHMARK.write_text(json.dumps(spec))
+    cmds = []
+    monkeypatch.setattr(ab, "run_bench", lambda tree, cmd: cmds.append(cmd) or _record(1, 1))
+    assert ab.main([str(tmp_path)]) == 0
+    assert len(cmds) == 100 and [cmd[3] for cmd in cmds[:10:2]] == ["suite", "chain", "deep", "oracle", "x"]
+    assert cmds[8] == [sys.executable, "bench/other.py", "--workload", "x", "--seed", "101", "--seconds", "3.5",
+                       "--trace", "0"]
 
 
 def test_each_run_compiles_from_source_in_a_fresh_cache(tmp_path, monkeypatch):
@@ -115,8 +121,8 @@ def test_each_run_compiles_from_source_in_a_fresh_cache(tmp_path, monkeypatch):
         return subprocess.CompletedProcess(cmd, 0, json.dumps(_record(1, 1)) + "\n", "")
 
     monkeypatch.setattr(ab.subprocess, "run", fake_run)
-    assert ab.run_bench(tmp_path, "chain", 3, 20, 0) == _record(1, 1)
-    assert ab.run_bench(tmp_path, "chain", 3, 20, 0) == _record(1, 1)
+    assert ab.run_bench(tmp_path, ["run"]) == _record(1, 1)
+    assert ab.run_bench(tmp_path, ["run"]) == _record(1, 1)
     (cwd, first, fresh), (_, second, fresh_again) = seen
     assert cwd == tmp_path and fresh and fresh_again  # each run starts from an empty cache
     assert first != second and not first.exists() and not second.exists()

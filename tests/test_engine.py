@@ -1034,6 +1034,24 @@ def test_no_call_re_enters_the_status_flow(strategy, monkeypatch):
     assert deepest == 1
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20: update_status rescans every successor each time one settles")
+def test_settling_reads_each_successor_a_bounded_number_of_times(monkeypatch):
+    # The root state has one successor per individual, and each settles on
+    # its own, so reading every successor per update reads n² of them.
+    original = TableauEngine.update_status
+    reads = 0
+
+    def counted(self, v):
+        nonlocal reads
+        reads += len(self.graph.nodes[v].succs)
+        original(self, v)
+
+    monkeypatch.setattr(TableauEngine, "update_status", counted)
+    n = 1000
+    assert decide_sat(parse_kb("".join(f"inst a{i} (some r A)\n" for i in range(n)))).sat
+    assert reads <= 10 * n
+
+
 def test_the_status_flow_reaches_its_fixpoint(decided):
     # No expanded node is left that an update would settle or repair: an
     # or-node has no SAT successor and not only UNSAT or INCOMPLETE ones, a

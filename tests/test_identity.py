@@ -1,7 +1,6 @@
 """tools/identity.py: the gate a behaviour-preserving refactor is checked by."""
 from __future__ import annotations
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -10,12 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import identity
 import shisat
 
 ROOT = Path(__file__).parents[1]
-_spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
-identity = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(identity)
 TREE_B = identity.load_tree(ROOT, "shisat_patched")  # a second copy of this tree, for a test to patch
 
 CASES = [
@@ -113,9 +110,8 @@ def test_compare_names_ten_differing_runs_and_counts_the_rest(one_node_more, mon
     assert lines["verdict"] == "verdict: 0 of 12 runs differ"
 
 
-def test_every_benchmark_text_is_a_run_under_both_strategies(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    import corpora
+def test_every_benchmark_text_is_a_run_under_both_strategies():
+    import corpora  # on the path that identity.py sets up
 
     runs = {(text, strategy) for _, text, strategy in identity._corpus()}
     texts = {case.text for cases in corpora.WORKLOADS.values() for case in cases()}

@@ -1,16 +1,13 @@
 """tools/interleave.py: two trees timed side by side in one process."""
 from __future__ import annotations
 
-import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+import interleave
 import shisat
 
 ROOT = Path(__file__).parents[1]
-_spec = importlib.util.spec_from_file_location("interleave", ROOT / "tools" / "interleave.py")
-interleave = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(interleave)
 
 
 def test_the_tree_against_itself_on_ten_suite_texts(monkeypatch, capsys):

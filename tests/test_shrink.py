@@ -1,16 +1,10 @@
 """tools/shrink.py: delta debugging over statements and subterms."""
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
+import shrink
 from shisat import decide_sat, parse_kb
-
-_spec = importlib.util.spec_from_file_location("shrink", Path(__file__).parents[1] / "tools" / "shrink.py")
-shrink_tool = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(shrink_tool)
 
 # a:A forces an r-successor in B, and B is empty; the rest is padding.
 PADDED_UNSAT = """\
@@ -39,7 +33,7 @@ def _unsat_without_constants(text: str) -> bool:
 @pytest.mark.parametrize("still_fails", [_unsat, _unsat_without_constants])
 def test_shrunk_unsat_kb_is_one_minimal(still_fails):
     assert still_fails(PADDED_UNSAT)
-    shrunk = shrink_tool.shrink(PADDED_UNSAT, still_fails)
+    shrunk = shrink.shrink(PADDED_UNSAT, still_fails)
     statements = shrunk.splitlines()
     assert _unsat(shrunk)
     assert 0 < len(statements) < len(PADDED_UNSAT.splitlines())
@@ -50,7 +44,7 @@ def test_shrunk_unsat_kb_is_one_minimal(still_fails):
 
 def test_input_must_show_the_fault():
     with pytest.raises(ValueError):
-        shrink_tool.shrink("inst a A\n", _unsat)
+        shrink.shrink("inst a A\n", _unsat)
 
 
 @pytest.mark.parametrize(
@@ -68,7 +62,7 @@ def test_usage_errors_exit_2_with_one_error_line(tmp_path, monkeypatch, capsys, 
     (tmp_path / "malformed.kb").write_text("inst a (and A)\n")
     (tmp_path / "padded.kb").write_text(PADDED_UNSAT)
     try:
-        code = shrink_tool.main(["unsound", *args])
+        code = shrink.main(["unsound", *args])
     except SystemExit as exc:  # argparse rejects -k
         code = exc.code
     out, err = capsys.readouterr()

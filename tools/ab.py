@@ -1,24 +1,27 @@
 """Compare the benchmark between a parent tree and this tree, run for run.
 
-    python3 tools/ab.py PARENT_TREE --workload chain --pairs 10 [--seconds 20] [--seed 101] [--trace 0] [--json OUT.json]
+    python3 tools/ab.py PARENT_TREE [--workload W ...] [--seed 101] [--trace 0] [--json OUT.json]
 
-Runs `python3 bench/run.py` from the root of each tree, in pairs: pair i
-runs both trees on seed SEED + i, and the side that runs first alternates
-from pair to pair, so drift in the machine's speed falls on both sides.
-Each run gets its own empty bytecode cache (`PYTHONPYCACHEPREFIX`), so
-both trees compile from source and no `.pyc` left in either tree, which
-would shorten its import, reaches `setup_s`.
-Each run's last JSON line is its record. For every metric the records
-share, it prints the parent's and this tree's median and quartiles, and
-this tree's wins out of the pairs, where a win is a strictly better value
-in the direction `BENCHMARK.json` gives (lower when it names none) and a
-tie counts for neither. `gain` marks a metric on which this tree won at
-least nine tenths of the pairs and the medians differ by more than the
-parent's interquartile range. A run that is not `correct`, or that fails
-more inputs than the parent's run of its pair, is flagged; the exit code
-is 1 when any run is flagged. `--json` also writes the comparison to a
-file: the settings, the summary rows (with both sides' quartiles), the
-flags and every run's record, by pair. Stdlib only.
+Runs the benchmark as this tree's `BENCHMARK.json` declares it: its
+`command`, under this interpreter, from the root of each tree, for its
+`run_seconds`, on every workload it lists or on those `--workload` names.
+Pair i of ten runs each workload on both trees on seed SEED + i before
+pair i + 1 starts, and the side that runs first alternates from pair to
+pair, so drift in the machine's speed falls on both sides and spreads
+over the session. Each run gets its own empty bytecode cache
+(`PYTHONPYCACHEPREFIX`), so both trees compile from source and no `.pyc`
+left in either tree, which would shorten its import, reaches `setup_s`.
+Each run's last JSON line is its record. Per workload, for every metric
+the records share, it prints both sides' median and quartiles and this
+tree's wins out of the pairs: a win is a strictly better value in the
+direction `BENCHMARK.json` gives (lower when it names none), and a tie
+counts for neither. `gain` marks a metric on which this tree won at least
+nine tenths of the pairs and the medians differ by more than the parent's
+interquartile range. A run that is not `correct`, or that fails more
+inputs than the parent's run of its pair, is flagged; the exit code is 1
+when any run is flagged. `--json` also writes, per workload, the
+settings, the summary rows, the flags and every run's record, by pair.
+Stdlib only.
 """
 from __future__ import annotations
 
@@ -32,11 +35,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
+PAIRS = 10
 
 
-def directions(benchmark: Path) -> dict:
-    """Metric name -> "lower" or "higher", from BENCHMARK.json."""
-    spec = json.loads(benchmark.read_text())
+def directions(spec: dict) -> dict:
+    """Metric name -> "lower" or "higher", from the benchmark declaration."""
     return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in spec.get(key, ())}
 
 
@@ -49,9 +53,8 @@ def last_record(stdout: str) -> dict | None:
     return None
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def run_bench(tree: Path, cmd: list) -> dict:
+    """The record of one run of `cmd` from the root of `tree`."""
     with tempfile.TemporaryDirectory(prefix="ab-pycache-") as cache:
         env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
         done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
@@ -66,8 +69,7 @@ def quartiles(values: list) -> tuple:
     """(q1, median, q3) of `values`, inclusive method."""
     if len(values) < 2:
         return (values[0],) * 3
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def summarize(parent: list, change: list, better: dict) -> list:
@@ -84,15 +86,8 @@ def summarize(parent: list, change: list, better: dict) -> list:
         wins = sum(sign * b < sign * a for a, b in zip(p, c))
         pq, cq = quartiles(p), quartiles(c)
         gain = wins * 10 >= len(p) * 9 and sign * (pq[1] - cq[1]) > pq[2] - pq[0]
-        rows.append({
-            "metric": name,
-            "unit": parent[0]["metrics"][name].get("unit", ""),
-            "parent": pq,
-            "change": cq,
-            "wins": wins,
-            "pairs": len(p),
-            "gain": gain,
-        })
+        rows.append({"metric": name, "unit": parent[0]["metrics"][name].get("unit", ""), "parent": pq, "change": cq,
+                     "wins": wins, "pairs": len(p), "gain": gain})
     return rows
 
 
@@ -110,8 +105,7 @@ def flags(parent: list, change: list) -> list:
 
 
 def table(rows: list) -> str:
-    head = f"{'metric':32} {'parent q1 / med / q3':>32} {'change q1 / med / q3':>32} {'change':>7} {'wins':>6}"
-    lines = [head]
+    lines = [f"{'metric':32} {'parent q1 / med / q3':>32} {'change q1 / med / q3':>32} {'change':>7} {'wins':>6}"]
     for r in rows:
         p = " / ".join(f"{v:.4g}" for v in r["parent"])
         c = " / ".join(f"{v:.4g}" for v in r["change"])
@@ -122,44 +116,42 @@ def table(rows: list) -> str:
     return "\n".join(lines)
 
 
-def report(settings: dict, seeds: list, parent: list, change: list, rows: list, problems: list) -> dict:
-    """The comparison as one JSON-ready object: `settings`, the summary
-    `rows`, the `flags` and, per pair, its seed and both sides' records."""
-    runs = [{"pair": i, "seed": s, "parent": p, "change": c} for i, (s, p, c) in enumerate(zip(seeds, parent, change))]
-    return {**settings, "rows": rows, "flags": problems, "runs": runs}
-
-
 def main(argv=None) -> int:
+    spec = json.loads(BENCHMARK.read_text())
+    names = [w["name"] for w in spec["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="root of the parent commit's tree")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--workload", action="append", choices=names, help="run only this workload; repeatable")
     ap.add_argument("--seed", type=int, default=101, help="seed of the first pair; pair i uses SEED + i")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--json", type=Path, help="also write the rows and every run's record to this file")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
 
-    parent, change = [], []
-    seeds = [args.seed + i for i in range(args.pairs)]
+    seconds, command = spec["run_seconds"], [sys.executable, *spec["command"][1:]]
+    seeds = [args.seed + i for i in range(PAIRS)]
+    records = {w: ([], []) for w in names if w in (args.workload or names)}  # the parent's and this tree's
     for i, seed in enumerate(seeds):
-        order = ((parent, args.parent), (change, ROOT))
-        for records, tree in order if i % 2 == 0 else order[::-1]:
-            records.append(run_bench(tree, args.workload, seed, args.seconds, args.trace))
-        print(f"pair {i + 1}/{args.pairs} done (seed {seed})", file=sys.stderr)
+        for workload, sides in records.items():
+            cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+                   "--trace", str(args.trace)]
+            for side in (0, 1) if i % 2 == 0 else (1, 0):
+                sides[side].append(run_bench((args.parent, ROOT)[side], cmd))
+        print(f"pair {i + 1}/{PAIRS} done (seed {seed})", file=sys.stderr)
 
-    print(f"workload {args.workload}, {args.pairs} pairs, --seconds {args.seconds:g}, seeds {seeds[0]}..{seeds[-1]}")
-    rows = summarize(parent, change, directions(ROOT / "BENCHMARK.json"))
-    print(table(rows))
-    problems = flags(parent, change)
-    for problem in problems:
-        print("FLAG:", problem)
+    better, out = directions(spec), {}
+    for workload, (parent, change) in records.items():
+        print(f"workload {workload}, {PAIRS} pairs, --seconds {seconds:g}, seeds {seeds[0]}..{seeds[-1]}")
+        rows = summarize(parent, change, better)
+        print(table(rows))
+        problems = flags(parent, change)
+        for problem in problems:
+            print(f"FLAG: {workload} {problem}")
+        runs = [{"pair": i, "seed": seeds[i], "parent": p, "change": c} for i, (p, c) in enumerate(zip(parent, change))]
+        out[workload] = {"pairs": PAIRS, "seconds": seconds, "trace": args.trace, "rows": rows, "flags": problems,
+                         "runs": runs}
     if args.json is not None:
-        settings = {"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds, "trace": args.trace}
-        args.json.write_text(json.dumps(report(settings, seeds, parent, change, rows, problems), indent=1) + "\n")
-    return 1 if problems else 0
+        args.json.write_text(json.dumps(out, indent=1) + "\n")
+    return 1 if any(r["flags"] for r in out.values()) else 0
 
 
 if __name__ == "__main__":

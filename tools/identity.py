@@ -4,11 +4,11 @@
 
 Loads both trees' `src/shisat` in one process (`tools/interleave.py`'s
 `load_tree`) and decides each run of the corpus on both. The corpus
-(`_corpus`) is the benchmark's `suite`, `chain` and `deep` cases under
-their benchmark names, read with `tools/interleave.py`'s `workload_texts`
-(the `oracle` workload's texts are `suite`'s), and nine texts of
-`tests/helpers.py` and `tests/kbgen.py` that no workload holds, each under
-both expansion strategies: 1,228 runs.
+(`_corpus`) is the cases of every workload of `bench/corpora.py`'s
+`WORKLOADS` under their benchmark names, read with `tools/interleave.py`'s
+`workload_texts`, each name once (the `oracle` workload's cases are
+`suite`'s), and nine texts of `tests/helpers.py` and `tests/kbgen.py` that
+no workload holds, each under both expansion strategies: 1,228 runs.
 
 A run is compared on 11 fields, with formulas as text. The verdict, stats
 and witness come from a plain `decide_sat(kb, strategy)`, as the benchmark
@@ -40,7 +40,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-for _sub in ("src", "tests", "tools"):  # the corpus and `load_tree` come from this tree
+for _sub in ("src", "tests", "tools", "bench"):  # the corpus and `load_tree` come from this tree
     if str(ROOT / _sub) not in sys.path:
         sys.path.insert(0, str(ROOT / _sub))
 
@@ -51,12 +51,13 @@ _END = object()  # pads the shorter of two element streams
 
 
 def _corpus() -> list:
+    from corpora import WORKLOADS
     from helpers import (DISALLOW_ABOX_TEXT, DISALLOW_TBOX_TEXT, EX1_BASE_TEXT, and_nest, flat_and, pullback_kb,
                          some_nest, wide_tbox)
     from kbgen import differential_suite
     from shisat import format_kb
 
-    cases = [case for workload in ("suite", "chain", "deep") for case in workload_texts(workload)]
+    cases = list({name: text for workload in WORKLOADS for name, text in workload_texts(workload)}.items())
     cases += [("example1.base", EX1_BASE_TEXT), ("some[50]", some_nest(50, False)), ("and[50]", and_nest(50))]
     cases += [("flat_and[300]", flat_and(300)), ("wide[40]", wide_tbox(40))]
     cases += [("pullback[200]", format_kb(pullback_kb(200))), ("reorder[1.132]", differential_suite(500, 1)[132])]
