@@ -72,6 +72,9 @@ label, a frozenset of formulas, or in rformulas, a uid bitset (bit
 the witness builder decodes the bits (`FormulaStore.members`). Only
 value restrictions force anything across an edge, so the transfer
 operators are handed a label's split part of them, not the whole label.
+A complex label's part is read per individual, as its assertions' bodies:
+`_forward` keeps the existential's individual's, and the univ' scan groups
+the part once, so a role assertion reads only its two individuals' part.
 
 The event trace, `("rule", tag, node)` and `("status", node, status)`
 tuples in the order they happen (an INCOMPLETE state's event also holds
@@ -102,12 +105,10 @@ from .graph import (
 )
 from .rbox import kb_index
 from .syntax import FormulaStore, KnowledgeBase, complement, ordered, uid_bits
-from .transfer import (
-    transfer_assertions,
-    transfer_assertions_from,
-    transfer_concepts,
-    transfer_concepts_to,
-)
+from .transfer import transfer_concepts, transfer_concepts_to
+
+# bench/tracing.py wraps these two retired names by attribute (ROADMAP item 10).
+transfer_assertions = transfer_assertions_from = None
 
 R_AND = "and"
 R_OR = "or"
@@ -288,11 +289,10 @@ class TableauEngine:
         """What `label`, holding the existential `ex`, forces on the simple
         successor that realizes `ex`. Only the label's value restrictions
         can force anything, so only they are passed on."""
-        role = ex.body.role
         univ = self._kinds(label)[1]
         if ex.kind == sx.INST:
-            return transfer_assertions_from(self.idx, univ, ex.ind, role)
-        return transfer_concepts(self.idx, univ, role)
+            univ = [f.body for f in univ if f.ind == ex.ind]
+        return transfer_concepts(self.idx, univ, ex.body.role)
 
     def _backward(self, ex, label, parent=None) -> frozenset:
         """What the simple `label` of `ex`'s successor, made from `parent`
@@ -379,14 +379,18 @@ class TableauEngine:
                     if added not in label and not rf >> added.uid & 1:
                         return RuleInstance(_tag(R_HIER, f), labels=(label | {added},), rformulas=rf)
 
-            for f in rel:  # univ' reads role assertions, found in complex labels only
-                derived = (
-                    transfer_assertions(self.idx, store, univ, f.a, f.role, f.b)
-                    | transfer_assertions(self.idx, store, univ, f.b, f.role.inverse, f.a)
-                )
-                added = _unreduced(derived - label, rf)
-                if added:
-                    return RuleInstance(R_UNIV_A, labels=(label | added,), rformulas=rf)
+            if rel:  # univ' reads role assertions, found in complex labels only
+                by_ind: dict = {}  # each individual's value restrictions, in uid order
+                for f in univ:
+                    by_ind.setdefault(f.ind, []).append(f.body)
+                for f in rel:
+                    derived = (
+                        transfer_concepts_to(self.idx, store, by_ind.get(f.a, ()), f.role, f.b)
+                        | transfer_concepts_to(self.idx, store, by_ind.get(f.b, ()), f.role.inverse, f.a)
+                    )
+                    added = _unreduced(derived - label, rf)
+                    if added:
+                        return RuleInstance(R_UNIV_A, labels=(label | added,), rformulas=rf)
 
         for f in disj:
             if not rf >> f.uid & 1:

@@ -421,11 +421,6 @@ def closure(kb: KnowledgeBase, idx) -> frozenset:
     return frozenset(out)
 
 
-def concepts_of(assertions: Iterable[Formula], ind: str) -> frozenset:
-    """{C | ind:C in assertions}: an individual's assertions as a concept label."""
-    return frozenset(f.concept for f in assertions if f.kind == INST and f.ind == ind)
-
-
 _uid = operator.attrgetter("uid")
 
 

@@ -3,16 +3,16 @@
 Crossing an R edge from x to y, a value restriction (all R.D) at x forces
 D at y, and a restriction (all S.D) with R <= S and S transitive forces
 itself at y (the S chain continues through y). `transfer_concepts` is the
-one operator. The other three read a complex label through
-`concepts_of` on the source side, or assert the result of a named
-individual on the target side, or both.
+one operator; `transfer_concepts_to` asserts its result of a named
+individual. On a complex label the engine passes an individual's value
+restrictions as concepts, the bodies of its assertions.
 
-All four are pure: they read their arguments and return fresh sets.
+Both are pure: they read their arguments and return fresh sets.
 """
 from __future__ import annotations
 
 from .rbox import RBoxIndex
-from .syntax import ALL, FormulaStore, Role, concepts_of, ordered
+from .syntax import ALL, FormulaStore, Role, ordered
 
 
 def transfer_concepts(idx: RBoxIndex, concepts, role: Role) -> set:
@@ -33,12 +33,3 @@ def transfer_concepts_to(idx: RBoxIndex, store: FormulaStore, concepts, role: Ro
     order."""
     return {store.inst(ind, c) for c in ordered(transfer_concepts(idx, concepts, role))}
 
-
-def transfer_assertions_from(idx: RBoxIndex, assertions, ind: str, role: Role) -> set:
-    """Constraints `ind` imposes through `role` on an anonymous successor."""
-    return transfer_concepts(idx, concepts_of(assertions, ind), role)
-
-
-def transfer_assertions(idx: RBoxIndex, store: FormulaStore, assertions, ind_from: str, role: Role, ind_to: str) -> set:
-    """Constraints `ind_from` imposes through `role` on `ind_to`."""
-    return transfer_concepts_to(idx, store, concepts_of(assertions, ind_from), role, ind_to)

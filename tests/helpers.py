@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 from kbgen import chain_kb_text, differential_suite
-from shisat import decide_sat, parse_kb
+from shisat import decide_sat, format_kb, parse_kb
 from shisat.models import ModelGraph
-from shisat.syntax import ALL, AND, ATOM, BOT, NOT, OR, SOME, FormulaStore, Role, build_kb, formula_text, ordered
+from shisat.syntax import (ALL, AND, ATOM, BOT, INST, NOT, OR, REL, SOME, FormulaStore, Role, build_kb, concept_text,
+                           formula_text, ordered)
 from shisat.transfer import transfer_concepts
 
 EX1_TEXT = """\
@@ -102,11 +103,44 @@ def wide_tbox(width: int) -> str:
     return axioms + "inst a (some r B)\n"
 
 
+def abox_chain_text(n: int, some: bool) -> str:
+    """`a0` … `a<n-1>` each in (all r B), each r-related to the next: n - 1
+    univ' steps, each carrying B one edge on. With `some`, each is also in
+    (some r A), so the states have n existentials over complex labels."""
+    lines = []
+    for i in range(n):
+        lines.append(f"inst a{i} (all r B)\n" + (f"inst a{i} (some r A)\n" if some else ""))
+        if i + 1 < n:
+            lines.append(f"rel r a{i} a{i + 1}\n")
+    return "".join(lines)
+
+
 def corpus() -> list:
     """The texts every corpus-wide check reads, through the `decided` fixture."""
     texts = differential_suite(500, 20240817) + [chain_kb_text(d) for d in range(1, 21)]
     texts += [some_nest(d, False) for d in (10, 50)] + [some_nest(d, True) for d in (3, 10)]
     return texts + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT]
+
+
+def state_claim(kb, state) -> str:
+    """What a state of a run on `kb` claims, as knowledge-base text: `kb`'s
+    role box and TBox, the state's assertions (a simple label's concepts
+    asserted of a fresh individual `x`), and the complement of each of its
+    disallowed formulas. A state's status stands for every state of its
+    content, so an UNSAT state claims that this text is unsatisfiable.
+    Reads the formulas as text, so `kb`'s store interns nothing."""
+    lines = [line for line in format_kb(kb).splitlines() if not line.startswith(("inst ", "rel "))]
+
+    def assertion(f, negated=False):
+        if f.kind == REL:
+            return f"rel {f.role} {f.a} {f.b}"
+        ind, c = (f.ind, f.concept) if f.kind == INST else ("x", f)
+        text = concept_text(c)
+        return f"inst {ind} (not {text})" if negated else f"inst {ind} {text}"
+
+    lines += [assertion(f) for f in ordered(state.label)]
+    lines += [assertion(f, negated=True) for f in kb.store.members(state.dformulas)]
+    return "\n".join(lines) + "\n"
 
 
 def label_texts(node) -> frozenset:

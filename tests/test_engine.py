@@ -58,12 +58,14 @@ from helpers import (
     EX1_BASE_TEXT,
     EX1_TEXT,
     EX2_TEXT,
+    abox_chain_text,
     and_nest,
     flat_and,
     interned_texts,
     label_texts,
     pullback_kb,
     run,
+    state_claim,
     state_of,
 )
 from kbgen import chain_kb_text, differential_suite, random_kb_text
@@ -322,12 +324,16 @@ def _reference_rule(engine, v):
             added = engine._lift(f, store.univ(r, c.child))
             if added not in af:
                 return RuleInstance(engine_module.R_HIER + prime(f), labels=(label | {added},), rformulas=uid_bits(rf))
+
+    def concepts(ind):  # an individual's assertions in the whole label, as concepts
+        return {g.concept for g in label if g.kind == INST and g.ind == ind}
+
     for f, c in view:
         if c is not None:
             continue
         added = (
-            engine_module.transfer_assertions(engine.idx, store, label, f.a, f.role, f.b)
-            | engine_module.transfer_assertions(engine.idx, store, label, f.b, f.role.inverse, f.a)
+            transfer_concepts_to(engine.idx, store, concepts(f.a), f.role, f.b)
+            | transfer_concepts_to(engine.idx, store, concepts(f.b), f.role.inverse, f.a)
         ) - af
         if added:
             return RuleInstance(engine_module.R_UNIV_A, labels=(label | added,), rformulas=uid_bits(rf))
@@ -1052,6 +1058,32 @@ def test_settling_reads_each_successor_a_bounded_number_of_times(monkeypatch):
     assert reads <= 10 * n
 
 
+def test_value_restriction_reads_per_univ_step_are_linear(monkeypatch):
+    # ROADMAP item 23: a scan that reads the label's whole value-restriction
+    # part for each role assertion it passes makes a chain of n univ' steps
+    # read Θ(n³) restrictions. Each read of the part is counted in full.
+    original = TableauEngine._kinds
+    reads = 0
+
+    class Counted(tuple):
+        def __iter__(self):
+            nonlocal reads
+            reads += len(self)
+            return super().__iter__()
+
+    def counted(self, label, parent=None):
+        split = original(self, label, parent)
+        return split[:1] + (Counted(split[1]),) + split[2:]
+
+    monkeypatch.setattr(TableauEngine, "_kinds", counted)
+    for n in (50, 100, 200):
+        reads = 0
+        verdict = decide_sat(parse_kb(abox_chain_text(n, False)))
+        steps = verdict.stats["rule_applications"]["univ'"]
+        assert verdict.sat and steps == n - 1
+        assert reads <= 4 * n * steps, f"n = {n}: {reads / steps / n:.1f}·n reads per univ' step"
+
+
 def test_the_status_flow_reaches_its_fixpoint(decided):
     # No expanded node is left that an update would settle or repair: an
     # or-node has no SAT successor and not only UNSAT or INCOMPLETE ones, a
@@ -1367,6 +1399,41 @@ def test_exclusive_converse_demands_have_a_one_element_model(text):
     found = bounded_model_search(kb, 2)
     assert found is not None and len(found.domain) == 1
     assert check_model(found, kb)
+
+
+def _refuted_claims_with_models(runs) -> list:
+    """The distinct claims (`state_claim`) of the UNSAT states of `runs`,
+    `(kb, verdict)` pairs, that have a model of at most 2 elements."""
+    claims = {
+        state_claim(kb, node)
+        for kb, verdict in runs
+        for node in verdict.graph.nodes
+        if node.node_type == STATE and node.status == UNSAT
+    }
+    return [claim for claim in sorted(claims) if bounded_model_search(parse_kb(claim), 2) is not None]
+
+
+def test_no_refuted_state_has_a_small_model(decided):
+    """ROADMAP item 24, for UNSAT states: global caching reuses a state's
+    status for every state of its content, so each UNSAT state claims on
+    its own that its assertions, with its disallowed formulas negated, have
+    no model. No claim of the corpus has a model of at most 2 elements.
+    SAT states are left to item 2's exact procedure: the witness builder
+    (`extract_model_graph`) starts only from the root's saturation path."""
+    assert not _refuted_claims_with_models((kb, verdict) for _, kb, verdict in decided)
+
+
+WRONG_UNSAT_FOUR = "impl top (some s top)\nimpl (some s- top) D\nimpl top (all s- top)\ninst a (some r C)\n"
+
+
+@pytest.mark.parametrize("text", [WRONG_UNSAT_SHRUNK, WRONG_UNSAT_FOUR], ids=["shrunk", "four"])
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a state refuted by a mixed mode-0 repair has a model")
+def test_no_refuted_state_has_a_small_model_under_exclusive_converse_demands(text, strategy):
+    # Under dfs the four-statement input's root is SAT, but one of its
+    # UNSAT states has a model: the audit sees the bug where the verdict
+    # does not.
+    assert not _refuted_claims_with_models([run(text, strategy)])
 
 
 def test_build_tableau_returns_finished_graph():

@@ -1,16 +1,13 @@
-"""Transfer operators: definitions, monotonicity, the tagging homomorphism."""
+"""Transfer operators: definitions, monotonicity, the tagging homomorphism,
+and the engine's reading of a complex label as each individual's concepts."""
 from __future__ import annotations
 
 import pytest
 
-from shisat import build_ext
+from shisat import TableauEngine, build_ext, build_kb
+from shisat.graph import NONSTATE
 from shisat.syntax import FormulaStore, Role
-from shisat.transfer import (
-    transfer_assertions,
-    transfer_assertions_from,
-    transfer_concepts,
-    transfer_concepts_to,
-)
+from shisat.transfer import transfer_concepts, transfer_concepts_to
 
 R, RI = Role("r"), Role("r", True)
 S = Role("s")
@@ -71,16 +68,33 @@ def test_transfer_concepts_to_plain_restriction(ex2):
     assert transfer_concepts_to(idx, store, {store.univ(RI, b)}, RI, "a") == {store.inst("a", b)}
 
 
-def test_transfer_assertions_from_state_label(ex1):
+@pytest.fixture
+def ex1_engine():
+    """An engine over ex1's role box; its ABox is a placeholder."""
+    return TableauEngine(build_kb(FormulaStore(), [(L, P)], [P], [], []))
+
+
+def _univ_conclusions(engine, label):
+    """What the univ' rule adds to the complex `label`, or the rule the scan
+    picks instead (None when `label` is saturated)."""
+    v = engine.graph.new_succ(None, NONSTATE, None, frozenset(label), 0, 0)
+    rule = engine.applicable_rule(v)
+    if rule is None or rule.tag != "univ'":
+        return rule
+    return rule.labels[0] - frozenset(label)
+
+
+def test_forward_reads_the_state_label_of_the_principal_individual(ex1_engine):
     # The label of the complex state in the first worked example: the
     # successor realizing b's existential receives F and (all P F).
-    store, idx = ex1
+    engine = ex1_engine
+    store = engine.store
     f, i = store.atom("F"), store.atom("I")
-    phi = store.disj(store.negate(f), store.conj(i, store.univ(P, f)))
+    ex = store.inst("b", store.exist(L, store.negate(i)))
     label = {
         store.inst("a", f),
         store.rel(L, "a", "b"),
-        store.inst("b", store.exist(L, store.negate(i))),
+        ex,
         store.inst("a", i),
         store.inst("a", store.univ(P, f)),
         store.inst("a", store.univ(L, f)),
@@ -89,39 +103,49 @@ def test_transfer_assertions_from_state_label(ex1):
         store.inst("b", store.univ(L, f)),
         store.inst("b", i),
     }
-    assert transfer_assertions_from(idx, label, "b", L) == {f, store.univ(P, f)}
+    assert engine._forward(ex, frozenset(label)) == {f, store.univ(P, f)}
 
 
-def test_transfer_assertions_from_empty(ex1):
-    _, idx = ex1
-    assert transfer_assertions_from(idx, set(), "a", L) == set()
+def test_forward_without_value_restrictions(ex1_engine):
+    engine = ex1_engine
+    store = engine.store
+    ex = store.inst("a", store.exist(L, store.atom("G")))
+    assert engine._forward(ex, frozenset({ex})) == set()
 
 
-def test_transfer_assertions_from_wrong_individual(ex1):
-    store, idx = ex1
-    y = {store.inst("b", store.univ(P, store.atom("F")))}
-    assert transfer_assertions_from(idx, y, "a", L) == set()
+def test_forward_reads_no_other_individual(ex1_engine):
+    # A principal of a over a label that holds only b's restrictions
+    # transfers nothing.
+    engine = ex1_engine
+    store = engine.store
+    ex = store.inst("a", store.exist(L, store.atom("G")))
+    label = {ex, store.inst("b", store.univ(P, store.atom("F")))}
+    assert engine._forward(ex, frozenset(label)) == set()
 
 
-def test_transfer_assertions_between_individuals(ex1):
+def test_univ_rule_between_individuals(ex1_engine):
     # Propagating a's restrictions over L(a,b): b receives F (from all L.F)
     # and all P.F itself (L <= P, P transitive).
-    store, idx = ex1
+    engine = ex1_engine
+    store = engine.store
     f = store.atom("F")
-    y = {store.inst("a", store.univ(L, f)), store.inst("a", store.univ(P, f))}
-    got = transfer_assertions(idx, store, y, "a", L, "b")
-    assert got == {store.inst("b", f), store.inst("b", store.univ(P, f))}
+    label = {store.inst("a", store.univ(L, f)), store.inst("a", store.univ(P, f)), store.rel(L, "a", "b")}
+    assert _univ_conclusions(engine, label) == {store.inst("b", f), store.inst("b", store.univ(P, f))}
 
 
-def test_transfer_assertions_between_empty(ex1):
-    store, idx = ex1
-    assert transfer_assertions(idx, store, set(), "a", L, "b") == set()
+def test_univ_rule_without_value_restrictions(ex1_engine):
+    engine = ex1_engine
+    store = engine.store
+    assert _univ_conclusions(engine, {store.rel(L, "a", "b")}) is None
 
 
-def test_transfer_assertions_between_no_match(ex1):
-    store, idx = ex1
-    y = {store.inst("a", store.univ(L, store.atom("F")))}
-    assert transfer_assertions(idx, store, y, "b", LI, "a") == set()
+def test_univ_rule_against_the_edge(ex1_engine):
+    # L(b,a) carries a's (all L F) to b only over L-, which it does not
+    # match, and b has no restrictions to carry to a.
+    engine = ex1_engine
+    store = engine.store
+    label = {store.inst("a", store.univ(L, store.atom("F"))), store.rel(L, "b", "a")}
+    assert _univ_conclusions(engine, label) is None
 
 
 def test_monotone(ex2):
@@ -136,18 +160,20 @@ def test_monotone(ex2):
 
 def test_tagging_homomorphism(ex2):
     # Transferring to a named individual is exactly the plain transfer with
-    # every member asserted of that individual; transferring from one reads
-    # only that individual's assertions as a concept label.
+    # every member asserted of that individual; the engine reads only one
+    # individual's assertions as a concept label, both to a successor of
+    # the individual and to another individual.
     store, idx, _, x = ex2
-    label = {store.inst("a", c) for c in x}
-    label |= {store.inst("b", store.univ(R, store.atom("B"))), store.rel(R, "a", "b")}
+    engine = TableauEngine(build_kb(store, [(R, S), (RI, S)], [S], [], []))
+    label = {store.inst("a", c) for c in x} | {store.inst("b", store.univ(R, store.atom("B")))}
     for role in (R, RI, S):
         plain = transfer_concepts(idx, x, role)
         tagged = transfer_concepts_to(idx, store, x, role, "a")
         assert tagged == {store.inst("a", c) for c in plain}
-        assert transfer_assertions_from(idx, label, "a", role) == plain
-        between = transfer_assertions(idx, store, label, "a", role, "b")
-        assert between == {store.inst("b", c) for c in plain}
+        ex = store.inst("a", store.exist(role, store.atom("Z")))
+        assert engine._forward(ex, frozenset(label | {ex})) == plain
+        between = _univ_conclusions(engine, label | {store.rel(role, "a", "b")})
+        assert {g for g in between if g.ind == "b"} == {store.inst("b", c) for c in plain}
 
 
 def test_results_are_fresh_sets(ex2):

@@ -7,8 +7,10 @@ Loads both trees' `src/shisat` in one process (`tools/interleave.py`'s
 (`_corpus`) is the cases of every workload of `bench/corpora.py`'s
 `WORKLOADS` under their benchmark names, read with `tools/interleave.py`'s
 `workload_texts`, each name once (the `oracle` workload's cases are
-`suite`'s), and nine texts of `tests/helpers.py` and `tests/kbgen.py` that
-no workload holds, each under both expansion strategies: 1,228 runs.
+`suite`'s), and eleven texts of `tests/helpers.py` and `tests/kbgen.py`
+that no workload holds, each under both expansion strategies: 1,232 runs.
+Two of them are univ' chains over 60 individuals (`abox_chain_text`):
+no benchmark text has more than a few role assertions.
 
 A run is compared on 11 fields, with formulas as text. The verdict, stats
 and witness come from a plain `decide_sat(kb, strategy)`, as the benchmark
@@ -52,8 +54,8 @@ _END = object()  # pads the shorter of two element streams
 
 def _corpus() -> list:
     from corpora import WORKLOADS
-    from helpers import (DISALLOW_ABOX_TEXT, DISALLOW_TBOX_TEXT, EX1_BASE_TEXT, and_nest, flat_and, pullback_kb,
-                         some_nest, wide_tbox)
+    from helpers import (DISALLOW_ABOX_TEXT, DISALLOW_TBOX_TEXT, EX1_BASE_TEXT, abox_chain_text, and_nest, flat_and,
+                         pullback_kb, some_nest, wide_tbox)
     from kbgen import differential_suite
     from shisat import format_kb
 
@@ -62,6 +64,7 @@ def _corpus() -> list:
     cases += [("flat_and[300]", flat_and(300)), ("wide[40]", wide_tbox(40))]
     cases += [("pullback[200]", format_kb(pullback_kb(200))), ("reorder[1.132]", differential_suite(500, 1)[132])]
     cases += [("disallow.abox", DISALLOW_ABOX_TEXT), ("disallow.tbox", DISALLOW_TBOX_TEXT)]
+    cases += [("abox_chain[60]", abox_chain_text(60, False)), ("abox_chain_some[60]", abox_chain_text(60, True))]
     return [(f"{name}/{strategy}", text, strategy) for strategy in ("dfs", "fifo") for name, text in cases]
 
 
