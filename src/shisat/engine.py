@@ -30,7 +30,8 @@ alternatives, and each repaired successor adds its set to the label and
 disallows the singleton sets tried before it.
 
 Statuses flow upward in one work-list loop (`propagate_status`): a
-satisfiable branch settles an or-node, a refuted successor kills a state.
+satisfiable branch settles an or-node, a refuted successor kills a state,
+and a state counts its successors by status, so it never rescans them.
 The converse rule's tail leaves that walk to `update_status`'s callers,
 which make it anyway, so no repair cascade re-enters the loop, at any depth.
 
@@ -274,6 +275,9 @@ class TableauEngine:
     # -- bookkeeping ---------------------------------------------------
 
     def _set_status(self, node, status) -> None:
+        if node.ce_label is not None and status in DETERMINED:  # only a state's head has one; its state counts it
+            assert node.status not in DETERMINED, "a head settles once"
+            self.graph.nodes[node.preds[0]].tally[status] += 1
         node.status = status
         if self.tracing:
             if status == INCOMPLETE and node.node_type == STATE:
@@ -528,13 +532,15 @@ class TableauEngine:
     # -- status flow ------------------------------------------------------
 
     def update_status(self, v) -> None:
-        """Settle the expanded `v` from its successors' statuses, in one
-        pass over them. An or-node is SAT if a successor is, else UNSAT if
-        all are; if all are INCOMPLETE or UNSAT it is repaired by the
-        converse rule when form-state expanded it (its one successor is
-        then a state), else INCOMPLETE. A state is SAT if all successors
-        are, else UNSAT if one is, else INCOMPLETE with the alternative
-        sets of its first INCOMPLETE one."""
+        """Settle the expanded `v` from its successors' statuses. An or-node
+        is SAT if a successor is, else UNSAT if all are; if all are INCOMPLETE
+        or UNSAT it is repaired by the converse rule when form-state expanded
+        it (its one successor is then a state), else INCOMPLETE. A state reads
+        its `tally`: UNSAT if a successor is, else SAT if all are, else
+        INCOMPLETE with the alternative sets of its first INCOMPLETE one. The
+        tally is a scan's count: a state's successors are heads, which only
+        `apply_trans_rule` links and no repair unlinks, and a head settles
+        once (asserted; only `apply_rule`'s v0, a state, is set once settled)."""
         nodes = self.graph.nodes
         node = nodes[v]
         assert node.status == EXPANDED
@@ -558,21 +564,12 @@ class TableauEngine:
                 else:
                     self._set_status(node, INCOMPLETE)
         else:
-            all_sat, first = True, None
-            for w in succs:
-                wn = nodes[w]
-                status = wn.status
-                if status == UNSAT:
-                    self._set_status(node, UNSAT)
-                    return
-                if status != SAT:
-                    all_sat = False
-                    if first is None and status == INCOMPLETE:
-                        first = wn
-            if all_sat:
+            if node.tally[UNSAT]:
+                self._set_status(node, UNSAT)
+            elif node.tally[SAT] == len(succs):
                 self._set_status(node, SAT)
-            elif first is not None:
-                node.alt_fml_sets = first.alt_fml_sets
+            elif node.tally[INCOMPLETE]:  # the one scan: the state settles here
+                node.alt_fml_sets = next(nodes[w] for w in succs if nodes[w].status == INCOMPLETE).alt_fml_sets
                 self._set_status(node, INCOMPLETE)
 
     def propagate_status(self, v) -> None:

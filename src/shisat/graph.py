@@ -1,20 +1,20 @@
 """The rooted and-or graph the satisfiability search is built on.
 
-Nodes are immutable in their content (label, reduced formulas,
-disallowed formulas) and provenance once created. What changes
-afterwards: the status; the last rule applied, `rule`, and the count of
-applications, `expansions`, both set by the engine's `apply_rule`; the
-edge lists `succs` and `preds`, which grow but for the one edge a
-converse repair drops (below); and the converse-repair record,
-`fmls_rc` and `alt_fml_sets`. The repair mode is read from the state
-(`conv_method`). The record's fields start as the shared `EMPTY` and
-are only ever rebound to larger frozensets, never mutated, so a reader
-keeps a value without copying it. States are and-nodes, everything else
-is an or-node. An or-node's local graph is everything reachable from
-its head without crossing a state; members carry only the head,
-`after_trans_pred`, and the graph's facts sit on it: the existential
-`ce_label`, the state (the head's first predecessor, which made it; the
-root heads a graph with neither) and mode 1's alternative sets,
+Nodes are immutable in their content (label, reduced formulas, disallowed
+formulas) and provenance once created. What changes afterwards: the status;
+the last rule applied, `rule`, and the count of applications, `expansions`,
+both set by the engine's `apply_rule`; the edge lists `succs` and `preds`,
+which grow but for the one edge a converse repair drops (below); a state's
+`tally` of its successors by status, kept by the engine's `_set_status`;
+and the converse-repair record, `fmls_rc` and `alt_fml_sets`. The repair
+mode is read from the state (`conv_method`). The record's fields start as
+the shared `EMPTY` and are only ever rebound to larger frozensets, never
+mutated, so a reader keeps a value without copying it. States are
+and-nodes, everything else is an or-node. An or-node's local graph is
+everything reachable from its head without crossing a state; members carry
+only the head, `after_trans_pred`, and the graph's facts sit on it: the
+existential `ce_label`, the state (the head's first predecessor, which made
+it; the root heads a graph with neither) and mode 1's alternative sets,
 `alt_fml_sets`, collected from the members. A state takes those of its
 first INCOMPLETE head; no other node sets the field.
 
@@ -70,6 +70,7 @@ class TableauNode:
         "alt_fml_sets",
         "rule",
         "expansions",
+        "tally",
         "succs",
         "preds",
     )
@@ -86,6 +87,7 @@ class TableauNode:
         self.fmls_rc = self.alt_fml_sets = EMPTY
         self.rule = None
         self.expansions = 0
+        self.tally = {INCOMPLETE: 0, UNSAT: 0, SAT: 0} if node_type == STATE else None
         self.succs: list = []
         self.preds: list = []
 

@@ -115,6 +115,12 @@ def abox_chain_text(n: int, some: bool) -> str:
     return "".join(lines)
 
 
+def fan_text(n: int) -> str:
+    """`a0` … `a<n-1>` each in (some r A): the root state has n successors,
+    one per individual, and each settles on its own."""
+    return "".join(f"inst a{i} (some r A)\n" for i in range(n))
+
+
 def corpus() -> list:
     """The texts every corpus-wide check reads, through the `decided` fixture."""
     texts = differential_suite(500, 20240817) + [chain_kb_text(d) for d in range(1, 21)]

@@ -25,6 +25,7 @@ from shisat.engine import (
     t_unsat,
 )
 from shisat.graph import (
+    DETERMINED,
     EXPANDED,
     INCOMPLETE,
     NONSTATE,
@@ -60,6 +61,7 @@ from helpers import (
     EX2_TEXT,
     abox_chain_text,
     and_nest,
+    fan_text,
     flat_and,
     interned_texts,
     label_texts,
@@ -913,10 +915,11 @@ def test_update_status_state_copies_alternative_sets():
     g = engine.graph
     pre = g.new_succ(None, NONSTATE, None, frozenset({store.atom("Y0")}), 0, 0)
     u = g.new_succ(pre, STATE, None, frozenset({store.atom("Y0")}), 0, 0)
-    w = g.new_succ(u, NONSTATE, None, frozenset({store.atom("Y1")}), 0, 0)
+    ex = store.exist(Role("r"), store.atom("Y1"))  # a state's successor is the head of its existential
+    w = g.new_succ(u, NONSTATE, ex, frozenset({store.atom("Y1")}), 0, 0)
     g.nodes[u].status = EXPANDED
     wn = g.nodes[w]
-    wn.status = INCOMPLETE
+    engine._set_status(wn, INCOMPLETE)  # as the engine sets it, so the state's tally counts it
     wn.alt_fml_sets = frozenset({frozenset({store.atom("Y2")})})
     engine.update_status(u)
     un = g.nodes[u]
@@ -970,8 +973,10 @@ def _status_outcome(update, node_type, succs):
     if any(succ_type == STATE for _, succ_type in succs):  # as the engine links an or-node to a state
         g.nodes[v].rule = engine_module.R_FORM
     for i, (status, succ_type) in enumerate(succs):
-        w = g.new_succ(v, succ_type, None, frozenset({store.atom(f"X{i + 1}")}), 0, 0)
-        g.nodes[w].status = status
+        # a state's successor is the head of its existential; an or-node's has none
+        ex = store.exist(Role("r"), store.atom(f"X{i + 1}")) if node_type == STATE else None
+        w = g.new_succ(v, succ_type, ex, frozenset({store.atom(f"X{i + 1}")}), 0, 0)
+        engine._set_status(g.nodes[w], status)  # as the engine sets it, so a state's tally counts it
         g.nodes[w].alt_fml_sets = frozenset({frozenset({store.atom(f"Y{i + 1}")})})
     update(engine, v)
     node = g.nodes[v]
@@ -1040,22 +1045,38 @@ def test_no_call_re_enters_the_status_flow(strategy, monkeypatch):
     assert deepest == 1
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 20: update_status rescans every successor each time one settles")
 def test_settling_reads_each_successor_a_bounded_number_of_times(monkeypatch):
-    # The root state has one successor per individual, and each settles on
-    # its own, so reading every successor per update reads n² of them.
-    original = TableauEngine.update_status
-    reads = 0
+    # ROADMAP item 20: the root state has one successor per individual, and
+    # each settles on its own, so an update that scanned every successor
+    # would read n² of them. Each node an update reads by id is counted.
+    reads = open_updates = 0
 
-    def counted(self, v):
-        nonlocal reads
-        reads += len(self.graph.nodes[v].succs)
-        original(self, v)
+    class Counted(list):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += open_updates > 0
+            return super().__getitem__(i)
 
-    monkeypatch.setattr(TableauEngine, "update_status", counted)
+    original_init, original_update = TableauEngine.__init__, TableauEngine.update_status
+
+    def init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        self.graph.nodes = Counted()
+
+    def update(self, v):
+        nonlocal open_updates
+        open_updates += 1
+        try:
+            original_update(self, v)
+        finally:
+            open_updates -= 1
+
+    monkeypatch.setattr(TableauEngine, "__init__", init)
+    monkeypatch.setattr(TableauEngine, "update_status", update)
     n = 1000
-    assert decide_sat(parse_kb("".join(f"inst a{i} (some r A)\n" for i in range(n)))).sat
-    assert reads <= 10 * n
+    verdict = decide_sat(parse_kb(fan_text(n)))
+    assert verdict.sat and verdict.stats["states"] == 1
+    assert reads <= 10 * n, f"{reads / n:.1f}·n reads"
 
 
 def test_value_restriction_reads_per_univ_step_are_linear(monkeypatch):
@@ -1082,6 +1103,53 @@ def test_value_restriction_reads_per_univ_step_are_linear(monkeypatch):
         steps = verdict.stats["rule_applications"]["univ'"]
         assert verdict.sat and steps == n - 1
         assert reads <= 4 * n * steps, f"n = {n}: {reads / steps / n:.1f}·n reads per univ' step"
+
+
+def _scanned_tally(nodes, state) -> dict:
+    """`state`'s successors counted by settled status, by a scan."""
+    tally = dict.fromkeys(DETERMINED, 0)
+    for w in state.succs:
+        status = nodes[w].status
+        if status in tally:
+            tally[status] += 1
+    return tally
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+def test_a_state_tally_is_the_scan_at_every_update(strategy, monkeypatch):
+    # update_status reads a state's tally in place of its successors, so at
+    # each of its calls for a state the tally must be what a scan counts.
+    # The inputs make converse repairs in both modes and disallow formulas.
+    original = TableauEngine.update_status
+    checked = 0
+
+    def update(self, v):
+        nonlocal checked
+        nodes = self.graph.nodes
+        node = nodes[v]
+        if node.node_type == STATE:
+            assert node.tally == _scanned_tally(nodes, node), v
+            checked += 1
+        original(self, v)
+
+    monkeypatch.setattr(TableauEngine, "update_status", update)
+    texts = [EX1_TEXT, EX2_TEXT, DISALLOW_ABOX_TEXT, DISALLOW_TBOX_TEXT, *differential_suite(50)]
+    repairs = disallowing = 0
+    for kb in [pullback_kb(50), *map(parse_kb, texts)]:
+        verdict = decide_sat(kb, strategy=strategy)
+        repairs += verdict.stats["rule_applications"].get(R_CONV, 0)
+        disallowing += any(node.dformulas for node in verdict.graph.nodes)
+    assert checked and repairs and disallowing
+
+
+def test_every_state_tally_is_the_scan_at_run_end(decided):
+    for text, _, verdict in decided:
+        nodes = verdict.graph.nodes
+        for node in nodes:
+            if node.node_type == STATE:
+                assert node.tally == _scanned_tally(nodes, node), (text, node.id)
+            else:
+                assert node.tally is None, (text, node.id)
 
 
 def test_the_status_flow_reaches_its_fixpoint(decided):

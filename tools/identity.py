@@ -7,10 +7,11 @@ Loads both trees' `src/shisat` in one process (`tools/interleave.py`'s
 (`_corpus`) is the cases of every workload of `bench/corpora.py`'s
 `WORKLOADS` under their benchmark names, read with `tools/interleave.py`'s
 `workload_texts`, each name once (the `oracle` workload's cases are
-`suite`'s), and eleven texts of `tests/helpers.py` and `tests/kbgen.py`
-that no workload holds, each under both expansion strategies: 1,232 runs.
+`suite`'s), and twelve texts of `tests/helpers.py` and `tests/kbgen.py`
+that no workload holds, each under both expansion strategies: 1,234 runs.
 Two of them are univ' chains over 60 individuals (`abox_chain_text`):
-no benchmark text has more than a few role assertions.
+no benchmark text has more than a few role assertions. One is a state
+with 200 successors (`fan_text`): no benchmark state has more than a few.
 
 A run is compared on 11 fields, with formulas as text. The verdict, stats
 and witness come from a plain `decide_sat(kb, strategy)`, as the benchmark
@@ -54,8 +55,8 @@ _END = object()  # pads the shorter of two element streams
 
 def _corpus() -> list:
     from corpora import WORKLOADS
-    from helpers import (DISALLOW_ABOX_TEXT, DISALLOW_TBOX_TEXT, EX1_BASE_TEXT, abox_chain_text, and_nest, flat_and,
-                         pullback_kb, some_nest, wide_tbox)
+    from helpers import (DISALLOW_ABOX_TEXT, DISALLOW_TBOX_TEXT, EX1_BASE_TEXT, abox_chain_text, and_nest, fan_text,
+                         flat_and, pullback_kb, some_nest, wide_tbox)
     from kbgen import differential_suite
     from shisat import format_kb
 
@@ -65,6 +66,7 @@ def _corpus() -> list:
     cases += [("pullback[200]", format_kb(pullback_kb(200))), ("reorder[1.132]", differential_suite(500, 1)[132])]
     cases += [("disallow.abox", DISALLOW_ABOX_TEXT), ("disallow.tbox", DISALLOW_TBOX_TEXT)]
     cases += [("abox_chain[60]", abox_chain_text(60, False)), ("abox_chain_some[60]", abox_chain_text(60, True))]
+    cases += [("fan[200]", fan_text(200))]
     return [(f"{name}/{strategy}", text, strategy) for strategy in ("dfs", "fifo") for name, text in cases]
 
 
