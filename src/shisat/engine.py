@@ -275,9 +275,9 @@ class TableauEngine:
     # -- bookkeeping ---------------------------------------------------
 
     def _set_status(self, node, status) -> None:
-        if node.ce_label is not None and status in DETERMINED:  # only a state's head has one; its state counts it
+        if node.ce_label is not None and status in DETERMINED:  # only a head has an existential
             assert node.status not in DETERMINED, "a head settles once"
-            self.graph.nodes[node.preds[0]].tally[status] += 1
+            self.graph.state_of_head(node).tally[status] += 1
         node.status = status
         if self.tracing:
             if status == INCOMPLETE and node.node_type == STATE:
@@ -445,7 +445,7 @@ class TableauEngine:
             if node.node_type == NONSTATE:
                 parent, v1 = node.label, g.nodes[node.after_trans_pred]
                 if rule.tag != R_FORM and v1.ce_label is not None and self._pulls(v1.ce_label):
-                    pulls, v0 = True, g.nodes[v1.preds[0]]
+                    pulls, v0 = True, g.state_of_head(v1)
             for w in node.succs:
                 wn = g.nodes[w]
                 if wn.status in DETERMINED:
@@ -495,7 +495,7 @@ class TableauEngine:
         # status returns to UNEXPANDED, so a member skipped once stays skipped.
         while w < len(g.nodes) and un.status != UNSAT:
             wn = g.nodes[w]
-            assert g.nodes[wn.after_trans_pred].preds[0] == u
+            assert g.state_of_head(g.nodes[wn.after_trans_pred]) is un
             if wn.status == UNEXPANDED:
                 inst = self.applicable_rule(w)
                 if inst is not None and PRIORITY[inst.tag] == 5:

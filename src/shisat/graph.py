@@ -13,10 +13,10 @@ mutated, so a reader keeps a value without copying it. States are
 and-nodes, everything else is an or-node. An or-node's local graph is
 everything reachable from its head without crossing a state; members carry
 only the head, `after_trans_pred`, and the graph's facts sit on it: the
-existential `ce_label`, the state (the head's first predecessor, which made
-it; the root heads a graph with neither) and mode 1's alternative sets,
-`alt_fml_sets`, collected from the members. A state takes those of its
-first INCOMPLETE head; no other node sets the field.
+existential `ce_label`, the state (`state_of_head`: the first predecessor,
+which made it; the root heads a graph with neither) and mode 1's
+alternative sets, `alt_fml_sets`, collected from the members. A state
+takes those of its first INCOMPLETE head; no other node sets the field.
 
 One cache keeps the graph from blowing up: no two nodes of one scope
 share the triple (label, rformulas, dformulas). States share the global
@@ -126,6 +126,10 @@ class TableauGraph:
     def remove_edge(self, v: int, w: int) -> None:
         self.nodes[v].succs.remove(w)
         self.nodes[w].preds.remove(v)
+
+    def state_of_head(self, head):
+        """The state that made the local graph `head` heads: its first predecessor."""
+        return self.nodes[head.preds[0]]
 
     # -- node creation and caching ------------------------------------
 

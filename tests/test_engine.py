@@ -1142,24 +1142,16 @@ def test_a_state_tally_is_the_scan_at_every_update(strategy, monkeypatch):
     assert checked and repairs and disallowing
 
 
-def test_every_state_tally_is_the_scan_at_run_end(decided):
-    for text, _, verdict in decided:
-        nodes = verdict.graph.nodes
-        for node in nodes:
-            if node.node_type == STATE:
-                assert node.tally == _scanned_tally(nodes, node), (text, node.id)
-            else:
-                assert node.tally is None, (text, node.id)
-
-
 def test_the_status_flow_reaches_its_fixpoint(decided):
     # No expanded node is left that an update would settle or repair: an
     # or-node has no SAT successor and not only UNSAT or INCOMPLETE ones, a
     # state no UNSAT or INCOMPLETE successor and not only SAT ones. Statuses
     # settle as a fixpoint, so the order of the upward walk does not matter.
+    # Every state's tally is what a scan of its successors counts.
     for text, _, verdict in decided:
         nodes = verdict.graph.nodes
         for node in nodes:
+            assert node.tally == (_scanned_tally(nodes, node) if node.node_type == STATE else None), (text, node.id)
             if node.status == EXPANDED:
                 statuses = {nodes[w].status for w in node.succs}
                 if node.node_type == NONSTATE:

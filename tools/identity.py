@@ -11,7 +11,7 @@ Loads both trees' `src/shisat` in one process (`tools/interleave.py`'s
 that no workload holds, each under both expansion strategies: 1,234 runs.
 Two of them are univ' chains over 60 individuals (`abox_chain_text`):
 no benchmark text has more than a few role assertions. One is a state
-with 200 successors (`fan_text`): no benchmark state has more than a few.
+with 200 successors (`fan_text`): no benchmark state has more than five.
 
 A run is compared on 11 fields, with formulas as text. The verdict, stats
 and witness come from a plain `decide_sat(kb, strategy)`, as the benchmark
