@@ -65,23 +65,24 @@ or a narrowing of one to a subrole, and both cases need R- to be a
 subrole of an occurring restriction's role. `pulling_roles` lists the R
 for which that holds, from the concepts and the role box alone, and the
 engine calls `_backward` only for existentials over those roles: the
-table is exact in that every other call would return the empty set. It
-is built at the first state, so a run without existentials pays
-nothing. On the hot path the engine asks whether a formula is in the
-label, a frozenset of formulas, or in rformulas, a uid bitset (bit
-`f.uid` set for each reduced f), instead of building their union; only
-the witness builder decodes the bits (`FormulaStore.members`). Only
-value restrictions force anything across an edge, so the transfer
-operators are handed a label's split part of them, not the whole label.
-A complex label's part is read per individual, as its assertions' bodies:
-`_forward` keeps the existential's individual's, and the univ' scan groups
-the part once, so a role assertion reads only its two individuals' part.
+table is exact in that every other call would return the empty set.
+`apply_trans_rule` builds it at the first state, so a run without
+existentials pays nothing. On the hot path the engine asks whether a
+formula is in the label, a frozenset of formulas, or in rformulas, a uid
+bitset (bit `f.uid` set for each reduced f), instead of building their
+union; only the witness builder decodes the bits
+(`FormulaStore.members`). Only value restrictions force anything across
+an edge, so the transfer operators are handed a label's split part of
+them, not the whole label. A complex label's part is read per individual,
+as its assertions' bodies: `_forward` keeps the existential's
+individual's, and the univ' scan groups the part once, so a role
+assertion reads only its two individuals' part.
 
 The event trace, `("rule", tag, node)` and `("status", node, status)`
 tuples in the order they happen (an INCOMPLETE state's event also holds
 its `conv_method` and `fmls_rc`), is recorded only on request:
 `decide_sat(kb, trace=True)`. Otherwise `engine.trace` stays empty and
-the engine builds no event.
+the engine builds no event; `stats` reads the rule counts off the nodes.
 """
 from __future__ import annotations
 
@@ -264,7 +265,6 @@ class TableauEngine:
         self.idx = kb_index(kb)
         self.graph = TableauGraph(strategy)
         self.tbox_set = frozenset(kb.tbox)
-        self.rule_counts: Counter = Counter()
         self.tracing = trace
         self.trace: list = []  # the events, when `tracing`
         self._split: dict = {}  # label -> its split by kind (`split_label`, `derive_split`)
@@ -308,13 +308,6 @@ class TableauEngine:
         if ex.kind == sx.INST:
             return frozenset(transfer_concepts_to(self.idx, self.store, univ, role, ex.ind))
         return frozenset(transfer_concepts(self.idx, univ, role))
-
-    def _pulls(self, ex) -> bool:
-        """Whether the successor of `ex` can force anything back across
-        its edge, i.e. whether `_backward(ex, ...)` can be non-empty."""
-        if self._pulling is None:
-            self._pulling = pulling_roles(self.kb, self.idx)
-        return ex.body.role in self._pulling
 
     def _clashes(self, label, parent=None) -> bool:
         """`t_unsat` of `label`, computed once per run: against `parent`,
@@ -420,7 +413,6 @@ class TableauEngine:
         assert node.status == (EXPANDED if rule.tag == R_CONV else UNEXPANDED)
         node.expansions += 1
         node.rule = rule.tag
-        self.rule_counts[rule.tag] += 1
         if self.tracing:
             self.trace.append(("rule", rule.tag, v))
 
@@ -444,7 +436,8 @@ class TableauEngine:
             pulls, parent = False, None
             if node.node_type == NONSTATE:
                 parent, v1 = node.label, g.nodes[node.after_trans_pred]
-                if rule.tag != R_FORM and v1.ce_label is not None and self._pulls(v1.ce_label):
+                # only apply_trans_rule makes heads, and it builds the pulling table first
+                if rule.tag != R_FORM and v1.ce_label is not None and v1.ce_label.body.role in self._pulling:
                     pulls, v0 = True, g.state_of_head(v1)
             for w in node.succs:
                 wn = g.nodes[w]
@@ -477,12 +470,14 @@ class TableauEngine:
         g = self.graph
         un = g.nodes[u]
         assert un.node_type == STATE
+        if self._pulling is None:
+            self._pulling = pulling_roles(self.kb, self.idx)
 
         w = len(g.nodes)
         for f in rule.principals:
             label = frozenset({f.body.child}) | self._forward(f, un.label) | self.tbox_set
             g.new_succ(u, NONSTATE, f, label, 0, 0)
-            if self._pulls(f):
+            if f.body.role in self._pulling:
                 un.fmls_rc |= _unreduced(self._backward(f, label) - un.label, un.rformulas)
 
         if uid_bits(un.fmls_rc) & un.dformulas:
@@ -608,10 +603,13 @@ class TableauEngine:
         return g
 
     def stats(self) -> dict:
+        nodes = self.graph.nodes
+        rules = Counter(n.rule for n in nodes if n.rule is not None)  # each node's last rule
+        rules[R_FORM] += rules[R_CONV]  # the converse rule re-expands a form-state node, once
         return {
-            "nodes": len(self.graph.nodes),
-            "states": sum(1 for n in self.graph.nodes if n.node_type == STATE),
-            "rule_applications": dict(self.rule_counts),
+            "nodes": len(nodes),
+            "states": sum(1 for n in nodes if n.node_type == STATE),
+            "rule_applications": dict(+rules),  # unary + drops a zero count
         }
 
 

@@ -121,6 +121,18 @@ def fan_text(n: int) -> str:
     return "".join(f"inst a{i} (some r A)\n" for i in range(n))
 
 
+def alt_fan_text(k: int) -> str:
+    """`a` in (some r D0), where Di is (or (all r- (and Xi (not Xi))) D(i+1))
+    and the last disjunct is (all r- (and X(k-1) (not X(k-1)))): each
+    disjunct demands a clash of `a`, so the head collects k alternative
+    sets, the converse rule repairs the root into k successors, and each
+    is refuted on its own. UNSAT, with 4k + 1 nodes."""
+    concept = f"(all r- (and X{k - 1} (not X{k - 1})))"
+    for i in range(k - 2, -1, -1):
+        concept = f"(or (all r- (and X{i} (not X{i}))) {concept})"
+    return f"inst a (some r {concept})\n"
+
+
 def corpus() -> list:
     """The texts every corpus-wide check reads, through the `decided` fixture."""
     texts = differential_suite(500, 20240817) + [chain_kb_text(d) for d in range(1, 21)]

@@ -73,8 +73,8 @@ def test_json_holds_the_rows_and_every_run(tmp_path, monkeypatch):
     calls = []
 
     def fake_run(tree, cmd):  # cmd[3] is the workload and cmd[5] the seed
-        calls.append(f"{cmd[3]} {'change' if tree == ab.ROOT else 'parent'} {cmd[5]}")
-        return _record(9 if tree == ab.ROOT else 10, 1)
+        calls.append(f"{cmd[3]} {tree.name} {cmd[5]}")
+        return _record(9 if tree.name == "change" else 10, 1)
 
     monkeypatch.setattr(ab, "run_bench", fake_run)
     out = tmp_path / "ab.json"
@@ -126,3 +126,24 @@ def test_each_run_compiles_from_source_in_a_fresh_cache(tmp_path, monkeypatch):
     (cwd, first, fresh), (_, second, fresh_again) = seen
     assert cwd == tmp_path and fresh and fresh_again  # each run starts from an empty cache
     assert first != second and not first.exists() and not second.exists()
+
+
+def test_both_sides_run_from_copies_at_paths_of_one_length(tmp_path, monkeypatch):
+    parent = tmp_path / "a-much-longer-parent-checkout"
+    for sub in (".git", "src/__pycache__"):
+        (parent / sub).mkdir(parents=True)
+    (parent / "BENCHMARK.json").write_text(ab.BENCHMARK.read_text())
+    (parent / "src" / "__pycache__" / "m.pyc").write_bytes(b"")
+    trees = set()
+
+    def fake_run(tree, cmd):
+        assert (tree / "BENCHMARK.json").is_file() and not (tree / ".git").exists()
+        assert not any(tree.rglob("__pycache__")) and not any(tree.rglob("*.pyc"))
+        trees.add(tree)
+        return _record(1, 1)
+
+    monkeypatch.setattr(ab, "run_bench", fake_run)
+    assert ab.main([str(parent), "--workload", "chain"]) == 0
+    (a, b) = sorted(trees)
+    assert a.parent == b.parent and len(str(a)) == len(str(b))
+    assert not a.exists() and not b.exists()  # the copies go when the runs end

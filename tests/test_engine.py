@@ -60,6 +60,7 @@ from helpers import (
     EX1_TEXT,
     EX2_TEXT,
     abox_chain_text,
+    alt_fan_text,
     and_nest,
     fan_text,
     flat_and,
@@ -180,7 +181,7 @@ def test_pulling_table_of_the_chain_leaves_its_existentials_out():
     assert engine._pulling is None  # built at the first state, not before
     engine.run()
     assert engine._pulling == {Role("r", True), Role("s", True)}
-    assert engine.rule_counts[R_CONV] == 0
+    assert engine.stats()["rule_applications"].get(R_CONV, 0) == 0
 
 
 # -- the finite closure ------------------------------------------------------
@@ -472,9 +473,31 @@ def test_a_clash_test_builds_no_split():
 def test_run_drops_its_per_run_memos():
     for text in (EX2_TEXT, chain_kb_text(3)):
         engine = decide_sat(parse_kb(text)).engine
-        assert engine.rule_counts  # the run stepped, so the memos were filled
+        assert engine.stats()["rule_applications"]  # the run stepped, so the memos were filled
         for memo in (engine._split, engine._clash, engine._steps):
             assert memo == {}
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+def test_rule_applications_are_the_rules_apply_rule_received(monkeypatch, strategy):
+    """`stats` reads the rule counts off the nodes: each records the last
+    rule applied to it, and a converse node was form-state's first. Every
+    rule instance `apply_rule` receives is counted against them."""
+    received = Counter()
+    original = TableauEngine.apply_rule
+
+    def counted(self, rule, v):
+        received[rule.tag] += 1
+        original(self, rule, v)
+
+    monkeypatch.setattr(TableauEngine, "apply_rule", counted)
+    texts = differential_suite(500, 20240817)[:100] + [chain_kb_text(d) for d in range(1, 21)]
+    repairs = 0
+    for text in texts + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT]:
+        received.clear()
+        assert decide_sat(parse_kb(text), strategy=strategy).stats["rule_applications"] == received, text
+        repairs += received[R_CONV]
+    assert repairs > 0
 
 
 def _spy(monkeypatch, name, log):
@@ -864,7 +887,8 @@ def test_local_pass_saturates_the_nodes_it_creates():
     u = g.new_succ(None, STATE, None, frozenset({ex}), 0, 0)
     first = len(g.nodes)
     engine.apply_rule(engine.applicable_rule(u), u)
-    assert engine.rule_counts["and"] == 2 and engine.rule_counts["hier"] == 1
+    rules = engine.stats()["rule_applications"]
+    assert rules["and"] == 2 and rules["hier"] == 1
     created = g.nodes[first:]
     assert len(created) == 4
     assert "(all r D)" in label_texts(created[-1])
@@ -1077,6 +1101,44 @@ def test_settling_reads_each_successor_a_bounded_number_of_times(monkeypatch):
     verdict = decide_sat(parse_kb(fan_text(n)))
     assert verdict.sat and verdict.stats["states"] == 1
     assert reads <= 10 * n, f"{reads / n:.1f}·n reads"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20: an or-node rescans its successors each time one settles")
+def test_an_or_node_settles_reading_each_successor_a_bounded_number_of_times(monkeypatch):
+    # The converse rule repairs the root of alt_fan_text(k) into k successors,
+    # and each is refuted on its own, so an update that scanned every
+    # successor would read k² of them. Each read of a root successor that an
+    # update of the root makes itself, not through a rule it applies, is counted.
+    frames, reads = [], 0  # the open update_status (node id) and apply_rule (None) calls
+
+    class Counted(list):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += bool(frames) and frames[-1] == 0 and i in super().__getitem__(0).succs
+            return super().__getitem__(i)
+
+    def framed(method, frame):
+        def call(self, *args):
+            frames.append(frame(args))
+            try:
+                method(self, *args)
+            finally:
+                frames.pop()
+        return call
+
+    original_init = TableauEngine.__init__
+
+    def init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        self.graph.nodes = Counted()
+
+    monkeypatch.setattr(TableauEngine, "__init__", init)
+    monkeypatch.setattr(TableauEngine, "update_status", framed(TableauEngine.update_status, lambda args: args[0]))
+    monkeypatch.setattr(TableauEngine, "apply_rule", framed(TableauEngine.apply_rule, lambda args: None))
+    k = 100
+    verdict = decide_sat(parse_kb(alt_fan_text(k)))
+    assert not verdict.sat and verdict.stats["nodes"] == 4 * k + 1
+    assert reads <= 4 * k, f"{reads} reads"
 
 
 def test_value_restriction_reads_per_univ_step_are_linear(monkeypatch):

@@ -3,8 +3,12 @@
     python3 tools/ab.py PARENT_TREE [--workload W ...] [--seed 101] [--trace 0] [--json OUT.json]
 
 Runs the benchmark as this tree's `BENCHMARK.json` declares it: its
-`command`, under this interpreter, from the root of each tree, for its
-`run_seconds`, on every workload it lists or on those `--workload` names.
+`command`, under this interpreter, for its `run_seconds`, on every
+workload it lists or on those `--workload` names. Both trees are first
+copied, without `.git` and bytecode caches, to two sibling directories of
+one temporary directory (`copy_trees`), and every run starts from the root
+of a copy: the benchmark's `peak_rss_mb` moves with the length of the
+checkout's path, so the two sides run from paths of one length.
 Pair i of ten runs each workload on both trees on seed SEED + i before
 pair i + 1 starts, and the side that runs first alternates from pair to
 pair, so drift in the machine's speed falls on both sides and spreads
@@ -29,6 +33,7 @@ import argparse
 import json
 import os
 import statistics
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -51,6 +56,14 @@ def last_record(stdout: str) -> dict | None:
         if line.startswith("{"):
             return json.loads(line)
     return None
+
+
+def copy_trees(parent: Path, into: Path) -> tuple:
+    """Copies of the parent tree and this tree, `into/parent` and
+    `into/change`: sibling paths of one length. `.git` and bytecode caches
+    are left out."""
+    skip = shutil.ignore_patterns(".git", "__pycache__", "*.pyc")
+    return shutil.copytree(parent, into / "parent", ignore=skip), shutil.copytree(ROOT, into / "change", ignore=skip)
 
 
 def run_bench(tree: Path, cmd: list) -> dict:
@@ -130,13 +143,15 @@ def main(argv=None) -> int:
     seconds, command = spec["run_seconds"], [sys.executable, *spec["command"][1:]]
     seeds = [args.seed + i for i in range(PAIRS)]
     records = {w: ([], []) for w in names if w in (args.workload or names)}  # the parent's and this tree's
-    for i, seed in enumerate(seeds):
-        for workload, sides in records.items():
-            cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-                   "--trace", str(args.trace)]
-            for side in (0, 1) if i % 2 == 0 else (1, 0):
-                sides[side].append(run_bench((args.parent, ROOT)[side], cmd))
-        print(f"pair {i + 1}/{PAIRS} done (seed {seed})", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="ab-trees-") as tmp:
+        trees = copy_trees(args.parent, Path(tmp))
+        for i, seed in enumerate(seeds):
+            for workload, sides in records.items():
+                cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+                       "--trace", str(args.trace)]
+                for side in (0, 1) if i % 2 == 0 else (1, 0):
+                    sides[side].append(run_bench(trees[side], cmd))
+            print(f"pair {i + 1}/{PAIRS} done (seed {seed})", file=sys.stderr)
 
     better, out = directions(spec), {}
     for workload, (parent, change) in records.items():

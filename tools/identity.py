@@ -7,11 +7,13 @@ Loads both trees' `src/shisat` in one process (`tools/interleave.py`'s
 (`_corpus`) is the cases of every workload of `bench/corpora.py`'s
 `WORKLOADS` under their benchmark names, read with `tools/interleave.py`'s
 `workload_texts`, each name once (the `oracle` workload's cases are
-`suite`'s), and twelve texts of `tests/helpers.py` and `tests/kbgen.py`
-that no workload holds, each under both expansion strategies: 1,234 runs.
+`suite`'s), and thirteen texts of `tests/helpers.py` and `tests/kbgen.py`
+that no workload holds, each under both expansion strategies: 1,236 runs.
 Two of them are univ' chains over 60 individuals (`abox_chain_text`):
 no benchmark text has more than a few role assertions. One is a state
 with 200 successors (`fan_text`): no benchmark state has more than five.
+One is an or-node that a converse repair links to 100 successors
+(`alt_fan_text`): no benchmark or-node so repaired has more than two.
 
 A run is compared on 11 fields, with formulas as text. The verdict, stats
 and witness come from a plain `decide_sat(kb, strategy)`, as the benchmark
@@ -55,8 +57,8 @@ _END = object()  # pads the shorter of two element streams
 
 def _corpus() -> list:
     from corpora import WORKLOADS
-    from helpers import (DISALLOW_ABOX_TEXT, DISALLOW_TBOX_TEXT, EX1_BASE_TEXT, abox_chain_text, and_nest, fan_text,
-                         flat_and, pullback_kb, some_nest, wide_tbox)
+    from helpers import (DISALLOW_ABOX_TEXT, DISALLOW_TBOX_TEXT, EX1_BASE_TEXT, abox_chain_text, alt_fan_text, and_nest,
+                         fan_text, flat_and, pullback_kb, some_nest, wide_tbox)
     from kbgen import differential_suite
     from shisat import format_kb
 
@@ -66,7 +68,7 @@ def _corpus() -> list:
     cases += [("pullback[200]", format_kb(pullback_kb(200))), ("reorder[1.132]", differential_suite(500, 1)[132])]
     cases += [("disallow.abox", DISALLOW_ABOX_TEXT), ("disallow.tbox", DISALLOW_TBOX_TEXT)]
     cases += [("abox_chain[60]", abox_chain_text(60, False)), ("abox_chain_some[60]", abox_chain_text(60, True))]
-    cases += [("fan[200]", fan_text(200))]
+    cases += [("fan[200]", fan_text(200)), ("alt_fan[100]", alt_fan_text(100))]
     return [(f"{name}/{strategy}", text, strategy) for strategy in ("dfs", "fifo") for name, text in cases]
 
 
