@@ -411,7 +411,6 @@ class TableauEngine:
         g = self.graph
         node = g.nodes[v]
         assert node.status == (EXPANDED if rule.tag == R_CONV else UNEXPANDED)
-        node.expansions += 1
         node.rule = rule.tag
         if self.tracing:
             self.trace.append(("rule", rule.tag, v))

@@ -2,10 +2,13 @@
 
 Nodes are immutable in their content (label, reduced formulas, disallowed
 formulas) and provenance once created. What changes afterwards: the status;
-the last rule applied, `rule`, and the count of applications, `expansions`,
-both set by the engine's `apply_rule`; the edge lists `succs` and `preds`,
-which grow but for the one edge a converse repair drops (below); a state's
-`tally` of its successors by status, kept by the engine's `_set_status`;
+`rule`, the node's record of its expansions, set by the engine's
+`apply_rule`: None until a rule expands the node, then that rule's tag,
+which only the converse rule overwrites, once, on a form-state node (so
+a node was expanded `(rule is not None) + (rule == "converse")` times);
+the edge lists `succs` and `preds`, which grow but for the one edge a
+converse repair drops (below); a state's `tally` of its successors by
+status, kept by the engine's `_set_status`;
 and the converse-repair record, `fmls_rc` and `alt_fml_sets`. The repair
 mode is read from the state (`conv_method`). The record's fields start as
 the shared `EMPTY` and are only ever rebound to larger frozensets, never
@@ -69,7 +72,6 @@ class TableauNode:
         "fmls_rc",
         "alt_fml_sets",
         "rule",
-        "expansions",
         "tally",
         "succs",
         "preds",
@@ -86,7 +88,6 @@ class TableauNode:
         self.ce_label = None
         self.fmls_rc = self.alt_fml_sets = EMPTY
         self.rule = None
-        self.expansions = 0
         self.tally = {INCOMPLETE: 0, UNSAT: 0, SAT: 0} if node_type == STATE else None
         self.succs: list = []
         self.preds: list = []
@@ -99,9 +100,6 @@ class TableauNode:
         pass only when a demand meets its dformulas, and no status update
         reaches it before a clean pass has made it EXPANDED."""
         return int(self.node_type == STATE and self.status != UNEXPANDED and not self.fmls_rc)
-
-    def triple_key(self) -> tuple:
-        return (self.label, self.rformulas, self.dformulas)
 
     def __repr__(self) -> str:
         return f"<node {self.id} {self.node_type} {self.status} {ordered(self.label)}>"

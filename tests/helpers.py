@@ -46,11 +46,27 @@ impl B (or (all r- F) (all r- (all r (all r- F))))
 impl top (some r B)
 """
 
+# The converse rule repairs the root into a branch that adds a:X1 and one
+# that adds a:(all r (and (all r- X1) Z)) with a:X1 disallowed. In the second
+# branch's state's local pass, the and-successor of its head demands a:X1
+# back, which refutes that state (`apply_rule`'s mode-0 refutation); the
+# first branch satisfies the root. SAT, 16 nodes and 3 states.
+DISALLOW_MODE0_TEXT = "inst a (some r (or (all r- X1) (all r- (all r (and (all r- X1) Z)))))\n"
+
 
 def run(text: str, strategy: str = "dfs"):
     """Parse and decide `text`, recording the event trace."""
     kb = parse_kb(text)
     return kb, decide_sat(kb, strategy=strategy, trace=True)
+
+
+def rule_events(trace) -> dict:
+    """Node id -> the tags of the trace's rule events on that node, in order."""
+    tags: dict = {}
+    for event in trace:
+        if event[0] == "rule":
+            tags.setdefault(event[2], []).append(event[1])
+    return tags
 
 
 def state_of(nodes, node):
@@ -137,7 +153,7 @@ def corpus() -> list:
     """The texts every corpus-wide check reads, through the `decided` fixture."""
     texts = differential_suite(500, 20240817) + [chain_kb_text(d) for d in range(1, 21)]
     texts += [some_nest(d, False) for d in (10, 50)] + [some_nest(d, True) for d in (3, 10)]
-    return texts + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT]
+    return texts + [EX1_BASE_TEXT, EX1_TEXT, EX2_TEXT, DISALLOW_MODE0_TEXT]
 
 
 def state_claim(kb, state) -> str:

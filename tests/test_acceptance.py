@@ -30,7 +30,7 @@ from shisat import (
     parse_concept_text,
     parse_kb,
 )
-from shisat.engine import R_CONV
+from shisat.engine import R_CONV, R_FORM
 from shisat.graph import INCOMPLETE, STATE
 from shisat.models import close_role_relations, complete_relations, extract_model_graph
 from shisat.syntax import Role
@@ -43,6 +43,7 @@ from helpers import (
     check_saturation,
     label_texts,
     naive_role_closure,
+    rule_events,
     with_inverses,
 )
 from kbgen import chain_kb_text, differential_suite
@@ -60,11 +61,11 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 
 class Run:
-    def __init__(self, text, trace=False):
+    def __init__(self, text):
         self.text = text
         self.kb = parse_kb(text)
         self.idx = kb_index(self.kb)
-        self.verdict = decide_sat(self.kb, trace=trace)
+        self.verdict = decide_sat(self.kb, trace=True)  # criteria 2 and 5(e) read the trace
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +75,7 @@ def ex1():
 
 @pytest.fixture(scope="module")
 def ex2():
-    return Run(EX2_TEXT, trace=True)  # criterion 2 reads its trace
+    return Run(EX2_TEXT)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +91,7 @@ def ex1_instance_query():
     run.text = EX1_BASE_TEXT
     run.kb = query
     run.idx = kb_index(query)
-    run.verdict = decide_sat(query)
+    run.verdict = decide_sat(query, trace=True)
     return run
 
 
@@ -258,7 +259,7 @@ def _invariant_violations(run):
 
     seen_states, seen_local = {}, {}
     for node in graph.nodes:
-        key = node.triple_key()
+        key = (node.label, node.rformulas, node.dformulas)
         if node.node_type == STATE:
             if key in seen_states:
                 out.append(f"(b) states {seen_states[key]}/{node.id} share a triple")
@@ -300,9 +301,9 @@ def _invariant_violations(run):
             kind = graph.nodes[x].node_type
             out.append(f"(d) incomplete {kind} node {x} reachable from the root")
 
-    for node in graph.nodes:
-        if node.expansions > 2:
-            out.append(f"(e) node {node.id} expanded {node.expansions} times")
+    for v, tags in rule_events(run.verdict.engine.trace).items():
+        if len(tags) > 1 and tags != [R_FORM, R_CONV]:
+            out.append(f"(e) node {v} expanded by {', '.join(tags)}")
     return out
 
 

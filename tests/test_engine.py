@@ -7,6 +7,7 @@ import itertools
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -55,6 +56,7 @@ from shisat.transfer import transfer_concepts_to
 
 from helpers import (
     DISALLOW_ABOX_TEXT,
+    DISALLOW_MODE0_TEXT,
     DISALLOW_TBOX_TEXT,
     EX1_BASE_TEXT,
     EX1_TEXT,
@@ -67,6 +69,7 @@ from helpers import (
     interned_texts,
     label_texts,
     pullback_kb,
+    rule_events,
     run,
     state_claim,
     state_of,
@@ -431,13 +434,29 @@ def test_nodes_of_one_content_take_one_step(decided):
         nodes = verdict.graph.nodes
         steps: dict = {}
         for node in nodes:
-            if node.expansions == 1 or (node.expansions == 0 and node.status == SAT):
+            if node.rule != R_CONV and (node.rule is not None or node.status == SAT):
                 step = (node.rule, frozenset((nodes[w].label, nodes[w].rformulas) for w in node.succs))
                 key = (node.node_type, node.label, node.rformulas)
                 first = steps.setdefault(key, step)
                 assert first == step, (text, node)
                 repeats += first is not step
     assert repeats > 1000
+
+
+def test_a_nodes_rule_records_its_expansions(decided):
+    """A node's `rule` is its whole record of expansions: the trace holds
+    `(rule is not None) + (rule == converse)` rule events for it, and a
+    converse node's first is form-state's."""
+    repairs = 0
+    for text, _, verdict in decided:
+        events = rule_events(verdict.engine.trace)
+        for node in verdict.graph.nodes:
+            tags = events.get(node.id, [])
+            assert len(tags) == (node.rule is not None) + (node.rule == R_CONV), (text, node.id, tags)
+            if node.rule == R_CONV:
+                assert tags[0] == engine_module.R_FORM, (text, node.id, tags)
+                repairs += 1
+    assert repairs > 100
 
 
 def test_a_label_fixes_the_node_form(decided):
@@ -1236,7 +1255,7 @@ def test_no_clashing_state_successor_is_expanded(decided):
     for text, kb, verdict in decided:
         nodes = verdict.graph.nodes
         succs = [nodes[w] for v in nodes if v.node_type == STATE for w in v.succs]
-        assert not [w.id for w in succs if w.expansions and t_unsat(kb.store, w.label)], text
+        assert not [w.id for w in succs if w.rule is not None and t_unsat(kb.store, w.label)], text
 
 
 # -- end to end -----------------------------------------------------------------
@@ -1303,7 +1322,7 @@ def _graph_record(graph, store) -> list:
     texts = lambda fs: frozenset(map(formula_text, fs))  # noqa: E731
     members = store.members
     return [
-        (n.id, n.node_type, n.rule, n.status, n.expansions, tuple(n.succs), tuple(n.preds),
+        (n.id, n.node_type, n.rule, n.status, tuple(n.succs), tuple(n.preds),
          texts(n.label), texts(members(n.rformulas)), texts(members(n.dformulas)), n.conv_method, texts(n.fmls_rc),
          frozenset(map(texts, n.alt_fml_sets)))
         for n in graph.nodes
@@ -1478,6 +1497,61 @@ def test_a_state_a_disallowed_demand_refutes_is_refuted_once(text, strategy):
     assert any(n.status == UNSAT and uid_bits(n.fmls_rc) & n.dformulas for n in verdict.graph.nodes)
     refuted = _refutations(verdict.engine.trace)
     assert max(refuted.values()) == 1, [v for v, k in refuted.items() if k > 1]
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+def test_a_demand_a_state_disallows_in_its_local_pass_refutes_it(strategy):
+    """`apply_rule`'s mode-0 refutation, which no other test input reaches:
+    the state of the repair branch that disallows a:X1 is refuted, before
+    any other status, when a member of its local graph demands a:X1 back.
+    Its claim has no small model, and the other branch gives a checked
+    witness."""
+    kb, verdict = run(DISALLOW_MODE0_TEXT, strategy)
+    assert verdict.sat and verdict.stats["nodes"] == 16 and verdict.stats["states"] == 3
+    assert check_model(build_witness(verdict.graph, kb, kb_index(kb)), kb)
+    [state] = [n for n in verdict.graph.nodes if n.node_type == STATE and n.status == UNSAT]
+    assert {formula_text(f) for f in kb.store.members(state.dformulas)} == {"a:X1"}
+    statuses = [event[2] for event in verdict.engine.trace if event[0] == "status" and event[1] == state.id]
+    assert statuses[0] == UNSAT
+    assert bounded_model_search(parse_kb(state_claim(kb, state)), 2) is None
+
+
+# Together these reach every status write of the engine (below).
+STATUS_WRITE_TEXTS = [
+    DISALLOW_MODE0_TEXT,
+    DISALLOW_ABOX_TEXT,
+    DISALLOW_TBOX_TEXT,
+    EX1_TEXT,
+    EX2_TEXT,
+    EX1_BASE_TEXT,
+    chain_kb_text(3),
+    alt_fan_text(3),
+    fan_text(3),
+    "inst a A\ninst a (not A)\n",  # the root clashes
+    "sub r r-\nequiv (all r- top) (and (all s C) (some r- B))\ninst a A\n",  # mode 1 refutes a successor
+]
+
+
+def test_every_status_write_is_reached(monkeypatch):
+    """Each `self._set_status(` call in the engine's source sets a status in
+    some run of `STATUS_WRITE_TEXTS`, under dfs or fifo. The engine has 15
+    such calls: one added or taken away changes what this test covers, so
+    it changes the count here too."""
+    source = Path(engine_module.__file__).read_text().splitlines()
+    sites = {i for i, line in enumerate(source, 1) if "self._set_status(" in line}
+    assert len(sites) == 15
+    reached = set()
+    set_status = TableauEngine._set_status
+
+    def recorded(self, node, status):
+        reached.add(sys._getframe(1).f_lineno)
+        set_status(self, node, status)
+
+    monkeypatch.setattr(TableauEngine, "_set_status", recorded)
+    for strategy in ("dfs", "fifo"):
+        for text in STATUS_WRITE_TEXTS:
+            decide_sat(parse_kb(text), strategy=strategy)
+    assert not sites - reached, sorted(sites - reached)
 
 
 # ROADMAP item 1: a mode-0 repair mixes the demands of exclusive branches,

@@ -85,7 +85,8 @@ def test_one_cache_keeps_scopes_apart():
     root = g.new_succ(None, NONSTATE, None, label, 0, 0)
     # forming a state copies the or-node's triple; both stay cached
     u = g.new_succ(root, STATE, None, label, 0, 0)
-    assert g.nodes[u].triple_key() == g.nodes[root].triple_key()
+    r, s = g.nodes[root], g.nodes[u]
+    assert (s.label, s.rformulas, s.dformulas) == (r.label, r.rformulas, r.dformulas)
     assert g.find_proxy(STATE, None, None, label, 0, 0) == u
     assert g.find_proxy(NONSTATE, None, root, label, 0, 0) == root
     # one triple in two local scopes is two distinct nodes

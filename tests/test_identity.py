@@ -26,7 +26,8 @@ def _report(corpus, monkeypatch, capsys) -> dict:
     """Field -> the line `compare` prints for it, this tree against `TREE_B` on `corpus`."""
     monkeypatch.setattr(identity, "_corpus", lambda: corpus)
     code = identity.compare(shisat, TREE_B)
-    lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+    out = capsys.readouterr().out.splitlines()
+    lines = {line.split(":")[0]: line for line in out if not line.startswith(" ")}  # not a first difference
     assert code == int(any(" 0 of " not in line for line in lines.values()))
     return lines
 
@@ -108,6 +109,31 @@ def test_compare_names_ten_differing_runs_and_counts_the_rest(one_node_more, mon
     named = ", ".join(f"run/{i}" for i in range(10))
     assert lines["stats"] == f"stats: 12 of 12 runs differ: {named} and 2 more"
     assert lines["verdict"] == "verdict: 0 of 12 runs differ"
+
+
+def test_compare_prints_where_the_first_differing_run_first_differs(monkeypatch, capsys):
+    """Two stub trees whose runs differ only in `nodes`: on the second run in
+    its second element, and on the third in an element one tree lacks."""
+    nodes = {
+        "parent": {"x": [(0, "or")], "y": [(0, "or"), (1, "and")], "z": [(0, "or")]},
+        "tree": {"x": [(0, "or")], "y": [(0, "or"), (1, "and'")], "z": [(0, "or"), (1, "or")]},
+    }
+    monkeypatch.setattr(identity, "_run", lambda tree, text, strategy, memo: {
+        field: iter(nodes[tree][text]) if field == "nodes" else 0 for field in identity.FIELDS
+    })
+    monkeypatch.setattr(identity, "_corpus", lambda: [(f"{text}/dfs", text, "dfs") for text in "xyz"])
+    assert identity.compare("parent", "tree") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(identity.FIELDS) + 1
+    i = out.index("nodes: 2 of 3 runs differ: y/dfs, z/dfs")
+    assert out[i + 1] == """  first: y/dfs element 1: parent (1, 'and'), tree (1, "and'")"""
+
+
+def test_a_stream_one_tree_ends_early_differs_at_its_end():
+    assert identity._difference(iter([1]), iter([1, 2])) == (1, identity._END, 2)
+    assert identity._shown(identity._END) == "nothing"
+    assert identity._difference({"nodes": 1}, {"nodes": 2}) == (None, {"nodes": 1}, {"nodes": 2})
+    assert identity._difference(iter([1, 2]), iter([1, 2])) is None
 
 
 def test_every_benchmark_text_is_a_run_under_both_strategies():

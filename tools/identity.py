@@ -7,22 +7,24 @@ Loads both trees' `src/shisat` in one process (`tools/interleave.py`'s
 (`_corpus`) is the cases of every workload of `bench/corpora.py`'s
 `WORKLOADS` under their benchmark names, read with `tools/interleave.py`'s
 `workload_texts`, each name once (the `oracle` workload's cases are
-`suite`'s), and thirteen texts of `tests/helpers.py` and `tests/kbgen.py`
-that no workload holds, each under both expansion strategies: 1,236 runs.
+`suite`'s), and fourteen texts of `tests/helpers.py` and `tests/kbgen.py`
+that no workload holds, each under both expansion strategies: 1,238 runs.
 Two of them are univ' chains over 60 individuals (`abox_chain_text`):
 no benchmark text has more than a few role assertions. One is a state
 with 200 successors (`fan_text`): no benchmark state has more than five.
 One is an or-node that a converse repair links to 100 successors
-(`alt_fan_text`): no benchmark or-node so repaired has more than two.
+(`alt_fan_text`): no benchmark or-node so repaired has more than two. One
+is a state refuted by a demand it disallows in its local pass
+(`DISALLOW_MODE0_TEXT`): no benchmark input reaches that refutation.
 
 A run is compared on 11 fields, with formulas as text. The verdict, stats
 and witness come from a plain `decide_sat(kb, strategy)`, as the benchmark
 calls it; the witness is a SAT verdict's domain, atoms and roles and
 `check_model`'s answer on it. A second, traced decision of a fresh parse
 gives the trace; `nodes`, each node's id, rule, status, label, successors,
-ce_label, expansion count and `after_trans_pred`; and `repair`, each
-node's reduced and disallowed formulas, conv_method, fmls_rc, and
-`alt_fml_sets` in the fifth slot on a state and the sixth on an or-node.
+ce_label and `after_trans_pred`; and `repair`, each node's reduced and
+disallowed formulas, conv_method, fmls_rc, and `alt_fml_sets` in the fifth
+slot on a state and the sixth on an or-node.
 The other fields are the knowledge base's name lists; the closed role box;
 `interned`, the store's formulas in uid order after the plain run and the
 witness; `oracle`, the domain size of the model that
@@ -34,7 +36,10 @@ run that raises on a tree has `error: TYPE: MESSAGE` on every field; an
 element that raises ends its field with that error.
 
 It prints per field how many runs differ, naming the first 10 and counting
-the rest, and exits 1 if any run differs.
+the rest. Under a field that differs it prints one more line, indented: the
+first differing run, the index of its first differing element (for a field
+compared element by element) and that element on the parent and on the
+tree ("nothing" past a stream's end). It exits 1 if any run differs.
 """
 from __future__ import annotations
 
@@ -57,8 +62,8 @@ _END = object()  # pads the shorter of two element streams
 
 def _corpus() -> list:
     from corpora import WORKLOADS
-    from helpers import (DISALLOW_ABOX_TEXT, DISALLOW_TBOX_TEXT, EX1_BASE_TEXT, abox_chain_text, alt_fan_text, and_nest,
-                         fan_text, flat_and, pullback_kb, some_nest, wide_tbox)
+    from helpers import (DISALLOW_ABOX_TEXT, DISALLOW_MODE0_TEXT, DISALLOW_TBOX_TEXT, EX1_BASE_TEXT, abox_chain_text,
+                         alt_fan_text, and_nest, fan_text, flat_and, pullback_kb, some_nest, wide_tbox)
     from kbgen import differential_suite
     from shisat import format_kb
 
@@ -67,6 +72,7 @@ def _corpus() -> list:
     cases += [("flat_and[300]", flat_and(300)), ("wide[40]", wide_tbox(40))]
     cases += [("pullback[200]", format_kb(pullback_kb(200))), ("reorder[1.132]", differential_suite(500, 1)[132])]
     cases += [("disallow.abox", DISALLOW_ABOX_TEXT), ("disallow.tbox", DISALLOW_TBOX_TEXT)]
+    cases += [("disallow.mode0", DISALLOW_MODE0_TEXT)]
     cases += [("abox_chain[60]", abox_chain_text(60, False)), ("abox_chain_some[60]", abox_chain_text(60, True))]
     cases += [("fan[200]", fan_text(200)), ("alt_fan[100]", alt_fan_text(100))]
     return [(f"{name}/{strategy}", text, strategy) for strategy in ("dfs", "fifo") for name, text in cases]
@@ -111,7 +117,7 @@ def _record(tree, text: str, strategy: str) -> dict:
         "stats": verdict.stats,
         "trace": map(plain, traced.engine.trace),
         "nodes": (
-            plain((n.id, n.rule, n.status, n.label, n.succs, n.ce_label, n.expansions, n.after_trans_pred))
+            plain((n.id, n.rule, n.status, n.label, n.succs, n.ce_label, n.after_trans_pred))
             for n in g.nodes
         ),
         "repair": (
@@ -184,29 +190,44 @@ def _elements(values: Iterator):
         yield _error(exc)
 
 
-def _same(x, y) -> bool:
-    """Whether two values of a field agree; two iterators are read in step
-    and stop at the first element that differs."""
+def _difference(x, y):
+    """None if two values of a field agree, else where they first differ:
+    (element index, x's element, y's element), the index None for values
+    compared whole. Two iterators are read in step and stop at the first
+    element that differs."""
     if isinstance(x, Iterator) and isinstance(y, Iterator):
-        return all(p == q for p, q in zip_longest(_elements(x), _elements(y), fillvalue=_END))
-    return x == y
+        pairs = enumerate(zip_longest(_elements(x), _elements(y), fillvalue=_END))
+        return next(((i, p, q) for i, (p, q) in pairs if p != q), None)
+    return None if x == y else (None, x, y)
+
+
+def _shown(x) -> str:
+    return "nothing" if x is _END else repr(x)
 
 
 def compare(a, b) -> int:
-    """Decide every run of the corpus on the packages `a` and `b`, print
-    per field how many runs differ, and return 1 if any does."""
+    """Decide every run of the corpus on the packages `a` (the parent) and
+    `b`, print per field how many runs differ and where the first of them
+    first differs, and return 1 if any does."""
     differ: dict = {field: [] for field in FIELDS}
+    first: dict = {}  # field -> (run name, element index, a's element, b's element)
     memos: tuple = ({}, {})  # per tree: text -> (oracle, parse)
     corpus = _corpus()
     for name, text, strategy in corpus:
         left, right = (_run(tree, text, strategy, memo) for tree, memo in zip((a, b), memos))
         for field in FIELDS:
-            if not _same(left[field], right[field]):
+            found = _difference(left[field], right[field])
+            if found is not None:
                 differ[field].append(name)
+                first.setdefault(field, (name, *found))
     for field, names in differ.items():
         named = f": {', '.join(names[:10])}" if names else ""
         rest = f" and {len(names) - 10} more" if len(names) > 10 else ""
         print(f"{field}: {len(names)} of {len(corpus)} runs differ{named}{rest}")
+        if field in first:
+            name, i, x, y = first[field]
+            at = "" if i is None else f" element {i}"
+            print(f"  first: {name}{at}: parent {_shown(x)}, tree {_shown(y)}")
     return 1 if any(differ.values()) else 0
 
 
