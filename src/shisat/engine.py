@@ -57,24 +57,19 @@ uid order: a memo hit replays a call whose formulas were interned on its
 miss, and the scan interns the conclusions of the rule it picks, which
 on a complex node is applied right after its scan.
 
-Only some edges can carry a constraint back. Across an R edge the
-successor's label forces something on the state only through a value
-restriction (all R-.D), or (all Q.D) with R- <= Q and Q transitive. Every
-value restriction a label can hold is a subconcept of the knowledge base
-or a narrowing of one to a subrole, and both cases need R- to be a
-subrole of an occurring restriction's role. `pulling_roles` lists the R
-for which that holds, from the concepts and the role box alone, and the
-engine calls `_backward` only for existentials over those roles: the
-table is exact in that every other call would return the empty set.
+Only some edges can carry a constraint back. `rbox.pulling_roles` lists
+their roles, from the concepts and the role box alone, and the engine
+calls `_backward` only for existentials over those roles: the table is
+exact in that every other call would return the empty set.
 `apply_trans_rule` builds it at the first state, so a run without
 existentials pays nothing. On the hot path the engine asks whether a
 formula is in the label, a frozenset of formulas, or in rformulas, a uid
 bitset (bit `f.uid` set for each reduced f), instead of building their
 union; only the witness builder decodes the bits
 (`FormulaStore.members`). Only value restrictions force anything across
-an edge, so the transfer operators are handed a label's split part of
-them, not the whole label. A complex label's part is read per individual,
-as its assertions' bodies: `_forward` keeps the existential's
+an edge, so the transfer operators (`rbox`) are handed a label's split
+part of them, not the whole label. A complex label's part is read per
+individual, as its assertions' bodies: `_forward` keeps the existential's
 individual's, and the univ' scan groups the part once, so a role
 assertion reads only its two individuals' part.
 
@@ -105,9 +100,8 @@ from .graph import (
     UNSAT,
     TableauGraph,
 )
-from .rbox import kb_index
+from .rbox import kb_index, pulling_roles, transfer_concepts, transfer_concepts_to
 from .syntax import FormulaStore, KnowledgeBase, complement, ordered, uid_bits
-from .transfer import transfer_concepts, transfer_concepts_to
 
 # bench/tracing.py wraps these two retired names by attribute (ROADMAP item 10).
 transfer_assertions = transfer_assertions_from = None
@@ -244,18 +238,6 @@ def derive_split(split: tuple, parent, label) -> tuple:
             j = bisect_left(part, f.uid, key=_uid)
             parts[i] = part[:j] + (f,) + part[j:]
     return tuple(parts)
-
-
-def pulling_roles(kb: KnowledgeBase, idx) -> frozenset:
-    """The roles R across which a successor can force something back: the
-    inverses of the subroles of every value restriction's role in the
-    knowledge base's concepts. `_backward` over an R edge reads (all R-.D),
-    and (all Q.D) with R- <= Q and Q transitive; a label's value
-    restrictions are subconcepts of the knowledge base or their narrowings
-    to subroles, and in both cases R- is a subrole of an occurring
-    restriction's role. Interns nothing."""
-    univ_roles = {c.role for root in kb.concepts for c in sx.subconcepts(root) if c.kind == sx.ALL}
-    return frozenset(r.inverse for q in univ_roles for r in idx.subroles_of(q))
 
 
 class TableauEngine:

@@ -1,4 +1,4 @@
-"""Role-box closure and queries.
+"""Role-box closure and what it makes a value restriction do across an edge.
 
 The role box of an SHI knowledge base contains axioms R <= S and
 trans(R). Its closure <=* is the reflexive-transitive closure of the
@@ -18,10 +18,22 @@ declare. The closure as a set of pairs, `subrole_pairs`, is built only
 when read. `transitive_closure` closes a set of pairs with the same
 `reach`, adding each finished element's set whole, for the witness
 construction in `models`, which also reads roles through `successor_map`.
+
+The role box alone decides what a value restriction forces across an
+edge. Crossing an R edge from x to y, (all R.D) at x forces D at y, and
+(all S.D) with R <= S and S transitive forces itself at y (the S chain
+continues through y; `srtr`). `transfer_concepts` is the one operator;
+`transfer_concepts_to` asserts its result of a named individual. On a
+complex label the engine passes an individual's value restrictions as
+concepts, the bodies of its assertions. Both are pure: they read their
+arguments and return fresh sets. Read from y back to x, the same
+operator over R- is what a successor forces on its state, and
+`pulling_roles` lists the R for which it can force anything, from the
+knowledge base's concepts and `subroles_of` alone.
 """
 from __future__ import annotations
 
-from .syntax import Role
+from .syntax import ALL, FormulaStore, KnowledgeBase, Role, ordered, subconcepts
 
 
 def successor_map(pairs) -> dict:
@@ -114,6 +126,37 @@ class RBoxIndex:
             return self._subroles[s]
         except KeyError:
             raise self._undeclared(s) from None
+
+
+def transfer_concepts(idx: RBoxIndex, concepts, role: Role) -> set:
+    """{D | (all role.D) in X} plus the surviving transitive restrictions."""
+    out = set()
+    for c in concepts:
+        if c.kind == ALL:
+            if c.role == role:
+                out.add(c.child)
+            if idx.srtr(role, c.role):
+                out.add(c)
+    return out
+
+
+def transfer_concepts_to(idx: RBoxIndex, store: FormulaStore, concepts, role: Role, ind: str) -> set:
+    """Like transfer_concepts, but lands on the named individual `ind`. The
+    assertions are interned in uid order of their concepts, not in set
+    order."""
+    return {store.inst(ind, c) for c in ordered(transfer_concepts(idx, concepts, role))}
+
+
+def pulling_roles(kb: KnowledgeBase, idx: RBoxIndex) -> frozenset:
+    """The roles R across which a successor can force something back: the
+    inverses of the subroles of every value restriction's role in the
+    knowledge base's concepts. A transfer over R- reads (all R-.D), and
+    (all Q.D) with R- <= Q and Q transitive; a label's value restrictions
+    are subconcepts of the knowledge base or their narrowings to
+    subroles, and in both cases R- is a subrole of an occurring
+    restriction's role. Interns nothing."""
+    univ_roles = {c.role for root in kb.concepts for c in subconcepts(root) if c.kind == ALL}
+    return frozenset(r.inverse for q in univ_roles for r in idx.subroles_of(q))
 
 
 def build_ext(subsumptions, transitive, role_names) -> RBoxIndex:

@@ -171,7 +171,12 @@ class FormulaStore:
         same order as the plain recursion would, at any nesting depth. A
         formula whose parts all have their complements is built at once;
         otherwise the parts whose `neg` is still None go straight onto the
-        stack, the left one on top, and the formula waits under them."""
+        stack, the left one on top, and the formula waits under them.
+
+        A negated atom is interned only by the atom case, which links both
+        `neg` fields before anything can read them. So the atom case never
+        finds one interned already, and a negated atom is always answered
+        by its `neg` field, never walked."""
         done = formula.neg
         if done is not None:
             return done
@@ -198,10 +203,7 @@ class FormulaStore:
                     continue
                 g = self.exist(f.role, child.neg) if k == ALL else self.univ(f.role, child.neg)
             elif k == ATOM:
-                key = (NOT, f.uid)
-                g = self._table.get(key) or self._make(key, Concept, NOT, None, None, None, None, f)
-            elif k == NOT:
-                g = f.child
+                g = self._make((NOT, f.uid), Concept, NOT, None, None, None, None, f)
             elif k == INST:
                 concept = f.concept
                 if concept.neg is None:
@@ -253,12 +255,13 @@ def _disj_flat(store: FormulaStore, left: Concept, right: Concept) -> Concept:
 
 
 def _conj_flat(store: FormulaStore, left: Concept, right: Concept) -> Concept:
+    # Called only on the two directions of an equivalence C == D. One is
+    # bottom only when C and D are top and bottom, in either order, and
+    # then the other is top, so bottom needs no case of its own.
     if left.kind == TOP:
         return right
     if right.kind == TOP:
         return left
-    if left.kind == BOT or right.kind == BOT:
-        return store.bot
     return store.conj(left, right)
 
 
@@ -309,8 +312,8 @@ class KnowledgeBase:
     def concepts(self) -> tuple:
         """The concepts the knowledge base asserts: the internalized TBox,
         then each concept assertion's concept in ABox order. The walks over
-        its concepts (`closure`, the engine's `pulling_roles` and the
-        oracle's grounding) start from these roots."""
+        its concepts (`closure`, `rbox.pulling_roles` and the oracle's
+        grounding) start from these roots."""
         return (*self.tbox, *(f.concept for f in self.abox if f.kind == INST))
 
     @cached_property

@@ -6,7 +6,7 @@ from shisat import decide_sat, format_kb, parse_kb
 from shisat.models import ModelGraph
 from shisat.syntax import (ALL, AND, ATOM, BOT, INST, NOT, OR, REL, SOME, FormulaStore, Role, build_kb, concept_text,
                            formula_text, ordered)
-from shisat.transfer import transfer_concepts
+from shisat.rbox import transfer_concepts
 
 EX1_TEXT = """\
 sub L P

@@ -21,7 +21,6 @@ from shisat.engine import (
     R_CONV,
     RuleInstance,
     derive_split,
-    pulling_roles,
     split_label,
     t_unsat,
 )
@@ -37,6 +36,7 @@ from shisat.graph import (
 )
 from shisat.kbparse import parse_concept_text
 from shisat.models import node_formulas
+from shisat.rbox import pulling_roles, transfer_concepts_to
 from shisat.syntax import (
     ALL,
     AND,
@@ -52,7 +52,6 @@ from shisat.syntax import (
     ordered,
     uid_bits,
 )
-from shisat.transfer import transfer_concepts_to
 
 from helpers import (
     DISALLOW_ABOX_TEXT,

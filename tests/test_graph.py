@@ -1,6 +1,8 @@
 """Graph layer: node creation, attribute wiring, proxy caching."""
 from __future__ import annotations
 
+import pytest
+
 from shisat import decide_sat, parse_kb
 from shisat.engine import R_CONV
 from shisat.graph import (
@@ -18,6 +20,11 @@ from helpers import EX1_TEXT, EX2_TEXT, state_of
 def _store():
     store = FormulaStore()
     return store, store.atom("A"), store.atom("B")
+
+
+def test_an_unknown_strategy_is_rejected():
+    with pytest.raises(ValueError, match="bogus"):
+        TableauGraph("bogus")
 
 
 def test_root_creation_attributes():

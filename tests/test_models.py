@@ -236,6 +236,15 @@ def test_check_model_accepts_extracted_witness():
     assert check_model(witness, kb)
 
 
+def test_fresh_elements_skip_an_individual_named_like_them():
+    kb, verdict = _finished("inst x1 (some r A)\n")
+    witness = build_witness(verdict.graph, kb, kb_index(kb))
+    assert witness.domain == ["x1", "x2"]
+    assert witness.individuals == {"x1": "x1"}
+    assert witness.roles["r"] == {("x1", "x2")}
+    assert check_model(witness, kb)
+
+
 def test_check_model_rejects_missing_subrole_edge():
     kb = parse_kb("sub r s\nrel r a b\n")
     bad = Interpretation(

@@ -76,6 +76,8 @@ def test_unknown_role_rejected():
         idx.subroles_of(Role("zz"))
     with pytest.raises(ValueError):
         build_ext([(R, Role("zz"))], [], ["r"])
+    with pytest.raises(ValueError, match="transitivity"):
+        build_ext([], [Role("zz")], ["r"])
 
 
 def _one_step(idx):

@@ -4,10 +4,11 @@ from __future__ import annotations
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
-from shisat import bounded_model_search, closure, format_kb, kb_index, parse_kb
-from shisat.engine import pulling_roles
+from shisat import bounded_model_search, closure, decide_sat, format_kb, kb_index, parse_kb
+from shisat.rbox import pulling_roles
 from shisat.syntax import (
     ALL,
     AND,
@@ -102,6 +103,16 @@ def test_internalize_top_guard_collapses():
     store = FormulaStore()
     d = store.exist(Role("r"), store.atom("A"))
     assert internalize_tbox(store, [("impl", store.top, d)]) == [d]
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "fifo"])
+def test_an_equivalence_of_top_and_bottom_internalizes_to_bottom(strategy):
+    # top <= bot is bottom and bot <= top is top, so the conjunction of
+    # the two directions is bottom itself.
+    kb = parse_kb("equiv top bot\n")
+    assert kb.tbox == [kb.store.bot]
+    assert not decide_sat(kb, strategy).sat
+    assert bounded_model_search(kb, 2) is None
 
 
 def test_complement_of_assertion():

@@ -7,7 +7,7 @@ import pytest
 from shisat import TableauEngine, build_ext, build_kb
 from shisat.graph import NONSTATE
 from shisat.syntax import FormulaStore, Role
-from shisat.transfer import transfer_concepts, transfer_concepts_to
+from shisat.rbox import transfer_concepts, transfer_concepts_to
 
 R, RI = Role("r"), Role("r", True)
 S = Role("s")
